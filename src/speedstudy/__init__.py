@@ -34,6 +34,7 @@ from .geometry import (
 from .ingest import (
     ClassLabel,
     Detection,
+    DetectionTable,
     SceneGeometry,
     Track,
     anchor_point,

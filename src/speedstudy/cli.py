@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import compare_phases, percent_change, PhaseSummary
-from .config import load_manifest, load_scene_config, SceneConfig
+from .config import load_manifest, load_scene_config, read_json, SceneConfig
 from .errors import (
     AtInfinity,
     ConfigError,
@@ -81,7 +81,10 @@ def write_atomic(path: Path, text: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvariantViolation(f"report holds a number JSON cannot carry ({exc})") from None
 
 
 def _solve_scene(cfg: SceneConfig) -> tuple[Homography, float]:
@@ -136,12 +139,7 @@ def cmd_analyze(args) -> int:
 
 
 def _load_summary(path) -> PhaseSummary:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"summary not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    data = read_json(path, "summary")
     try:
         return PhaseSummary.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -184,15 +182,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _load_sim_config(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"sim config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-
-
 def _sim_vehicles(data: dict) -> list[SyntheticVehicle]:
     vehicles = []
     for i, v in enumerate(data.get("vehicles", [])):
@@ -226,7 +215,7 @@ def _sim_vehicles(data: dict) -> list[SyntheticVehicle]:
 
 
 def cmd_simulate(args) -> int:
-    data = _load_sim_config(args.config)
+    data = read_json(args.config, "sim config")
     if "homography_matrix" not in data:
         raise ConfigError("homography_matrix: missing (3x3 row-major list)")
     try:

@@ -10,6 +10,7 @@ phase.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -160,14 +161,40 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     return cfg
 
 
-def load_scene_config(path) -> SceneConfig:
+class _NonFinite(ValueError):
+    pass
+
+
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NonFinite(text)
+    return value
+
+
+def read_json(path, what: str):
+    """Parse a JSON input file. A missing file, invalid JSON, or a number
+    that is not finite (NaN, Infinity, or a literal that overflows) raises
+    ConfigError; what names the file in the not-found message."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+        )
     except FileNotFoundError:
-        raise ConfigError(f"scene config not found: {path}") from None
+        raise ConfigError(f"{what} not found: {path}") from None
+    except _NonFinite as exc:
+        raise ConfigError(f"{path}: {exc} is not a finite number") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_scene_config(path) -> SceneConfig:
+    path = Path(path)
+    data = read_json(path, "scene config")
     try:
         return scene_config_from_dict(data, path.name)
     except ValueError as exc:
@@ -176,12 +203,7 @@ def load_scene_config(path) -> SceneConfig:
 
 def load_manifest(path) -> RunManifest:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    data = read_json(path, "manifest")
     base = path.parent
     scene_path = base / _get(data, "scene_config", "manifest")
     phases_raw = _get(data, "phases", "manifest")
@@ -196,6 +218,8 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(
                 f"{pp}.phase: expected one of {[p.value for p in Phase]}"
             ) from None
+        if any(p.phase is phase for p in phases):
+            raise ConfigError(f"{pp}.phase: {phase.value} is listed twice")
         hours = float(_get(entry, "hours", pp))
         if hours <= 0:
             raise ConfigError(f"{pp}.hours: must be positive")

@@ -60,7 +60,7 @@ class Homography:
     and projection results directly comparable.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_inv")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=np.float64).reshape(3, 3)
@@ -81,6 +81,7 @@ class Homography:
             raise DegenerateConfiguration("homography matrix is singular or near-singular")
         m.setflags(write=False)
         self._m = m
+        self._inv = None  # built by the first inverse() call
 
     @property
     def matrix(self) -> np.ndarray:
@@ -93,7 +94,9 @@ class Homography:
         return tuple(self._m.ravel())
 
     def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self._m))
+        if self._inv is None:
+            self._inv = Homography(np.linalg.inv(self._m))
+        return self._inv
 
     def __eq__(self, other):
         if not isinstance(other, Homography):

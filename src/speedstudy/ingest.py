@@ -4,6 +4,9 @@ Input format (one detection per line, no header, ``#`` lines ignored)::
 
     frame,id,bb_left,bb_top,bb_width,bb_height,conf,class_id
 
+A file is read into one ``DetectionTable`` (a column per field) and tracks
+are cut from it with a single sort, so no per-row objects are built.
+
 The cascade runs in a fixed order -- area-of-interest clipping, vehicle-type
 majority vote, stationary removal, close-follower removal, direction gating --
 and every stage is a pure subset operation over its input tracks.
@@ -11,10 +14,12 @@ and every stage is a pure subset operation over its input tracks.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import logging
 import math
-from collections import Counter
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import MalformedRow
+from .errors import InvariantViolation, MalformedRow
 from .geometry import Homography, ImagePoint, project_points
 
 log = logging.getLogger(__name__)
@@ -42,9 +47,16 @@ class ClassLabel(Enum):
 
 VEHICLE_LABELS = frozenset({ClassLabel.CAR, ClassLabel.BUS, ClassLabel.TRUCK})
 
+# label code (as stored in tables and tracks) -> label
+LABELS = tuple(ClassLabel)
+_LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
+_VEHICLE_CODES = np.array([label in VEHICLE_LABELS for label in LABELS])
+
 
 @dataclass(frozen=True)
 class Detection:
+    """One tracker row; the simulator's output type (see DetectionTable)."""
+
     frame: int
     track_id: int
     bbox: tuple[float, float, float, float]  # left, top, width, height (px)
@@ -52,23 +64,80 @@ class Detection:
     class_label: ClassLabel
 
 
-@dataclass(frozen=True)
-class Track:
-    """Frame-ordered detections of one tracker identity plus anchor points."""
+def _columns_valid(frame, track_id, bbox, confidence) -> bool:
+    """The range checks every row must pass, over whole columns."""
+    if not (
+        (frame >= 0).all()
+        and (track_id > 0).all()
+        and np.isfinite(bbox).all()
+        and (bbox[:, 2:] > 0.0).all()
+        and ((confidence >= 0.0) & (confidence <= 1.0)).all()
+    ):
+        return False
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(_anchors(bbox)).all())
 
-    track_id: int
-    detections: tuple[Detection, ...]
-    anchors: np.ndarray  # (N, 2) float64, bottom-center per detection
 
-    def __post_init__(self):
-        self.anchors.setflags(write=False)
+def _anchors(bbox: np.ndarray) -> np.ndarray:
+    """(N, 2) bottom centers of (N, 4) boxes; same arithmetic as anchor_point."""
+    out = np.empty((len(bbox), 2), dtype=np.float64)
+    out[:, 0] = bbox[:, 0] + bbox[:, 2] / 2.0
+    out[:, 1] = bbox[:, 1] + bbox[:, 3]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Detection rows as columns, in input order."""
+
+    frame: np.ndarray  # (N,) int64
+    track_id: np.ndarray  # (N,) int64
+    bbox: np.ndarray  # (N, 4) float64: left, top, width, height (px)
+    confidence: np.ndarray  # (N,) float64
+    label: np.ndarray  # (N,) int8 code into LABELS
 
     def __len__(self):
-        return len(self.detections)
+        return len(self.frame)
 
-    @property
-    def frames(self) -> np.ndarray:
-        return np.array([d.frame for d in self.detections], dtype=np.int64)
+    @classmethod
+    def from_rows(cls, rows) -> "DetectionTable":
+        """Table of Detection rows (the simulator's output), in their order."""
+        rows = list(rows)
+        table = cls(
+            frame=np.array([d.frame for d in rows], dtype=np.int64),
+            track_id=np.array([d.track_id for d in rows], dtype=np.int64),
+            bbox=np.array([d.bbox for d in rows], dtype=np.float64).reshape(-1, 4),
+            confidence=np.array([d.confidence for d in rows], dtype=np.float64),
+            label=np.array([_LABEL_CODE[d.class_label] for d in rows], dtype=np.int8),
+        )
+        if not _columns_valid(table.frame, table.track_id, table.bbox, table.confidence):
+            raise ValueError("detection rows out of range (see parse_track_file)")
+        return table
+
+
+@dataclass(frozen=True, eq=False)
+class Track:
+    """One tracker identity's detections in frame order, one array per field."""
+
+    track_id: int
+    frames: np.ndarray  # (N,) int64, strictly increasing
+    anchors: np.ndarray  # (N, 2) float64, bottom-center per detection
+    labels: np.ndarray  # (N,) int8 code into LABELS
+    confidences: np.ndarray  # (N,) float64
+
+    def __post_init__(self):
+        for column in (self.frames, self.anchors, self.labels, self.confidences):
+            column.setflags(write=False)
+
+    def __len__(self):
+        return len(self.frames)
+
+    def rows(self, start: int, stop: int) -> "Track":
+        """The same track restricted to positions start:stop."""
+        sl = slice(start, stop)
+        return Track(
+            self.track_id, self.frames[sl], self.anchors[sl], self.labels[sl], self.confidences[sl]
+        )
 
 
 @dataclass(frozen=True)
@@ -125,67 +194,157 @@ def anchor_point(bbox: tuple[float, float, float, float]) -> ImagePoint:
     return ImagePoint(left + width / 2.0, top + height)
 
 
-def parse_track_file(source, class_map: dict[int, ClassLabel]) -> list[Detection]:
-    """Parse a detection CSV into Detections, preserving row order.
+# One CSV row as loadtxt reads it; bbox is left, top, width, height.
+_ROW_DTYPE = np.dtype(
+    [
+        ("frame", np.int64),
+        ("track_id", np.int64),
+        ("bbox", np.float64, (4,)),
+        ("confidence", np.float64),
+        ("class_id", np.int64),
+    ]
+)
+_INT_COLUMNS = (0, 1, 7)
+_INT = re.compile(r"[+-]?[0-9]+")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-    Unknown class ids map to OTHER with a warning (once per id); structurally
-    bad rows raise MalformedRow carrying the 1-based line number.
+
+def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable:
+    """Parse a detection CSV into a DetectionTable, preserving row order.
+
+    source is a path, the file's bytes, or a seekable text stream. The file
+    is streamed through one np.loadtxt call and checked with column masks.
+    When either rejects it, a second, line-by-line pass names the first bad
+    row: MalformedRow carries its 1-based line number. Unknown class ids map
+    to OTHER with a warning (once per id).
     """
-    name = None
+    if isinstance(source, (bytes, bytearray)):
+        source = io.StringIO(source.decode("utf-8"))
     if isinstance(source, (str, Path)):
         name = str(source)
-        stream = open(source, "r", encoding="utf-8")
-        close = True
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.StringIO(source.decode("utf-8"))
-        close = True
+
+        def open_lines():
+            return open(source, "r", encoding="utf-8")
+
     else:
-        stream = source
-        close = False
         name = getattr(source, "name", None)
+        start = source.tell()
+
+        def open_lines():
+            source.seek(start)
+            return contextlib.nullcontext(source)
+
+    with open_lines() as lines:
+        rows = _load_rows(lines)
+    if rows is None or not _columns_valid(
+        rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"]
+    ):
+        with open_lines() as lines:
+            _diagnose(lines, name)
+        raise InvariantViolation(f"{name or 'detections'}: rejected, but no row is malformed")
+    return DetectionTable(
+        frame=rows["frame"],
+        track_id=rows["track_id"],
+        bbox=rows["bbox"],
+        confidence=rows["confidence"],
+        label=_label_codes(rows["class_id"], class_map),
+    )
+
+
+def _data_lines(lines):
+    """The lines whose first non-blank character is not '#'."""
+    for line in lines:
+        head = line.lstrip()[:1]
+        if head and head != "#":
+            yield line
+
+
+def _load_rows(lines) -> np.ndarray | None:
+    """All data lines as one structured array, or None when one does not parse."""
     try:
-        return _parse_lines(stream, class_map, name)
-    finally:
-        if close:
-            stream.close()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(
+                _data_lines(lines), dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
+            )
+    except ValueError:
+        return None
 
 
-def _parse_lines(stream, class_map, name) -> list[Detection]:
-    detections = []
-    unknown_ids: set[int] = set()
-    for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def _diagnose(lines, name) -> None:
+    """Raise MalformedRow for the first data line that loadtxt or the range
+    checks reject; return None when every line passes."""
+    for line_no, line in enumerate(lines, start=1):
+        head = line.lstrip()[:1]
+        if not head or head == "#":
             continue
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise MalformedRow(line_no, f"expected 8 columns, got {len(fields)}", name)
-        try:
-            frame = int(fields[0])
-            track_id = int(fields[1])
-            left, top, width, height = (float(f) for f in fields[2:6])
-            conf = float(fields[6])
-            class_id = int(fields[7])
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc), name) from None
-        if frame < 0:
-            raise MalformedRow(line_no, f"frame must be >= 0, got {frame}", name)
-        if track_id <= 0:
-            raise MalformedRow(line_no, f"track id must be positive, got {track_id}", name)
-        if width <= 0 or height <= 0:
-            raise MalformedRow(line_no, f"bbox size must be positive, got {width}x{height}", name)
-        if not 0.0 <= conf <= 1.0:
-            raise MalformedRow(line_no, f"confidence must be in [0, 1], got {conf}", name)
-        label = class_map.get(class_id)
+        fault = _row_fault(line)
+        if fault is not None:
+            raise MalformedRow(line_no, fault, name)
+
+
+def _row_fault(line: str) -> str | None:
+    """Why one data line is rejected, or None.
+
+    Accepts exactly what np.loadtxt accepts for _ROW_DTYPE: one trailing
+    line break, eight comma-separated fields, each padded by any whitespace;
+    integers as ASCII digits with an optional sign, within int64; floats as
+    Python's float() reads them, less underscores and non-ASCII characters.
+    """
+    for end in ("\r\n", "\n", "\r"):
+        if line.endswith(end):
+            line = line[: -len(end)]
+            break
+    if "\r" in line or "\n" in line:
+        return "line break inside a row"
+    fields = line.split(",")
+    if len(fields) != 8:
+        return f"expected 8 columns, got {len(fields)}"
+    values = []
+    for col, field in enumerate(fields):
+        text = field.strip()
+        if col in _INT_COLUMNS:
+            if not _INT.fullmatch(text):
+                return f"column {col + 1}: expected an integer, got {text!r}"
+            value = int(text)
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                return f"column {col + 1}: {text} is outside the int64 range"
+        else:
+            try:
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
+                value = float(text)
+            except ValueError:
+                return f"column {col + 1}: expected a number, got {text!r}"
+            if not math.isfinite(value):
+                return f"column {col + 1}: {text} is not a finite number"
+        values.append(value)
+    frame, track_id, left, top, width, height, conf, _ = values
+    if frame < 0:
+        return f"frame must be >= 0, got {frame}"
+    if track_id <= 0:
+        return f"track id must be positive, got {track_id}"
+    if width <= 0 or height <= 0:
+        return f"bbox size must be positive, got {width}x{height}"
+    if not 0.0 <= conf <= 1.0:
+        return f"confidence must be in [0, 1], got {conf}"
+    if not (math.isfinite(left + width / 2.0) and math.isfinite(top + height)):
+        return "bbox anchor point is not finite"
+    return None
+
+
+def _label_codes(class_ids: np.ndarray, class_map: dict[int, ClassLabel]) -> np.ndarray:
+    """Label code per row; unknown ids become OTHER, warned once each in order
+    of first appearance."""
+    ids, first, inverse = np.unique(class_ids, return_index=True, return_inverse=True)
+    codes = np.empty(len(ids), dtype=np.int8)
+    for i in np.argsort(first):
+        label = class_map.get(int(ids[i]))
         if label is None:
-            if class_id not in unknown_ids:
-                unknown_ids.add(class_id)
-                log.warning("unknown class id %d mapped to 'other'", class_id)
+            log.warning("unknown class id %d mapped to 'other'", ids[i])
             label = ClassLabel.OTHER
-        detections.append(Detection(frame, track_id, (left, top, width, height), conf, label))
-    return detections
+        codes[i] = _LABEL_CODE[label]
+    return codes[inverse]
 
 
 def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
@@ -207,29 +366,35 @@ def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
 def assemble_tracks(detections) -> list[Track]:
     """Group detections by id, sort by frame, and resolve duplicate frames.
 
-    A duplicate (id, frame) pair keeps the higher-confidence detection (first
-    seen wins ties). Output is ordered by track id.
+    detections is a DetectionTable or Detection rows. A duplicate (id, frame)
+    pair keeps the higher-confidence detection (first seen wins ties). Output
+    is ordered by track id.
     """
-    by_id: dict[int, list[Detection]] = {}
-    for d in detections:
-        by_id.setdefault(d.track_id, []).append(d)
-    tracks = []
-    for track_id in sorted(by_id):
-        dets = sorted(by_id[track_id], key=lambda d: d.frame)
-        deduped: list[Detection] = []
-        for d in dets:
-            if deduped and deduped[-1].frame == d.frame:
-                if d.confidence > deduped[-1].confidence:
-                    deduped[-1] = d
-            else:
-                deduped.append(d)
-        anchors = np.empty((len(deduped), 2), dtype=np.float64)
-        for i, d in enumerate(deduped):
-            a = anchor_point(d.bbox)
-            anchors[i, 0] = a.u
-            anchors[i, 1] = a.v
-        tracks.append(Track(track_id, tuple(deduped), anchors))
-    return tracks
+    table = (
+        detections
+        if isinstance(detections, DetectionTable)
+        else DetectionTable.from_rows(detections)
+    )
+    if len(table) == 0:
+        return []
+    # lexsort is stable, so rows tied on (id, frame, confidence) keep input order
+    order = np.lexsort((-table.confidence, table.frame, table.track_id))
+    ids = table.track_id[order]
+    frames = table.frame[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
+    keep = order[first]
+    ids = ids[first]
+    frames = frames[first]
+    anchors = _anchors(table.bbox[keep])
+    labels = table.label[keep]
+    confidences = table.confidence[keep]
+
+    bounds = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    return [
+        Track(int(ids[a]), frames[a:b], anchors[a:b], labels[a:b], confidences[a:b])
+        for a, b in zip([0, *bounds], [*bounds, len(ids)])
+    ]
 
 
 def clip_to_aoi(track: Track, aoi_polygon) -> Track | None:
@@ -239,21 +404,15 @@ def clip_to_aoi(track: Track, aoi_polygon) -> Track | None:
     Returns None when no detection qualifies.
     """
     inside = _kernels.points_in_polygon(track.anchors, aoi_polygon)
-    best_start, best_len = -1, 0
-    run_start = None
-    for i, flag in enumerate(list(inside) + [False]):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            if i - run_start > best_len:
-                best_start, best_len = run_start, i - run_start
-            run_start = None
-    if best_len == 0:
+    edges = np.diff(np.concatenate(([False], inside, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    if len(starts) == 0:
         return None
-    if best_len == len(track):
+    lengths = np.flatnonzero(edges == -1) - starts
+    best = int(np.argmax(lengths))  # first of the longest runs
+    if lengths[best] == len(track):
         return track
-    sl = slice(best_start, best_start + best_len)
-    return Track(track.track_id, track.detections[sl], track.anchors[sl].copy())
+    return track.rows(int(starts[best]), int(starts[best] + lengths[best]))
 
 
 def filter_vehicle_type(tracks) -> list[Track]:
@@ -264,10 +423,8 @@ def filter_vehicle_type(tracks) -> list[Track]:
     """
     kept = []
     for t in tracks:
-        counts = Counter(d.class_label for d in t.detections)
-        top = max(counts.values())
-        modal = {label for label, c in counts.items() if c == top}
-        if modal & VEHICLE_LABELS:
+        counts = np.bincount(t.labels, minlength=len(LABELS))
+        if _VEHICLE_CODES[counts == counts.max()].any():
             kept.append(t)
     return kept
 

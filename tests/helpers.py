@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from speedstudy import Correspondence, Detection, ImagePoint, WorldPoint
-from speedstudy.ingest import ClassLabel
+from speedstudy.ingest import LABELS, ClassLabel
 
 MPS_TO_MPH = 2.2369362920544
 
@@ -125,6 +125,23 @@ def scene_config_dict(h, location_id=1, fps=10.0, **overrides) -> dict:
     }
     cfg.update(overrides)
     return cfg
+
+
+def assert_tracks_equal(a, b):
+    """Same identity and the same value in every per-detection column."""
+    assert a.track_id == b.track_id
+    for column in ("frames", "anchors", "labels", "confidences"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
+def assert_table_matches_rows(table, rows):
+    """A DetectionTable holds exactly these Detection rows, in order."""
+    assert len(table) == len(rows)
+    assert table.frame.tolist() == [d.frame for d in rows]
+    assert table.track_id.tolist() == [d.track_id for d in rows]
+    assert [tuple(b) for b in table.bbox.tolist()] == [tuple(d.bbox) for d in rows]
+    assert table.confidence.tolist() == [d.confidence for d in rows]
+    assert [LABELS[code] for code in table.label] == [d.class_label for d in rows]
 
 
 def det(frame, track_id, bbox=(0.0, 0.0, 10.0, 20.0), conf=0.9, label=ClassLabel.CAR):

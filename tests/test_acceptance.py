@@ -17,6 +17,7 @@ from helpers import (
     make_correspondences,
     random_projective_matrix,
     scene_config_dict,
+    assert_tracks_equal,
     straight_track_detections,
 )
 from speedstudy import (
@@ -386,7 +387,7 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
         twice, _ = run_filter_cascade(once, scene, identity)
         assert [t.track_id for t in once] == [t.track_id for t in twice]
         for a, b in zip(once, twice):
-            assert a.detections == b.detections
+            assert_tracks_equal(a, b)
     print("ACCEPTANCE 7 (filter gates at 40 px / 2.0 m / 45 deg; idempotent cascade): PASS")
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import scene_config_dict
 from speedstudy import Phase, build_phase_summary
-from speedstudy.cli import main
+from speedstudy.cli import _json_text, main
+from speedstudy.errors import InvariantViolation
 from speedstudy.config import Thresholds, load_scene_config
 
 
@@ -210,6 +211,49 @@ class TestAnalyze:
         assert code == 2
         assert "bad.csv" in caplog.text and "2" in caplog.text
 
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1,nan,300,40,60,0.9,1", "0,1,500,inf,40,60,0.9,1", "0,1,500,300,1e999,60,0.9,1"],
+    )
+    def test_non_finite_csv_value_exits_2(self, tmp_path, scene_path, caplog, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# tracker export\n0,1,500,300,40,60,0.9,1\n" + row + "\n")
+        manifest = self.make_manifest(tmp_path, scene_path, bad)
+        with caplog.at_level("ERROR"):
+            code = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "bad.csv:3" in caplog.text and "not a finite number" in caplog.text
+
+    def test_duplicate_phase_exits_2(self, tmp_path, scene_path, sim_homography, caplog):
+        dets = str(run_simulate(tmp_path, sim_homography).relative_to(tmp_path))
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {
+            "scene_config": scene_path.name,
+            "phases": [
+                {"phase": "pre", "detections": [dets], "hours": 1.0},
+                {"phase": "pre", "detections": [dets], "hours": 2.0},
+            ],
+        })
+        out = tmp_path / "report"
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "phases[1].phase" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_manifest_number_exits_2(
+        self, tmp_path, scene_path, sim_homography, caplog, literal
+    ):
+        dets = run_simulate(tmp_path, sim_homography)
+        manifest = self.make_manifest(tmp_path, scene_path, dets)
+        text = manifest.read_text()
+        manifest.write_text(text.replace('"hours": 2.5', f'"hours": {literal}'))
+        out = tmp_path / "report"
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "not a finite number" in caplog.text
+        assert not out.exists()
+
     def test_signalized_site_omits_maneuvers(self, tmp_path, demo_h, sim_homography):
         scene = tmp_path / "scene.json"
         write_json(scene, scene_config_dict(demo_h, intersection_type="signalized"))
@@ -298,6 +342,18 @@ class TestCompare:
             ["compare", "--pre", str(paths[0]), "--w1", str(paths[1]),
              "--w2", str(p9), "--out", str(tmp_path / "cmp")]
         ) == 2
+
+
+class TestJson:
+    def test_non_finite_scene_number_exits_2(self, scene_path, caplog):
+        scene_path.write_text(scene_path.read_text().replace('"fps": 10.0', '"fps": NaN'))
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(scene_path)]) == 2
+        assert "NaN is not a finite number" in caplog.text
+
+    def test_report_with_non_finite_number_is_an_invariant_violation(self):
+        with pytest.raises(InvariantViolation):
+            _json_text({"hours": float("nan")})
 
 
 class TestDefaults:

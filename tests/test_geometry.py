@@ -201,6 +201,13 @@ class TestCanonicalForm:
         ident /= ident[2, 2]
         assert np.allclose(ident, np.eye(3), atol=1e-12)
 
+    def test_inverse_built_once(self, rng):
+        h = Homography(random_projective_matrix(rng))
+        first = h.inverse()
+        assert h.inverse() is first
+        assert np.array_equal(h.inverse().matrix, first.matrix)
+        assert np.array_equal(first.matrix, Homography(np.linalg.inv(h.matrix)).matrix)
+
 
 def test_property_run_1000_cases_under_5s():
     rng = np.random.default_rng(99)

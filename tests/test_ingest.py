@@ -2,8 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import det, point_in_polygon_oracle, straight_track_detections
+from helpers import (
+    assert_table_matches_rows,
+    assert_tracks_equal,
+    det,
+    point_in_polygon_oracle,
+    straight_track_detections,
+)
 from speedstudy import (
     Homography,
     anchor_point,
@@ -17,8 +24,9 @@ from speedstudy import (
     run_filter_cascade,
     serialize_detections,
 )
+from speedstudy import ingest
 from speedstudy.errors import MalformedRow
-from speedstudy.ingest import ClassLabel, SceneGeometry, Track
+from speedstudy.ingest import LABELS, ClassLabel, SceneGeometry, Track
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
@@ -35,14 +43,13 @@ class TestParse:
     def test_single_row(self):
         rows = parse_track_file(io.StringIO("120,7,512.0,300.0,40.0,60.0,0.93,1\n"), CLASS_MAP)
         assert len(rows) == 1
-        d = rows[0]
-        assert d.frame == 120 and d.track_id == 7
-        assert d.bbox == (512.0, 300.0, 40.0, 60.0)
-        assert d.confidence == 0.93
-        assert d.class_label is ClassLabel.CAR
+        assert rows.frame[0] == 120 and rows.track_id[0] == 7
+        assert rows.bbox[0].tolist() == [512.0, 300.0, 40.0, 60.0]
+        assert rows.confidence[0] == 0.93
+        assert LABELS[rows.label[0]] is ClassLabel.CAR
 
     def test_empty_file(self):
-        assert parse_track_file(io.StringIO(""), CLASS_MAP) == []
+        assert len(parse_track_file(io.StringIO(""), CLASS_MAP)) == 0
 
     def test_wrong_column_count(self):
         with pytest.raises(MalformedRow) as exc_info:
@@ -58,7 +65,7 @@ class TestParse:
     def test_unknown_class_id_maps_to_other(self, caplog):
         with caplog.at_level("WARNING"):
             rows = parse_track_file(io.StringIO("1,1,0,0,10,10,0.9,99\n"), CLASS_MAP)
-        assert rows[0].class_label is ClassLabel.OTHER
+        assert LABELS[rows.label[0]] is ClassLabel.OTHER
         assert "99" in caplog.text
 
     def test_rejects_nonpositive_bbox(self):
@@ -68,6 +75,51 @@ class TestParse:
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(MalformedRow):
             parse_track_file(io.StringIO("1,1,0,0,10,10,1.5,1\n"), CLASS_MAP)
+
+    def test_trailing_comment_is_malformed(self):
+        text = "# export\n1,1,0,0,10,10,0.9,1\n2,1,0,0,10,10,0.9,1 # late\n"
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(io.StringIO(text), CLASS_MAP)
+        assert exc_info.value.line_no == 3
+
+    def test_blank_and_indented_comment_lines_skipped(self):
+        text = "\n   \n  # note\n1,1,0,0,10,10,0.9,1\r\n\t\n2,1,0,0,10,10,0.9,1"
+        rows = parse_track_file(io.StringIO(text), CLASS_MAP)
+        assert rows.frame.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("column", range(2, 7))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_rejects_non_finite_numbers(self, column, value):
+        fields = "1,1,0,0,10,10,0.9,1".split(",")
+        fields[column] = value
+        text = "1,1,0,0,10,10,0.9,1\n" + ",".join(fields) + "\n"
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(io.StringIO(text), CLASS_MAP)
+        assert exc_info.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1_000,1,0,0,10,10,0.9,1",  # digit separators
+            "1,9223372036854775808,0,0,10,10,0.9,1",  # id beyond int64
+            "1.0,1,0,0,10,10,0.9,1",  # float in an integer column
+            "1,1,0x10,0,10,10,0.9,1",  # hex float
+            "1,1,\u0661,0,10,10,0.9,1",  # non-ASCII digit
+            "1,1,0,0,10,10,0.9,1,",  # ninth column
+            "1,1,1.7e308,0,1.7e308,10,0.9,1",  # anchor overflows
+        ],
+    )
+    def test_rejected_forms(self, row):
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(io.StringIO(row + "\n"), CLASS_MAP)
+        assert exc_info.value.line_no == 1
+
+    def test_stream_is_read_from_its_position(self):
+        stream = io.StringIO("skipped header\n1,1,0,0,10,10,0.9,1\nbad\n")
+        stream.readline()
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(stream, CLASS_MAP)
+        assert exc_info.value.line_no == 2
 
     def test_round_trip_lossless(self, rng):
         dets = []
@@ -82,7 +134,7 @@ class TestParse:
                 )
             )
         text = serialize_detections(dets, CLASS_MAP)
-        assert parse_track_file(io.StringIO(text), CLASS_MAP) == dets
+        assert_table_matches_rows(parse_track_file(io.StringIO(text), CLASS_MAP), dets)
 
 
 class TestAssemble:
@@ -94,12 +146,29 @@ class TestAssemble:
     def test_sorts_frames(self):
         dets = [det(5, 1), det(2, 1), det(8, 1)]
         t = track_of(dets)
-        assert [d.frame for d in t.detections] == [2, 5, 8]
+        assert t.frames.tolist() == [2, 5, 8]
+
+    def test_duplicate_frame_tie_keeps_first_row(self):
+        text = (
+            "5,1,0,0,10,20,0.7,1\n"
+            "5,1,30,0,10,20,0.9,1\n"  # highest confidence, first of the tie
+            "5,1,60,0,10,20,0.9,2\n"
+            "4,1,90,0,10,20,0.1,1\n"
+        )
+        t = track_of(parse_track_file(io.StringIO(text), CLASS_MAP))
+        assert t.frames.tolist() == [4, 5]
+        assert t.confidences.tolist() == [0.1, 0.9]
+        assert t.anchors.tolist() == [[95.0, 20.0], [35.0, 20.0]]
+        assert [LABELS[c] for c in t.labels] == [ClassLabel.CAR, ClassLabel.CAR]
 
     def test_duplicate_frame_keeps_higher_confidence(self):
         dets = [det(5, 1, conf=0.4), det(5, 1, conf=0.9), det(6, 1, conf=0.5)]
         t = track_of(dets)
-        assert [d.confidence for d in t.detections] == [0.9, 0.5]
+        assert t.confidences.tolist() == [0.9, 0.5]
+
+    def test_rejects_rows_out_of_range(self):
+        with pytest.raises(ValueError):
+            assemble_tracks([det(0, 1, bbox=(0.0, 0.0, 0.0, 20.0))])
 
     def test_anchor_rows_align_with_detections(self):
         t = track_of([det(0, 1, bbox=(512.0, 300.0, 40.0, 60.0))])
@@ -134,7 +203,7 @@ class TestClipToAoi:
         )
         t = track_of(dets)
         clipped = clip_to_aoi(t, SQUARE_100)
-        frames = [d.frame for d in clipped.detections]
+        frames = clipped.frames.tolist()
         # oracle: exhaustive run-length scan over the inside flags
         inside = [
             point_in_polygon_oracle(u, v, SQUARE_100) for u, v in t.anchors
@@ -147,7 +216,7 @@ class TestClipToAoi:
                 runs.append((start, i))
                 start = None
         best = max(runs, key=lambda r: r[1] - r[0])
-        assert frames == [t.detections[i].frame for i in range(best[0], best[1])]
+        assert frames == t.frames[best[0]:best[1]].tolist()
         assert frames == list(range(0, 31))
 
     def test_clipped_anchors_all_inside(self, rng):
@@ -298,7 +367,7 @@ class TestCascade:
             twice, _ = run_filter_cascade(once, self.scene(), IDENTITY)
             assert [t.track_id for t in twice] == [t.track_id for t in once]
             for a, b in zip(once, twice):
-                assert a.detections == b.detections
+                assert_tracks_equal(a, b)
 
 
 class TestSceneGeometryValidation:
@@ -314,3 +383,110 @@ class TestSceneGeometryValidation:
     def test_nonpositive_fps_rejected(self):
         with pytest.raises(ValueError):
             SceneGeometry(0.0, SQUARE_100, SQUARE_100, np.array([1.0, 0.0]), CLASS_MAP)
+
+
+# -- the columnar parser against the line-by-line validator ------------------
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALID_COLUMNS = (
+    st.integers(0, 2**63 - 1),
+    st.integers(1, 2**63 - 1),
+    FINITE,
+    FINITE,
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    INT64,
+)
+JUNK = st.one_of(
+    st.sampled_from(
+        ["", "nan", "-inf", "Infinity", "1e400", "1_0", "0x10", "1.0", "1e3", ".5", "5.",
+         "+7", "-0", "9223372036854775808", "-9223372036854775809", "\u0661", "1 2", "#",
+         "0", "-1", "1.5"]
+    ),
+    st.text(alphabet="0123456789+-.eE_ naifx#\t\r\u3000\u0661", max_size=6),
+)
+PADDING = st.sampled_from(["", " ", "\t", "\u3000", "\xa0"])
+
+
+FLOAT_FORMATS = (repr, "{:.6g}".format, "{:e}".format)
+
+
+@st.composite
+def rows(draw):
+    """A valid row, sometimes with one field replaced by junk, padded, or
+    given a ninth column."""
+    values = draw(st.tuples(*VALID_COLUMNS))
+    fmt = draw(st.sampled_from(FLOAT_FORMATS))
+    fields = [str(v) if isinstance(v, int) else fmt(v) for v in values]
+    col = draw(st.integers(0, 7))
+    change = draw(st.sampled_from(["none", "junk", "junk", "pad", "extra"]))
+    if change == "junk":
+        fields[col] = draw(JUNK)
+    elif change == "pad":
+        fields[col] = draw(PADDING) + fields[col] + draw(PADDING)
+    elif change == "extra":
+        fields.append(draw(JUNK))
+    return ",".join(fields)
+
+
+LINES = st.one_of(rows(), rows(), rows(), st.sampled_from(["", "  ", "# note", " # x"]))
+TEXTS = st.lists(
+    st.tuples(LINES, st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=4
+).map(lambda parts: "".join(line + end for line, end in parts))
+
+
+def _columnar_rows(lines):
+    """What loadtxt plus the column masks make of lines: rows, or None."""
+    rows = ingest._load_rows(lines)
+    if rows is None or not ingest._columns_valid(
+        rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"]
+    ):
+        return None
+    return rows
+
+
+def _reference_row(line):
+    """Values of an accepted line, read with plain int() and float()."""
+    fields = [f.strip() for f in line.split(",")]
+    ints = [int(fields[i]) for i in (0, 1, 7)]
+    floats = [float(f) for f in fields[2:7]]
+    return ints[0], ints[1], floats[:4], floats[4], ints[2]
+
+
+def _is_data(line):
+    head = line.lstrip()[:1]
+    return bool(head) and head != "#"
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXTS)
+def test_columnar_parser_agrees_with_line_validator(text):
+    lines = io.StringIO(text).readlines()  # the same line split parse_track_file sees
+    for line in filter(_is_data, lines):
+        got = _columnar_rows([line])
+        assert (got is None) == (ingest._row_fault(line) is not None), line
+        if got is not None:
+            frame, track_id, bbox, conf, class_id = _reference_row(line)
+            assert got["frame"].tolist() == [frame]
+            assert got["track_id"].tolist() == [track_id]
+            assert got["bbox"].tolist() == [bbox]
+            assert got["confidence"].tolist() == [conf]
+            assert got["class_id"].tolist() == [class_id]
+
+    bad = [no for no, line in enumerate(lines, 1) if _is_data(line) and ingest._row_fault(line)]
+    if bad:
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(io.StringIO(text), CLASS_MAP)
+        assert exc_info.value.line_no == bad[0]
+        return
+    table = parse_track_file(io.StringIO(text), CLASS_MAP)
+    expected = [_reference_row(line) for line in lines if _is_data(line)]
+    assert table.frame.tolist() == [r[0] for r in expected]
+    assert table.track_id.tolist() == [r[1] for r in expected]
+    assert table.bbox.tolist() == [r[2] for r in expected]
+    assert table.confidence.tolist() == [r[3] for r in expected]
+    assert [LABELS[c] for c in table.label] == [
+        CLASS_MAP.get(r[4], ClassLabel.OTHER) for r in expected
+    ]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ class TestToWorldTrack:
         t = assemble_tracks(dets)[0]
         anchors = t.anchors.copy()
         anchors[4] = (u, v)
-        t = type(t)(t.track_id, t.detections, anchors)
+        t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
             wt = to_world_track(t, h)
         assert wt is not None
@@ -83,7 +85,7 @@ class TestToWorldTrack:
                 anchors[i] = (u, (-r33 - r31 * u) / r32)
             else:
                 anchors[i] = (-r33 / r31, 5.0 + i)
-        t = type(t)(t.track_id, t.detections, anchors)
+        t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
             assert to_world_track(t, h) is None
 
