@@ -37,7 +37,7 @@ from .ingest import (
     DetectionTable,
     SceneGeometry,
     Track,
-    anchor_point,
+    anchor_points,
     assemble_tracks,
     clip_to_aoi,
     filter_direction,

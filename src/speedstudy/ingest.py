@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantViolation, MalformedRow
-from .geometry import Homography, ImagePoint, project_points
+from .geometry import Homography, project_points
 
 log = logging.getLogger(__name__)
 
@@ -64,26 +64,35 @@ class Detection:
     class_label: ClassLabel
 
 
-def _columns_valid(frame, track_id, bbox, confidence) -> bool:
-    """The range checks every row must pass, over whole columns."""
-    if not (
-        (frame >= 0).all()
-        and (track_id > 0).all()
-        and np.isfinite(bbox).all()
-        and (bbox[:, 2:] > 0.0).all()
-        and ((confidence >= 0.0) & (confidence <= 1.0)).all()
-    ):
-        return False
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(_anchors(bbox)).all())
-
-
-def _anchors(bbox: np.ndarray) -> np.ndarray:
-    """(N, 2) bottom centers of (N, 4) boxes; same arithmetic as anchor_point."""
+def anchor_points(bbox: np.ndarray) -> np.ndarray:
+    """(N, 2) bottom centers of (N, 4) boxes: the vehicles' ground-contact points."""
     out = np.empty((len(bbox), 2), dtype=np.float64)
     out[:, 0] = bbox[:, 0] + bbox[:, 2] / 2.0
     out[:, 1] = bbox[:, 1] + bbox[:, 3]
     return out
+
+
+def _range_faults(frame, track_id, bbox, confidence) -> list[tuple[np.ndarray, str]]:
+    """For each range check every row must pass: the rows failing it, and why."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchors = anchor_points(bbox)
+    return [
+        (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
+         "a bbox or confidence value is not a finite number"),
+        (frame < 0, "frame must be >= 0"),
+        (track_id <= 0, "track id must be positive"),
+        (~(bbox[:, 2:] > 0.0).all(axis=1), "bbox width and height must be positive"),
+        (~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"),
+        (~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"),
+    ]
+
+
+def _first_bad_row(frame, track_id, bbox, confidence) -> int | None:
+    """Index of the first row failing a range check, or None."""
+    bad = np.logical_or.reduce(
+        [rows for rows, _ in _range_faults(frame, track_id, bbox, confidence)]
+    )
+    return int(bad.argmax()) if bad.any() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +119,7 @@ class DetectionTable:
             confidence=np.array([d.confidence for d in rows], dtype=np.float64),
             label=np.array([_LABEL_CODE[d.class_label] for d in rows], dtype=np.int8),
         )
-        if not _columns_valid(table.frame, table.track_id, table.bbox, table.confidence):
+        if _first_bad_row(table.frame, table.track_id, table.bbox, table.confidence) is not None:
             raise ValueError("detection rows out of range (see parse_track_file)")
         return table
 
@@ -186,14 +195,6 @@ def _is_simple_polygon(poly: np.ndarray) -> bool:
     return True
 
 
-def anchor_point(bbox: tuple[float, float, float, float]) -> ImagePoint:
-    """Bottom center of a bounding box: the vehicle's ground-contact point."""
-    left, top, width, height = bbox
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bbox must have positive size, got {bbox}")
-    return ImagePoint(left + width / 2.0, top + height)
-
-
 # One CSV row as loadtxt reads it; bbox is left, top, width, height.
 _ROW_DTYPE = np.dtype(
     [
@@ -204,9 +205,6 @@ _ROW_DTYPE = np.dtype(
         ("class_id", np.int64),
     ]
 )
-_INT_COLUMNS = (0, 1, 7)
-_INT = re.compile(r"[+-]?[0-9]+")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable:
@@ -236,11 +234,12 @@ def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable
 
     with open_lines() as lines:
         rows = _load_rows(lines)
-    if rows is None or not _columns_valid(
-        rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"]
-    ):
+    first_bad = None
+    if rows is not None:
+        first_bad = _first_bad_row(rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"])
+    if rows is None or first_bad is not None:
         with open_lines() as lines:
-            _diagnose(lines, name)
+            _diagnose(lines, name, first_bad)
         raise InvariantViolation(f"{name or 'detections'}: rejected, but no row is malformed")
     return DetectionTable(
         frame=rows["frame"],
@@ -251,85 +250,60 @@ def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable
     )
 
 
-def _data_lines(lines):
-    """The lines whose first non-blank character is not '#'."""
-    for line in lines:
-        head = line.lstrip()[:1]
-        if head and head != "#":
-            yield line
+def _is_data(line: str) -> bool:
+    """A data line's first non-blank character is not '#'."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """The lines as one structured array. Raises ValueError, or the
+    DeprecationWarning of numpy versions that still read '1.0' or '1e3' into
+    an integer column, so that every numpy rejects the same rows."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
 def _load_rows(lines) -> np.ndarray | None:
     """All data lines as one structured array, or None when one does not parse."""
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(
-                _data_lines(lines), dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
-            )
-    except ValueError:
+        return _loadtxt(filter(_is_data, lines))
+    except (ValueError, DeprecationWarning):
         return None
 
 
-def _diagnose(lines, name) -> None:
+def _diagnose(lines, name, first_bad: int | None) -> None:
     """Raise MalformedRow for the first data line that loadtxt or the range
-    checks reject; return None when every line passes."""
+    checks reject; return None when every line passes.
+
+    first_bad, when the whole file parsed, is the index among the data lines
+    of the first row the range checks reject; only that line is checked.
+    """
+    index = 0
     for line_no, line in enumerate(lines, start=1):
-        head = line.lstrip()[:1]
-        if not head or head == "#":
+        if not _is_data(line):
             continue
-        fault = _row_fault(line)
-        if fault is not None:
-            raise MalformedRow(line_no, fault, name)
+        if first_bad is None or index == first_bad:
+            fault = _row_fault(line)
+            if fault is not None:
+                raise MalformedRow(line_no, fault, name)
+            if first_bad is not None:
+                return
+        index += 1
 
 
 def _row_fault(line: str) -> str | None:
-    """Why one data line is rejected, or None.
-
-    Accepts exactly what np.loadtxt accepts for _ROW_DTYPE: one trailing
-    line break, eight comma-separated fields, each padded by any whitespace;
-    integers as ASCII digits with an optional sign, within int64; floats as
-    Python's float() reads them, less underscores and non-ASCII characters.
-    """
-    for end in ("\r\n", "\n", "\r"):
-        if line.endswith(end):
-            line = line[: -len(end)]
-            break
-    if "\r" in line or "\n" in line:
-        return "line break inside a row"
-    fields = line.split(",")
-    if len(fields) != 8:
-        return f"expected 8 columns, got {len(fields)}"
-    values = []
-    for col, field in enumerate(fields):
-        text = field.strip()
-        if col in _INT_COLUMNS:
-            if not _INT.fullmatch(text):
-                return f"column {col + 1}: expected an integer, got {text!r}"
-            value = int(text)
-            if not _INT64_MIN <= value <= _INT64_MAX:
-                return f"column {col + 1}: {text} is outside the int64 range"
-        else:
-            try:
-                if not text.isascii() or "_" in text:
-                    raise ValueError(text)
-                value = float(text)
-            except ValueError:
-                return f"column {col + 1}: expected a number, got {text!r}"
-            if not math.isfinite(value):
-                return f"column {col + 1}: {text} is not a finite number"
-        values.append(value)
-    frame, track_id, left, top, width, height, conf, _ = values
-    if frame < 0:
-        return f"frame must be >= 0, got {frame}"
-    if track_id <= 0:
-        return f"track id must be positive, got {track_id}"
-    if width <= 0 or height <= 0:
-        return f"bbox size must be positive, got {width}x{height}"
-    if not 0.0 <= conf <= 1.0:
-        return f"confidence must be in [0, 1], got {conf}"
-    if not (math.isfinite(left + width / 2.0) and math.isfinite(top + height)):
-        return "bbox anchor point is not finite"
+    """Why one data line is rejected, or None: the loader's own error, or the
+    first range check the row fails."""
+    try:
+        row = _loadtxt([line])
+    except (ValueError, DeprecationWarning) as exc:
+        # loadtxt counts rows of its own one-line input; drop that position
+        return re.sub(r" at row \d+", "", str(exc)).split(";")[0]
+    for bad, reason in _range_faults(row["frame"], row["track_id"], row["bbox"], row["confidence"]):
+        if bad.any():
+            return reason
     return None
 
 
@@ -363,18 +337,12 @@ def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def assemble_tracks(detections) -> list[Track]:
+def assemble_tracks(table: DetectionTable) -> list[Track]:
     """Group detections by id, sort by frame, and resolve duplicate frames.
 
-    detections is a DetectionTable or Detection rows. A duplicate (id, frame)
-    pair keeps the higher-confidence detection (first seen wins ties). Output
-    is ordered by track id.
+    A duplicate (id, frame) pair keeps the higher-confidence detection (first
+    seen wins ties). Output is ordered by track id.
     """
-    table = (
-        detections
-        if isinstance(detections, DetectionTable)
-        else DetectionTable.from_rows(detections)
-    )
     if len(table) == 0:
         return []
     # lexsort is stable, so rows tied on (id, frame, confidence) keep input order
@@ -386,7 +354,7 @@ def assemble_tracks(detections) -> list[Track]:
     keep = order[first]
     ids = ids[first]
     frames = frames[first]
-    anchors = _anchors(table.bbox[keep])
+    anchors = anchor_points(table.bbox[keep])
     labels = table.label[keep]
     confidences = table.confidence[keep]
 

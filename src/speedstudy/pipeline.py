@@ -17,7 +17,13 @@ from .behavior import ManeuverObservation, observe_maneuvers
 from .config import PhaseInput, SceneConfig
 from .errors import EmptyInput, InvariantViolation
 from .geometry import Homography
-from .ingest import CASCADE_STAGES, assemble_tracks, parse_track_file, run_filter_cascade
+from .ingest import (
+    CASCADE_STAGES,
+    DetectionTable,
+    assemble_tracks,
+    parse_track_file,
+    run_filter_cascade,
+)
 from .kinematics import TrackKinematics, to_world_track, track_kinematics
 
 log = logging.getLogger(__name__)
@@ -40,7 +46,7 @@ class PhaseResult:
 
 
 def process_detections(
-    detections, cfg: SceneConfig, h: Homography, source: str = "<memory>"
+    detections: DetectionTable, cfg: SceneConfig, h: Homography, source: str = "<memory>"
 ) -> RecordingResult:
     """Run the full analysis over one recording's parsed detections."""
     tracks = assemble_tracks(detections)

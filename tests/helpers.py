@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 
-from speedstudy import Correspondence, Detection, ImagePoint, WorldPoint
+from speedstudy import (
+    Correspondence,
+    Detection,
+    DetectionTable,
+    ImagePoint,
+    WorldPoint,
+    assemble_tracks,
+)
 from speedstudy.ingest import LABELS, ClassLabel
 
 MPS_TO_MPH = 2.2369362920544
@@ -142,6 +149,11 @@ def assert_table_matches_rows(table, rows):
     assert [tuple(b) for b in table.bbox.tolist()] == [tuple(d.bbox) for d in rows]
     assert table.confidence.tolist() == [d.confidence for d in rows]
     assert [LABELS[code] for code in table.label] == [d.class_label for d in rows]
+
+
+def tracks_of(rows):
+    """Tracks assembled from Detection rows."""
+    return assemble_tracks(DetectionTable.from_rows(rows))
 
 
 def det(frame, track_id, bbox=(0.0, 0.0, 10.0, 20.0), conf=0.9, label=ClassLabel.CAR):

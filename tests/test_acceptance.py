@@ -19,9 +19,11 @@ from helpers import (
     scene_config_dict,
     assert_tracks_equal,
     straight_track_detections,
+    tracks_of,
 )
 from speedstudy import (
     Constant,
+    DetectionTable,
     Homography,
     ManeuverClass,
     Phase,
@@ -30,7 +32,6 @@ from speedstudy import (
     SyntheticVehicle,
     TrapezoidStop,
     WorldPoint,
-    assemble_tracks,
     build_phase_summary,
     compare_phases,
     delta_mismatches,
@@ -188,7 +189,7 @@ def analyze_fleet(vehicles, h, sigma, seed, duration=60.0, fps=10.0):
         approach_zone=np.array(ZONE),
     )
     cfg = scene_config_from_dict(scene_config_dict(h, fps=fps))
-    result = process_detections(dets, cfg, h)
+    result = process_detections(DetectionTable.from_rows(dets), cfg, h)
     return result, truth
 
 
@@ -349,22 +350,22 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
     direction = np.array([1.0, 0.0])
 
     # 40 px following gate
-    lead = assemble_tracks(straight_track_detections(1, 20, (130, 50), (5, 0)))[0]
-    tail = assemble_tracks(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
+    lead = tracks_of(straight_track_detections(1, 20, (130, 50), (5, 0)))[0]
+    tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
     assert [t.track_id for t in filter_following([lead, tail], identity, direction)] == [1]
-    far = assemble_tracks(straight_track_detections(2, 20, (500, 50), (5, 0)))[0]
+    far = tracks_of(straight_track_detections(2, 20, (500, 50), (5, 0)))[0]
     assert len(filter_following([lead, far], identity, direction)) == 2
 
     # 2.0 m stationary gate
-    creeper = assemble_tracks(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))[0]
-    mover = assemble_tracks(straight_track_detections(2, 30, (0, 10), (1, 0)))[0]
+    creeper = tracks_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))[0]
+    mover = tracks_of(straight_track_detections(2, 30, (0, 10), (1, 0)))[0]
     kept = filter_stationary([creeper, mover], identity)
     assert [t.track_id for t in kept] == [2]
 
     # +-45 degree direction boundary
     for angle, keep in ((44.0, True), (46.0, False)):
         step = (5 * np.cos(np.radians(angle)), 5 * np.sin(np.radians(angle)))
-        t = assemble_tracks(straight_track_detections(1, 10, (0, 0), step))[0]
+        t = tracks_of(straight_track_detections(1, 10, (0, 0), step))[0]
         assert bool(filter_direction([t], identity, direction)) is keep
 
     # cascade idempotence over 100 random synthetic scenes
@@ -382,7 +383,7 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
                 rng.uniform(-4, 4, 2),
                 label=labels[int(rng.integers(0, 3))],
             )
-        tracks = assemble_tracks(dets)
+        tracks = tracks_of(dets)
         once, _ = run_filter_cascade(tracks, scene, identity)
         twice, _ = run_filter_cascade(once, scene, identity)
         assert [t.track_id for t in once] == [t.track_id for t in twice]

@@ -10,10 +10,11 @@ from helpers import (
     det,
     point_in_polygon_oracle,
     straight_track_detections,
+    tracks_of,
 )
 from speedstudy import (
     Homography,
-    anchor_point,
+    anchor_points,
     assemble_tracks,
     clip_to_aoi,
     filter_direction,
@@ -35,7 +36,7 @@ SQUARE_100 = np.array([[0, 0], [100, 0], [100, 100], [0, 100]], dtype=float)
 
 
 def track_of(detections) -> Track:
-    (track,) = assemble_tracks(detections)
+    (track,) = tracks_of(detections)
     return track
 
 
@@ -140,7 +141,7 @@ class TestParse:
 class TestAssemble:
     def test_groups_by_id(self):
         dets = [det(0, 3), det(1, 9), det(1, 3), det(2, 9)]
-        tracks = assemble_tracks(dets)
+        tracks = tracks_of(dets)
         assert [t.track_id for t in tracks] == [3, 9]
 
     def test_sorts_frames(self):
@@ -155,7 +156,7 @@ class TestAssemble:
             "5,1,60,0,10,20,0.9,2\n"
             "4,1,90,0,10,20,0.1,1\n"
         )
-        t = track_of(parse_track_file(io.StringIO(text), CLASS_MAP))
+        (t,) = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP))
         assert t.frames.tolist() == [4, 5]
         assert t.confidences.tolist() == [0.1, 0.9]
         assert t.anchors.tolist() == [[95.0, 20.0], [35.0, 20.0]]
@@ -168,7 +169,7 @@ class TestAssemble:
 
     def test_rejects_rows_out_of_range(self):
         with pytest.raises(ValueError):
-            assemble_tracks([det(0, 1, bbox=(0.0, 0.0, 0.0, 20.0))])
+            tracks_of([det(0, 1, bbox=(0.0, 0.0, 0.0, 20.0))])
 
     def test_anchor_rows_align_with_detections(self):
         t = track_of([det(0, 1, bbox=(512.0, 300.0, 40.0, 60.0))])
@@ -177,12 +178,10 @@ class TestAssemble:
 
 class TestAnchor:
     def test_definition(self):
-        p = anchor_point((0.0, 0.0, 10.0, 20.0))
-        assert (p.u, p.v) == (5.0, 20.0)
+        assert anchor_points(np.array([[0.0, 0.0, 10.0, 20.0]])).tolist() == [[5.0, 20.0]]
 
     def test_second_example(self):
-        p = anchor_point((512.0, 300.0, 40.0, 60.0))
-        assert (p.u, p.v) == (532.0, 360.0)
+        assert anchor_points(np.array([[512.0, 300.0, 40.0, 60.0]])).tolist() == [[532.0, 360.0]]
 
 
 class TestClipToAoi:
@@ -275,13 +274,13 @@ class TestFollowing:
 
     def test_far_apart_both_retained(self):
         lead = track_of(straight_track_detections(1, 20, (300, 50), (5, 0)))
-        tail = assemble_tracks(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
+        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
         kept = filter_following([lead, tail], IDENTITY, self.direction)
         assert len(kept) == 2
 
     def test_close_trailing_removed_leader_retained(self):
         lead = track_of(straight_track_detections(1, 20, (130, 50), (5, 0)))
-        tail = assemble_tracks(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
+        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
         kept = filter_following([lead, tail], IDENTITY, self.direction)
         assert kept == [lead]
 
@@ -290,14 +289,14 @@ class TestFollowing:
         lead = straight_track_detections(1, 20, (200, 50), (5, 0))
         tail_pts = straight_track_detections(2, 2, (170, 50), (5, 0))
         tail_pts += straight_track_detections(2, 18, (80, 50), (5, 0), first_frame=2)
-        tracks = assemble_tracks(lead + tail_pts)
+        tracks = tracks_of(lead + tail_pts)
         kept = filter_following(tracks, IDENTITY, self.direction)
         assert len(kept) == 2
 
     def test_vehicle_ahead_is_not_removed_by_follower(self):
         # follower 30 px behind: only the follower goes, per-frame oracle agrees
         lead = track_of(straight_track_detections(1, 20, (130, 50), (5, 0)))
-        tail = assemble_tracks(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
+        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
         close_frames = sum(
             1
             for a, b in zip(tail.anchors, lead.anchors)
@@ -350,7 +349,7 @@ class TestCascade:
             step = rng.uniform(-4, 4, 2)
             label = list(CLASS_MAP.values())[int(rng.integers(0, 6))]
             dets += straight_track_detections(tid, n_frames, start, step, label=label)
-        return assemble_tracks(dets)
+        return tracks_of(dets)
 
     def test_subset_property_and_accounting(self, rng):
         tracks = self.random_tracks(rng, 30)
@@ -437,16 +436,6 @@ TEXTS = st.lists(
 ).map(lambda parts: "".join(line + end for line, end in parts))
 
 
-def _columnar_rows(lines):
-    """What loadtxt plus the column masks make of lines: rows, or None."""
-    rows = ingest._load_rows(lines)
-    if rows is None or not ingest._columns_valid(
-        rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"]
-    ):
-        return None
-    return rows
-
-
 def _reference_row(line):
     """Values of an accepted line, read with plain int() and float()."""
     fields = [f.strip() for f in line.split(",")]
@@ -463,18 +452,9 @@ def _is_data(line):
 @settings(max_examples=200, deadline=None)
 @given(TEXTS)
 def test_columnar_parser_agrees_with_line_validator(text):
+    """The whole-file parse names the first line the one-line validator
+    rejects, or reads every line to the values int() and float() give."""
     lines = io.StringIO(text).readlines()  # the same line split parse_track_file sees
-    for line in filter(_is_data, lines):
-        got = _columnar_rows([line])
-        assert (got is None) == (ingest._row_fault(line) is not None), line
-        if got is not None:
-            frame, track_id, bbox, conf, class_id = _reference_row(line)
-            assert got["frame"].tolist() == [frame]
-            assert got["track_id"].tolist() == [track_id]
-            assert got["bbox"].tolist() == [bbox]
-            assert got["confidence"].tolist() == [conf]
-            assert got["class_id"].tolist() == [class_id]
-
     bad = [no for no, line in enumerate(lines, 1) if _is_data(line) and ingest._row_fault(line)]
     if bad:
         with pytest.raises(MalformedRow) as exc_info:

@@ -8,11 +8,11 @@ from helpers import (
     brute_speed_series,
     make_correspondences,
     straight_track_detections,
+    tracks_of,
 )
 from speedstudy import (
     Homography,
     WorldTrack,
-    assemble_tracks,
     solve_homography,
     speed_series,
     to_world_track,
@@ -40,13 +40,13 @@ def constant_track(n, fps, speed_ms, dt_axis=(1.0, 0.0)):
 
 class TestToWorldTrack:
     def test_identity_equals_anchors(self):
-        t = assemble_tracks(straight_track_detections(1, 10, (5, 5), (2, 1)))[0]
+        t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)))[0]
         wt = to_world_track(t, IDENTITY)
         assert np.allclose(wt.points, t.anchors, atol=1e-9)
         assert np.array_equal(wt.frames, t.frames)
 
     def test_single_detection(self):
-        t = assemble_tracks(straight_track_detections(1, 1, (5, 5), (0, 0)))[0]
+        t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)))[0]
         wt = to_world_track(t, IDENTITY)
         assert len(wt) == 1
 
@@ -63,7 +63,7 @@ class TestToWorldTrack:
         else:
             u, v = -r33 / r31, 5.0
         dets = straight_track_detections(1, 30, (50, 50), (3, 0))
-        t = assemble_tracks(dets)[0]
+        t = tracks_of(dets)[0]
         anchors = t.anchors.copy()
         anchors[4] = (u, v)
         t = dataclasses.replace(t, anchors=anchors)
@@ -77,7 +77,7 @@ class TestToWorldTrack:
         inv = h.inverse().matrix
         r31, r32, r33 = inv[2]
         dets = straight_track_detections(1, 5, (50, 50), (3, 0))
-        t = assemble_tracks(dets)[0]
+        t = tracks_of(dets)[0]
         anchors = t.anchors.copy()
         for i in range(2):
             if abs(r32) > 1e-12:
@@ -164,7 +164,7 @@ class TestInvariants:
         ]
         h_b = solve_homography(corrs_b)
 
-        t = assemble_tracks(
+        t = tracks_of(
             straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
         )[0]
         sa = speed_series(to_world_track(t, h_a), 10.0)
@@ -175,7 +175,7 @@ class TestInvariants:
 
     def test_speed_invariant_under_canonical_rescale_exact(self, rng):
         m = np.array([[20.0, 2.0, 500.0], [1.0, 15.0, 300.0], [1e-3, 2e-4, 1.0]])
-        t = assemble_tracks(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))[0]
+        t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))[0]
         for lam in (2.0, -8.0, 0.25):
             a = speed_series(to_world_track(t, Homography(m)), 10.0)
             b = speed_series(to_world_track(t, Homography(lam * m)), 10.0)

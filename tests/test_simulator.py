@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MPS_TO_MPH, brute_speed_series
+from helpers import MPS_TO_MPH, brute_speed_series, tracks_of
 from speedstudy import (
     Constant,
     ManeuverClass,
@@ -9,14 +9,13 @@ from speedstudy import (
     SyntheticVehicle,
     TrapezoidStop,
     WorldPoint,
-    assemble_tracks,
     integrate_profile,
     render_scene,
     serialize_detections,
     to_world_track,
 )
 from speedstudy.errors import AtInfinity, ConfigError
-from speedstudy.ingest import ClassLabel, anchor_point
+from speedstudy.ingest import ClassLabel, anchor_points
 from speedstudy.simulator import (
     DEFAULT_CLASS_MAP,
     ground_truth_csv,
@@ -101,7 +100,7 @@ class TestProfiles:
 class TestRender:
     def test_noiseless_round_trip_recovers_world_path(self, demo_h):
         dets, truth = render_scene([vehicle()], demo_h, fps=10.0, duration=8.0)
-        (track,) = assemble_tracks(dets)
+        (track,) = tracks_of(dets)
         wt = to_world_track(track, demo_h)
         gt = truth.vehicles[0]
         assert np.array_equal(wt.frames, gt.frames)
@@ -111,7 +110,7 @@ class TestRender:
         profile = TrapezoidStop(16.0, 3.0, 1.5, 2.5)
         dets, truth = render_scene([vehicle(profile=profile, start=(10.0, 0.0))],
                                    demo_h, fps=10.0, duration=20.0)
-        (track,) = assemble_tracks(dets)
+        (track,) = tracks_of(dets)
         wt = to_world_track(track, demo_h)
         gt = truth.vehicles[0]
         # windowed speeds computed from true positions vs recovered positions
@@ -125,12 +124,9 @@ class TestRender:
         dets, _ = render_scene([vehicle()], demo_h, fps=10.0, duration=3.0,
                                noise_sigma_px=2.0, seed=7)
         clean, _ = render_scene([vehicle()], demo_h, fps=10.0, duration=3.0)
-        moved = 0
-        for d, c in zip(dets, clean):
-            a = anchor_point(d.bbox)
-            b = anchor_point(c.bbox)
-            if (a.u, a.v) != (b.u, b.v):
-                moved += 1
+        a = anchor_points(np.array([d.bbox for d in dets]))
+        b = anchor_points(np.array([c.bbox for c in clean]))
+        moved = int((a != b).any(axis=1).sum())
         assert moved > len(dets) * 0.9  # noise actually landed on the anchors
 
     def test_seed_determinism_byte_identical(self, demo_h):
