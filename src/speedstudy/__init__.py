@@ -1,7 +1,6 @@
 """speedstudy: calibrated vehicle speeds and before/after intervention
 reports from fixed-camera multi-object-tracker output."""
 
-from ._accel import backend_name
 from .analytics import (
     ComparisonRow,
     Phase,
@@ -69,3 +68,8 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """The numeric backend the kernels run on."""
+    return "numpy"

@@ -1,16 +1,14 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Public entry points (``points_in_polygon``, ``window_speeds``,
-``close_pair_counts``) dispatch to whichever backend ``_accel`` selected at
-import. The ``*_numpy`` variants stay importable either way so tests and the
-benchmark can compare both paths.
+``points_in_polygon``, ``window_speeds`` and ``close_pair_counts`` are the
+three loops the pipeline spends its numeric time in.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from ._accel import NUMBA_ENABLED, compile_kernel
+import numpy as np
 
 BOUNDARY_TOL = 1e-9
 
@@ -19,50 +17,11 @@ BOUNDARY_TOL = 1e-9
 # point-in-polygon (even-odd rule, boundary counts as inside)
 
 
-def _points_in_polygon_loops(xs, ys, px, py, tol, out):
-    n = xs.shape[0]
-    m = px.shape[0]
-    tol2 = tol * tol
-    for k in range(n):
-        x = xs[k]
-        y = ys[k]
-        inside = False
-        on_edge = False
-        j = m - 1
-        for i in range(m):
-            xi = px[i]
-            yi = py[i]
-            xj = px[j]
-            yj = py[j]
-            ex = xj - xi
-            ey = yj - yi
-            seg2 = ex * ex + ey * ey
-            if seg2 > 0.0:
-                t = ((x - xi) * ex + (y - yi) * ey) / seg2
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                cx = xi + t * ex - x
-                cy = yi + t * ey - y
-            else:
-                cx = xi - x
-                cy = yi - y
-            if cx * cx + cy * cy <= tol2:
-                on_edge = True
-            if (yi > y) != (yj > y):
-                x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
-                if x < x_cross:
-                    inside = not inside
-            j = i
-        out[k] = inside or on_edge
+def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
+    """Boolean mask of points inside (or within tol of) a simple polygon.
 
-
-_points_in_polygon_jit = compile_kernel(_points_in_polygon_loops)
-
-
-def points_in_polygon_numpy(points, polygon, tol=BOUNDARY_TOL):
-    """Vectorized even-odd test; loops over edges, broadcasts over points."""
+    Loops over the polygon's edges and broadcasts over the points.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     poly = np.asarray(polygon, dtype=np.float64)
     x = pts[:, 0]
@@ -93,24 +52,6 @@ def points_in_polygon_numpy(points, polygon, tol=BOUNDARY_TOL):
     return inside | on_edge
 
 
-def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
-    """Boolean mask of points inside (or within tol of) a simple polygon."""
-    pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    poly = np.asarray(polygon, dtype=np.float64)
-    if not NUMBA_ENABLED:
-        return points_in_polygon_numpy(pts, poly, tol)
-    out = np.empty(len(pts), dtype=np.bool_)
-    _points_in_polygon_jit(
-        np.ascontiguousarray(pts[:, 0]),
-        np.ascontiguousarray(pts[:, 1]),
-        np.ascontiguousarray(poly[:, 0]),
-        np.ascontiguousarray(poly[:, 1]),
-        tol,
-        out,
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sliding-window speeds
 #
@@ -120,27 +61,16 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
 # least 2, so the window spans a positive time).
 
 
-def _window_speeds_loops(frames, xs, ys, wmax, first_hist, fps, speeds, wlens):
-    n = frames.shape[0]
-    for i in range(n):
-        if i + 1 < first_hist or i == 0:
-            speeds[i] = -1.0
-            wlens[i] = 0
-            continue
-        j = i - wmax + 1
-        if j < 0:
-            j = 0
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        dt = (frames[i] - frames[j]) / fps
-        speeds[i] = np.sqrt(dx * dx + dy * dy) / dt
-        wlens[i] = i - j + 1
+def window_speeds(frames, xs, ys, wmax, first_hist, fps):
+    """Per-position window speed (m/s) and window length; -1 marks no sample.
 
-
-_window_speeds_jit = compile_kernel(_window_speeds_loops)
-
-
-def window_speeds_numpy(frames, xs, ys, wmax, first_hist, fps):
+    first_hist is clamped to 2 so every emitted window spans >= 2 samples.
+    """
+    frames = np.asarray(frames, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    wmax = max(int(wmax), 2)
+    first_hist = max(int(first_hist), 2)
     n = len(frames)
     i = np.arange(n)
     j = np.maximum(0, i - wmax + 1)
@@ -154,106 +84,162 @@ def window_speeds_numpy(frames, xs, ys, wmax, first_hist, fps):
     return speeds, wlens.astype(np.int64)
 
 
-def window_speeds(frames, xs, ys, wmax, first_hist, fps):
-    """Per-position window speed (m/s) and window length; -1 marks no sample.
-
-    first_hist is clamped to 2 so every emitted window spans >= 2 samples.
-    """
-    frames = np.ascontiguousarray(frames, dtype=np.int64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    wmax = max(int(wmax), 2)
-    first_hist = max(int(first_hist), 2)
-    if not NUMBA_ENABLED:
-        return window_speeds_numpy(frames, xs, ys, wmax, first_hist, fps)
-    n = len(frames)
-    speeds = np.empty(n, dtype=np.float64)
-    wlens = np.empty(n, dtype=np.int64)
-    _window_speeds_jit(frames, xs, ys, wmax, first_hist, float(fps), speeds, wlens)
-    return speeds, wlens
-
-
 # ---------------------------------------------------------------------------
 # close-leader scan for the following filter
 #
-# Rows are all (track, frame, anchor) tuples of a site sorted by frame;
-# group_start/group_end delimit each frame's slice. For every ordered pair of
-# tracks present in a frame we count coexistence, and closeness when the other
-# anchor is within max_px and ahead along the follower's image-space travel
-# direction.
+# Fixed-radius near neighbours on a uniform grid (Bentley, Stanat & Williams
+# 1977, "The complexity of finding fixed-radius near neighbors"). Every row is
+# bucketed into a square cell keyed by (frame, cell row, cell column), and
+# the rows are sorted by that key once. Two rows closer than max_px sit in
+# the same or in neighbouring cells of one frame. Each unordered pair of rows
+# is visited once, from the row that sorts first: the rest of its own cell
+# and the cell to its right follow it in key order, and the three cells of
+# the next cell row form one more key range. Work and memory are linear in
+# the rows plus the candidate pairs; nothing is sized by the track count
+# squared.
+
+# Cells per axis are capped so that (frame, row, column) keys fit in int64.
+_MAX_CELLS_PER_AXIS = 1 << 20
+_KEY_LIMIT = 1 << 62
+# Cells are this much wider than max_px, so that rounding in the cell
+# coordinate (at most ~2**-32 cells) never puts a pair that passes the
+# distance test two cells apart.
+_CELL_MARGIN = 1.0 + 2.0**-20
+# Rows scanned, and candidate pairs expanded, at once: bounds the scan's
+# working memory beside its row-length arrays (frame key, cell key, sort
+# order) and the hits it finds.
+_BLOCK_ROWS = 4096
+_BLOCK_CANDIDATES = 1 << 15
 
 
-def _close_pair_counts_loops(
-    group_start, group_end, track_idx, us, vs, dus, dvs, max_px, coexist, close
-):
+def _frame_keys(frames):
+    """Frames renumbered 0..n_keys-1, keeping order and keeping frames that
+    follow each other in the recording next to each other in key space."""
+    first, last = int(frames.min()), int(frames.max())
+    if last - first < len(frames):
+        return frames - first, last - first + 1
+    present, keys = np.unique(frames, return_inverse=True)
+    return keys.reshape(-1), len(present)
+
+
+def _grid_keys(frame_key, n_keys, us, vs, max_px):
+    """Cell key of every row, and the key distance between cell rows.
+
+    Each cell row ends in an empty column and each frame in an empty row,
+    so the three cells x-1..x+1 of the next cell row are one contiguous key
+    range that never reaches into another row or frame.
+    """
+    u0, v0 = us.min(), vs.min()
+    extent = max(us.max() - u0, vs.max() - v0)
+    per_axis = max(1, min(_MAX_CELLS_PER_AXIS, math.isqrt(_KEY_LIMIT // n_keys) - 3))
+    cell = max(max_px * _CELL_MARGIN, extent / per_axis)
+    cx = np.floor((us - u0) / cell).astype(np.int64)
+    cy = np.floor((vs - v0) / cell).astype(np.int64)
+    row_stride = int(cx.max()) + 2
+    frame_stride = row_stride * (int(cy.max()) + 2)
+    return frame_key * frame_stride + cy * row_stride + cx, row_stride
+
+
+def _expand(starts, counts):
+    """Concatenation of arange(s, s + c) over (starts, counts)."""
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(len(offsets))
+
+
+def _close_codes(frame_key, n_keys, track_idx, us, vs, dus, dvs, max_px, n_tracks):
+    """follower * n_tracks + leader, once per frame in which the leader is
+    within max_px of the follower and ahead of it."""
+    keys, row_stride = _grid_keys(frame_key, n_keys, us, vs, max_px)
+    order = np.argsort(keys)
+    keys = keys[order]
+    n = len(keys)
     r2 = max_px * max_px
-    for g in range(group_start.shape[0]):
-        s = group_start[g]
-        e = group_end[g]
-        for a in range(s, e):
-            ta = track_idx[a]
-            for b in range(s, e):
-                if b == a:
-                    continue
-                tb = track_idx[b]
-                coexist[ta, tb] += 1
-                dx = us[b] - us[a]
-                dy = vs[b] - vs[a]
-                if dx * dx + dy * dy < r2:
-                    if dx * dus[a] + dy * dvs[a] > 0.0:
-                        close[ta, tb] += 1
+    # One growing buffer for the hits: small result arrays kept alive between
+    # the block temporaries would fragment the heap and keep it resident.
+    codes = np.empty(n, dtype=np.int64)
+    filled = 0
+    start = 0
+    while start < n:
+        # candidates of sorted row i: the same_count rows after it (rest of
+        # its own cell, the cell to its right), and next_count rows from
+        # next_lo (the three cells of the next cell row)
+        rows = np.arange(start, min(start + _BLOCK_ROWS, n))
+        own = keys[rows]
+        same_count = np.searchsorted(keys, own + 1, side="right") - rows - 1
+        next_lo = np.searchsorted(keys, own + (row_stride - 1), side="left")
+        next_count = np.searchsorted(keys, own + (row_stride + 1), side="right") - next_lo
+        fits = np.count_nonzero(np.cumsum(same_count + next_count) <= _BLOCK_CANDIDATES)
+        take = slice(0, max(fits, 1))
+        rows = rows[take]
+        counts = np.concatenate((same_count[take], next_count[take]))
+        a = order[np.concatenate((rows, rows)).repeat(counts)]
+        b = order[_expand(np.concatenate((rows + 1, next_lo[take])), counts)]
+        dx = us[b] - us[a]
+        dy = vs[b] - vs[a]
+        near = dx * dx + dy * dy < r2
+        a, b, dx, dy = a[near], b[near], dx[near], dy[near]
+        ahead_of_a = dx * dus[a] + dy * dvs[a] > 0.0
+        ahead_of_b = (-dx) * dus[b] + (-dy) * dvs[b] > 0.0
+        ta, tb = track_idx[a], track_idx[b]
+        hits = np.concatenate(
+            (ta[ahead_of_a] * n_tracks + tb[ahead_of_a], tb[ahead_of_b] * n_tracks + ta[ahead_of_b])
+        )
+        if filled + len(hits) > len(codes):
+            codes = np.concatenate((codes[:filled], np.empty(max(len(codes), len(hits)), dtype=np.int64)))
+        codes[filled:filled + len(hits)] = hits
+        filled += len(hits)
+        start += len(rows)
+    return codes[:filled]
 
 
-_close_pair_counts_jit = compile_kernel(_close_pair_counts_loops)
+def _coexist_counts(follower, leader, track_idx, frame_key, n_keys):
+    """Frames in which both tracks of each (follower, leader) pair appear.
 
-
-def close_pair_counts_numpy(
-    group_start, group_end, track_idx, us, vs, dus, dvs, max_px, n_tracks
-):
-    coexist = np.zeros((n_tracks, n_tracks), dtype=np.int64)
-    close = np.zeros((n_tracks, n_tracks), dtype=np.int64)
-    r2 = max_px * max_px
-    for s, e in zip(group_start, group_end):
-        if e - s < 2:
-            continue
-        idx = track_idx[s:e]
-        u = us[s:e]
-        v = vs[s:e]
-        dx = u[np.newaxis, :] - u[:, np.newaxis]
-        dy = v[np.newaxis, :] - v[:, np.newaxis]
-        off_diag = ~np.eye(e - s, dtype=bool)
-        pairs = (idx[:, np.newaxis], idx[np.newaxis, :])
-        np.add.at(coexist, pairs, off_diag.astype(np.int64))
-        near = (dx * dx + dy * dy < r2) & off_diag
-        ahead = dx * dus[s:e, np.newaxis] + dy * dvs[s:e, np.newaxis] > 0.0
-        np.add.at(close, pairs, (near & ahead).astype(np.int64))
-    return coexist, close
+    Each leader's frames are split into runs of consecutive frame keys; the
+    follower's frames inside a run are counted with two searchsorted calls.
+    """
+    stride = n_keys + 1  # one unused key between tracks ends every run
+    tf = track_idx * stride
+    tf += frame_key
+    tf.sort()
+    breaks = np.flatnonzero(np.diff(tf) != 1) + 1
+    run_lo = tf[np.concatenate(([0], breaks))]
+    run_hi = tf[np.concatenate((breaks, [len(tf)])) - 1]
+    run_track = run_lo // stride
+    first = np.searchsorted(run_track, leader, side="left")
+    n_runs = np.searchsorted(run_track, leader, side="right") - first
+    run = _expand(first, n_runs)
+    shift = np.repeat((follower - leader) * stride, n_runs)
+    inside = np.searchsorted(tf, run_hi[run] + shift, side="right") - np.searchsorted(
+        tf, run_lo[run] + shift, side="left"
+    )
+    return np.add.reduceat(inside, np.cumsum(n_runs) - n_runs)
 
 
 def close_pair_counts(frames, track_idx, us, vs, dus, dvs, max_px, n_tracks):
-    """Coexistence and close-ahead frame counts for every ordered track pair.
+    """Close-ahead and coexistence frame counts for the ordered track pairs
+    that are ever close.
 
-    close[t, l] counts frames where track l sits within max_px of track t and
-    ahead of it; coexist[t, l] counts frames where both are tracked. Input
-    rows need not be pre-sorted.
+    Row k says track track_idx[k] is at (us[k], vs[k]) in frame frames[k],
+    heading along (dus[k], dvs[k]). Track l is close ahead of track t in a
+    frame when l's point lies within max_px of t's (strictly) and has a
+    positive component along t's heading. Returns int64 arrays
+    (follower, leader, close, coexist), sorted by (follower, leader), over
+    the pairs with close > 0: close counts the frames with l close ahead of
+    t, coexist the frames in which both tracks appear.
+
+    Preconditions: at most one row per (track, frame), as assemble_tracks
+    guarantees; 0 <= track_idx < n_tracks; max_px > 0. Rows need not be
+    sorted.
     """
-    order = np.argsort(frames, kind="stable")
-    frames = np.ascontiguousarray(frames[order], dtype=np.int64)
-    track_idx = np.ascontiguousarray(track_idx[order], dtype=np.int64)
-    us = np.ascontiguousarray(us[order], dtype=np.float64)
-    vs = np.ascontiguousarray(vs[order], dtype=np.float64)
-    dus = np.ascontiguousarray(dus[order], dtype=np.float64)
-    dvs = np.ascontiguousarray(dvs[order], dtype=np.float64)
-    boundaries = np.flatnonzero(np.diff(frames)) + 1
-    group_start = np.concatenate(([0], boundaries)).astype(np.int64)
-    group_end = np.concatenate((boundaries, [len(frames)])).astype(np.int64)
-    if not NUMBA_ENABLED:
-        return close_pair_counts_numpy(
-            group_start, group_end, track_idx, us, vs, dus, dvs, max_px, n_tracks
-        )
-    coexist = np.zeros((n_tracks, n_tracks), dtype=np.int64)
-    close = np.zeros((n_tracks, n_tracks), dtype=np.int64)
-    _close_pair_counts_jit(
-        group_start, group_end, track_idx, us, vs, dus, dvs, float(max_px), coexist, close
-    )
-    return coexist, close
+    frames = np.asarray(frames, dtype=np.int64)
+    track_idx = np.asarray(track_idx, dtype=np.int64)
+    us, vs, dus, dvs = (np.asarray(a, dtype=np.float64) for a in (us, vs, dus, dvs))
+    if len(frames) < 2:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    frame_key, n_keys = _frame_keys(frames)
+    codes = _close_codes(frame_key, n_keys, track_idx, us, vs, dus, dvs, max_px, n_tracks)
+    pairs, close = np.unique(codes, return_counts=True)
+    follower, leader = np.divmod(pairs, n_tracks)
+    coexist = _coexist_counts(follower, leader, track_idx, frame_key, n_keys)
+    return follower, leader, close, coexist

@@ -173,21 +173,37 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    """JSON integer hook: a literal too large for a float raises, so every
+    later float() of a config value is finite."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):  # ValueError: more digits than int() reads
+        raise _NonFinite(text) from None
+    return value
+
+
 def read_json(path, what: str):
-    """Parse a JSON input file. A missing file, invalid JSON, or a number
-    that is not finite (NaN, Infinity, or a literal that overflows) raises
-    ConfigError; what names the file in the not-found message."""
+    """Parse a JSON input file. A missing file, text that is not UTF-8,
+    invalid JSON, or a number that is not finite (NaN, Infinity, or a
+    literal that overflows a float) raises ConfigError; what names the file
+    in the not-found message."""
     path = Path(path)
     try:
         return json.loads(
             path.read_text(encoding="utf-8"),
             parse_constant=_finite_float,
             parse_float=_finite_float,
+            parse_int=_float_sized_int,
         )
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     except _NonFinite as exc:
-        raise ConfigError(f"{path}: {exc} is not a finite number") from None
+        literal = str(exc) if len(str(exc)) <= 24 else f"{str(exc)[:21]}..."
+        raise ConfigError(f"{path}: {literal} is not a finite number") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 

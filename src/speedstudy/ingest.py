@@ -213,32 +213,39 @@ def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable
     source is a path, the file's bytes, or a seekable text stream. The file
     is streamed through one np.loadtxt call and checked with column masks.
     When either rejects it, a second, line-by-line pass names the first bad
-    row: MalformedRow carries its 1-based line number. Unknown class ids map
-    to OTHER with a warning (once per id).
+    row: MalformedRow carries its 1-based line number. A path or bytes that
+    are not valid UTF-8 are malformed at the first line holding a bad byte;
+    a text stream decodes itself. Unknown class ids map to OTHER with a
+    warning (once per id).
     """
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    if isinstance(source, (str, Path)):
+        data = bytes(source)
+        name = None
+
+        def open_lines(errors):
+            return io.StringIO(data.decode("utf-8", errors))
+
+    elif isinstance(source, (str, Path)):
         name = str(source)
 
-        def open_lines():
-            return open(source, "r", encoding="utf-8")
+        def open_lines(errors):
+            return open(source, "r", encoding="utf-8", errors=errors)
 
     else:
         name = getattr(source, "name", None)
         start = source.tell()
 
-        def open_lines():
+        def open_lines(errors):
             source.seek(start)
             return contextlib.nullcontext(source)
 
-    with open_lines() as lines:
-        rows = _load_rows(lines)
+    rows = _load_rows(open_lines)
     first_bad = None
     if rows is not None:
         first_bad = _first_bad_row(rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"])
     if rows is None or first_bad is not None:
-        with open_lines() as lines:
+        # bytes that are not UTF-8 decode to lone surrogates, which _diagnose names
+        with open_lines("surrogateescape") as lines:
             _diagnose(lines, name, first_bad)
         raise InvariantViolation(f"{name or 'detections'}: rejected, but no row is malformed")
     return DetectionTable(
@@ -248,6 +255,10 @@ def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable
         confidence=rows["confidence"],
         label=_label_codes(rows["class_id"], class_map),
     )
+
+
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _is_data(line: str) -> bool:
@@ -265,23 +276,31 @@ def _loadtxt(lines) -> np.ndarray:
         return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
-def _load_rows(lines) -> np.ndarray | None:
-    """All data lines as one structured array, or None when one does not parse."""
+def _load_rows(open_lines) -> np.ndarray | None:
+    """All data lines as one structured array, or None when one does not
+    parse or the text is not UTF-8 (UnicodeDecodeError is a ValueError)."""
     try:
-        return _loadtxt(filter(_is_data, lines))
+        with open_lines("strict") as lines:
+            return _loadtxt(filter(_is_data, lines))
     except (ValueError, DeprecationWarning):
         return None
 
 
 def _diagnose(lines, name, first_bad: int | None) -> None:
-    """Raise MalformedRow for the first data line that loadtxt or the range
-    checks reject; return None when every line passes.
+    """Raise MalformedRow for the first line holding a byte that is not
+    UTF-8 or the first data line that loadtxt or the range checks reject;
+    return None when every line passes. lines were decoded with
+    errors="surrogateescape".
 
     first_bad, when the whole file parsed, is the index among the data lines
     of the first row the range checks reject; only that line is checked.
     """
     index = 0
     for line_no, line in enumerate(lines, start=1):
+        bad_byte = _ESCAPED_BYTE.search(line)
+        if bad_byte:
+            byte = ord(bad_byte[0]) - 0xDC00
+            raise MalformedRow(line_no, f"byte 0x{byte:02X} is not valid UTF-8", name)
         if not _is_data(line):
             continue
         if first_bad is None or index == first_bad:
@@ -418,6 +437,21 @@ def filter_stationary(tracks, h: Homography, min_net_m: float = 2.0) -> list[Tra
     return kept
 
 
+def _image_headings(anchors: np.ndarray, h: Homography, travel_direction) -> np.ndarray:
+    """Unit image-space vector of a 1 m world step along travel_direction at
+    each anchor; zero where the anchor or the step does not project. (A
+    function of its own so its temporaries are freed before the pair scan.)"""
+    direction = np.asarray(travel_direction, dtype=np.float64)
+    world, valid = project_points(h.inverse().matrix, anchors)
+    ahead_img, valid2 = project_points(h.matrix, world + direction)
+    dirs = ahead_img - anchors
+    norms = np.hypot(dirs[:, 0], dirs[:, 1])
+    ok = valid & valid2 & (norms > 0)
+    dirs[ok] /= norms[ok, np.newaxis]
+    dirs[~ok] = 0.0
+    return dirs
+
+
 def filter_following(
     tracks,
     h: Homography,
@@ -430,36 +464,21 @@ def filter_following(
     A track goes when some other input track sits ahead of it (positive
     component along the travel direction projected into image space at the
     follower's anchor) and within max_px, for at least min_frac of the frames
-    the two coexist.
+    the two coexist. Both max_px and min_frac must be positive. Memory is
+    linear in the tracks' rows.
     """
     if len(tracks) < 2:
         return list(tracks)
-    h_mat = h.matrix
-    h_inv = h.inverse().matrix
-    direction = np.asarray(travel_direction, dtype=np.float64)
-
-    frames_parts, idx_parts, anchor_parts = [], [], []
-    for i, t in enumerate(tracks):
-        frames_parts.append(t.frames)
-        idx_parts.append(np.full(len(t), i, dtype=np.int64))
-        anchor_parts.append(t.anchors)
-    frames = np.concatenate(frames_parts)
-    track_idx = np.concatenate(idx_parts)
-    anchors = np.concatenate(anchor_parts)
-
-    world, valid = project_points(h_inv, anchors)
-    ahead_img, valid2 = project_points(h_mat, world + direction)  # 1 m step
-    dirs = ahead_img - anchors
-    norms = np.hypot(dirs[:, 0], dirs[:, 1])
-    ok = valid & valid2 & (norms > 0)
-    dirs[ok] /= norms[ok, np.newaxis]
-    dirs[~ok] = 0.0
-
-    coexist, close = _kernels.close_pair_counts(
+    frames = np.concatenate([t.frames for t in tracks])
+    track_idx = np.repeat(np.arange(len(tracks), dtype=np.int64), [len(t) for t in tracks])
+    anchors = np.concatenate([t.anchors for t in tracks])
+    dirs = _image_headings(anchors, h, travel_direction)
+    follower, _, close, coexist = _kernels.close_pair_counts(
         frames, track_idx, anchors[:, 0], anchors[:, 1], dirs[:, 0], dirs[:, 1],
         max_px, len(tracks),
     )
-    has_leader = ((coexist > 0) & (close >= min_frac * coexist)).any(axis=1)
+    has_leader = np.zeros(len(tracks), dtype=bool)
+    has_leader[follower[close >= min_frac * coexist]] = True
     return [t for flag, t in zip(has_leader, tracks) if not flag]
 
 

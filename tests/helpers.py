@@ -96,6 +96,45 @@ def brute_speed_series(frames, points, fps, min_track_s=0.5):
     return out
 
 
+def close_pair_counts_oracle(frames, track_idx, us, vs, dus, dvs, max_px, n_tracks):
+    """Dense (coexist, close) n_tracks x n_tracks frame counts, frame by frame.
+
+    Every ordered pair of rows in a frame adds one to coexist[t, l]; it adds
+    one to close[t, l] when l's point is within max_px of t's (strictly) and
+    ahead along t's heading, with the same float expressions as the kernel.
+    """
+    order = np.argsort(frames, kind="stable")
+    frames, track_idx = frames[order], track_idx[order]
+    us, vs, dus, dvs = us[order], vs[order], dus[order], dvs[order]
+    bounds = np.flatnonzero(np.diff(frames)) + 1
+    coexist = np.zeros((n_tracks, n_tracks), dtype=np.int64)
+    close = np.zeros((n_tracks, n_tracks), dtype=np.int64)
+    r2 = max_px * max_px
+    for s, e in zip(np.concatenate(([0], bounds)), np.concatenate((bounds, [len(frames)]))):
+        if e - s < 2:
+            continue
+        idx = track_idx[s:e]
+        u = us[s:e]
+        v = vs[s:e]
+        dx = u[np.newaxis, :] - u[:, np.newaxis]
+        dy = v[np.newaxis, :] - v[:, np.newaxis]
+        off_diag = ~np.eye(e - s, dtype=bool)
+        pairs = (idx[:, np.newaxis], idx[np.newaxis, :])
+        np.add.at(coexist, pairs, off_diag.astype(np.int64))
+        near = (dx * dx + dy * dy < r2) & off_diag
+        ahead = dx * dus[s:e, np.newaxis] + dy * dvs[s:e, np.newaxis] > 0.0
+        np.add.at(close, pairs, (near & ahead).astype(np.int64))
+    return coexist, close
+
+
+def close_pairs_of_oracle(*args):
+    """The oracle's nonzero close entries as the kernel's sparse
+    (follower, leader, close, coexist), sorted by (follower, leader)."""
+    coexist, close = close_pair_counts_oracle(*args)
+    follower, leader = np.nonzero(close)
+    return follower, leader, close[follower, leader], coexist[follower, leader]
+
+
 CORRIDOR_CORNERS = [
     ((0.0, -5.0), (500.0, 950.0)),
     ((0.0, 5.0), (1420.0, 950.0)),

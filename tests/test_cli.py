@@ -1,6 +1,14 @@
+import importlib
 import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import speedstudy
 
 from helpers import scene_config_dict
 from speedstudy import Phase, build_phase_summary
@@ -211,6 +219,15 @@ class TestAnalyze:
         assert code == 2
         assert "bad.csv" in caplog.text and "2" in caplog.text
 
+    def test_csv_not_utf8_exits_2(self, tmp_path, scene_path, caplog):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,1,500,300,40,60,0.9,1\n0,2,5\xff0,300,40,60,0.9,1\n")
+        manifest = self.make_manifest(tmp_path, scene_path, bad)
+        with caplog.at_level("ERROR"):
+            code = main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "bad.csv:2" in caplog.text and "0xFF is not valid UTF-8" in caplog.text
+
     @pytest.mark.parametrize(
         "row",
         ["0,1,nan,300,40,60,0.9,1", "0,1,500,inf,40,60,0.9,1", "0,1,500,300,1e999,60,0.9,1"],
@@ -240,7 +257,17 @@ class TestAnalyze:
         assert "phases[1].phase" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e999",
+            pytest.param("1" + "0" * 400, id="int-beyond-float"),
+            pytest.param("1" * 5000, id="int-beyond-int-digit-limit"),
+        ],
+    )
     def test_non_finite_manifest_number_exits_2(
         self, tmp_path, scene_path, sim_homography, caplog, literal
     ):
@@ -351,9 +378,40 @@ class TestJson:
             assert main(["calibrate", "--config", str(scene_path)]) == 2
         assert "NaN is not a finite number" in caplog.text
 
+    def test_scene_integer_beyond_float_exits_2(self, scene_path, caplog):
+        big = "1" + "0" * 400
+        scene_path.write_text(scene_path.read_text().replace('"fps": 10.0', f'"fps": {big}'))
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(scene_path)]) == 2
+        assert "is not a finite number" in caplog.text
+
+    def test_config_not_utf8_exits_2(self, scene_path, caplog):
+        scene_path.write_bytes(scene_path.read_bytes().replace(b"demo corridor", b"demo \xff"))
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(scene_path)]) == 2
+        assert "not valid UTF-8" in caplog.text
+
     def test_report_with_non_finite_number_is_an_invariant_violation(self):
         with pytest.raises(InvariantViolation):
             _json_text({"hours": float("nan")})
+
+
+class TestPackage:
+    def test_every_submodule_imports(self):
+        names = [m.name for m in pkgutil.iter_modules(speedstudy.__path__)]
+        assert "cli" in names and "_kernels" in names
+        for name in names:
+            importlib.import_module(f"speedstudy.{name}")
+        assert "numba" not in sys.modules
+
+    def test_module_help_runs(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "speedstudy", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "analyze" in out.stdout
 
 
 class TestDefaults:

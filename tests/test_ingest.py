@@ -115,6 +115,24 @@ class TestParse:
             parse_track_file(io.StringIO(row + "\n"), CLASS_MAP)
         assert exc_info.value.line_no == 1
 
+    @pytest.mark.parametrize(
+        "data, line_no",
+        [
+            pytest.param(b"1,1,0,0,10,10,0.9,1\n2,1,\xff0,0,10,10,0.9,1\n", 2, id="data-row"),
+            pytest.param(b"# caf\xe9\n1,1,0,0,10,10,0.9,1\n", 1, id="comment"),
+            pytest.param(
+                b"1,1,0,0,10,10,0.9,1\nbad\n3,1,0,0,10,10,0.9,1 \xe2\x82\n", 2, id="earlier-fault-first"
+            ),
+        ],
+    )
+    def test_bytes_not_utf8_are_malformed(self, tmp_path, data, line_no):
+        path = tmp_path / "dets.csv"
+        path.write_bytes(data)
+        for source in (path, data):
+            with pytest.raises(MalformedRow) as exc_info:
+                parse_track_file(source, CLASS_MAP)
+            assert exc_info.value.line_no == line_no
+
     def test_stream_is_read_from_its_position(self):
         stream = io.StringIO("skipped header\n1,1,0,0,10,10,0.9,1\nbad\n")
         stream.readline()

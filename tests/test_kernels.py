@@ -1,13 +1,12 @@
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import brute_speed_series, point_in_polygon_oracle
+import speedstudy
+from helpers import brute_speed_series, close_pairs_of_oracle, point_in_polygon_oracle
 from speedstudy import _kernels
-from speedstudy._accel import DISABLE_ENV, NUMBA_ENABLED, backend_name
 
 CONCAVE = np.array([[0, 0], [10, 0], [10, 10], [5, 5], [0, 10]], dtype=float)
 
@@ -35,11 +34,6 @@ class TestPointsInPolygon:
         want = [point_in_polygon_oracle(x, y, CONCAVE) for x, y in pts]
         assert got.tolist() == want
 
-    def test_backends_agree(self, rng):
-        pts = rng.uniform(-2, 12, size=(1000, 2))
-        via_numpy = _kernels.points_in_polygon_numpy(pts, CONCAVE)
-        assert np.array_equal(_kernels.points_in_polygon(pts, CONCAVE), via_numpy)
-
 
 class TestWindowSpeeds:
     def test_matches_brute_force_random_walk(self, rng):
@@ -61,15 +55,6 @@ class TestWindowSpeeds:
                 assert gf == wf and gw == ww
                 assert gs == pytest.approx(ws, rel=1e-12)
 
-    def test_backends_agree(self, rng):
-        frames = np.arange(0, 240, 2, dtype=np.int64)
-        xs = np.cumsum(rng.normal(0, 1, len(frames)))
-        ys = np.cumsum(rng.normal(0, 1, len(frames)))
-        a = _kernels.window_speeds(frames, xs, ys, 10, 5, 10.0)
-        b = _kernels.window_speeds_numpy(frames, xs, ys, 10, 5, 10.0)
-        assert np.allclose(a[0], b[0], rtol=0, atol=0)
-        assert np.array_equal(a[1], b[1])
-
     def test_window_never_exceeds_wmax(self, rng):
         frames = np.arange(100, dtype=np.int64)
         xs = rng.normal(0, 1, 100)
@@ -77,6 +62,50 @@ class TestWindowSpeeds:
         _, wlens = _kernels.window_speeds(frames, xs, ys, 10, 5, 10.0)
         assert wlens.max() == 10
         assert set(wlens[:4]) == {0}  # no sample before 5 frames of history
+
+
+def _columns(rows):
+    """(frames, track_idx, us, vs, dus, dvs) from (frame, track, u, v, du, dv) rows."""
+    frames = np.array([r[0] for r in rows], dtype=np.int64)
+    track_idx = np.array([r[1] for r in rows], dtype=np.int64)
+    floats = np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4)
+    return (frames, track_idx, *floats.T)
+
+
+HEADINGS = ((1.0, 0.0), (0.0, -1.0), (0.0, 0.0), (0.6, 0.8), (-0.6, -0.8))
+
+
+@st.composite
+def close_pair_cases(draw):
+    """Rows of a few tracks with frame gaps, at coordinates that include
+    multiples of max_px (cell edges, pair distances of exactly max_px) and
+    negative values, in shuffled order; frames dense, sparse, or spread
+    over most of the int64 range."""
+    max_px = draw(st.sampled_from([1.0, 2.5, 40.0, 0.1]))
+    n_tracks = draw(st.integers(1, 7))
+    n_frames = draw(st.integers(1, 10))
+    frame_step = draw(st.sampled_from([1, 3, 1000, 2**59]))
+    first_frame = draw(st.sampled_from([0, -5, 10**12]))
+    coord = st.one_of(
+        st.integers(-4, 4).map(lambda k: k * max_px),
+        st.integers(-8, 8).map(lambda k: k * max_px / 2),
+        st.floats(-3 * max_px, 3 * max_px),
+    )
+    rows = []
+    for t in range(n_tracks):
+        for f in sorted(draw(st.sets(st.integers(0, n_frames - 1)))):
+            heading = draw(st.sampled_from(HEADINGS))
+            rows.append((first_frame + f * frame_step, t, draw(coord), draw(coord), *heading))
+    return draw(st.permutations(rows)), max_px, n_tracks
+
+
+def _assert_matches_oracle(rows, max_px, n_tracks):
+    cols = _columns(rows)
+    got = _kernels.close_pair_counts(*cols, max_px, n_tracks)
+    want = close_pairs_of_oracle(*cols, max_px, n_tracks)
+    for name, g, w in zip(("follower", "leader", "close", "coexist"), got, want):
+        assert g.dtype == np.int64, name
+        assert g.tolist() == w.tolist(), name
 
 
 class TestClosePairCounts:
@@ -92,45 +121,106 @@ class TestClosePairCounts:
 
     def test_trailing_pair(self):
         frames, track_idx, us, vs, dus, dvs = self._toy()
-        coexist, close = _kernels.close_pair_counts(frames, track_idx, us, vs, dus, dvs, 40.0, 2)
-        assert coexist[0, 1] == coexist[1, 0] == 10
-        assert close[1, 0] == 10  # leader (track 0) is ahead of track 1 within 40 px
-        assert close[0, 1] == 0  # nothing ahead of the leader
-
-    def test_backends_agree(self, rng):
-        n_rows = 400
-        frames = rng.integers(0, 50, n_rows).astype(np.int64)
-        track_idx = rng.integers(0, 12, n_rows).astype(np.int64)
-        # collapse duplicate (frame, track) pairs: keep first occurrence
-        _, keep = np.unique(frames * 100 + track_idx, return_index=True)
-        frames, track_idx = frames[keep], track_idx[keep]
-        n = len(frames)
-        us = rng.uniform(0, 300, n)
-        vs = rng.uniform(0, 300, n)
-        angles = rng.uniform(0, 2 * np.pi, n)
-        dus, dvs = np.cos(angles), np.sin(angles)
-        a = _kernels.close_pair_counts(frames, track_idx, us, vs, dus, dvs, 40.0, 12)
-        order = np.argsort(frames, kind="stable")
-        b_frames = frames[order]
-        bounds = np.flatnonzero(np.diff(b_frames)) + 1
-        gs = np.concatenate(([0], bounds)).astype(np.int64)
-        ge = np.concatenate((bounds, [n])).astype(np.int64)
-        b = _kernels.close_pair_counts_numpy(
-            gs, ge, track_idx[order], us[order], vs[order], dus[order], dvs[order], 40.0, 12
+        follower, leader, close, coexist = _kernels.close_pair_counts(
+            frames, track_idx, us, vs, dus, dvs, 40.0, 2
         )
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        # leader (track 0) is ahead of track 1 within 40 px in all 10 shared
+        # frames; nothing is ahead of the leader, so (0, 1) is absent
+        assert list(zip(follower.tolist(), leader.tolist())) == [(1, 0)]
+        assert close.tolist() == [10]
+        assert coexist.tolist() == [10]
+
+    @settings(max_examples=300, deadline=None)
+    @given(close_pair_cases())
+    @example(([], 40.0, 1))
+    @example(([(0, 0, 5.0, 5.0, 1.0, 0.0)], 40.0, 1))
+    # one frame; distance exactly max_px (not close) next to just under it
+    @example((
+        [(0, 0, 0.0, 0.0, 1.0, 0.0), (0, 1, 40.0, 0.0, 1.0, 0.0), (0, 2, -39.5, 0.0, 1.0, 0.0)],
+        40.0, 3,
+    ))
+    # points on cell edges, negative coordinates, a zero heading, frame gaps
+    @example((
+        [
+            (0, 0, -40.0, -40.0, 0.0, 0.0), (0, 1, -40.0, -80.0, 0.0, -1.0),
+            (2, 0, 0.0, 0.0, 1.0, 0.0), (2, 1, 20.0, 20.0, -0.6, -0.8),
+            (3, 1, 40.0, 40.0, -0.6, -0.8), (5, 0, 40.0, 0.0, 1.0, 0.0),
+            (5, 1, 79.0, 0.0, 1.0, 0.0), (5, 2, 80.0, 39.0, -0.6, -0.8),
+        ],
+        40.0, 3,
+    ))
+    def test_matches_dense_oracle(self, case):
+        _assert_matches_oracle(*case)
+
+    def test_crowded_cell_matches_dense_oracle(self, rng):
+        # 300 tracks inside one cell: more candidate pairs than one block
+        # expands, and more hits than rows
+        n_tracks, n_frames = 300, 3
+        frames = np.repeat(np.arange(n_frames), n_tracks).astype(np.int64)
+        track_idx = np.tile(np.arange(n_tracks), n_frames).astype(np.int64)
+        us, vs = rng.uniform(0, 30, size=(2, len(frames)))
+        ang = rng.uniform(0, 2 * np.pi, len(frames))
+        rows = list(zip(frames, track_idx, us, vs, np.cos(ang), np.sin(ang)))
+        _assert_matches_oracle(rows, 40.0, n_tracks)
+
+    def test_tiny_radius_at_large_coordinates(self):
+        # following_px = 1e-6 over a 2e6 px extent: 2e12 cells per axis of
+        # that size would overflow an int64 (frame, row, column) key
+        rows = []
+        for f in range(3):
+            shift = f * 1e-5
+            rows += [
+                (f, 0, 1e6 + shift, 1e6, 1.0, 0.0),
+                (f, 1, 1e6 + shift + 5e-7, 1e6, 1.0, 0.0),
+                (f, 2, 1e6 + shift + 2e-6, 1e6, 1.0, 0.0),
+                (f, 3, -1e6, -1e6 + shift, 0.0, 1.0),
+                (f, 4, -1e6, -1e6 + shift + 9e-7, 0.0, 1.0),
+            ]
+        follower, leader, close, coexist = _kernels.close_pair_counts(*_columns(rows), 1e-6, 5)
+        assert list(zip(follower.tolist(), leader.tolist())) == [(0, 1), (3, 4)]
+        assert close.tolist() == coexist.tolist() == [3, 3]
+        _assert_matches_oracle(rows, 1e-6, 5)
+
+    def test_20k_tracks_in_small_memory(self):
+        # dense n_tracks x n_tracks counts would take 2 x 3.2 GB here
+        rng = np.random.default_rng(20_000)
+        n_tracks, n_frames = 20_000, 3
+        frames = np.repeat(np.arange(n_frames), n_tracks).astype(np.int64)
+        track_idx = np.tile(np.arange(n_tracks), n_frames).astype(np.int64)
+        us, vs = rng.uniform(0, 20_000, size=(2, len(frames)))
+        ang = rng.uniform(0, 2 * np.pi, len(frames))
+        dus, dvs = np.cos(ang), np.sin(ang)
+        tracemalloc.start()
+        try:
+            follower, leader, close, coexist = _kernels.close_pair_counts(
+                frames, track_idx, us, vs, dus, dvs, 40.0, n_tracks
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(follower) > 0
+        assert (follower != leader).all()
+        assert ((1 <= close) & (close <= coexist) & (coexist == n_frames)).all()
+
+
+    def test_crowded_frame_in_small_memory(self, rng):
+        # 2000 tracks in one cell: 2M candidate pairs, expanded a block at a
+        # time; zero headings, so no pair is close
+        n = 2000
+        frames = np.zeros(n, dtype=np.int64)
+        us, vs = rng.uniform(0, 30, size=(2, n))
+        zeros = np.zeros(n)
+        tracemalloc.start()
+        try:
+            result = _kernels.close_pair_counts(frames, np.arange(n), us, vs, zeros, zeros, 40.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert all(len(column) == 0 for column in result)
 
 
 class TestBackendSelection:
     def test_active_backend_reported(self):
-        assert backend_name() in ("numba", "numpy")
-
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-    def test_env_flag_forces_numpy_backend(self):
-        code = "from speedstudy._accel import backend_name; print(backend_name())"
-        env = dict(os.environ, **{DISABLE_ENV: "1"})
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "numpy"
+        assert speedstudy.backend_name() == "numpy"
