@@ -49,10 +49,8 @@ from .ingest import (
 )
 from .kinematics import (
     MPS_TO_MPH,
-    SpeedSample,
     TrackKinematics,
     WorldTrack,
-    speed_series,
     to_world_track,
     track_kinematics,
 )

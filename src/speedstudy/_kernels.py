@@ -65,13 +65,14 @@ def window_speeds(frames, xs, ys, wmax, first_hist, fps):
     """Per-position window speed (m/s) and window length; -1 marks no sample.
 
     first_hist is clamped to 2 so every emitted window spans >= 2 samples.
+    Both are capped at len(frames) + 1, which changes no result.
     """
     frames = np.asarray(frames, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    wmax = max(int(wmax), 2)
-    first_hist = max(int(first_hist), 2)
     n = len(frames)
+    wmax = max(min(int(wmax), n + 1), 2)
+    first_hist = max(min(int(first_hist), n + 1), 2)
     i = np.arange(n)
     j = np.maximum(0, i - wmax + 1)
     emit = (i + 1 >= first_hist) & (i > 0)

@@ -17,7 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .behavior import ManeuverClass, maneuver_distribution
-from .errors import EmptyInput, InvariantViolation, LocationMismatch, NonPositiveBaseline
+from .errors import ConfigError, EmptyInput, InvariantViolation, LocationMismatch, NonPositiveBaseline
+
+# Histograms wider than this are refused: each bin is a report row.
+MAX_HISTOGRAM_BINS = 100_000
 
 
 class Phase(Enum):
@@ -133,15 +136,24 @@ def percentile_85(values, method: str = "interpolate") -> float:
 
 
 def histogram(values, bin_width: float = 1.0) -> tuple[tuple[float, int], ...]:
-    """Half-open [k*w, (k+1)*w) bins covering the data range contiguously."""
+    """Half-open [k*w, (k+1)*w) bins covering the data range contiguously.
+
+    ConfigError when that takes more than MAX_HISTOGRAM_BINS bins, or bins
+    beyond the int64 range (values not finite included)."""
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         return ()
-    idx = np.floor(arr / bin_width).astype(np.int64)
-    lo, hi = int(idx.min()), int(idx.max())
-    counts = np.bincount(idx - lo, minlength=hi - lo + 1)
+    idx = np.floor(arr / bin_width)
+    lo, hi = idx.min(), idx.max()
+    if not (-(2.0**62) < lo and hi < 2.0**62 and hi - lo < MAX_HISTOGRAM_BINS):
+        raise ConfigError(
+            f"histogram_bin_mph: bins of {bin_width!r} mph over speeds {float(arr.min())!r} "
+            f"to {float(arr.max())!r} mph would exceed {MAX_HISTOGRAM_BINS} bins"
+        )
+    lo, hi = int(lo), int(hi)
+    counts = np.bincount(idx.astype(np.int64) - lo, minlength=hi - lo + 1)
     return tuple((k * bin_width, int(c)) for k, c in zip(range(lo, hi + 1), counts))
 
 

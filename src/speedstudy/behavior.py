@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import _kernels
 from .errors import EmptyInput
-from .kinematics import TrackKinematics, WorldTrack, speed_arrays
+from .kinematics import TrackKinematics
 
 STOP_AND_GO_MPH = 5.0
 SLOW_DOWN_MPH = 10.0
@@ -52,26 +52,15 @@ def classify_maneuver(
     return ManeuverClass.PASS_THROUGH
 
 
-def approach_speed(
-    kin: TrackKinematics,
-    world_track: WorldTrack,
-    approach_zone,
-    fps: float,
-    min_track_s: float = 0.5,
-    reduction: str = "min",
-) -> float | None:
-    """Approach-zone speed statistic for one vehicle, or None if it never
-    produces a sample inside the zone."""
+def approach_speed(kin: TrackKinematics, approach_zone, reduction: str = "min") -> float | None:
+    """Approach-zone speed statistic for one vehicle, or None if none of its
+    samples lies inside the zone."""
     if reduction not in ("min", "mean"):
         raise ValueError(f"reduction must be 'min' or 'mean', got {reduction!r}")
-    idx, _, speeds, _ = speed_arrays(world_track, fps, min_track_s)
-    if len(idx) == 0:
-        return None
-    positions = world_track.points[idx]
-    inside = _kernels.points_in_polygon(positions, approach_zone)
+    inside = _kernels.points_in_polygon(kin.points, approach_zone)
     if not inside.any():
         return None
-    in_zone = speeds[inside]
+    in_zone = kin.speeds_mph[inside]
     return float(in_zone.min() if reduction == "min" else in_zone.mean())
 
 
@@ -90,23 +79,16 @@ def maneuver_distribution(observations) -> ManeuverDistribution:
 
 def observe_maneuvers(
     kinematics_list,
-    world_tracks,
     approach_zone,
-    fps: float,
-    min_track_s: float = 0.5,
     reduction: str = "min",
     stopgo_mph: float = STOP_AND_GO_MPH,
     slowdown_mph: float = SLOW_DOWN_MPH,
 ) -> list[ManeuverObservation]:
-    """Pair each track's kinematics with its approach-zone statistic and
-    classify it; tracks never sampled inside the zone are skipped."""
-    by_id = {wt.track_id: wt for wt in world_tracks}
+    """Classify each track by its approach-zone statistic; tracks never
+    sampled inside the zone are skipped."""
     observations = []
     for kin in kinematics_list:
-        wt = by_id.get(kin.track_id)
-        if wt is None:
-            continue
-        v = approach_speed(kin, wt, approach_zone, fps, min_track_s, reduction)
+        v = approach_speed(kin, approach_zone, reduction)
         if v is None:
             continue
         observations.append(

@@ -24,18 +24,7 @@ import numpy as np
 
 from .analytics import compare_phases, percent_change, PhaseSummary
 from .config import load_manifest, load_scene_config, read_json, SceneConfig
-from .errors import (
-    AtInfinity,
-    ConfigError,
-    DegenerateConfiguration,
-    EmptyInput,
-    InvariantViolation,
-    LocationMismatch,
-    MalformedRow,
-    NonPositiveBaseline,
-    SpeedStudyError,
-    TooFewPoints,
-)
+from .errors import ConfigError, InvariantViolation, SpeedStudyError
 from .geometry import Homography, WorldPoint, reprojection_rmse, solve_homography
 from .ingest import ClassLabel, serialize_detections
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
@@ -53,18 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GATE = 3
 EXIT_INVARIANT = 4
-
-_INPUT_ERRORS = (
-    ConfigError,
-    MalformedRow,
-    TooFewPoints,
-    DegenerateConfiguration,
-    LocationMismatch,
-    EmptyInput,
-    NonPositiveBaseline,
-    AtInfinity,
-    OSError,
-)
 
 
 def write_atomic(path: Path, text: str):
@@ -290,10 +267,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         log.error("internal invariant violated: %s", exc)
         return EXIT_INVARIANT
-    except _INPUT_ERRORS as exc:
-        log.error("%s", exc)
-        return EXIT_INPUT
-    except SpeedStudyError as exc:
+    except (SpeedStudyError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,6 @@ class Thresholds:
     stopgo_mph: float = 5.0
     slowdown_mph: float = 10.0
     min_track_s: float = 0.5
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"thresholds.{name}: must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,60 +73,107 @@ class RunManifest:
     phases: tuple[PhaseInput, ...]
 
 
+_JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _shaped(value, shape: type, path: str):
+    """value itself when it is a JSON object, list or string as shape says."""
+    if not isinstance(value, shape):
+        raise ConfigError(f"{path}: expected {_JSON_KINDS[shape]}, got {_kind(value)}")
+    return value
+
+
 def _get(data: dict, key: str, path: str):
-    if key not in data:
+    if key not in _shaped(data, dict, path):
         raise ConfigError(f"{path}.{key}: missing")
     return data[key]
 
 
+def _number(value, path: str, kind: type = float, positive: bool = True):
+    """A config number read with kind (float or int): finite, and above zero
+    when positive. Numeric strings are read too; booleans are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: expected a number, got {_kind(value)}")
+    try:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected a number, got {_short(repr(value))}") from None
+    if not finite:
+        raise ConfigError(f"{path}: {_short(repr(value))} is not a finite number")
+    if positive and number <= 0:
+        raise ConfigError(f"{path}: must be positive")
+    return number
+
+
+def _short(text: str) -> str:
+    return text if len(text) <= 24 else f"{text[:21]}..."
+
+
+def _point(value, path: str) -> tuple[float, float]:
+    pair = _shaped(value, list, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: expected [x, y], got {len(pair)} values")
+    return tuple(_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(pair))
+
+
 def _polygon(data, path: str) -> np.ndarray:
     try:
-        arr = np.array(data, dtype=np.float64)
+        arr = np.array(_shaped(data, list, path), dtype=np.float64)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected a list of [x, y] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise ConfigError(f"{path}: expected at least 3 [x, y] pairs")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: coordinates must be finite numbers")
     return arr
 
 
 def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     corr_raw = _get(data, "calibration", path)
-    corr_list = _get(corr_raw, "correspondences", f"{path}.calibration")
+    corr_path = f"{path}.calibration.correspondences"
+    corr_list = _shaped(_get(corr_raw, "correspondences", f"{path}.calibration"), list, corr_path)
     corrs = []
     for i, c in enumerate(corr_list):
-        cp = f"{path}.calibration.correspondences[{i}]"
-        try:
-            wx, wy = (float(v) for v in _get(c, "world", cp))
-            iu, iv = (float(v) for v in _get(c, "image", cp))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{cp}: world and image must be [x, y] numbers") from None
+        cp = f"{corr_path}[{i}]"
+        wx, wy = _point(_get(c, "world", cp), f"{cp}.world")
+        iu, iv = _point(_get(c, "image", cp), f"{cp}.image")
         corrs.append(Correspondence(WorldPoint(wx, wy), ImagePoint(iu, iv)))
     if len(corrs) < 4:
-        raise ConfigError(f"{path}.calibration.correspondences: need at least 4, got {len(corrs)}")
+        raise ConfigError(f"{corr_path}: need at least 4, got {len(corrs)}")
 
-    fps = float(_get(data, "fps", path))
-    if fps <= 0:
-        raise ConfigError(f"{path}.fps: must be positive")
+    fps = _number(_get(data, "fps", path), f"{path}.fps")
 
-    direction = np.array(_get(data, "travel_direction", path), dtype=np.float64)
+    direction = np.array(_point(_get(data, "travel_direction", path), f"{path}.travel_direction"))
     norm = float(np.hypot(direction[0], direction[1]))
     if norm == 0:
         raise ConfigError(f"{path}.travel_direction: must be nonzero")
     direction = direction / norm
 
     class_map = {}
-    for key, value in _get(data, "class_map", path).items():
+    for key, value in _shaped(_get(data, "class_map", path), dict, f"{path}.class_map").items():
         try:
-            class_map[int(key)] = ClassLabel(value)
+            class_id = int(key)
+        except ValueError:
+            raise ConfigError(f"{path}.class_map.{key}: class id must be an integer") from None
+        try:
+            class_map[class_id] = ClassLabel(value)
         except ValueError:
             raise ConfigError(f"{path}.class_map.{key}: unknown label {value!r}") from None
 
-    thresholds = Thresholds()
-    if "thresholds" in data:
-        unknown = set(data["thresholds"]) - set(Thresholds.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"{path}.thresholds: unknown keys {sorted(unknown)}")
-        thresholds = replace(thresholds, **{k: float(v) for k, v in data["thresholds"].items()})
+    raw = _shaped(data.get("thresholds", {}), dict, f"{path}.thresholds")
+    unknown = set(raw) - set(Thresholds.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"{path}.thresholds: unknown keys {sorted(unknown)}")
+    thresholds = Thresholds(**{k: _number(v, f"{path}.thresholds.{k}") for k, v in raw.items()})
+    # the warm-up length ceil(fps * min_track_s) must be an integer
+    if not math.isfinite(fps * thresholds.min_track_s):
+        raise ConfigError(f"{path}.thresholds.min_track_s: fps x min_track_s is not finite")
 
     def _choice(key: str, options: tuple[str, ...], default: str) -> str:
         value = data.get(key, default)
@@ -140,8 +182,10 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         return value
 
     cfg = SceneConfig(
-        location_id=int(_get(data, "location_id", path)),
-        name=str(data.get("name", "")),
+        location_id=_number(
+            _get(data, "location_id", path), f"{path}.location_id", kind=int, positive=False
+        ),
+        name=_shaped(data.get("name", ""), str, f"{path}.name"),
         fps=fps,
         correspondences=tuple(corrs),
         aoi_polygon=_polygon(_get(data, "aoi_polygon", path), f"{path}.aoi_polygon"),
@@ -153,10 +197,8 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         representative=_choice("representative", ("per_vehicle", "per_sample"), "per_vehicle"),
         v_mean_reduction=_choice("v_mean_reduction", ("min", "mean"), "min"),
         intersection_type=_choice("intersection_type", ("unsignalized", "signalized"), "unsignalized"),
-        histogram_bin_mph=float(data.get("histogram_bin_mph", 1.0)),
+        histogram_bin_mph=_number(data.get("histogram_bin_mph", 1.0), f"{path}.histogram_bin_mph"),
     )
-    if cfg.histogram_bin_mph <= 0:
-        raise ConfigError(f"{path}.histogram_bin_mph: must be positive")
     cfg.geometry()  # validates polygons and direction
     return cfg
 
@@ -202,8 +244,7 @@ def read_json(path, what: str):
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     except _NonFinite as exc:
-        literal = str(exc) if len(str(exc)) <= 24 else f"{str(exc)[:21]}..."
-        raise ConfigError(f"{path}: {literal} is not a finite number") from None
+        raise ConfigError(f"{path}: {_short(str(exc))} is not a finite number") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
@@ -221,8 +262,8 @@ def load_manifest(path) -> RunManifest:
     path = Path(path)
     data = read_json(path, "manifest")
     base = path.parent
-    scene_path = base / _get(data, "scene_config", "manifest")
-    phases_raw = _get(data, "phases", "manifest")
+    scene_path = base / _shaped(_get(data, "scene_config", "manifest"), str, "manifest.scene_config")
+    phases_raw = _shaped(_get(data, "phases", "manifest"), list, "manifest.phases")
     if not phases_raw:
         raise ConfigError("manifest.phases: need at least one phase")
     phases = []
@@ -236,10 +277,11 @@ def load_manifest(path) -> RunManifest:
             ) from None
         if any(p.phase is phase for p in phases):
             raise ConfigError(f"{pp}.phase: {phase.value} is listed twice")
-        hours = float(_get(entry, "hours", pp))
-        if hours <= 0:
-            raise ConfigError(f"{pp}.hours: must be positive")
-        paths = tuple(base / p for p in _get(entry, "detections", pp))
+        hours = _number(_get(entry, "hours", pp), f"{pp}.hours")
+        detections = _shaped(_get(entry, "detections", pp), list, f"{pp}.detections")
+        paths = tuple(
+            base / _shaped(p, str, f"{pp}.detections[{j}]") for j, p in enumerate(detections)
+        )
         if not paths:
             raise ConfigError(f"{pp}.detections: need at least one CSV path")
         phases.append(PhaseInput(phase, paths, hours))

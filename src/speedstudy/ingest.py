@@ -416,25 +416,19 @@ def filter_vehicle_type(tracks) -> list[Track]:
     return kept
 
 
-def _endpoint_world_displacement(track: Track, h_inv: np.ndarray) -> np.ndarray | None:
-    """Net world displacement first->last anchor; None when unprojectable."""
-    ends = track.anchors[[0, -1]]
-    world, valid = project_points(h_inv, ends)
-    if not valid.all():
-        return None
-    return world[1] - world[0]
+def _endpoint_displacements(tracks, h: Homography) -> tuple[np.ndarray, np.ndarray]:
+    """Net world displacement first->last anchor of each track, (n, 2), and
+    a mask of the tracks whose two endpoints both project."""
+    ends = np.array([t.anchors[[0, -1]] for t in tracks]).reshape(-1, 2)
+    world, valid = project_points(h.inverse().matrix, ends)
+    return world[1::2] - world[0::2], valid[0::2] & valid[1::2]
 
 
 def filter_stationary(tracks, h: Homography, min_net_m: float = 2.0) -> list[Track]:
     """Drop tracks whose net world displacement stays under min_net_m."""
-    h_inv = h.inverse().matrix
-    kept = []
-    for t in tracks:
-        disp = _endpoint_world_displacement(t, h_inv)
-        if disp is not None and float(np.hypot(disp[0], disp[1])) < min_net_m:
-            continue
-        kept.append(t)
-    return kept
+    disp, valid = _endpoint_displacements(tracks, h)
+    still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < min_net_m)
+    return [t for t, drop in zip(tracks, still) if not drop]
 
 
 def _image_headings(anchors: np.ndarray, h: Homography, travel_direction) -> np.ndarray:
@@ -485,12 +479,11 @@ def filter_following(
 def filter_direction(tracks, h: Homography, travel_direction, max_deg: float = 45.0) -> list[Track]:
     """Keep tracks whose net world displacement stays within max_deg of the
     travel direction. Zero or unprojectable displacement is dropped."""
-    h_inv = h.inverse().matrix
     direction = np.asarray(travel_direction, dtype=np.float64)
+    displacements, valid = _endpoint_displacements(tracks, h)
     kept = []
-    for t in tracks:
-        disp = _endpoint_world_displacement(t, h_inv)
-        if disp is None:
+    for t, disp, ok in zip(tracks, displacements, valid):
+        if not ok:
             continue
         norm = float(np.hypot(disp[0], disp[1]))
         if norm == 0.0:

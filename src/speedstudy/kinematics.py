@@ -41,17 +41,22 @@ class WorldTrack:
 
 
 @dataclass(frozen=True)
-class SpeedSample:
-    frame: int
-    speed_mph: float
-    window_frames: int
-
-
-@dataclass(frozen=True)
 class TrackKinematics:
+    """One vehicle's sliding-window speed samples, one array row per sample."""
+
     track_id: int
-    samples: tuple[SpeedSample, ...]
-    representative_mph: float  # arithmetic mean of the sample speeds
+    frames: np.ndarray  # (N,) int64, the frame each sample ends at
+    speeds_mph: np.ndarray  # (N,) float64
+    window_frames: np.ndarray  # (N,) int64, positions spanned by each window
+    points: np.ndarray  # (N, 2) float64, world position at each sample frame
+    representative_mph: float  # arithmetic mean of speeds_mph
+
+    def __post_init__(self):
+        for column in (self.frames, self.speeds_mph, self.window_frames, self.points):
+            column.setflags(write=False)
+
+    def __len__(self):
+        return len(self.frames)
 
 
 def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple[int, int]:
@@ -78,10 +83,10 @@ def to_world_track(track: Track, h: Homography) -> WorldTrack | None:
     return WorldTrack(track.track_id, frames, world[valid].copy())
 
 
-def speed_arrays(
+def track_kinematics(
     world_track: WorldTrack, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(position indices, frames, speeds mph, window lengths) of all samples."""
+) -> TrackKinematics | None:
+    """Per-track speed samples plus their mean; None for too-short tracks."""
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     wmax, first_hist = window_params(fps, min_track_s)
@@ -89,27 +94,15 @@ def speed_arrays(
         world_track.frames, world_track.points[:, 0], world_track.points[:, 1],
         wmax, first_hist, fps,
     )
-    emitted = speeds_ms >= 0.0
-    idx = np.flatnonzero(emitted)
-    return idx, world_track.frames[idx], speeds_ms[idx] * MPS_TO_MPH, wlens[idx]
-
-
-def speed_series(
-    world_track: WorldTrack, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
-) -> list[SpeedSample]:
-    _, frames, speeds, wlens = speed_arrays(world_track, fps, min_track_s)
-    return [
-        SpeedSample(int(f), float(s), int(w))
-        for f, s, w in zip(frames, speeds, wlens)
-    ]
-
-
-def track_kinematics(
-    world_track: WorldTrack, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
-) -> TrackKinematics | None:
-    """Per-track speed series plus its mean; None for too-short tracks."""
-    samples = speed_series(world_track, fps, min_track_s)
-    if not samples:
+    idx = np.flatnonzero(speeds_ms >= 0.0)
+    if len(idx) == 0:
         return None
-    mean = float(np.mean([s.speed_mph for s in samples]))
-    return TrackKinematics(world_track.track_id, tuple(samples), mean)
+    speeds = speeds_ms[idx] * MPS_TO_MPH
+    return TrackKinematics(
+        world_track.track_id,
+        world_track.frames[idx],
+        speeds,
+        wlens[idx],
+        world_track.points[idx],
+        float(np.mean(speeds)),
+    )

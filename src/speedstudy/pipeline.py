@@ -83,14 +83,7 @@ def process_detections(
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = observe_maneuvers(
-            kins,
-            world_tracks,
-            cfg.approach_zone,
-            cfg.fps,
-            th.min_track_s,
-            cfg.v_mean_reduction,
-            th.stopgo_mph,
-            th.slowdown_mph,
+            kins, cfg.approach_zone, cfg.v_mean_reduction, th.stopgo_mph, th.slowdown_mph
         )
     return RecordingResult(source, len(detections), kins, maneuvers, counts)
 
@@ -112,9 +105,7 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
     if cfg.representative == "per_vehicle":
         speeds = [k.representative_mph for rec in recordings for k in rec.kinematics]
     else:
-        speeds = [
-            s.speed_mph for rec in recordings for k in rec.kinematics for s in k.samples
-        ]
+        speeds = [s for rec in recordings for k in rec.kinematics for s in k.speeds_mph.tolist()]
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = [m for rec in recordings for m in rec.maneuvers]
@@ -154,9 +145,9 @@ def kinematics_csv(kins: list[TrackKinematics]) -> str:
     track (the literal 'summary' sits in the frame column)."""
     lines = ["track_id,frame,speed_mph,window_frames"]
     for k in kins:
-        for s in k.samples:
-            lines.append(f"{k.track_id},{s.frame},{s.speed_mph!r},{s.window_frames}")
-        lines.append(f"{k.track_id},summary,{k.representative_mph!r},{len(k.samples)}")
+        for f, s, w in zip(k.frames.tolist(), k.speeds_mph.tolist(), k.window_frames.tolist()):
+            lines.append(f"{k.track_id},{f},{s!r},{w}")
+        lines.append(f"{k.track_id},summary,{k.representative_mph!r},{len(k)}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,8 +17,9 @@ from speedstudy import (
     percent_change,
     percentile_85,
 )
-from speedstudy.analytics import round1
+from speedstudy.analytics import MAX_HISTOGRAM_BINS, round1
 from speedstudy.errors import (
+    ConfigError,
     EmptyInput,
     InvariantViolation,
     LocationMismatch,
@@ -126,6 +127,19 @@ class TestHistogram:
     def test_nonpositive_width(self):
         with pytest.raises(ValueError):
             histogram([1.0], bin_width=0.0)
+
+    def test_too_many_or_unindexable_bins_refused(self):
+        assert len(histogram([0.0, MAX_HISTOGRAM_BINS - 1.0])) == MAX_HISTOGRAM_BINS
+        for values, width in (
+            ([0.0, float(MAX_HISTOGRAM_BINS)], 1.0),
+            ([15.0, 21.0], 1e-6),
+            ([15.0], 1e-300),
+            ([1e300], 1.0),
+            ([-1e300], 1.0),
+            ([float("nan")], 1.0),
+        ):
+            with pytest.raises(ConfigError, match="histogram_bin_mph"):
+                histogram(values, bin_width=width)
 
 
 class TestRound1:

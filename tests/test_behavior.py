@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import brute_speed_series, point_in_polygon_oracle
+from helpers import brute_speed_series, point_in_polygon_oracle, scene_config_dict
 from speedstudy import (
+    ClassLabel,
+    Constant,
+    DetectionTable,
     ManeuverClass,
     ManeuverObservation,
+    PiecewiseLinear,
+    SyntheticVehicle,
+    TrapezoidStop,
+    WorldPoint,
+    _kernels,
     approach_speed,
     classify_maneuver,
     maneuver_distribution,
+    pipeline,
+    render_scene,
 )
+from speedstudy.config import scene_config_from_dict
 from speedstudy.errors import EmptyInput
 from speedstudy.kinematics import WorldTrack, track_kinematics
 
@@ -56,7 +67,7 @@ class TestApproachSpeed:
     def test_constant_speed_inside_zone(self):
         wt = self.steady_track(11.18)  # ~25 mph
         kin = track_kinematics(wt, 10.0)
-        got = approach_speed(kin, wt, ZONE, 10.0)
+        got = approach_speed(kin, ZONE)
         assert got == pytest.approx(25.0, abs=0.05)
 
     def test_dip_inside_zone_uses_min(self):
@@ -74,7 +85,7 @@ class TestApproachSpeed:
         pts = np.column_stack([xs, np.zeros(120)])
         wt = world_track(frames, pts)
         kin = track_kinematics(wt, fps)
-        got = approach_speed(kin, wt, ZONE, fps)
+        got = approach_speed(kin, ZONE)
         # oracle: brute-force series filtered by an independent in-zone test
         brute = brute_speed_series(frames, pts, fps)
         in_zone = [
@@ -87,20 +98,20 @@ class TestApproachSpeed:
     def test_never_enters_zone(self):
         wt = self.steady_track(11.18, x0=100.0)
         kin = track_kinematics(wt, 10.0)
-        assert approach_speed(kin, wt, ZONE, 10.0) is None
+        assert approach_speed(kin, ZONE) is None
 
     def test_mean_reduction_option(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
-        mn = approach_speed(kin, wt, ZONE, 10.0, reduction="min")
-        avg = approach_speed(kin, wt, ZONE, 10.0, reduction="mean")
+        mn = approach_speed(kin, ZONE, reduction="min")
+        avg = approach_speed(kin, ZONE, reduction="mean")
         assert avg >= mn
 
     def test_unknown_reduction_rejected(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
         with pytest.raises(ValueError):
-            approach_speed(kin, wt, ZONE, 10.0, reduction="median")
+            approach_speed(kin, ZONE, reduction="median")
 
 
 def obs(n_pt, n_sd, n_sg):
@@ -143,3 +154,49 @@ class TestDistribution:
         shuffled = list(fleet)
         rng.shuffle(shuffled)
         assert maneuver_distribution(shuffled) == dist
+
+
+class TestObserveManeuvers:
+    @pytest.mark.parametrize("reduction", ["min", "mean"])
+    def test_one_window_pass_per_track_feeds_the_zone_statistic(
+        self, monkeypatch, demo_h, reduction
+    ):
+        profiles = (
+            Constant(22.0),
+            PiecewiseLinear(knots=((0.0, 16.0), (2.0, 16.0), (4.0, 7.0), (5.5, 7.0), (7.5, 16.0))),
+            TrapezoidStop(16.0, 3.0, 1.5, 2.5),
+            Constant(12.0),
+        )
+        vehicles = [
+            SyntheticVehicle(i + 1, 3.0 * i, WorldPoint(0.0, -4.8 + 2.4 * i), (1.0, 0.0),
+                             profile, (40.0, 60.0), ClassLabel.CAR, 95.0)
+            for i, profile in enumerate(profiles)
+        ]
+        dets, _ = render_scene(vehicles, demo_h, 10.0, 30.0, noise_sigma_px=0.5, seed=3,
+                               approach_zone=ZONE)
+        cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
+        calls = {"window_speeds": 0, "track_kinematics": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(_kernels, "window_speeds")
+        counting(pipeline, "track_kinematics")
+        result = pipeline.process_detections(DetectionTable.from_rows(dets), cfg, demo_h)
+
+        assert calls["track_kinematics"] == len(result.kinematics) == len(profiles)
+        assert calls["window_speeds"] == calls["track_kinematics"]
+        kins = {k.track_id: k for k in result.kinematics}
+        assert len(result.maneuvers) == len(profiles)
+        for m in result.maneuvers:
+            k = kins[m.track_id]
+            inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in k.points]
+            zone_speeds = k.speeds_mph[inside]
+            want = zone_speeds.min() if reduction == "min" else zone_speeds.mean()
+            assert m.v_mean_mph == float(want)

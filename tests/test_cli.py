@@ -1,12 +1,15 @@
+import copy
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speedstudy
 
@@ -394,6 +397,122 @@ class TestJson:
     def test_report_with_non_finite_number_is_an_invariant_violation(self):
         with pytest.raises(InvariantViolation):
             _json_text({"hours": float("nan")})
+
+
+@pytest.fixture(scope="module")
+def analyze_inputs(tmp_path_factory, demo_h):
+    """A valid scene config and manifest body over a simulated detection CSV."""
+    base = tmp_path_factory.mktemp("inputs")
+    dets = run_simulate(base, [list(row) for row in demo_h.matrix.tolist()])
+    manifest = {
+        "scene_config": "scene.json",
+        "phases": [{"phase": "pre", "detections": [str(dets)], "hours": 2.5}],
+    }
+    return base, scene_config_dict(demo_h), manifest
+
+
+def with_field(doc, path, value):
+    """A copy of doc with the field at path (keys and list indices) set to value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def analyze_with_field(inputs, target, path, value) -> int:
+    """Exit code of analyze with one scene ("scene") or manifest field replaced."""
+    base, scene, manifest = inputs
+    if target == "scene":
+        scene = with_field(scene, path, value)
+    else:
+        manifest = with_field(manifest, path, value)
+    with tempfile.TemporaryDirectory(dir=base) as tmp:
+        tmp = Path(tmp)
+        write_json(tmp / "scene.json", scene)
+        write_json(tmp / "run.json", manifest)
+        return main(["analyze", "--manifest", str(tmp / "run.json"), "--out", str(tmp / "report")])
+
+
+THRESHOLD_FIELDS = tuple(Thresholds.__dataclass_fields__)
+CONFIG_FIELDS = (
+    *(("scene", (key,)) for key in (
+        "location_id", "name", "fps", "calibration", "aoi_polygon", "approach_zone",
+        "travel_direction", "class_map", "thresholds", "percentile_method",
+        "representative", "v_mean_reduction", "intersection_type", "histogram_bin_mph",
+    )),
+    ("scene", ("calibration", "correspondences")),
+    ("scene", ("calibration", "correspondences", 0, "world")),
+    *(("scene", ("thresholds", key)) for key in THRESHOLD_FIELDS),
+    ("manifest", ("scene_config",)),
+    ("manifest", ("phases",)),
+    *(("manifest", ("phases", 0, key)) for key in ("phase", "hours", "detections")),
+)
+JSON_LEAVES = st.one_of(
+    st.sampled_from(["nan", "inf", "abc", None, True, False]),
+    st.integers(min_value=2**31),
+    st.integers(max_value=-1),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize(
+        "target, path, value, message",
+        [
+            ("scene", ("travel_direction",), [1], "travel_direction: expected [x, y]"),
+            ("scene", ("travel_direction",), [1, 0, 5], "travel_direction: expected [x, y]"),
+            ("scene", ("fps",), [10], "fps: expected a number, got a list"),
+            ("scene", ("location_id",), [1], "location_id: expected a number, got a list"),
+            ("scene", ("class_map",), [1], "class_map: expected an object, got a list"),
+            ("scene", ("class_map",), {"x": "car"}, "class_map.x: class id must be an integer"),
+            ("scene", ("fps",), "nan", "fps: 'nan' is not a finite number"),
+            ("scene", ("fps",), 0, "fps: must be positive"),
+            ("scene", ("thresholds", "stationary_m"), 0.0, "stationary_m: must be positive"),
+            ("manifest", ("phases", 0, "hours"), 0, "hours: must be positive"),
+            ("scene", ("histogram_bin_mph",), "nan", "histogram_bin_mph: 'nan' is not a finite"),
+            *(
+                ("scene", ("thresholds", key), "nan", f"thresholds.{key}: 'nan' is not a finite")
+                for key in THRESHOLD_FIELDS
+            ),
+            ("manifest", ("phases", 0, "hours"), "nan", "hours: 'nan' is not a finite number"),
+            ("manifest", ("phases", 0, "hours"), [1], "hours: expected a number, got a list"),
+            ("manifest", ("phases",), 5, "manifest.phases: expected a list, got a number"),
+            ("manifest", ("phases", 0, "detections"), 5, "detections: expected a list"),
+            ("manifest", ("phases", 0, "detections"), [5], "detections[0]: expected a string"),
+            ("manifest", ("scene_config",), 5, "scene_config: expected a string, got a number"),
+        ],
+    )
+    def test_wrongly_typed_field_exits_2(self, analyze_inputs, caplog, target, path, value, message):
+        with caplog.at_level("ERROR"):
+            assert analyze_with_field(analyze_inputs, target, path, value) == 2
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "target, path, value",
+        [
+            pytest.param("scene", ("fps",), 2**63, id="fps-2**63"),
+            pytest.param("scene", ("fps",), 10**300, id="fps-1e300"),
+            pytest.param("scene", ("thresholds", "min_track_s"), 10**308, id="min_track_s-1e308"),
+            pytest.param("scene", ("histogram_bin_mph",), 1e-300, id="histogram_bin_mph-1e-300"),
+            pytest.param("scene", ("histogram_bin_mph",), 1e-6, id="histogram_bin_mph-1e-6"),
+        ],
+    )
+    def test_extreme_number_exits_0_or_2(self, analyze_inputs, target, path, value):
+        assert analyze_with_field(analyze_inputs, target, path, value) in (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+    def test_any_field_value_exits_0_or_2(self, analyze_inputs, field, value):
+        target, path = field
+        assert analyze_with_field(analyze_inputs, target, path, value) in (0, 2)
 
 
 class TestPackage:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -26,6 +27,7 @@ from speedstudy import (
     serialize_detections,
 )
 from speedstudy import ingest
+from speedstudy.geometry import project_points
 from speedstudy.errors import MalformedRow
 from speedstudy.ingest import LABELS, ClassLabel, SceneGeometry, Track
 
@@ -285,6 +287,39 @@ class TestStationary:
         t = track_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))
         assert filter_stationary([t], IDENTITY) == []
         assert filter_stationary([t], IDENTITY, min_net_m=1.0) == [t]
+
+
+class TestEndpointStages:
+    def test_fates_over_many_tracks_equal_one_track_fates(self, rng):
+        # the inverse map's vanishing line u = -r33 / r31 crosses the scene,
+        # so endpoints placed on it do not project
+        h = Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-2, 0.0, 1.0]])
+        r31, _, r33 = h.inverse().matrix[2]
+        tracks = []
+        for tid in range(1, 41):
+            n = int(rng.integers(2, 15))
+            t = track_of(straight_track_detections(tid, n, rng.uniform(-50, 90, 2), rng.normal(0, 1, 2)))
+            if tid % 7 == 0:
+                anchors = t.anchors.copy()
+                anchors[0 if tid % 2 else -1, 0] = -r33 / r31
+                t = dataclasses.replace(t, anchors=anchors)
+            tracks.append(t)
+        stages = (
+            lambda ts: filter_stationary(ts, h),
+            lambda ts: filter_direction(ts, h, np.array([1.0, 0.0]), 60.0),
+        )
+        for stage in stages:
+            batch = [t.track_id for t in stage(tracks)]
+            assert batch == [t.track_id for t in tracks if stage([t])]
+            assert 0 < len(batch) < len(tracks)
+        unprojectable = [t.track_id for t in tracks if t.track_id % 7 == 0]
+        for tid in unprojectable:
+            _, valid = project_points(h.inverse().matrix, tracks[tid - 1].anchors[[0, -1]])
+            assert valid.tolist() == ([False, True] if tid % 2 else [True, False])
+        assert set(unprojectable) <= {t.track_id for t in stages[0](tracks)}
+        # any nonzero displacement is within 180 degrees: only these drop
+        kept = filter_direction(tracks, h, np.array([1.0, 0.0]), 180.0)
+        assert {t.track_id for t in tracks} - {t.track_id for t in kept} == set(unprojectable)
 
 
 class TestFollowing:

@@ -63,6 +63,19 @@ class TestWindowSpeeds:
         assert wlens.max() == 10
         assert set(wlens[:4]) == {0}  # no sample before 5 frames of history
 
+    def test_window_lengths_beyond_int64(self, rng):
+        frames = np.arange(30, dtype=np.int64)
+        xs = rng.normal(0, 1, 30)
+        ys = rng.normal(0, 1, 30)
+        # a window as long as the track reaches its first sample from every position
+        got = _kernels.window_speeds(frames, xs, ys, 2**63, 5, 10.0)
+        want = _kernels.window_speeds(frames, xs, ys, 30, 5, 10.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        speeds, wlens = _kernels.window_speeds(frames, xs, ys, 10, 10**300, 10.0)
+        assert (speeds == -1.0).all() and (wlens == 0).all()
+        speeds, _ = _kernels.window_speeds(frames, xs, ys, 10, 30, 10.0)
+        assert (speeds[:-1] == -1.0).all() and speeds[-1] >= 0.0
+
 
 def _columns(rows):
     """(frames, track_idx, us, vs, dus, dvs) from (frame, track, u, v, du, dv) rows."""

@@ -14,7 +14,6 @@ from speedstudy import (
     Homography,
     WorldTrack,
     solve_homography,
-    speed_series,
     to_world_track,
     track_kinematics,
 )
@@ -93,28 +92,28 @@ class TestToWorldTrack:
 class TestSpeedSeries:
     def test_stationary_all_zero(self):
         wt = world_track(np.arange(30), np.tile([7.0, 3.0], (30, 1)))
-        samples = speed_series(wt, fps=10.0)
-        assert len(samples) == 26
-        assert all(s.speed_mph == 0.0 for s in samples)
+        k = track_kinematics(wt, fps=10.0)
+        assert len(k) == 26
+        assert all(s == 0.0 for s in k.speeds_mph)
 
     def test_constant_10ms_matches_closed_form(self):
         wt = constant_track(30, 10.0, 10.0)
-        samples = speed_series(wt, fps=10.0)
-        assert len(samples) == 26  # emission starts at 5 frames of history
-        for s in samples:
-            assert s.speed_mph == pytest.approx(10.0 * MPS_TO_MPH, abs=1e-6)
-            assert 2 <= s.window_frames <= 10
+        k = track_kinematics(wt, fps=10.0)
+        assert len(k) == 26  # emission starts at 5 frames of history
+        for speed, window in zip(k.speeds_mph, k.window_frames):
+            assert speed == pytest.approx(10.0 * MPS_TO_MPH, abs=1e-6)
+            assert 2 <= window <= 10
 
     def test_short_track_empty(self):
         wt = constant_track(4, 10.0, 10.0)
-        assert speed_series(wt, fps=10.0) == []
+        assert track_kinematics(wt, fps=10.0) is None
 
     def test_first_sample_at_warmup(self):
         wt = constant_track(5, 10.0, 10.0)
-        samples = speed_series(wt, fps=10.0)
-        assert len(samples) == 1
-        assert samples[0].frame == 4
-        assert samples[0].window_frames == 5
+        k = track_kinematics(wt, fps=10.0)
+        assert len(k) == 1
+        assert k.frames[0] == 4
+        assert k.window_frames[0] == 5
 
     def test_window_parameters_non_integer_fps(self):
         assert window_params(12.5) == (13, 7)
@@ -127,7 +126,8 @@ class TestSpeedSeries:
             frames = np.sort(rng.choice(np.arange(150), size=n, replace=False))
             pts = np.cumsum(rng.normal(0, 0.4, (n, 2)), axis=0)
             wt = world_track(frames, pts)
-            got = [(s.frame, s.speed_mph, s.window_frames) for s in speed_series(wt, fps)]
+            k = track_kinematics(wt, fps)
+            got = list(zip(k.frames.tolist(), k.speeds_mph.tolist(), k.window_frames.tolist()))
             want = brute_speed_series(frames, pts, fps)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -139,8 +139,8 @@ class TestSpeedSeries:
         frames = np.arange(0, 60, 2)
         pts = np.column_stack([frames * 1.0, np.zeros(30)])
         wt = world_track(frames, pts)
-        for s in speed_series(wt, fps=10.0):
-            assert s.speed_mph == pytest.approx(10.0 * MPS_TO_MPH, rel=1e-12)
+        for speed in track_kinematics(wt, fps=10.0).speeds_mph:
+            assert speed == pytest.approx(10.0 * MPS_TO_MPH, rel=1e-12)
 
 
 class TestInvariants:
@@ -167,19 +167,21 @@ class TestInvariants:
         t = tracks_of(
             straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
         )[0]
-        sa = speed_series(to_world_track(t, h_a), 10.0)
-        sb = speed_series(to_world_track(t, h_b), 10.0)
+        sa = track_kinematics(to_world_track(t, h_a), 10.0)
+        sb = track_kinematics(to_world_track(t, h_b), 10.0)
         assert len(sa) == len(sb)
-        for x, y in zip(sa, sb):
-            assert x.speed_mph == pytest.approx(y.speed_mph, abs=1e-6)
+        for x, y in zip(sa.speeds_mph, sb.speeds_mph):
+            assert x == pytest.approx(y, abs=1e-6)
 
     def test_speed_invariant_under_canonical_rescale_exact(self, rng):
         m = np.array([[20.0, 2.0, 500.0], [1.0, 15.0, 300.0], [1e-3, 2e-4, 1.0]])
         t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))[0]
         for lam in (2.0, -8.0, 0.25):
-            a = speed_series(to_world_track(t, Homography(m)), 10.0)
-            b = speed_series(to_world_track(t, Homography(lam * m)), 10.0)
-            assert [(s.frame, s.speed_mph) for s in a] == [(s.frame, s.speed_mph) for s in b]
+            a = track_kinematics(to_world_track(t, Homography(m)), 10.0)
+            b = track_kinematics(to_world_track(t, Homography(lam * m)), 10.0)
+            assert list(zip(a.frames.tolist(), a.speeds_mph.tolist())) == list(
+                zip(b.frames.tolist(), b.speeds_mph.tolist())
+            )
 
     def test_time_reversal_full_windows_symmetric(self, rng):
         # full-width windows mirror exactly under time reversal; warm-up
@@ -187,35 +189,35 @@ class TestInvariants:
         n, fps = 40, 10.0
         frames = np.arange(n)
         pts = np.cumsum(rng.normal(0, 0.4, (n, 2)), axis=0)
-        fwd = speed_series(world_track(frames, pts), fps)
-        rev = speed_series(
+        fwd = track_kinematics(world_track(frames, pts), fps)
+        rev = track_kinematics(
             world_track(frames.max() - frames[::-1], pts[::-1].copy()), fps
         )
         wmax, _ = window_params(fps)
-        full_fwd = sorted(round(s.speed_mph, 9) for s in fwd if s.window_frames == wmax)
-        full_rev = sorted(round(s.speed_mph, 9) for s in rev if s.window_frames == wmax)
+        full_fwd = sorted(round(s, 9) for s in fwd.speeds_mph[fwd.window_frames == wmax].tolist())
+        full_rev = sorted(round(s, 9) for s in rev.speeds_mph[rev.window_frames == wmax].tolist())
         assert full_fwd == full_rev
 
     def test_time_reversal_constant_track_exact(self):
         wt = constant_track(30, 10.0, 7.0)
-        fwd = speed_series(wt, 10.0)
-        rev = speed_series(
+        fwd = track_kinematics(wt, 10.0)
+        rev = track_kinematics(
             world_track(
                 wt.frames.max() - wt.frames[::-1], wt.points[::-1].copy()
             ),
             10.0,
         )
-        fwd_m = sorted(s.speed_mph for s in fwd)
-        rev_m = sorted(s.speed_mph for s in rev)
+        fwd_m = sorted(fwd.speeds_mph.tolist())
+        rev_m = sorted(rev.speeds_mph.tolist())
         assert fwd_m == pytest.approx(rev_m, abs=1e-9)
 
     def test_no_sample_before_warmup_window_capped(self, rng):
         for fps in (10.0, 17.3, 24.0):
             wmax, first = window_params(fps)
             wt = world_track(np.arange(60), np.cumsum(rng.normal(0, 1, (60, 2)), axis=0))
-            samples = speed_series(wt, fps)
-            assert samples[0].frame == first - 1  # 0-based frame of first emission
-            assert max(s.window_frames for s in samples) <= wmax
+            k = track_kinematics(wt, fps)
+            assert k.frames[0] == first - 1  # 0-based frame of first emission
+            assert max(k.window_frames) <= wmax
 
 
 class TestTrackKinematics:
@@ -229,8 +231,20 @@ class TestTrackKinematics:
         wt = constant_track(30, 10.0, 10.0)
         k = track_kinematics(wt, 10.0)
         assert k.representative_mph == pytest.approx(
-            np.mean([s.speed_mph for s in k.samples]), abs=0
+            np.mean(k.speeds_mph), abs=0
         )
+
+    def test_points_are_the_world_positions_at_sample_frames(self, rng):
+        frames = np.sort(rng.choice(np.arange(100), size=40, replace=False))
+        pts = np.cumsum(rng.normal(0, 0.4, (40, 2)), axis=0)
+        k = track_kinematics(world_track(frames, pts), 10.0)
+        row = np.searchsorted(frames, k.frames)
+        assert np.array_equal(frames[row], k.frames)
+        assert np.array_equal(k.points, pts[row])
+        assert k.frames.dtype == np.int64 and k.window_frames.dtype == np.int64
+        for column in (k.frames, k.speeds_mph, k.window_frames, k.points):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_too_short_returns_none(self):
         wt = constant_track(3, 10.0, 10.0)
