@@ -16,7 +16,7 @@ from .analytics import (
 from .behavior import (
     ManeuverClass,
     ManeuverObservation,
-    approach_speed,
+    approach_speeds,
     classify_maneuver,
     maneuver_distribution,
 )

@@ -8,12 +8,14 @@ Thresholds: below 5 mph is stop-and-go, 5 to under 10 mph is a slow-down, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import _kernels
 from .errors import EmptyInput
-from .kinematics import TrackKinematics
 
 STOP_AND_GO_MPH = 5.0
 SLOW_DOWN_MPH = 10.0
@@ -52,16 +54,33 @@ def classify_maneuver(
     return ManeuverClass.PASS_THROUGH
 
 
-def approach_speed(kin: TrackKinematics, approach_zone, reduction: str = "min") -> float | None:
-    """Approach-zone speed statistic for one vehicle, or None if none of its
-    samples lies inside the zone."""
+def approach_speeds(kinematics_list, approach_zone, reduction: str = "min") -> np.ndarray:
+    """Approach-zone speed statistic per vehicle, in input order: the min or
+    mean of its speeds sampled inside the zone, NaN where none is. Every
+    sample is tested in one points_in_polygon call."""
     if reduction not in ("min", "mean"):
         raise ValueError(f"reduction must be 'min' or 'mean', got {reduction!r}")
-    inside = _kernels.points_in_polygon(kin.points, approach_zone)
-    if not inside.any():
-        return None
-    in_zone = kin.speeds_mph[inside]
-    return float(in_zone.min() if reduction == "min" else in_zone.mean())
+    out = np.full(len(kinematics_list), np.nan)
+    sizes = np.array([len(k) for k in kinematics_list], dtype=np.int64)
+    if not sizes.any():
+        return out
+    inside = _kernels.points_in_polygon(
+        np.concatenate([k.points for k in kinematics_list]), approach_zone
+    )
+    speeds = np.concatenate([k.speeds_mph for k in kinematics_list])
+    # reduceat needs strictly increasing starts, so empty tracks are left out
+    sampled = np.flatnonzero(sizes)
+    starts = (np.cumsum(sizes) - sizes)[sampled]
+    counts = np.add.reduceat(inside, starts, dtype=np.int64)
+    hit = counts > 0
+    if reduction == "min":
+        out[sampled[hit]] = np.minimum.reduceat(np.where(inside, speeds, np.inf), starts)[hit]
+    else:
+        # one mean per track, so each is the value speeds_mph[inside].mean()
+        # gives; a segmented sum would add in another order
+        zone_speeds = np.split(speeds[inside], np.cumsum(counts)[:-1])
+        out[sampled[hit]] = [z.mean() for z in zone_speeds if len(z)]
+    return out
 
 
 def maneuver_distribution(observations) -> ManeuverDistribution:
@@ -86,12 +105,9 @@ def observe_maneuvers(
 ) -> list[ManeuverObservation]:
     """Classify each track by its approach-zone statistic; tracks never
     sampled inside the zone are skipped."""
-    observations = []
-    for kin in kinematics_list:
-        v = approach_speed(kin, approach_zone, reduction)
-        if v is None:
-            continue
-        observations.append(
-            ManeuverObservation(kin.track_id, v, classify_maneuver(v, stopgo_mph, slowdown_mph))
-        )
-    return observations
+    speeds = approach_speeds(kinematics_list, approach_zone, reduction)
+    return [
+        ManeuverObservation(kin.track_id, v, classify_maneuver(v, stopgo_mph, slowdown_mph))
+        for kin, v in zip(kinematics_list, speeds.tolist())
+        if not math.isnan(v)
+    ]

@@ -20,21 +20,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .analytics import compare_phases, percent_change, PhaseSummary
-from .config import load_manifest, load_scene_config, read_json, SceneConfig
+from .config import load_manifest, load_scene_config, load_sim_config, read_json, SceneConfig
 from .errors import ConfigError, InvariantViolation, SpeedStudyError
-from .geometry import Homography, WorldPoint, reprojection_rmse, solve_homography
-from .ingest import ClassLabel, serialize_detections
+from .geometry import Homography, reprojection_rmse, solve_homography
+from .ingest import serialize_detections
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
-from .simulator import (
-    DEFAULT_CLASS_MAP,
-    SyntheticVehicle,
-    ground_truth_csv,
-    profile_from_dict,
-    render_scene,
-)
+from .simulator import ground_truth_csv, render_scene
 
 log = logging.getLogger("speedstudy")
 
@@ -159,64 +151,19 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sim_vehicles(data: dict) -> list[SyntheticVehicle]:
-    vehicles = []
-    for i, v in enumerate(data.get("vehicles", [])):
-        path = f"vehicles[{i}]"
-        try:
-            direction = tuple(float(c) for c in v["direction"])
-            norm = float(np.hypot(direction[0], direction[1]))
-            if norm == 0:
-                raise ConfigError(f"{path}.direction: must be nonzero")
-            vehicles.append(
-                SyntheticVehicle(
-                    vehicle_id=int(v["id"]),
-                    entry_time_s=float(v.get("entry_time_s", 0.0)),
-                    start=WorldPoint(float(v["start"][0]), float(v["start"][1])),
-                    direction=(direction[0] / norm, direction[1] / norm),
-                    profile=profile_from_dict(v["profile"], f"{path}.profile"),
-                    bbox_px=(float(v["bbox_px"][0]), float(v["bbox_px"][1])),
-                    class_label=ClassLabel(v.get("class_label", "car")),
-                    max_distance_m=(
-                        None if v.get("max_distance_m") is None else float(v["max_distance_m"])
-                    ),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not vehicles:
-        raise ConfigError("vehicles: need at least one vehicle")
-    return vehicles
-
-
 def cmd_simulate(args) -> int:
-    data = read_json(args.config, "sim config")
-    if "homography_matrix" not in data:
-        raise ConfigError("homography_matrix: missing (3x3 row-major list)")
-    try:
-        h_true = Homography(np.array(data["homography_matrix"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"homography_matrix: {exc}") from None
-    fps = float(data.get("fps", 10.0))
-    duration = float(data.get("duration_s", 0.0))
-    if fps <= 0 or duration <= 0:
-        raise ConfigError("fps and duration_s must be positive")
-    sigma = float(data.get("noise_sigma_px", 0.0))
-    if sigma < 0:
-        raise ConfigError("noise_sigma_px: must be >= 0")
-    zone = data.get("approach_zone")
-    class_map = DEFAULT_CLASS_MAP
-    if "class_map" in data:
-        class_map = {int(k): ClassLabel(v) for k, v in data["class_map"].items()}
-    vehicles = _sim_vehicles(data)
-
+    sim = load_sim_config(args.config)
     detections, truth = render_scene(
-        vehicles, h_true, fps, duration, sigma, seed=args.seed, approach_zone=zone
+        sim.vehicles,
+        sim.homography,
+        sim.fps,
+        sim.duration_s,
+        sim.noise_sigma_px,
+        seed=args.seed,
+        approach_zone=sim.approach_zone,
     )
     out = Path(args.out)
-    write_atomic(out / "detections.csv", serialize_detections(detections, class_map))
+    write_atomic(out / "detections.csv", serialize_detections(detections, sim.class_map))
     write_atomic(out / "ground_truth.csv", ground_truth_csv(truth))
 
     speeds = [float(v.speeds_mph.max()) for v in truth.vehicles]

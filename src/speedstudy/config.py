@@ -1,4 +1,4 @@
-"""Scene configuration and run manifest loading.
+"""Scene configuration, run manifest and simulation config loading.
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
@@ -17,9 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import Phase
-from .errors import ConfigError
-from .geometry import Correspondence, ImagePoint, WorldPoint
+from .errors import ConfigError, DegenerateConfiguration
+from .geometry import Correspondence, Homography, ImagePoint, WorldPoint
 from .ingest import ClassLabel, SceneGeometry
+from .simulator import (
+    DEFAULT_CLASS_MAP,
+    Constant,
+    PiecewiseLinear,
+    SpeedProfile,
+    SyntheticVehicle,
+    TrapezoidStop,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,20 @@ class SceneConfig:
             travel_direction=self.travel_direction,
             class_map=self.class_map,
         )
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """What `simulate` renders: the true camera, the time span, the anchor
+    noise and the vehicles."""
+
+    homography: Homography
+    fps: float
+    duration_s: float
+    noise_sigma_px: float
+    approach_zone: np.ndarray | None  # world meters; None: no zone
+    class_map: dict[int, ClassLabel]
+    vehicles: tuple[SyntheticVehicle, ...]
 
 
 @dataclass(frozen=True)
@@ -134,6 +156,24 @@ def _polygon(data, path: str) -> np.ndarray:
     return arr
 
 
+def _label(value, path: str) -> ClassLabel:
+    try:
+        return ClassLabel(value)
+    except ValueError:
+        raise ConfigError(f"{path}: unknown label {value!r}") from None
+
+
+def _class_map(data, path: str) -> dict[int, ClassLabel]:
+    class_map = {}
+    for key, value in _shaped(data, dict, path).items():
+        try:
+            class_id = int(key)
+        except ValueError:
+            raise ConfigError(f"{path}.{key}: class id must be an integer") from None
+        class_map[class_id] = _label(value, f"{path}.{key}")
+    return class_map
+
+
 def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     corr_raw = _get(data, "calibration", path)
     corr_path = f"{path}.calibration.correspondences"
@@ -155,16 +195,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         raise ConfigError(f"{path}.travel_direction: must be nonzero")
     direction = direction / norm
 
-    class_map = {}
-    for key, value in _shaped(_get(data, "class_map", path), dict, f"{path}.class_map").items():
-        try:
-            class_id = int(key)
-        except ValueError:
-            raise ConfigError(f"{path}.class_map.{key}: class id must be an integer") from None
-        try:
-            class_map[class_id] = ClassLabel(value)
-        except ValueError:
-            raise ConfigError(f"{path}.class_map.{key}: unknown label {value!r}") from None
+    class_map = _class_map(_get(data, "class_map", path), f"{path}.class_map")
 
     raw = _shaped(data.get("thresholds", {}), dict, f"{path}.thresholds")
     unknown = set(raw) - set(Thresholds.__dataclass_fields__)
@@ -201,6 +232,103 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     )
     cfg.geometry()  # validates polygons and direction
     return cfg
+
+
+def profile_from_dict(data, path: str) -> SpeedProfile:
+    """A simulated vehicle's speed profile from its JSON form."""
+    kind = _shaped(data, dict, path).get("kind")
+
+    def number(key: str) -> float:
+        return _number(_get(data, key, path), f"{path}.{key}", positive=False)
+
+    try:
+        if kind == "constant":
+            return Constant(number("v_mph"))
+        if kind == "trapezoid_stop":
+            return TrapezoidStop(
+                number("v_free_mph"), number("decel_ms2"), number("dwell_s"), number("accel_ms2")
+            )
+        if kind == "piecewise":
+            knots = _shaped(_get(data, "knots", path), list, f"{path}.knots")
+            return PiecewiseLinear(
+                tuple(_point(knot, f"{path}.knots[{i}]") for i, knot in enumerate(knots))
+            )
+    except ValueError as exc:  # the profile's own range checks
+        raise ConfigError(f"{path}: {exc}") from None
+    raise ConfigError(f"{path}.kind: expected constant|trapezoid_stop|piecewise, got {kind!r}")
+
+
+def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
+    dx, dy = _point(_get(data, "direction", path), f"{path}.direction")
+    norm = float(np.hypot(dx, dy))
+    if norm == 0:
+        raise ConfigError(f"{path}.direction: must be nonzero")
+    entry_time_s = _number(data.get("entry_time_s", 0.0), f"{path}.entry_time_s", positive=False)
+    if not math.isfinite(entry_time_s * fps):
+        raise ConfigError(f"{path}.entry_time_s: fps x entry_time_s is not finite")
+    max_distance_m = data.get("max_distance_m")
+    try:
+        return SyntheticVehicle(
+            vehicle_id=_number(_get(data, "id", path), f"{path}.id", kind=int),
+            entry_time_s=entry_time_s,
+            start=WorldPoint(*_point(_get(data, "start", path), f"{path}.start")),
+            direction=(dx / norm, dy / norm),
+            profile=profile_from_dict(_get(data, "profile", path), f"{path}.profile"),
+            bbox_px=_point(_get(data, "bbox_px", path), f"{path}.bbox_px"),
+            class_label=_label(data.get("class_label", "car"), f"{path}.class_label"),
+            max_distance_m=(
+                None if max_distance_m is None
+                else _number(max_distance_m, f"{path}.max_distance_m")
+            ),
+        )
+    except ValueError as exc:  # the vehicle's own range checks
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def sim_config_from_dict(data: dict, path: str) -> SimConfig:
+    matrix_path = f"{path}.homography_matrix"
+    rows = _shaped(_get(data, "homography_matrix", path), list, matrix_path)
+    if len(rows) != 3 or any(len(_shaped(r, list, f"{matrix_path}[{i}]")) != 3
+                             for i, r in enumerate(rows)):
+        raise ConfigError(f"{matrix_path}: expected 3 rows of 3 numbers")
+    matrix = [
+        [_number(v, f"{matrix_path}[{i}][{j}]", positive=False) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+    fps = _number(data.get("fps", 10.0), f"{path}.fps")
+    duration_s = _number(_get(data, "duration_s", path), f"{path}.duration_s")
+    if not math.isfinite(fps * duration_s):
+        raise ConfigError(f"{path}.duration_s: fps x duration_s is not finite")
+    sigma = _number(data.get("noise_sigma_px", 0.0), f"{path}.noise_sigma_px", positive=False)
+    if sigma < 0:
+        raise ConfigError(f"{path}.noise_sigma_px: must be >= 0")
+    try:
+        homography = Homography(np.array(matrix))
+    except DegenerateConfiguration as exc:
+        raise ConfigError(f"{matrix_path}: {exc}") from None
+    zone = data.get("approach_zone")
+    raw_map = data.get("class_map")
+    class_map = DEFAULT_CLASS_MAP if raw_map is None else _class_map(raw_map, f"{path}.class_map")
+    vehicles = _shaped(data.get("vehicles", []), list, f"{path}.vehicles")
+    if not vehicles:
+        raise ConfigError(f"{path}.vehicles: need at least one vehicle")
+    vehicles = tuple(_vehicle(v, f"{path}.vehicles[{i}]", fps) for i, v in enumerate(vehicles))
+    for i, v in enumerate(vehicles):
+        # the detection CSV writes each label as a class id
+        if v.class_label not in class_map.values():
+            raise ConfigError(
+                f"{path}.vehicles[{i}].class_label: {v.class_label.value!r} has no id in class_map"
+            )
+    return SimConfig(
+        homography=homography,
+        fps=fps,
+        duration_s=duration_s,
+        noise_sigma_px=sigma,
+        approach_zone=None if zone is None else _polygon(zone, f"{path}.approach_zone"),
+        class_map=class_map,
+        vehicles=vehicles,
+    )
 
 
 class _NonFinite(ValueError):
@@ -256,6 +384,11 @@ def load_scene_config(path) -> SceneConfig:
         return scene_config_from_dict(data, path.name)
     except ValueError as exc:
         raise ConfigError(f"{path.name}: {exc}") from None
+
+
+def load_sim_config(path) -> SimConfig:
+    path = Path(path)
+    return sim_config_from_dict(read_json(path, "sim config"), path.name)
 
 
 def load_manifest(path) -> RunManifest:

@@ -384,36 +384,60 @@ def assemble_tracks(table: DetectionTable) -> list[Track]:
     ]
 
 
-def clip_to_aoi(track: Track, aoi_polygon) -> Track | None:
-    """Keep the longest contiguous run of detections anchored inside the AoI.
+def _row_tracks(tracks) -> np.ndarray:
+    """Index into tracks of each row of the tracks' concatenated columns."""
+    return np.repeat(np.arange(len(tracks), dtype=np.int64), [len(t) for t in tracks])
 
-    Boundary points count as inside; equal-length runs keep the earliest.
-    Returns None when no detection qualifies.
+
+def clip_to_aoi(tracks, aoi_polygon) -> list[Track]:
+    """Keep each track's longest contiguous run of detections anchored
+    inside the AoI.
+
+    Boundary points count as inside; equal-length runs keep the earliest. A
+    track wholly inside comes back as the same object, and a track with no
+    detection inside is dropped. Every anchor is tested in one
+    points_in_polygon call.
     """
-    inside = _kernels.points_in_polygon(track.anchors, aoi_polygon)
-    edges = np.diff(np.concatenate(([False], inside, [False])).astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    if len(starts) == 0:
-        return None
-    lengths = np.flatnonzero(edges == -1) - starts
-    best = int(np.argmax(lengths))  # first of the longest runs
-    if lengths[best] == len(track):
-        return track
-    return track.rows(int(starts[best]), int(starts[best] + lengths[best]))
+    if not tracks:
+        return []
+    owner = _row_tracks(tracks)
+    inside = _kernels.points_in_polygon(np.concatenate([t.anchors for t in tracks]), aoi_polygon)
+    # a row continues a run when it and the row before are inside one track
+    continues = np.zeros(len(inside) + 1, dtype=bool)
+    continues[1:-1] = inside[1:] & inside[:-1] & (owner[1:] == owner[:-1])
+    starts = np.flatnonzero(inside & ~continues[:-1])
+    stops = np.flatnonzero(inside & ~continues[1:]) + 1
+    run_owner = owner[starts]
+    # per track, the longest run first and among those the earliest
+    order = np.lexsort((starts, starts - stops, run_owner))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = run_owner[order[1:]] != run_owner[order[:-1]]
+    best = order[first]
+    kept = run_owner[best]
+    offsets = np.searchsorted(owner, kept)  # each kept track's first row
+    clipped = []
+    for i, start, stop, offset in zip(
+        kept.tolist(), starts[best].tolist(), stops[best].tolist(), offsets.tolist()
+    ):
+        t = tracks[i]
+        clipped.append(t if stop - start == len(t) else t.rows(start - offset, stop - offset))
+    return clipped
 
 
 def filter_vehicle_type(tracks) -> list[Track]:
     """Keep tracks whose majority class is car, bus, or truck.
 
     Majority is the modal label over the track's detections; ties are broken
-    toward retention if any tied label is a vehicle.
+    toward retention if any tied label is a vehicle. One bincount over
+    (track, label) codes counts the labels of every track.
     """
-    kept = []
-    for t in tracks:
-        counts = np.bincount(t.labels, minlength=len(LABELS))
-        if _VEHICLE_CODES[counts == counts.max()].any():
-            kept.append(t)
-    return kept
+    if not tracks:
+        return []
+    codes = _row_tracks(tracks) * len(LABELS) + np.concatenate([t.labels for t in tracks])
+    counts = np.bincount(codes, minlength=len(tracks) * len(LABELS)).reshape(-1, len(LABELS))
+    modal = counts == counts.max(axis=1, keepdims=True)
+    keep = (modal & _VEHICLE_CODES).any(axis=1)
+    return [t for t, k in zip(tracks, keep.tolist()) if k]
 
 
 def _endpoint_displacements(tracks, h: Homography) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +488,7 @@ def filter_following(
     if len(tracks) < 2:
         return list(tracks)
     frames = np.concatenate([t.frames for t in tracks])
-    track_idx = np.repeat(np.arange(len(tracks), dtype=np.int64), [len(t) for t in tracks])
+    track_idx = _row_tracks(tracks)
     anchors = np.concatenate([t.anchors for t in tracks])
     dirs = _image_headings(anchors, h, travel_direction)
     follower, _, close, coexist = _kernels.close_pair_counts(
@@ -510,11 +534,7 @@ def run_filter_cascade(
     carries 'input' and 'surviving' totals.
     """
     counts = {"input": len(tracks)}
-    clipped = []
-    for t in tracks:
-        c = clip_to_aoi(t, scene.aoi_polygon)
-        if c is not None:
-            clipped.append(c)
+    clipped = clip_to_aoi(tracks, scene.aoi_polygon)
     counts["aoi"] = len(tracks) - len(clipped)
 
     typed = filter_vehicle_type(clipped)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .behavior import ManeuverClass, classify_maneuver
-from .errors import AtInfinity, ConfigError
+from .errors import AtInfinity
 from .geometry import (
     Correspondence,
     Homography,
@@ -303,32 +303,3 @@ def example_roadside_homography() -> Homography:
     return solve_homography(
         Correspondence(WorldPoint(*w), ImagePoint(*i)) for w, i in corners
     )
-
-
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
-
-
-def profile_from_dict(data: dict, path: str) -> SpeedProfile:
-    """Build a profile from its JSON form, reporting errors by field path."""
-    _require(isinstance(data, dict), path, "must be an object")
-    kind = data.get("kind")
-    try:
-        if kind == "constant":
-            return Constant(float(data["v_mph"]))
-        if kind == "trapezoid_stop":
-            return TrapezoidStop(
-                float(data["v_free_mph"]),
-                float(data["decel_ms2"]),
-                float(data["dwell_s"]),
-                float(data["accel_ms2"]),
-            )
-        if kind == "piecewise":
-            knots = tuple((float(t), float(v)) for t, v in data["knots"])
-            return PiecewiseLinear(knots)
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}: missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: expected constant|trapezoid_stop|piecewise, got {kind!r}")

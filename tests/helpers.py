@@ -74,6 +74,37 @@ def point_in_polygon_oracle(x, y, polygon, tol=1e-9) -> bool:
     return inside
 
 
+def clip_to_aoi_oracle(track, polygon):
+    """One track's longest run of anchors inside polygon (the earliest of
+    equal runs): the track itself when every anchor is inside, None when
+    none is, else the run as a Track."""
+    inside = [point_in_polygon_oracle(u, v, polygon) for u, v in track.anchors.tolist()]
+    best = (0, 0)
+    start = None
+    for i, flag in enumerate(inside + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start > best[1] - best[0]:
+                best = (start, i)
+            start = None
+    if best[1] == best[0]:
+        return None
+    if best[1] - best[0] == len(track):
+        return track
+    return track.rows(*best)
+
+
+def approach_speed_oracle(kin, polygon, reduction):
+    """One vehicle's min or mean in-zone speed, or None without an in-zone
+    sample; the mean is numpy's, as the pipeline reports it."""
+    inside = [point_in_polygon_oracle(x, y, polygon) for x, y in kin.points.tolist()]
+    if not any(inside):
+        return None
+    in_zone = kin.speeds_mph[np.array(inside, dtype=bool)]
+    return float(in_zone.min() if reduction == "min" else in_zone.mean())
+
+
 def brute_speed_series(frames, points, fps, min_track_s=0.5):
     """Sliding-window speeds straight from the definition.
 

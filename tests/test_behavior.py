@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from helpers import brute_speed_series, point_in_polygon_oracle, scene_config_dict
+from helpers import (
+    approach_speed_oracle,
+    brute_speed_series,
+    point_in_polygon_oracle,
+    scene_config_dict,
+)
 from speedstudy import (
     ClassLabel,
     Constant,
@@ -14,7 +19,7 @@ from speedstudy import (
     TrapezoidStop,
     WorldPoint,
     _kernels,
-    approach_speed,
+    approach_speeds,
     classify_maneuver,
     maneuver_distribution,
     pipeline,
@@ -22,7 +27,7 @@ from speedstudy import (
 )
 from speedstudy.config import scene_config_from_dict
 from speedstudy.errors import EmptyInput
-from speedstudy.kinematics import WorldTrack, track_kinematics
+from speedstudy.kinematics import TrackKinematics, WorldTrack, track_kinematics
 
 ZONE = np.array([[20.0, -5.0], [35.0, -5.0], [35.0, 5.0], [20.0, 5.0]])
 
@@ -67,7 +72,7 @@ class TestApproachSpeed:
     def test_constant_speed_inside_zone(self):
         wt = self.steady_track(11.18)  # ~25 mph
         kin = track_kinematics(wt, 10.0)
-        got = approach_speed(kin, ZONE)
+        (got,) = approach_speeds([kin], ZONE)
         assert got == pytest.approx(25.0, abs=0.05)
 
     def test_dip_inside_zone_uses_min(self):
@@ -85,7 +90,7 @@ class TestApproachSpeed:
         pts = np.column_stack([xs, np.zeros(120)])
         wt = world_track(frames, pts)
         kin = track_kinematics(wt, fps)
-        got = approach_speed(kin, ZONE)
+        (got,) = approach_speeds([kin], ZONE)
         # oracle: brute-force series filtered by an independent in-zone test
         brute = brute_speed_series(frames, pts, fps)
         in_zone = [
@@ -98,20 +103,57 @@ class TestApproachSpeed:
     def test_never_enters_zone(self):
         wt = self.steady_track(11.18, x0=100.0)
         kin = track_kinematics(wt, 10.0)
-        assert approach_speed(kin, ZONE) is None
+        assert np.isnan(approach_speeds([kin], ZONE)).tolist() == [True]
 
     def test_mean_reduction_option(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
-        mn = approach_speed(kin, ZONE, reduction="min")
-        avg = approach_speed(kin, ZONE, reduction="mean")
+        (mn,) = approach_speeds([kin], ZONE, reduction="min")
+        (avg,) = approach_speeds([kin], ZONE, reduction="mean")
         assert avg >= mn
 
     def test_unknown_reduction_rejected(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
         with pytest.raises(ValueError):
-            approach_speed(kin, ZONE, reduction="median")
+            approach_speeds([kin], ZONE, reduction="median")
+
+    # grid points, some on the zone's edges, so the kernel and the scalar
+    # oracle decide every point exactly alike
+    POINT = st.one_of(
+        st.tuples(st.integers(10, 45), st.integers(-10, 10)),
+        st.sampled_from([(20, 0), (35, -5), (27, 5), (35, 5), (20, -5)]),
+    )
+    SAMPLE = st.tuples(POINT, st.floats(0.0, 200.0))
+
+    @staticmethod
+    def kinematics_of(sample_lists):
+        kins = []
+        for i, samples in enumerate(sample_lists):
+            n = len(samples)
+            speeds = np.array([s for _, s in samples], dtype=np.float64)
+            kins.append(TrackKinematics(
+                i + 1,
+                np.arange(n, dtype=np.int64),
+                speeds,
+                np.full(n, 2, dtype=np.int64),
+                np.array([p for p, _ in samples], dtype=np.float64).reshape(-1, 2),
+                float(speeds.mean()) if n else 0.0,
+            ))
+        return kins
+
+    @given(st.lists(st.lists(SAMPLE, max_size=40), max_size=8), st.sampled_from(["min", "mean"]))
+    @example([], "min")
+    @example([], "mean")
+    @example([[((27, 0), 3.0)], [((50, 0), 4.0)], [((20, 0), 5.0)]], "min")
+    @example([[((27, 0), 0.1)] * 9 + [((50, 0), 1.0)] + [((27, 1), 0.7)] * 10], "mean")
+    def test_matches_per_track_oracle(self, sample_lists, reduction):
+        kins = self.kinematics_of(sample_lists)
+        got = approach_speeds(kins, ZONE, reduction)
+        want = [approach_speed_oracle(k, ZONE, reduction) for k in kins]
+        # NaN exactly where the oracle has no in-zone sample, bit for bit elsewhere
+        assert np.isnan(got).tolist() == [w is None for w in want]
+        assert got[~np.isnan(got)].tolist() == [w for w in want if w is not None]
 
 
 def obs(n_pt, n_sd, n_sg):
@@ -157,23 +199,60 @@ class TestDistribution:
 
 
 class TestObserveManeuvers:
+    PROFILES = (
+        Constant(22.0),
+        PiecewiseLinear(knots=((0.0, 16.0), (2.0, 16.0), (4.0, 7.0), (5.5, 7.0), (7.5, 16.0))),
+        TrapezoidStop(16.0, 3.0, 1.5, 2.5),
+        Constant(12.0),
+    )
+
+    def recording(self, demo_h):
+        vehicles = [
+            SyntheticVehicle(i + 1, 3.0 * i, WorldPoint(0.0, -4.8 + 2.4 * i), (1.0, 0.0),
+                             profile, (40.0, 60.0), ClassLabel.CAR, 95.0)
+            for i, profile in enumerate(self.PROFILES)
+        ]
+        dets, _ = render_scene(vehicles, demo_h, 10.0, 30.0, noise_sigma_px=0.5, seed=3,
+                               approach_zone=ZONE)
+        return DetectionTable.from_rows(dets)
+
+    @pytest.mark.parametrize("reduction", ["min", "mean"])
+    def test_one_polygon_pass_per_recording(self, monkeypatch, demo_h, reduction):
+        table = self.recording(demo_h)
+        cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
+        polygon_calls = []
+        calls_in = {}
+
+        def count_polygon_calls(points, polygon):
+            polygon_calls.append(len(points))
+            return real_polygon(points, polygon)
+
+        def calls_during(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                before = len(polygon_calls)
+                result = real(*args, **kwargs)
+                calls_in[name] = len(polygon_calls) - before
+                return result
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        real_polygon = _kernels.points_in_polygon
+        monkeypatch.setattr(_kernels, "points_in_polygon", count_polygon_calls)
+        calls_during("run_filter_cascade")
+        calls_during("observe_maneuvers")
+        result = pipeline.process_detections(table, cfg, demo_h)
+
+        assert len(result.maneuvers) == len(self.PROFILES)
+        assert calls_in == {"run_filter_cascade": 1, "observe_maneuvers": 1}
+        assert polygon_calls == [len(table), sum(len(k) for k in result.kinematics)]
+
     @pytest.mark.parametrize("reduction", ["min", "mean"])
     def test_one_window_pass_per_track_feeds_the_zone_statistic(
         self, monkeypatch, demo_h, reduction
     ):
-        profiles = (
-            Constant(22.0),
-            PiecewiseLinear(knots=((0.0, 16.0), (2.0, 16.0), (4.0, 7.0), (5.5, 7.0), (7.5, 16.0))),
-            TrapezoidStop(16.0, 3.0, 1.5, 2.5),
-            Constant(12.0),
-        )
-        vehicles = [
-            SyntheticVehicle(i + 1, 3.0 * i, WorldPoint(0.0, -4.8 + 2.4 * i), (1.0, 0.0),
-                             profile, (40.0, 60.0), ClassLabel.CAR, 95.0)
-            for i, profile in enumerate(profiles)
-        ]
-        dets, _ = render_scene(vehicles, demo_h, 10.0, 30.0, noise_sigma_px=0.5, seed=3,
-                               approach_zone=ZONE)
+        table = self.recording(demo_h)
         cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
         calls = {"window_speeds": 0, "track_kinematics": 0}
 
@@ -188,12 +267,12 @@ class TestObserveManeuvers:
 
         counting(_kernels, "window_speeds")
         counting(pipeline, "track_kinematics")
-        result = pipeline.process_detections(DetectionTable.from_rows(dets), cfg, demo_h)
+        result = pipeline.process_detections(table, cfg, demo_h)
 
-        assert calls["track_kinematics"] == len(result.kinematics) == len(profiles)
+        assert calls["track_kinematics"] == len(result.kinematics) == len(self.PROFILES)
         assert calls["window_speeds"] == calls["track_kinematics"]
         kins = {k.track_id: k for k in result.kinematics}
-        assert len(result.maneuvers) == len(profiles)
+        assert len(result.maneuvers) == len(self.PROFILES)
         for m in result.maneuvers:
             k = kins[m.track_id]
             inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in k.points]

@@ -155,6 +155,33 @@ class TestSimulate:
             assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "vehicles[1].profile" in caplog.text
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("fps",), [10], "sim.json.fps: expected a number, got a list"),
+            (("duration_s",), "nan", "sim.json.duration_s: 'nan' is not a finite number"),
+            (("noise_sigma_px",), "nan", "sim.json.noise_sigma_px: 'nan' is not a finite number"),
+            (("duration_s",), 1e308, "sim.json.duration_s: fps x duration_s is not finite"),
+            (("vehicles", 0, "entry_time_s"), 1e308, "vehicles[0].entry_time_s: fps x entry_time_s"),
+            (("vehicles", 1, "start"), [0.0, "nan"], "vehicles[1].start[1]: 'nan' is not a finite"),
+            (("vehicles", 2, "id"), 0, "vehicles[2].id: must be positive"),
+            (("vehicles", 0, "profile", "v_mph"), [25], "vehicles[0].profile.v_mph: expected a number"),
+            (("vehicles", 0, "profile"), {"kind": "piecewise", "knots": [[0, 5, 1]]},
+             "vehicles[0].profile.knots[0]: expected [x, y], got 3 values"),
+            (("homography_matrix",), [[1, 0, 0], [0, 1, 0]], "homography_matrix: expected 3 rows"),
+            (("homography_matrix", 2, 2), "inf", "homography_matrix[2][2]: 'inf' is not a finite"),
+            (("class_map",), {"1.5": "car"}, "class_map.1.5: class id must be an integer"),
+            (("class_map",), {"1": "bus"}, "vehicles[0].class_label: 'car' has no id in class_map"),
+        ],
+    )
+    def test_invalid_field_exits_2(self, tmp_path, sim_homography, caplog, path, value, message):
+        cfg = with_field(dict(sim_config(), homography_matrix=sim_homography), path, value)
+        p = tmp_path / "sim.json"
+        write_json(p, cfg)
+        with caplog.at_level("ERROR"):
+            assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in caplog.text
+
 
 def run_simulate(tmp_path, sim_homography, name="sim_out", noise=0.0, seed=42):
     cfg = dict(sim_config(noise=noise), homography_matrix=sim_homography)

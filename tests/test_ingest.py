@@ -3,11 +3,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     assert_table_matches_rows,
     assert_tracks_equal,
+    clip_to_aoi_oracle,
     det,
     point_in_polygon_oracle,
     straight_track_detections,
@@ -29,12 +30,13 @@ from speedstudy import (
 from speedstudy import ingest
 from speedstudy.geometry import project_points
 from speedstudy.errors import MalformedRow
-from speedstudy.ingest import LABELS, ClassLabel, SceneGeometry, Track
+from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, SceneGeometry, Track
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
 IDENTITY = Homography(np.eye(3))
 SQUARE_100 = np.array([[0, 0], [100, 0], [100, 100], [0, 100]], dtype=float)
+CONCAVE_100 = np.array([[0, 0], [100, 0], [100, 100], [50, 40], [0, 100]], dtype=float)
 
 
 def track_of(detections) -> Track:
@@ -207,11 +209,12 @@ class TestAnchor:
 class TestClipToAoi:
     def test_all_inside_unchanged(self):
         t = track_of(straight_track_detections(1, 20, (10, 10), (2, 2)))
-        assert clip_to_aoi(t, SQUARE_100) is t
+        (clipped,) = clip_to_aoi([t], SQUARE_100)
+        assert clipped is t
 
     def test_none_inside(self):
         t = track_of(straight_track_detections(1, 5, (200, 200), (1, 0)))
-        assert clip_to_aoi(t, SQUARE_100) is None
+        assert clip_to_aoi([t], SQUARE_100) == []
 
     def test_longest_contiguous_run(self):
         # frames 0-30 inside, 31-35 outside, 36-40 inside: keep the long run
@@ -221,7 +224,7 @@ class TestClipToAoi:
             + straight_track_detections(1, 5, (50, 50), (1, 0), first_frame=36)
         )
         t = track_of(dets)
-        clipped = clip_to_aoi(t, SQUARE_100)
+        (clipped,) = clip_to_aoi([t], SQUARE_100)
         frames = clipped.frames.tolist()
         # oracle: exhaustive run-length scan over the inside flags
         inside = [
@@ -239,16 +242,55 @@ class TestClipToAoi:
         assert frames == list(range(0, 31))
 
     def test_clipped_anchors_all_inside(self, rng):
-        for _ in range(20):
+        tracks = []
+        for i in range(20):
             n = int(rng.integers(5, 40))
             start = rng.uniform(-50, 150, 2)
             step = rng.uniform(-10, 10, 2)
-            t = track_of(straight_track_detections(1, n, start, step))
-            clipped = clip_to_aoi(t, SQUARE_100)
-            if clipped is None:
-                continue
+            tracks.append(track_of(straight_track_detections(i + 1, n, start, step)))
+        for clipped in clip_to_aoi(tracks, SQUARE_100):
             for u, v in clipped.anchors:
                 assert point_in_polygon_oracle(u, v, SQUARE_100)
+
+    @staticmethod
+    def tracks_at(anchor_lists):
+        return [
+            Track(
+                i + 1,
+                np.arange(len(anchors), dtype=np.int64),
+                np.array(anchors, dtype=np.float64).reshape(-1, 2),
+                np.zeros(len(anchors), dtype=np.int8),
+                np.full(len(anchors), 0.9),
+            )
+            for i, anchors in enumerate(anchor_lists)
+        ]
+
+    # grid points, some on the polygons' edges: inside, outside and the
+    # boundary are decided exactly by the kernel and the scalar oracle alike
+    ANCHOR = st.one_of(
+        st.tuples(st.integers(-20, 120), st.integers(-20, 120)),
+        st.sampled_from([(0, 0), (0, 50), (100, 37), (64, 100), (100, 100), (50, 25), (20, 60)]),
+    )
+
+    @given(
+        st.lists(st.lists(ANCHOR, max_size=12), max_size=8),
+        st.sampled_from(["square", "concave"]),
+    )
+    @example([], "square")
+    @example([[(50, 50)], [(150, 50)], [(0, 50)]], "square")  # one-detection tracks
+    @example([[(150, 0), (200, 0)], [(5, 5), (-5, 5), (5, 5)]], "square")  # wholly outside
+    # equal runs (earliest wins), touching the first and the last row
+    @example([[(5, 5), (6, 6), (-5, 5), (7, 7), (8, 8)], [(0, 0), (-1, 0), (100, 100)]], "square")
+    @example([[(-5, 5), (5, 5), (6, 6), (-5, 5), (7, 7), (8, 8)]], "concave")
+    def test_matches_per_track_oracle(self, anchor_lists, polygon):
+        poly = SQUARE_100 if polygon == "square" else CONCAVE_100
+        tracks = self.tracks_at(anchor_lists)
+        want = [c for c in (clip_to_aoi_oracle(t, poly) for t in tracks) if c is not None]
+        got = clip_to_aoi(tracks, poly)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g is w) == (w in tracks)
+            assert_tracks_equal(g, w)
 
 
 class TestVehicleType:
@@ -270,6 +312,23 @@ class TestVehicleType:
         dets = [det(0, 1, label=ClassLabel.TRUCK), det(1, 1, label=ClassLabel.PEDESTRIAN)]
         t = track_of(dets)
         assert filter_vehicle_type([t]) == [t]
+
+    @given(st.lists(st.lists(st.sampled_from(LABELS), max_size=8), max_size=8))
+    def test_matches_per_track_vote(self, label_lists):
+        tracks = [
+            Track(i + 1, np.arange(len(labels)), np.zeros((len(labels), 2)),
+                  np.array([LABELS.index(label) for label in labels], dtype=np.int8),
+                  np.full(len(labels), 0.9))
+            for i, labels in enumerate(label_lists)
+        ]
+        want = []
+        for t, labels in zip(tracks, label_lists):
+            counts = {label: labels.count(label) for label in labels}
+            modal = [label for label, c in counts.items() if c == max(counts.values())]
+            # an empty track ties every label at zero, vehicles included
+            if not labels or any(label in VEHICLE_LABELS for label in modal):
+                want.append(t)
+        assert filter_vehicle_type(tracks) == want
 
 
 class TestStationary:

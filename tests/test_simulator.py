@@ -14,12 +14,12 @@ from speedstudy import (
     serialize_detections,
     to_world_track,
 )
+from speedstudy.config import profile_from_dict
 from speedstudy.errors import AtInfinity, ConfigError
 from speedstudy.ingest import ClassLabel, anchor_points
 from speedstudy.simulator import (
     DEFAULT_CLASS_MAP,
     ground_truth_csv,
-    profile_from_dict,
     profile_motion,
 )
 
