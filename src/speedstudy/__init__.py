@@ -34,7 +34,6 @@ from .ingest import (
     ClassLabel,
     Detection,
     DetectionTable,
-    SceneGeometry,
     Track,
     anchor_points,
     assemble_tracks,
@@ -49,8 +48,8 @@ from .ingest import (
 )
 from .kinematics import (
     MPS_TO_MPH,
-    TrackKinematics,
-    WorldTrack,
+    KinematicsTable,
+    WorldTable,
     to_world_track,
     track_kinematics,
 )

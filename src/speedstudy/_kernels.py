@@ -55,17 +55,20 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
 # ---------------------------------------------------------------------------
 # sliding-window speeds
 #
-# For position i (0-based) the window reaches back w = min(i + 1, wmax)
-# samples; speed is endpoint displacement over endpoint frame gap. Samples are
-# emitted once the history holds at least first_hist samples (and always at
-# least 2, so the window spans a positive time).
+# The rows are cut into segments (one per track), and a window never reaches
+# before its row's segment start s. For row i the window reaches back
+# w = min(i - s + 1, wmax) rows; speed is endpoint displacement over endpoint
+# frame gap. Samples are emitted once the segment's history holds at least
+# first_hist rows (and always at least 2, so the window spans a positive time).
 
 
-def window_speeds(frames, xs, ys, wmax, first_hist, fps):
-    """Per-position window speed (m/s) and window length; -1 marks no sample.
+def window_speeds(frames, xs, ys, wmax, first_hist, fps, seg_start=0):
+    """Per-row window speed (m/s) and window length; -1 marks no sample.
 
-    first_hist is clamped to 2 so every emitted window spans >= 2 samples.
-    Both are capped at len(frames) + 1, which changes no result.
+    seg_start is each row's segment start (int64, seg_start[i] <= i), or 0
+    for one segment. first_hist is clamped to 2 so every emitted window
+    spans >= 2 rows. Both are capped at len(frames) + 1, which changes no
+    result.
     """
     frames = np.asarray(frames, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -74,8 +77,8 @@ def window_speeds(frames, xs, ys, wmax, first_hist, fps):
     wmax = max(min(int(wmax), n + 1), 2)
     first_hist = max(min(int(first_hist), n + 1), 2)
     i = np.arange(n)
-    j = np.maximum(0, i - wmax + 1)
-    emit = (i + 1 >= first_hist) & (i > 0)
+    j = np.maximum(seg_start, i - wmax + 1)
+    emit = (i - seg_start + 1 >= first_hist) & (i > seg_start)
     dt = (frames - frames[j]) / fps
     safe_dt = np.where(emit, dt, 1.0)
     dx = xs - xs[j]

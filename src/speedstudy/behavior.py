@@ -54,32 +54,25 @@ def classify_maneuver(
     return ManeuverClass.PASS_THROUGH
 
 
-def approach_speeds(kinematics_list, approach_zone, reduction: str = "min") -> np.ndarray:
-    """Approach-zone speed statistic per vehicle, in input order: the min or
-    mean of its speeds sampled inside the zone, NaN where none is. Every
-    sample is tested in one points_in_polygon call."""
+def approach_speeds(kinematics, approach_zone, reduction: str = "min") -> np.ndarray:
+    """Approach-zone speed statistic per track of a KinematicsTable, in its
+    order: the min or mean of the track's speeds sampled inside the zone,
+    NaN where none is. Every sample is tested in one points_in_polygon call."""
     if reduction not in ("min", "mean"):
         raise ValueError(f"reduction must be 'min' or 'mean', got {reduction!r}")
-    out = np.full(len(kinematics_list), np.nan)
-    sizes = np.array([len(k) for k in kinematics_list], dtype=np.int64)
-    if not sizes.any():
-        return out
-    inside = _kernels.points_in_polygon(
-        np.concatenate([k.points for k in kinematics_list]), approach_zone
-    )
-    speeds = np.concatenate([k.speeds_mph for k in kinematics_list])
-    # reduceat needs strictly increasing starts, so empty tracks are left out
-    sampled = np.flatnonzero(sizes)
-    starts = (np.cumsum(sizes) - sizes)[sampled]
+    out = np.full(len(kinematics.track_ids), np.nan)
+    inside = _kernels.points_in_polygon(kinematics.points, approach_zone)
+    speeds = kinematics.speeds_mph
+    starts = kinematics.offsets[:-1]  # strictly increasing: no track is empty
     counts = np.add.reduceat(inside, starts, dtype=np.int64)
     hit = counts > 0
     if reduction == "min":
-        out[sampled[hit]] = np.minimum.reduceat(np.where(inside, speeds, np.inf), starts)[hit]
+        out[hit] = np.minimum.reduceat(np.where(inside, speeds, np.inf), starts)[hit]
     else:
         # one mean per track, so each is the value speeds_mph[inside].mean()
         # gives; a segmented sum would add in another order
         zone_speeds = np.split(speeds[inside], np.cumsum(counts)[:-1])
-        out[sampled[hit]] = [z.mean() for z in zone_speeds if len(z)]
+        out[hit] = [z.mean() for z in zone_speeds if len(z)]
     return out
 
 
@@ -97,17 +90,17 @@ def maneuver_distribution(observations) -> ManeuverDistribution:
 
 
 def observe_maneuvers(
-    kinematics_list,
+    kinematics,
     approach_zone,
     reduction: str = "min",
     stopgo_mph: float = STOP_AND_GO_MPH,
     slowdown_mph: float = SLOW_DOWN_MPH,
 ) -> list[ManeuverObservation]:
-    """Classify each track by its approach-zone statistic; tracks never
-    sampled inside the zone are skipped."""
-    speeds = approach_speeds(kinematics_list, approach_zone, reduction)
+    """Classify each track of a KinematicsTable by its approach-zone
+    statistic; tracks never sampled inside the zone are skipped."""
+    speeds = approach_speeds(kinematics, approach_zone, reduction)
     return [
-        ManeuverObservation(kin.track_id, v, classify_maneuver(v, stopgo_mph, slowdown_mph))
-        for kin, v in zip(kinematics_list, speeds.tolist())
+        ManeuverObservation(track_id, v, classify_maneuver(v, stopgo_mph, slowdown_mph))
+        for track_id, v in zip(kinematics.track_ids.tolist(), speeds.tolist())
         if not math.isnan(v)
     ]

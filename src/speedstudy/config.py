@@ -19,7 +19,7 @@ import numpy as np
 from .analytics import Phase
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Correspondence, Homography, ImagePoint, WorldPoint
-from .ingest import ClassLabel, SceneGeometry
+from .ingest import ClassLabel
 from .simulator import (
     DEFAULT_CLASS_MAP,
     Constant,
@@ -57,15 +57,6 @@ class SceneConfig:
     v_mean_reduction: str = "min"
     intersection_type: str = "unsignalized"
     histogram_bin_mph: float = 1.0
-
-    def geometry(self) -> SceneGeometry:
-        return SceneGeometry(
-            fps=self.fps,
-            aoi_polygon=self.aoi_polygon,
-            approach_zone=self.approach_zone,
-            travel_direction=self.travel_direction,
-            class_map=self.class_map,
-        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +135,28 @@ def _point(value, path: str) -> tuple[float, float]:
     return tuple(_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(pair))
 
 
+def _segments_cross(p1, p2, p3, p4) -> bool:
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+
+    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
+    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+
+
+def _is_simple_polygon(poly: np.ndarray) -> bool:
+    n = len(poly)
+    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share a vertex
+            if _segments_cross(*edges[i], *edges[j]):
+                return False
+    return True
+
+
 def _polygon(data, path: str) -> np.ndarray:
     try:
         arr = np.array(_shaped(data, list, path), dtype=np.float64)
@@ -153,6 +166,8 @@ def _polygon(data, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: expected at least 3 [x, y] pairs")
     if not np.isfinite(arr).all():
         raise ConfigError(f"{path}: coordinates must be finite numbers")
+    if not _is_simple_polygon(arr):
+        raise ConfigError(f"{path}: polygon is self-intersecting")
     return arr
 
 
@@ -212,7 +227,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
             raise ConfigError(f"{path}.{key}: expected one of {options}, got {value!r}")
         return value
 
-    cfg = SceneConfig(
+    return SceneConfig(
         location_id=_number(
             _get(data, "location_id", path), f"{path}.location_id", kind=int, positive=False
         ),
@@ -230,8 +245,6 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         intersection_type=_choice("intersection_type", ("unsignalized", "signalized"), "unsignalized"),
         histogram_bin_mph=_number(data.get("histogram_bin_mph", 1.0), f"{path}.histogram_bin_mph"),
     )
-    cfg.geometry()  # validates polygons and direction
-    return cfg
 
 
 def profile_from_dict(data, path: str) -> SpeedProfile:
@@ -379,11 +392,7 @@ def read_json(path, what: str):
 
 def load_scene_config(path) -> SceneConfig:
     path = Path(path)
-    data = read_json(path, "scene config")
-    try:
-        return scene_config_from_dict(data, path.name)
-    except ValueError as exc:
-        raise ConfigError(f"{path.name}: {exc}") from None
+    return scene_config_from_dict(read_json(path, "scene config"), path.name)
 
 
 def load_sim_config(path) -> SimConfig:

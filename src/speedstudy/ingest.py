@@ -149,52 +149,6 @@ class Track:
         )
 
 
-@dataclass(frozen=True)
-class SceneGeometry:
-    """Per-site constants: frame rate, zones, travel direction, class ids."""
-
-    fps: float
-    aoi_polygon: np.ndarray  # image px, simple polygon
-    approach_zone: np.ndarray  # world meters, simple polygon
-    travel_direction: np.ndarray  # unit vector, world frame
-    class_map: dict[int, ClassLabel]
-
-    def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        for name, poly in (("aoi_polygon", self.aoi_polygon), ("approach_zone", self.approach_zone)):
-            arr = np.asarray(poly, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] < 3 or arr.shape[1] != 2:
-                raise ValueError(f"{name} needs at least 3 (x, y) vertices")
-            if not _is_simple_polygon(arr):
-                raise ValueError(f"{name} is self-intersecting")
-        d = np.asarray(self.travel_direction, dtype=np.float64)
-        if abs(float(np.hypot(d[0], d[1])) - 1.0) > 1e-9:
-            raise ValueError("travel_direction must be a unit vector")
-
-
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
-
-
-def _is_simple_polygon(poly: np.ndarray) -> bool:
-    n = len(poly)
-    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex
-            if _segments_cross(*edges[i], *edges[j]):
-                return False
-    return True
-
-
 # One CSV row as loadtxt reads it; bbox is left, top, width, height.
 _ROW_DTYPE = np.dtype(
     [
@@ -521,7 +475,8 @@ def filter_direction(tracks, h: Homography, travel_direction, max_deg: float = 4
 
 def run_filter_cascade(
     tracks,
-    scene: SceneGeometry,
+    aoi_polygon,
+    travel_direction,
     h: Homography,
     stationary_m: float = 2.0,
     following_px: float = 40.0,
@@ -534,7 +489,7 @@ def run_filter_cascade(
     carries 'input' and 'surviving' totals.
     """
     counts = {"input": len(tracks)}
-    clipped = clip_to_aoi(tracks, scene.aoi_polygon)
+    clipped = clip_to_aoi(tracks, aoi_polygon)
     counts["aoi"] = len(tracks) - len(clipped)
 
     typed = filter_vehicle_type(clipped)
@@ -543,10 +498,10 @@ def run_filter_cascade(
     moving = filter_stationary(typed, h, stationary_m)
     counts["stationary"] = len(typed) - len(moving)
 
-    spaced = filter_following(moving, h, scene.travel_direction, following_px, following_frac)
+    spaced = filter_following(moving, h, travel_direction, following_px, following_frac)
     counts["following"] = len(moving) - len(spaced)
 
-    directed = filter_direction(spaced, h, scene.travel_direction, direction_deg)
+    directed = filter_direction(spaced, h, travel_direction, direction_deg)
     counts["direction"] = len(spaced) - len(directed)
 
     counts["surviving"] = len(directed)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels
 from .geometry import Homography, project_points
-from .ingest import Track
 
 log = logging.getLogger(__name__)
 
@@ -26,37 +25,30 @@ DEFAULT_MIN_TRACK_S = 0.5
 _MAX_DROP_FRAC = 0.10
 
 
-@dataclass(frozen=True)
-class WorldTrack:
-    track_id: int
-    frames: np.ndarray  # (N,) int64, strictly increasing
+@dataclass(frozen=True, eq=False)
+class WorldTable:
+    """One recording's tracks on the road plane: track k, with id
+    track_ids[k], holds rows offsets[k]:offsets[k + 1] of the row columns."""
+
+    track_ids: np.ndarray  # (T,) int64
+    offsets: np.ndarray  # (T + 1,) int64, from 0 to the row count
+    frames: np.ndarray  # (N,) int64, strictly increasing within a track
     points: np.ndarray  # (N, 2) float64, meters
 
     def __post_init__(self):
-        self.frames.setflags(write=False)
-        self.points.setflags(write=False)
-
-    def __len__(self):
-        return len(self.frames)
+        for column in fields(self):
+            getattr(self, column.name).setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TrackKinematics:
-    """One vehicle's sliding-window speed samples, one array row per sample."""
+@dataclass(frozen=True, eq=False)
+class KinematicsTable(WorldTable):
+    """One recording's sliding-window speed samples, one row per sample:
+    frames and points are the frame each sample ends at and the world
+    position there. Every track has at least one sample."""
 
-    track_id: int
-    frames: np.ndarray  # (N,) int64, the frame each sample ends at
     speeds_mph: np.ndarray  # (N,) float64
     window_frames: np.ndarray  # (N,) int64, positions spanned by each window
-    points: np.ndarray  # (N, 2) float64, world position at each sample frame
-    representative_mph: float  # arithmetic mean of speeds_mph
-
-    def __post_init__(self):
-        for column in (self.frames, self.speeds_mph, self.window_frames, self.points):
-            column.setflags(write=False)
-
-    def __len__(self):
-        return len(self.frames)
+    representative_mph: np.ndarray  # (T,) float64, mean of each track's speeds
 
 
 def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple[int, int]:
@@ -66,43 +58,59 @@ def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple
     return wmax, first_hist
 
 
-def to_world_track(track: Track, h: Homography) -> WorldTrack | None:
-    """Map a track's anchors onto the road plane via the inverse homography.
+def to_world_track(tracks, h: Homography) -> WorldTable:
+    """Map every track's anchors onto the road plane via the inverse
+    homography, in one projection.
 
-    Unprojectable anchors are dropped with a warning; the whole track is
-    dropped (None) when more than 10% of its points are lost.
+    Unprojectable anchors are dropped with a warning; a whole track is
+    dropped when more than 10% of its points are lost.
     """
-    world, valid = project_points(h.inverse().matrix, track.anchors)
-    n_bad = int((~valid).sum())
-    if n_bad:
-        log.warning("track %d: dropped %d unprojectable points", track.track_id, n_bad)
-        if n_bad > _MAX_DROP_FRAC * len(track):
-            log.warning("track %d dropped entirely", track.track_id)
-            return None
-    frames = track.frames[valid]
-    return WorldTrack(track.track_id, frames, world[valid].copy())
+    sizes = np.array([len(t) for t in tracks], dtype=np.int64)
+    frames = np.concatenate([t.frames for t in tracks] or [np.zeros(0, dtype=np.int64)])
+    anchors = np.concatenate([t.anchors for t in tracks] or [np.zeros((0, 2))])
+    world, valid = project_points(h.inverse().matrix, anchors)
+    owner = np.repeat(np.arange(len(tracks)), sizes)
+    n_bad = np.bincount(owner[~valid], minlength=len(tracks))
+    dropped = n_bad > _MAX_DROP_FRAC * sizes
+    for k in np.flatnonzero(n_bad).tolist():
+        log.warning("track %d: dropped %d unprojectable points", tracks[k].track_id, n_bad[k])
+        if dropped[k]:
+            log.warning("track %d dropped entirely", tracks[k].track_id)
+    keep = valid & ~dropped[owner]
+    return WorldTable(
+        np.array([t.track_id for t in tracks], dtype=np.int64)[~dropped],
+        np.concatenate(([0], np.cumsum((sizes - n_bad)[~dropped]))),
+        frames[keep],
+        world[keep],
+    )
 
 
 def track_kinematics(
-    world_track: WorldTrack, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
-) -> TrackKinematics | None:
-    """Per-track speed samples plus their mean; None for too-short tracks."""
+    world: WorldTable, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
+) -> KinematicsTable:
+    """Every track's speed samples, from one window pass over the table,
+    plus each track's mean; tracks too short for a sample are left out."""
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     wmax, first_hist = window_params(fps, min_track_s)
     speeds_ms, wlens = _kernels.window_speeds(
-        world_track.frames, world_track.points[:, 0], world_track.points[:, 1],
-        wmax, first_hist, fps,
+        world.frames, world.points[:, 0], world.points[:, 1], wmax, first_hist, fps,
+        np.repeat(world.offsets[:-1], np.diff(world.offsets)),
     )
     idx = np.flatnonzero(speeds_ms >= 0.0)
-    if len(idx) == 0:
-        return None
+    bounds = np.searchsorted(idx, world.offsets)  # each track's first sample
+    sampled = np.diff(bounds) > 0
+    offsets = np.append(bounds[:-1][sampled], len(idx))
     speeds = speeds_ms[idx] * MPS_TO_MPH
-    return TrackKinematics(
-        world_track.track_id,
-        world_track.frames[idx],
+    # one mean per track, so each is the value np.mean of its samples gives;
+    # a segmented sum would add in another order
+    means = [speeds[a:b].mean() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    return KinematicsTable(
+        world.track_ids[sampled],
+        offsets,
+        world.frames[idx],
+        world.points[idx],
         speeds,
         wlens[idx],
-        world_track.points[idx],
-        float(np.mean(speeds)),
+        np.array(means, dtype=np.float64),
     )

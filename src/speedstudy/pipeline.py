@@ -24,7 +24,7 @@ from .ingest import (
     parse_track_file,
     run_filter_cascade,
 )
-from .kinematics import TrackKinematics, to_world_track, track_kinematics
+from .kinematics import KinematicsTable, to_world_track, track_kinematics
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 class RecordingResult:
     source: str
     raw_rows: int
-    kinematics: list[TrackKinematics]
+    kinematics: KinematicsTable
     maneuvers: list[ManeuverObservation] | None
     filter_counts: dict[str, int]
 
@@ -53,7 +53,8 @@ def process_detections(
     th = cfg.thresholds
     survivors, counts = run_filter_cascade(
         tracks,
-        cfg.geometry(),
+        cfg.aoi_polygon,
+        cfg.travel_direction,
         h,
         stationary_m=th.stationary_m,
         following_px=th.following_px,
@@ -63,22 +64,10 @@ def process_detections(
     if counts["input"] - sum(counts[s] for s in CASCADE_STAGES) != counts["surviving"]:
         raise InvariantViolation(f"filter accounting does not balance: {counts}")
 
-    world_tracks = []
-    unprojectable = 0
-    for t in survivors:
-        wt = to_world_track(t, h)
-        if wt is None:
-            unprojectable += 1
-        else:
-            world_tracks.append(wt)
-    counts["unprojectable"] = unprojectable
-
-    kins = []
-    for wt in world_tracks:
-        k = track_kinematics(wt, cfg.fps, th.min_track_s)
-        if k is not None:
-            kins.append(k)
-    counts["no_kinematics"] = len(world_tracks) - len(kins)
+    world = to_world_track(survivors, h)
+    counts["unprojectable"] = len(survivors) - len(world.track_ids)
+    kins = track_kinematics(world, cfg.fps, th.min_track_s)
+    counts["no_kinematics"] = len(world.track_ids) - len(kins.track_ids)
 
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
@@ -103,9 +92,9 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
     totals["raw_detections"] = sum(r.raw_rows for r in recordings)
 
     if cfg.representative == "per_vehicle":
-        speeds = [k.representative_mph for rec in recordings for k in rec.kinematics]
+        speeds = [s for rec in recordings for s in rec.kinematics.representative_mph.tolist()]
     else:
-        speeds = [s for rec in recordings for k in rec.kinematics for s in k.speeds_mph.tolist()]
+        speeds = [s for rec in recordings for s in rec.kinematics.speeds_mph.tolist()]
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = [m for rec in recordings for m in rec.maneuvers]
@@ -140,14 +129,19 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
     return PhaseResult(summary, recordings, totals)
 
 
-def kinematics_csv(kins: list[TrackKinematics]) -> str:
+def kinematics_csv(kins: KinematicsTable) -> str:
     """Sample rows plus one `track_id,summary,<mean mph>,<n samples>` row per
     track (the literal 'summary' sits in the frame column)."""
     lines = ["track_id,frame,speed_mph,window_frames"]
-    for k in kins:
-        for f, s, w in zip(k.frames.tolist(), k.speeds_mph.tolist(), k.window_frames.tolist()):
-            lines.append(f"{k.track_id},{f},{s!r},{w}")
-        lines.append(f"{k.track_id},summary,{k.representative_mph!r},{len(k)}")
+    offsets = kins.offsets.tolist()
+    for track_id, mean, a, b in zip(
+        kins.track_ids.tolist(), kins.representative_mph.tolist(), offsets, offsets[1:]
+    ):
+        # one track at a time: holding every sample of the recording as
+        # Python objects at once raises peak memory
+        columns = (kins.frames[a:b], kins.speeds_mph[a:b], kins.window_frames[a:b])
+        lines += [f"{track_id},{f},{s!r},{w}" for f, s, w in zip(*(c.tolist() for c in columns))]
+        lines.append(f"{track_id},summary,{mean!r},{b - a}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,10 @@
 """Independent oracles and small builders shared by the test modules.
 
-Everything here is written directly from first principles (plain Python, no
+Most of this is written directly from first principles (plain Python, no
 package kernels) so tests compare the implementation against a second path.
+The kinematics oracles are instead the per-track path that the
+recording-level tables replaced: one projection and one window_speeds call
+per track.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ from speedstudy import (
     DetectionTable,
     ImagePoint,
     WorldPoint,
+    WorldTable,
+    _kernels,
     assemble_tracks,
 )
+from speedstudy.geometry import project_points
 from speedstudy.ingest import LABELS, ClassLabel
+from speedstudy.kinematics import window_params
 
 MPS_TO_MPH = 2.2369362920544
 
@@ -95,13 +102,15 @@ def clip_to_aoi_oracle(track, polygon):
     return track.rows(*best)
 
 
-def approach_speed_oracle(kin, polygon, reduction):
-    """One vehicle's min or mean in-zone speed, or None without an in-zone
-    sample; the mean is numpy's, as the pipeline reports it."""
-    inside = [point_in_polygon_oracle(x, y, polygon) for x, y in kin.points.tolist()]
-    if not any(inside):
+def approach_speed_oracle(samples, polygon, reduction):
+    """One vehicle's min or mean in-zone speed over its ((x, y), speed)
+    samples, or None without an in-zone sample; the mean is numpy's, as the
+    pipeline reports it."""
+    in_zone = np.array(
+        [s for (x, y), s in samples if point_in_polygon_oracle(x, y, polygon)], dtype=np.float64
+    )
+    if not len(in_zone):
         return None
-    in_zone = kin.speeds_mph[np.array(inside, dtype=bool)]
     return float(in_zone.min() if reduction == "min" else in_zone.mean())
 
 
@@ -125,6 +134,47 @@ def brute_speed_series(frames, points, fps, min_track_s=0.5):
         dt = (frames[i] - frames[j]) / fps
         out.append((int(frames[i]), d / dt * MPS_TO_MPH, w))
     return out
+
+
+def world_table(paths) -> WorldTable:
+    """A WorldTable of (frames, points) pairs, one per track, ids 1, 2, ..."""
+    frames = [np.asarray(f, dtype=np.int64) for f, _ in paths]
+    points = [np.asarray(p, dtype=np.float64).reshape(-1, 2) for _, p in paths]
+    return WorldTable(
+        np.arange(1, len(paths) + 1, dtype=np.int64),
+        np.concatenate(([0], np.cumsum([len(f) for f in frames], dtype=np.int64))),
+        np.concatenate(frames or [np.zeros(0, dtype=np.int64)]),
+        np.concatenate(points or [np.zeros((0, 2))]),
+    )
+
+
+def world_track_oracle(track, h, warnings):
+    """One track on the road plane, one projection per track: (frames,
+    points) of its projectable anchors, or None when more than 10% of them
+    are lost. Appends the warnings the pipeline logs for it to warnings."""
+    world, valid = project_points(h.inverse().matrix, track.anchors)
+    n_bad = int((~valid).sum())
+    if n_bad:
+        warnings.append(f"track {track.track_id}: dropped {n_bad} unprojectable points")
+        if n_bad > 0.10 * len(track):
+            warnings.append(f"track {track.track_id} dropped entirely")
+            return None
+    return track.frames[valid], world[valid].copy()
+
+
+def track_kinematics_oracle(frames, points, fps, min_track_s=0.5):
+    """One track's speed samples from one single-segment window_speeds call:
+    (frames, speeds_mph, window_frames, points, mean mph), or None when the
+    track is too short for a sample."""
+    wmax, first_hist = window_params(fps, min_track_s)
+    speeds_ms, wlens = _kernels.window_speeds(
+        frames, points[:, 0], points[:, 1], wmax, first_hist, fps
+    )
+    idx = np.flatnonzero(speeds_ms >= 0.0)
+    if len(idx) == 0:
+        return None
+    speeds = speeds_ms[idx] * MPS_TO_MPH
+    return frames[idx], speeds, wlens[idx], points[idx], float(np.mean(speeds))
 
 
 def close_pair_counts_oracle(frames, track_idx, us, vs, dus, dvs, max_px, n_tracks):
@@ -202,6 +252,13 @@ def scene_config_dict(h, location_id=1, fps=10.0, **overrides) -> dict:
     }
     cfg.update(overrides)
     return cfg
+
+
+def assert_same_bits(got, want):
+    """Same dtype, shape and bytes: equal bit for bit."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_tracks_equal(a, b):

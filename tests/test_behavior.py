@@ -7,6 +7,7 @@ from helpers import (
     brute_speed_series,
     point_in_polygon_oracle,
     scene_config_dict,
+    world_table,
 )
 from speedstudy import (
     ClassLabel,
@@ -21,19 +22,20 @@ from speedstudy import (
     _kernels,
     approach_speeds,
     classify_maneuver,
+    kinematics,
     maneuver_distribution,
     pipeline,
     render_scene,
 )
 from speedstudy.config import scene_config_from_dict
 from speedstudy.errors import EmptyInput
-from speedstudy.kinematics import TrackKinematics, WorldTrack, track_kinematics
+from speedstudy.kinematics import KinematicsTable, track_kinematics
 
 ZONE = np.array([[20.0, -5.0], [35.0, -5.0], [35.0, 5.0], [20.0, 5.0]])
 
 
-def world_track(frames, points, track_id=1):
-    return WorldTrack(track_id, np.asarray(frames, dtype=np.int64), np.asarray(points, float))
+def world_track(frames, points):
+    return world_table([(frames, points)])
 
 
 class TestClassify:
@@ -72,7 +74,7 @@ class TestApproachSpeed:
     def test_constant_speed_inside_zone(self):
         wt = self.steady_track(11.18)  # ~25 mph
         kin = track_kinematics(wt, 10.0)
-        (got,) = approach_speeds([kin], ZONE)
+        (got,) = approach_speeds(kin, ZONE)
         assert got == pytest.approx(25.0, abs=0.05)
 
     def test_dip_inside_zone_uses_min(self):
@@ -90,7 +92,7 @@ class TestApproachSpeed:
         pts = np.column_stack([xs, np.zeros(120)])
         wt = world_track(frames, pts)
         kin = track_kinematics(wt, fps)
-        (got,) = approach_speeds([kin], ZONE)
+        (got,) = approach_speeds(kin, ZONE)
         # oracle: brute-force series filtered by an independent in-zone test
         brute = brute_speed_series(frames, pts, fps)
         in_zone = [
@@ -103,20 +105,20 @@ class TestApproachSpeed:
     def test_never_enters_zone(self):
         wt = self.steady_track(11.18, x0=100.0)
         kin = track_kinematics(wt, 10.0)
-        assert np.isnan(approach_speeds([kin], ZONE)).tolist() == [True]
+        assert np.isnan(approach_speeds(kin, ZONE)).tolist() == [True]
 
     def test_mean_reduction_option(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
-        (mn,) = approach_speeds([kin], ZONE, reduction="min")
-        (avg,) = approach_speeds([kin], ZONE, reduction="mean")
+        (mn,) = approach_speeds(kin, ZONE, reduction="min")
+        (avg,) = approach_speeds(kin, ZONE, reduction="mean")
         assert avg >= mn
 
     def test_unknown_reduction_rejected(self):
         wt = self.steady_track(11.18)
         kin = track_kinematics(wt, 10.0)
         with pytest.raises(ValueError):
-            approach_speeds([kin], ZONE, reduction="median")
+            approach_speeds(kin, ZONE, reduction="median")
 
     # grid points, some on the zone's edges, so the kernel and the scalar
     # oracle decide every point exactly alike
@@ -128,21 +130,25 @@ class TestApproachSpeed:
 
     @staticmethod
     def kinematics_of(sample_lists):
-        kins = []
-        for i, samples in enumerate(sample_lists):
-            n = len(samples)
-            speeds = np.array([s for _, s in samples], dtype=np.float64)
-            kins.append(TrackKinematics(
-                i + 1,
-                np.arange(n, dtype=np.int64),
-                speeds,
-                np.full(n, 2, dtype=np.int64),
-                np.array([p for p, _ in samples], dtype=np.float64).reshape(-1, 2),
-                float(speeds.mean()) if n else 0.0,
-            ))
-        return kins
+        """A KinematicsTable with one track per (nonempty) list of samples."""
+        sizes = [len(samples) for samples in sample_lists]
+        n = sum(sizes)
+        offsets = np.cumsum([0] + sizes, dtype=np.int64)
+        speeds = np.array([s for samples in sample_lists for _, s in samples], dtype=np.float64)
+        return KinematicsTable(
+            track_ids=np.arange(1, len(sizes) + 1, dtype=np.int64),
+            offsets=offsets,
+            frames=np.arange(n, dtype=np.int64),
+            points=np.array(
+                [p for samples in sample_lists for p, _ in samples], dtype=np.float64
+            ).reshape(-1, 2),
+            speeds_mph=speeds,
+            window_frames=np.full(n, 2, dtype=np.int64),
+            representative_mph=np.array([speeds[a:b].mean() for a, b in zip(offsets, offsets[1:])]),
+        )
 
-    @given(st.lists(st.lists(SAMPLE, max_size=40), max_size=8), st.sampled_from(["min", "mean"]))
+    @given(st.lists(st.lists(SAMPLE, min_size=1, max_size=40), max_size=8),
+           st.sampled_from(["min", "mean"]))
     @example([], "min")
     @example([], "mean")
     @example([[((27, 0), 3.0)], [((50, 0), 4.0)], [((20, 0), 5.0)]], "min")
@@ -150,7 +156,7 @@ class TestApproachSpeed:
     def test_matches_per_track_oracle(self, sample_lists, reduction):
         kins = self.kinematics_of(sample_lists)
         got = approach_speeds(kins, ZONE, reduction)
-        want = [approach_speed_oracle(k, ZONE, reduction) for k in kins]
+        want = [approach_speed_oracle(samples, ZONE, reduction) for samples in sample_lists]
         # NaN exactly where the oracle has no in-zone sample, bit for bit elsewhere
         assert np.isnan(got).tolist() == [w is None for w in want]
         assert got[~np.isnan(got)].tolist() == [w for w in want if w is not None]
@@ -246,15 +252,14 @@ class TestObserveManeuvers:
 
         assert len(result.maneuvers) == len(self.PROFILES)
         assert calls_in == {"run_filter_cascade": 1, "observe_maneuvers": 1}
-        assert polygon_calls == [len(table), sum(len(k) for k in result.kinematics)]
+        assert polygon_calls == [len(table), len(result.kinematics.frames)]
 
     @pytest.mark.parametrize("reduction", ["min", "mean"])
-    def test_one_window_pass_per_track_feeds_the_zone_statistic(
-        self, monkeypatch, demo_h, reduction
-    ):
+    def test_one_projection_and_window_pass_per_recording(self, monkeypatch, demo_h, reduction):
         table = self.recording(demo_h)
         cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
-        calls = {"window_speeds": 0, "track_kinematics": 0}
+        calls = {"window_speeds": 0, "project_points": 0}
+        in_world = []
 
         def counting(module, name):
             real = getattr(module, name)
@@ -265,17 +270,27 @@ class TestObserveManeuvers:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        def world_projections(*args):
+            before = calls["project_points"]
+            result = real_world(*args)
+            in_world.append(calls["project_points"] - before)
+            return result
+
+        real_world = pipeline.to_world_track
+        monkeypatch.setattr(pipeline, "to_world_track", world_projections)
         counting(_kernels, "window_speeds")
-        counting(pipeline, "track_kinematics")
+        counting(kinematics, "project_points")
         result = pipeline.process_detections(table, cfg, demo_h)
 
-        assert calls["track_kinematics"] == len(result.kinematics) == len(self.PROFILES)
-        assert calls["window_speeds"] == calls["track_kinematics"]
-        kins = {k.track_id: k for k in result.kinematics}
+        kins = result.kinematics
+        assert kins.track_ids.tolist() == [1, 2, 3, 4]
+        assert calls["window_speeds"] == 1
+        assert in_world == [1]
         assert len(result.maneuvers) == len(self.PROFILES)
         for m in result.maneuvers:
-            k = kins[m.track_id]
-            inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in k.points]
-            zone_speeds = k.speeds_mph[inside]
+            k = kins.track_ids.tolist().index(m.track_id)
+            rows = slice(kins.offsets[k], kins.offsets[k + 1])
+            inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in kins.points[rows]]
+            zone_speeds = kins.speeds_mph[rows][inside]
             want = zone_speeds.min() if reduction == "min" else zone_speeds.mean()
             assert m.v_mean_mph == float(want)

@@ -515,12 +515,20 @@ class TestConfigFields:
             ("manifest", ("phases", 0, "detections"), 5, "detections: expected a list"),
             ("manifest", ("phases", 0, "detections"), [5], "detections[0]: expected a string"),
             ("manifest", ("scene_config",), 5, "scene_config: expected a string, got a number"),
+            ("scene", ("travel_direction",), [0, 0], "travel_direction: must be nonzero"),
         ],
     )
     def test_wrongly_typed_field_exits_2(self, analyze_inputs, caplog, target, path, value, message):
         with caplog.at_level("ERROR"):
             assert analyze_with_field(analyze_inputs, target, path, value) == 2
         assert message in caplog.text
+
+    @pytest.mark.parametrize("field", ["aoi_polygon", "approach_zone"])
+    def test_self_intersecting_polygon_exits_2(self, analyze_inputs, caplog, field):
+        bowtie = [[0, 0], [10, 10], [10, 0], [0, 10]]
+        with caplog.at_level("ERROR"):
+            assert analyze_with_field(analyze_inputs, "scene", (field,), bowtie) == 2
+        assert f"scene.json.{field}: polygon is self-intersecting" in caplog.text
 
     @pytest.mark.parametrize(
         "target, path, value",
@@ -570,6 +578,11 @@ class TestDefaults:
         assert t.stationary_m == 2.0
         assert t.following_frac == 0.5
         assert t.direction_deg == 45.0
+
+    def test_travel_direction_is_normalised(self, tmp_path, demo_h):
+        path = tmp_path / "scene.json"
+        write_json(path, scene_config_dict(demo_h, travel_direction=[3, -4]))
+        assert load_scene_config(path).travel_direction.tolist() == [0.6, -0.8]
 
     def test_scene_defaults(self, scene_path):
         cfg = load_scene_config(scene_path)

@@ -30,7 +30,7 @@ from speedstudy import (
 from speedstudy import ingest
 from speedstudy.geometry import project_points
 from speedstudy.errors import MalformedRow
-from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, SceneGeometry, Track
+from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, Track
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
@@ -444,14 +444,7 @@ class TestDirection:
 
 
 class TestCascade:
-    def scene(self):
-        return SceneGeometry(
-            fps=10.0,
-            aoi_polygon=SQUARE_100,
-            approach_zone=np.array([[40, 0], [60, 0], [60, 100], [40, 100]], dtype=float),
-            travel_direction=np.array([1.0, 0.0]),
-            class_map=CLASS_MAP,
-        )
+    DIRECTION = np.array([1.0, 0.0])
 
     def random_tracks(self, rng, n):
         dets = []
@@ -465,7 +458,7 @@ class TestCascade:
 
     def test_subset_property_and_accounting(self, rng):
         tracks = self.random_tracks(rng, 30)
-        survivors, counts = run_filter_cascade(tracks, self.scene(), IDENTITY)
+        survivors, counts = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
         ids_in = {t.track_id for t in tracks}
         assert {t.track_id for t in survivors} <= ids_in
         stage_sum = sum(counts[s] for s in ("aoi", "vehicle_type", "stationary", "following", "direction"))
@@ -474,26 +467,11 @@ class TestCascade:
     def test_idempotent(self, rng):
         for _ in range(20):
             tracks = self.random_tracks(rng, 15)
-            once, _ = run_filter_cascade(tracks, self.scene(), IDENTITY)
-            twice, _ = run_filter_cascade(once, self.scene(), IDENTITY)
+            once, _ = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
+            twice, _ = run_filter_cascade(once, SQUARE_100, self.DIRECTION, IDENTITY)
             assert [t.track_id for t in twice] == [t.track_id for t in once]
             for a, b in zip(once, twice):
                 assert_tracks_equal(a, b)
-
-
-class TestSceneGeometryValidation:
-    def test_self_intersecting_polygon_rejected(self):
-        bowtie = np.array([[0, 0], [10, 10], [10, 0], [0, 10]], dtype=float)
-        with pytest.raises(ValueError):
-            SceneGeometry(10.0, bowtie, SQUARE_100, np.array([1.0, 0.0]), CLASS_MAP)
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
-            SceneGeometry(10.0, SQUARE_100, SQUARE_100, np.array([2.0, 0.0]), CLASS_MAP)
-
-    def test_nonpositive_fps_rejected(self):
-        with pytest.raises(ValueError):
-            SceneGeometry(0.0, SQUARE_100, SQUARE_100, np.array([1.0, 0.0]), CLASS_MAP)
 
 
 # -- the columnar parser against the line-by-line validator ------------------

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import speedstudy
-from helpers import brute_speed_series, close_pairs_of_oracle, point_in_polygon_oracle
+from helpers import (
+    assert_same_bits,
+    brute_speed_series,
+    close_pairs_of_oracle,
+    point_in_polygon_oracle,
+)
 from speedstudy import _kernels
 
 CONCAVE = np.array([[0, 0], [10, 0], [10, 10], [5, 5], [0, 10]], dtype=float)
@@ -75,6 +80,42 @@ class TestWindowSpeeds:
         assert (speeds == -1.0).all() and (wlens == 0).all()
         speeds, _ = _kernels.window_speeds(frames, xs, ys, 10, 30, 10.0)
         assert (speeds[:-1] == -1.0).all() and speeds[-1] >= 0.0
+
+    # a segment: (first frame, rows of (frame step, x, y)); steps above 1 are gaps
+    COORD = st.floats(-500.0, 500.0)
+    SEGMENT = st.tuples(
+        st.integers(0, 50), st.lists(st.tuples(st.integers(1, 4), COORD, COORD), max_size=25)
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(SEGMENT, max_size=6),
+        st.one_of(st.integers(0, 30), st.just(2**63)),
+        st.one_of(st.integers(0, 30), st.just(10**300)),
+        st.sampled_from([10.0, 12.5, 25.0, 7.0, 29.97]),
+    )
+    @example([], 10, 5, 10.0)
+    @example([(0, [])] * 2 + [(3, [(1, 0.0, 0.0)] * k) for k in (1, 2, 3, 12)], 10, 5, 10.0)
+    @example([(5, [(2, 1.0, 0.0)] * 3), (0, [(1, 0.0, 1.0)] * 20)], 10, 4, 10.0)
+    def test_segments_match_one_call_per_segment(self, segments, wmax, first_hist, fps):
+        columns = [
+            (start + np.cumsum([r[0] for r in rows], dtype=np.int64),
+             np.array([r[1] for r in rows], dtype=np.float64),
+             np.array([r[2] for r in rows], dtype=np.float64))
+            for start, rows in segments
+        ]
+        sizes = np.array([len(c[0]) for c in columns], dtype=np.int64)
+        seg_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        frames, xs, ys = (
+            np.concatenate([c[k] for c in columns] + [np.zeros(0, dtype=dtype)])
+            for k, dtype in enumerate((np.int64, np.float64, np.float64))
+        )
+        speeds, wlens = _kernels.window_speeds(frames, xs, ys, wmax, first_hist, fps, seg_start)
+        per_segment = [_kernels.window_speeds(*c, wmax, first_hist, fps) for c in columns]
+        want_speeds = np.concatenate([s for s, _ in per_segment] + [np.zeros(0)])
+        want_wlens = np.concatenate([w for _, w in per_segment] + [np.zeros(0, dtype=np.int64)])
+        assert_same_bits(speeds, want_speeds)
+        assert_same_bits(wlens, want_wlens)
 
 
 def _columns(rows):

@@ -2,32 +2,39 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import (
     MPS_TO_MPH,
+    assert_same_bits,
     brute_speed_series,
     make_correspondences,
     straight_track_detections,
+    track_kinematics_oracle,
     tracks_of,
+    world_table,
+    world_track_oracle,
 )
 from speedstudy import (
     Homography,
-    WorldTrack,
+    WorldTable,
+    _kernels,
+    approach_speeds,
+    example_roadside_homography,
     solve_homography,
     to_world_track,
     track_kinematics,
 )
+from speedstudy.geometry import project_points
+from speedstudy.ingest import Track
 from speedstudy.kinematics import window_params
 
 IDENTITY = Homography(np.eye(3))
 
 
-def world_track(frames, points, track_id=1) -> WorldTrack:
-    return WorldTrack(
-        track_id,
-        np.asarray(frames, dtype=np.int64),
-        np.asarray(points, dtype=np.float64),
-    )
+def world_track(frames, points) -> WorldTable:
+    """A one-track WorldTable (track id 1)."""
+    return world_table([(frames, points)])
 
 
 def constant_track(n, fps, speed_ms, dt_axis=(1.0, 0.0)):
@@ -40,14 +47,15 @@ def constant_track(n, fps, speed_ms, dt_axis=(1.0, 0.0)):
 class TestToWorldTrack:
     def test_identity_equals_anchors(self):
         t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)))[0]
-        wt = to_world_track(t, IDENTITY)
+        wt = to_world_track([t], IDENTITY)
+        assert wt.track_ids.tolist() == [1] and wt.offsets.tolist() == [0, 10]
         assert np.allclose(wt.points, t.anchors, atol=1e-9)
         assert np.array_equal(wt.frames, t.frames)
 
     def test_single_detection(self):
         t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)))[0]
-        wt = to_world_track(t, IDENTITY)
-        assert len(wt) == 1
+        wt = to_world_track([t], IDENTITY)
+        assert len(wt.frames) == 1
 
     def test_unprojectable_points_dropped(self, caplog):
         h = Homography([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # image u = -1 is at infinity
@@ -67,9 +75,9 @@ class TestToWorldTrack:
         anchors[4] = (u, v)
         t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
-            wt = to_world_track(t, h)
-        assert wt is not None
-        assert len(wt) == 29
+            wt = to_world_track([t], h)
+        assert wt.track_ids.tolist() == [1]
+        assert len(wt.frames) == 29 and wt.offsets.tolist() == [0, 29]
 
     def test_track_dropped_when_too_many_points_lost(self, caplog):
         h = Homography([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
@@ -86,32 +94,34 @@ class TestToWorldTrack:
                 anchors[i] = (-r33 / r31, 5.0 + i)
         t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
-            assert to_world_track(t, h) is None
+            wt = to_world_track([t], h)
+        assert len(wt.track_ids) == 0 and len(wt.frames) == 0
 
 
 class TestSpeedSeries:
     def test_stationary_all_zero(self):
         wt = world_track(np.arange(30), np.tile([7.0, 3.0], (30, 1)))
         k = track_kinematics(wt, fps=10.0)
-        assert len(k) == 26
+        assert len(k.frames) == 26
         assert all(s == 0.0 for s in k.speeds_mph)
 
     def test_constant_10ms_matches_closed_form(self):
         wt = constant_track(30, 10.0, 10.0)
         k = track_kinematics(wt, fps=10.0)
-        assert len(k) == 26  # emission starts at 5 frames of history
+        assert len(k.frames) == 26  # emission starts at 5 frames of history
         for speed, window in zip(k.speeds_mph, k.window_frames):
             assert speed == pytest.approx(10.0 * MPS_TO_MPH, abs=1e-6)
             assert 2 <= window <= 10
 
     def test_short_track_empty(self):
         wt = constant_track(4, 10.0, 10.0)
-        assert track_kinematics(wt, fps=10.0) is None
+        k = track_kinematics(wt, fps=10.0)
+        assert len(k.track_ids) == 0 and len(k.frames) == 0
 
     def test_first_sample_at_warmup(self):
         wt = constant_track(5, 10.0, 10.0)
         k = track_kinematics(wt, fps=10.0)
-        assert len(k) == 1
+        assert len(k.frames) == 1
         assert k.frames[0] == 4
         assert k.window_frames[0] == 5
 
@@ -167,9 +177,9 @@ class TestInvariants:
         t = tracks_of(
             straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
         )[0]
-        sa = track_kinematics(to_world_track(t, h_a), 10.0)
-        sb = track_kinematics(to_world_track(t, h_b), 10.0)
-        assert len(sa) == len(sb)
+        sa = track_kinematics(to_world_track([t], h_a), 10.0)
+        sb = track_kinematics(to_world_track([t], h_b), 10.0)
+        assert len(sa.frames) == len(sb.frames)
         for x, y in zip(sa.speeds_mph, sb.speeds_mph):
             assert x == pytest.approx(y, abs=1e-6)
 
@@ -177,8 +187,8 @@ class TestInvariants:
         m = np.array([[20.0, 2.0, 500.0], [1.0, 15.0, 300.0], [1e-3, 2e-4, 1.0]])
         t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))[0]
         for lam in (2.0, -8.0, 0.25):
-            a = track_kinematics(to_world_track(t, Homography(m)), 10.0)
-            b = track_kinematics(to_world_track(t, Homography(lam * m)), 10.0)
+            a = track_kinematics(to_world_track([t], Homography(m)), 10.0)
+            b = track_kinematics(to_world_track([t], Homography(lam * m)), 10.0)
             assert list(zip(a.frames.tolist(), a.speeds_mph.tolist())) == list(
                 zip(b.frames.tolist(), b.speeds_mph.tolist())
             )
@@ -224,14 +234,14 @@ class TestTrackKinematics:
     def test_constant_series_representative(self):
         wt = constant_track(30, 10.0, 10.0)
         k = track_kinematics(wt, 10.0)
-        assert k.representative_mph == pytest.approx(10.0 * MPS_TO_MPH, abs=1e-6)
+        assert k.representative_mph.tolist() == pytest.approx([10.0 * MPS_TO_MPH], abs=1e-6)
 
     def test_mean_of_two_sample_speeds(self):
         # construct directly: representative is the arithmetic mean
         wt = constant_track(30, 10.0, 10.0)
         k = track_kinematics(wt, 10.0)
-        assert k.representative_mph == pytest.approx(
-            np.mean(k.speeds_mph), abs=0
+        assert k.representative_mph.tolist() == pytest.approx(
+            [np.mean(k.speeds_mph)], abs=0
         )
 
     def test_points_are_the_world_positions_at_sample_frames(self, rng):
@@ -242,13 +252,16 @@ class TestTrackKinematics:
         assert np.array_equal(frames[row], k.frames)
         assert np.array_equal(k.points, pts[row])
         assert k.frames.dtype == np.int64 and k.window_frames.dtype == np.int64
-        for column in (k.frames, k.speeds_mph, k.window_frames, k.points):
+        assert k.track_ids.dtype == np.int64 and k.offsets.dtype == np.int64
+        for column in (k.frames, k.speeds_mph, k.window_frames, k.points,
+                       k.track_ids, k.offsets, k.representative_mph):
             with pytest.raises(ValueError):
                 column[0] = 0
 
     def test_too_short_returns_none(self):
         wt = constant_track(3, 10.0, 10.0)
-        assert track_kinematics(wt, 10.0) is None
+        k = track_kinematics(wt, 10.0)
+        assert len(k.track_ids) == 0 and len(k.representative_mph) == 0
 
     def test_decelerating_track_matches_oracle_mean(self, rng):
         # linearly decelerating vehicle; oracle = brute-force series mean
@@ -262,4 +275,95 @@ class TestTrackKinematics:
         wt = world_track(frames, pts)
         k = track_kinematics(wt, fps)
         oracle = np.mean([s for _, s, _ in brute_speed_series(frames, pts, fps)])
-        assert k.representative_mph == pytest.approx(oracle, abs=1e-6)
+        assert k.representative_mph.tolist() == pytest.approx([oracle], abs=1e-6)
+
+
+DEMO_H = example_roadside_homography()
+ZONE = np.array([[20.0, -6.0], [35.0, -6.0], [35.0, 6.0], [20.0, 6.0]])
+# (detections, unprojectable among them, seed): a wandering path inside the
+# demo camera's view, with that many anchors moved onto its horizon
+TRACK_SPEC = st.tuples(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2**32 - 1))
+
+
+def recording_tracks(specs) -> list[Track]:
+    r31, r32, r33 = DEMO_H.inverse().matrix[2]
+    tracks = []
+    for track_id, (n, n_bad, seed) in enumerate(specs, start=1):
+        rng = np.random.default_rng(seed)
+        frames = int(rng.integers(0, 100)) + np.cumsum(rng.integers(1, 4, n))
+        start = rng.uniform([500, 400], [1400, 900])
+        anchors = start + np.cumsum(rng.normal(0, 6, (n, 2)), axis=0)
+        bad = rng.choice(n, size=min(n_bad, n), replace=False)
+        us = rng.uniform(500, 1400, len(bad))
+        anchors[bad] = np.column_stack([us, (-r33 - r31 * us) / r32])  # den = 0
+        tracks.append(Track(track_id, frames, anchors, np.zeros(n, np.int8), np.full(n, 0.9)))
+    return tracks
+
+
+def _cat(arrays, empty):
+    return np.concatenate([*arrays, empty])
+
+
+class TestRecordingTables:
+    """One projection and one window pass per recording against the
+    per-track path they replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(TRACK_SPEC, max_size=7), st.sampled_from([10.0, 12.5, 25.0, 7.0]),
+           st.sampled_from([0.5, 0.1, 1.5]))
+    @example([], 10.0, 0.5)
+    # unprojectable at exactly 10% (kept) and one more (dropped)
+    @example([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4), (30, 3, 5), (30, 4, 6)], 10.0, 0.5)
+    @example([(1, 0, 7), (3, 0, 8), (4, 0, 9), (5, 1, 10), (40, 0, 11)], 10.0, 0.5)
+    def test_matches_per_track_oracle(self, caplog, specs, fps, min_track_s):
+        tracks = recording_tracks(specs)
+        inv = DEMO_H.inverse().matrix
+        n_bad = [int((~project_points(inv, t.anchors)[1]).sum()) for t in tracks]
+        assert n_bad == [min(bad, n) for n, bad, _ in specs]
+
+        warnings = []
+        paths = [world_track_oracle(t, DEMO_H, warnings) for t in tracks]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
+            world = to_world_track(tracks, DEMO_H)
+        logged = [r.getMessage() for r in caplog.records if r.name == "speedstudy.kinematics"]
+        assert logged == warnings
+        kept = [(t.track_id, p) for t, p in zip(tracks, paths) if p is not None]
+        assert world.track_ids.tolist() == [tid for tid, _ in kept]
+        assert world.offsets.tolist() == np.cumsum([0] + [len(f) for _, (f, _) in kept]).tolist()
+        assert_same_bits(world.frames, _cat([f for _, (f, _) in kept], np.zeros(0, np.int64)))
+        assert_same_bits(world.points, _cat([p for _, (_, p) in kept], np.zeros((0, 2))))
+
+        kin = track_kinematics(world, fps, min_track_s)
+        sampled = [(tid, track_kinematics_oracle(f, p, fps, min_track_s)) for tid, (f, p) in kept]
+        sampled = [(tid, s) for tid, s in sampled if s is not None]
+        assert kin.track_ids.tolist() == [tid for tid, _ in sampled]
+        assert kin.offsets.tolist() == np.cumsum([0] + [len(s[0]) for _, s in sampled]).tolist()
+        empties = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), np.zeros((0, 2)))
+        for i, (column, empty) in enumerate(zip(
+            (kin.frames, kin.speeds_mph, kin.window_frames, kin.points), empties
+        )):
+            assert_same_bits(column, _cat([s[i] for _, s in sampled], empty))
+        assert_same_bits(kin.representative_mph, np.array([s[4] for _, s in sampled]))
+
+        zone_speeds = [s[1][_kernels.points_in_polygon(s[3], ZONE)] for _, s in sampled]
+        for reduction in ("min", "mean"):
+            want = [getattr(z, reduction)() if len(z) else np.nan for z in zone_speeds]
+            assert_same_bits(approach_speeds(kin, ZONE, reduction), np.array(want, dtype=float))
+
+    def test_drop_rule_at_ten_percent(self, caplog):
+        # 1 of 10 and 2 of 20 unprojectable stay; 2 of 10 and 3 of 20 go
+        tracks = recording_tracks([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4)])
+        with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
+            world = to_world_track(tracks, DEMO_H)
+        assert world.track_ids.tolist() == [1, 3]
+        assert world.offsets.tolist() == [0, 9, 27]
+        assert [r.getMessage() for r in caplog.records] == [
+            "track 1: dropped 1 unprojectable points",
+            "track 2: dropped 2 unprojectable points",
+            "track 2 dropped entirely",
+            "track 3: dropped 2 unprojectable points",
+            "track 4: dropped 3 unprojectable points",
+            "track 4 dropped entirely",
+        ]
