@@ -34,7 +34,7 @@ from .ingest import (
     ClassLabel,
     Detection,
     DetectionTable,
-    Track,
+    TrackTable,
     anchor_points,
     assemble_tracks,
     clip_to_aoi,

@@ -135,24 +135,26 @@ def _point(value, path: str) -> tuple[float, float]:
     return tuple(_number(v, f"{path}[{i}]", positive=False) for i, v in enumerate(pair))
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+def _orient(a, b, c) -> np.ndarray:
+    """Turn a -> b -> c of points (2,) or (m, 2): 1 left, -1 right, 0 within 1e-12."""
+    (ax, ay), (bx, by), (cx, cy) = a.T, b.T, c.T
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return np.where(np.abs(v) < 1e-12, 0, np.where(v > 0, 1, -1))
 
 
 def _is_simple_polygon(poly: np.ndarray) -> bool:
+    """No two non-adjacent edges properly cross: each edge's endpoints lie
+    strictly on opposite sides of the other (a zero orientation, touching or
+    collinear, does not count). Each edge is tested against all later
+    non-adjacent edges at once."""
     n = len(poly)
-    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex
-            if _segments_cross(*edges[i], *edges[j]):
+    heads = np.roll(poly, -1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2):
+            later = slice(i + 2, n - 1 if i == 0 else n)  # edges 0 and n-1 share a vertex
+            p1, p2, p3, p4 = poly[i], heads[i], poly[later], heads[later]
+            straddles = _orient(p1, p2, p3) * _orient(p1, p2, p4) < 0
+            if (straddles & (_orient(p3, p4, p1) * _orient(p3, p4, p2) < 0)).any():
                 return False
     return True
 

@@ -5,11 +5,12 @@ Input format (one detection per line, no header, ``#`` lines ignored)::
     frame,id,bb_left,bb_top,bb_width,bb_height,conf,class_id
 
 A file is read into one ``DetectionTable`` (a column per field) and tracks
-are cut from it with a single sort, so no per-row objects are built.
+are cut from it with a single sort into one ``TrackTable`` (columns plus
+per-track offsets), so no per-row or per-track objects are built.
 
 The cascade runs in a fixed order -- area-of-interest clipping, vehicle-type
 majority vote, stationary removal, close-follower removal, direction gating --
-and every stage is a pure subset operation over its input tracks.
+and every stage is one row mask over its input table (``TrackTable.subset``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -108,44 +109,46 @@ class DetectionTable:
     def __len__(self):
         return len(self.frame)
 
-    @classmethod
-    def from_rows(cls, rows) -> "DetectionTable":
-        """Table of Detection rows (the simulator's output), in their order."""
-        rows = list(rows)
-        table = cls(
-            frame=np.array([d.frame for d in rows], dtype=np.int64),
-            track_id=np.array([d.track_id for d in rows], dtype=np.int64),
-            bbox=np.array([d.bbox for d in rows], dtype=np.float64).reshape(-1, 4),
-            confidence=np.array([d.confidence for d in rows], dtype=np.float64),
-            label=np.array([_LABEL_CODE[d.class_label] for d in rows], dtype=np.int8),
-        )
-        if _first_bad_row(table.frame, table.track_id, table.bbox, table.confidence) is not None:
-            raise ValueError("detection rows out of range (see parse_track_file)")
-        return table
+
+def row_subset(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a table whose track k holds rows offsets[k]:offsets[k + 1] and a
+    mask over its rows: a mask of the tracks that keep at least one row, and
+    the offsets of those tracks into the kept rows."""
+    ends = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))[offsets]
+    kept = ends[1:] > ends[:-1]
+    return kept, np.append(ends[:-1][kept], ends[-1])
 
 
 @dataclass(frozen=True, eq=False)
-class Track:
-    """One tracker identity's detections in frame order, one array per field."""
+class TrackTable:
+    """One recording's tracks as read-only columns: track k, with id
+    track_ids[k], holds rows offsets[k]:offsets[k + 1], at least one, in
+    frame order."""
 
-    track_id: int
-    frames: np.ndarray  # (N,) int64, strictly increasing
+    track_ids: np.ndarray  # (T,) int64
+    offsets: np.ndarray  # (T + 1,) int64, from 0 to the row count
+    frames: np.ndarray  # (N,) int64, strictly increasing within a track
     anchors: np.ndarray  # (N, 2) float64, bottom-center per detection
     labels: np.ndarray  # (N,) int8 code into LABELS
-    confidences: np.ndarray  # (N,) float64
 
     def __post_init__(self):
-        for column in (self.frames, self.anchors, self.labels, self.confidences):
-            column.setflags(write=False)
+        for column in fields(self):
+            getattr(self, column.name).setflags(write=False)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.track_ids)
 
-    def rows(self, start: int, stop: int) -> "Track":
-        """The same track restricted to positions start:stop."""
-        sl = slice(start, stop)
-        return Track(
-            self.track_id, self.frames[sl], self.anchors[sl], self.labels[sl], self.confidences[sl]
+    def per_row(self, values: np.ndarray) -> np.ndarray:
+        """A per-track array repeated over each track's rows."""
+        return np.repeat(values, np.diff(self.offsets), axis=0)
+
+    def subset(self, rows: np.ndarray) -> "TrackTable":
+        """The masked rows; tracks left without a row are dropped."""
+        if rows.all():
+            return self
+        kept, offsets = row_subset(self.offsets, rows)
+        return TrackTable(
+            self.track_ids[kept], offsets, self.frames[rows], self.anchors[rows], self.labels[rows]
         )
 
 
@@ -310,14 +313,12 @@ def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def assemble_tracks(table: DetectionTable) -> list[Track]:
+def assemble_tracks(table: DetectionTable) -> TrackTable:
     """Group detections by id, sort by frame, and resolve duplicate frames.
 
     A duplicate (id, frame) pair keeps the higher-confidence detection (first
-    seen wins ties). Output is ordered by track id.
+    seen wins ties). Tracks are ordered by id.
     """
-    if len(table) == 0:
-        return []
     # lexsort is stable, so rows tied on (id, frame, confidence) keep input order
     order = np.lexsort((-table.confidence, table.frame, table.track_id))
     ids = table.track_id[order]
@@ -326,87 +327,73 @@ def assemble_tracks(table: DetectionTable) -> list[Track]:
     first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
     keep = order[first]
     ids = ids[first]
-    frames = frames[first]
-    anchors = anchor_points(table.bbox[keep])
-    labels = table.label[keep]
-    confidences = table.confidence[keep]
-
-    bounds = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
-    return [
-        Track(int(ids[a]), frames[a:b], anchors[a:b], labels[a:b], confidences[a:b])
-        for a, b in zip([0, *bounds], [*bounds, len(ids)])
-    ]
-
-
-def _row_tracks(tracks) -> np.ndarray:
-    """Index into tracks of each row of the tracks' concatenated columns."""
-    return np.repeat(np.arange(len(tracks), dtype=np.int64), [len(t) for t in tracks])
+    new_track = np.ones(len(ids), dtype=bool)
+    new_track[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new_track)
+    return TrackTable(
+        ids[starts],
+        np.append(starts, len(ids)),
+        frames[first],
+        anchor_points(table.bbox[keep]),
+        table.label[keep],
+    )
 
 
-def clip_to_aoi(tracks, aoi_polygon) -> list[Track]:
+def clip_to_aoi(tracks: TrackTable, aoi_polygon) -> TrackTable:
     """Keep each track's longest contiguous run of detections anchored
     inside the AoI.
 
     Boundary points count as inside; equal-length runs keep the earliest. A
-    track wholly inside comes back as the same object, and a track with no
-    detection inside is dropped. Every anchor is tested in one
+    track with no detection inside is dropped. Every anchor is tested in one
     points_in_polygon call.
     """
-    if not tracks:
-        return []
-    owner = _row_tracks(tracks)
-    inside = _kernels.points_in_polygon(np.concatenate([t.anchors for t in tracks]), aoi_polygon)
+    inside = _kernels.points_in_polygon(tracks.anchors, aoi_polygon)
     # a row continues a run when it and the row before are inside one track
     continues = np.zeros(len(inside) + 1, dtype=bool)
-    continues[1:-1] = inside[1:] & inside[:-1] & (owner[1:] == owner[:-1])
+    continues[1:-1] = inside[1:] & inside[:-1]
+    continues[tracks.offsets[:-1]] = False
     starts = np.flatnonzero(inside & ~continues[:-1])
     stops = np.flatnonzero(inside & ~continues[1:]) + 1
-    run_owner = owner[starts]
+    run_owner = np.searchsorted(tracks.offsets, starts, side="right") - 1
     # per track, the longest run first and among those the earliest
     order = np.lexsort((starts, starts - stops, run_owner))
     first = np.ones(len(order), dtype=bool)
     first[1:] = run_owner[order[1:]] != run_owner[order[:-1]]
     best = order[first]
-    kept = run_owner[best]
-    offsets = np.searchsorted(owner, kept)  # each kept track's first row
-    clipped = []
-    for i, start, stop, offset in zip(
-        kept.tolist(), starts[best].tolist(), stops[best].tolist(), offsets.tolist()
-    ):
-        t = tracks[i]
-        clipped.append(t if stop - start == len(t) else t.rows(start - offset, stop - offset))
-    return clipped
+    # +1 where a kept run starts and -1 where it stops: the runs are disjoint
+    edges = np.zeros(len(inside) + 1, dtype=np.int64)
+    edges[starts[best]] = 1
+    edges[stops[best]] -= 1
+    return tracks.subset(np.cumsum(edges[:-1]) > 0)
 
 
-def filter_vehicle_type(tracks) -> list[Track]:
+def filter_vehicle_type(tracks: TrackTable) -> TrackTable:
     """Keep tracks whose majority class is car, bus, or truck.
 
     Majority is the modal label over the track's detections; ties are broken
     toward retention if any tied label is a vehicle. One bincount over
     (track, label) codes counts the labels of every track.
     """
-    if not tracks:
-        return []
-    codes = _row_tracks(tracks) * len(LABELS) + np.concatenate([t.labels for t in tracks])
+    codes = tracks.per_row(np.arange(len(tracks)) * len(LABELS)) + tracks.labels
     counts = np.bincount(codes, minlength=len(tracks) * len(LABELS)).reshape(-1, len(LABELS))
     modal = counts == counts.max(axis=1, keepdims=True)
-    keep = (modal & _VEHICLE_CODES).any(axis=1)
-    return [t for t, k in zip(tracks, keep.tolist()) if k]
+    return tracks.subset(tracks.per_row((modal & _VEHICLE_CODES).any(axis=1)))
 
 
-def _endpoint_displacements(tracks, h: Homography) -> tuple[np.ndarray, np.ndarray]:
-    """Net world displacement first->last anchor of each track, (n, 2), and
+def _endpoint_displacements(tracks: TrackTable, h: Homography) -> tuple[np.ndarray, np.ndarray]:
+    """Net world displacement first->last anchor of each track, (T, 2), and
     a mask of the tracks whose two endpoints both project."""
-    ends = np.array([t.anchors[[0, -1]] for t in tracks]).reshape(-1, 2)
+    n = len(tracks)
+    ends = tracks.anchors[np.concatenate((tracks.offsets[:-1], tracks.offsets[1:] - 1))]
     world, valid = project_points(h.inverse().matrix, ends)
-    return world[1::2] - world[0::2], valid[0::2] & valid[1::2]
+    return world[n:] - world[:n], valid[:n] & valid[n:]
 
 
-def filter_stationary(tracks, h: Homography, min_net_m: float = 2.0) -> list[Track]:
+def filter_stationary(tracks: TrackTable, h: Homography, min_net_m: float = 2.0) -> TrackTable:
     """Drop tracks whose net world displacement stays under min_net_m."""
     disp, valid = _endpoint_displacements(tracks, h)
     still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < min_net_m)
-    return [t for t, drop in zip(tracks, still) if not drop]
+    return tracks.subset(tracks.per_row(~still))
 
 
 def _image_headings(anchors: np.ndarray, h: Homography, travel_direction) -> np.ndarray:
@@ -425,12 +412,12 @@ def _image_headings(anchors: np.ndarray, h: Homography, travel_direction) -> np.
 
 
 def filter_following(
-    tracks,
+    tracks: TrackTable,
     h: Homography,
     travel_direction,
     max_px: float = 40.0,
     min_frac: float = 0.5,
-) -> list[Track]:
+) -> TrackTable:
     """Drop tracks trailing another vehicle too closely for too long.
 
     A track goes when some other input track sits ahead of it (positive
@@ -440,41 +427,43 @@ def filter_following(
     linear in the tracks' rows.
     """
     if len(tracks) < 2:
-        return list(tracks)
-    frames = np.concatenate([t.frames for t in tracks])
-    track_idx = _row_tracks(tracks)
-    anchors = np.concatenate([t.anchors for t in tracks])
+        return tracks
+    anchors = tracks.anchors
     dirs = _image_headings(anchors, h, travel_direction)
     follower, _, close, coexist = _kernels.close_pair_counts(
-        frames, track_idx, anchors[:, 0], anchors[:, 1], dirs[:, 0], dirs[:, 1],
-        max_px, len(tracks),
+        tracks.frames, tracks.per_row(np.arange(len(tracks))), anchors[:, 0], anchors[:, 1],
+        dirs[:, 0], dirs[:, 1], max_px, len(tracks),
     )
     has_leader = np.zeros(len(tracks), dtype=bool)
     has_leader[follower[close >= min_frac * coexist]] = True
-    return [t for flag, t in zip(has_leader, tracks) if not flag]
+    return tracks.subset(tracks.per_row(~has_leader))
 
 
-def filter_direction(tracks, h: Homography, travel_direction, max_deg: float = 45.0) -> list[Track]:
+def filter_direction(
+    tracks: TrackTable, h: Homography, travel_direction, max_deg: float = 45.0
+) -> TrackTable:
     """Keep tracks whose net world displacement stays within max_deg of the
-    travel direction. Zero or unprojectable displacement is dropped."""
+    travel direction. Zero or unprojectable displacement is dropped.
+
+    The angle is taken per track with np.dot and math.acos: numpy's
+    vectorized dot and arccos round differently in the last place, which
+    can flip a track lying on the boundary."""
     direction = np.asarray(travel_direction, dtype=np.float64)
     displacements, valid = _endpoint_displacements(tracks, h)
-    kept = []
-    for t, disp, ok in zip(tracks, displacements, valid):
-        if not ok:
-            continue
+    keep = np.zeros(len(tracks), dtype=bool)
+    for k in np.flatnonzero(valid).tolist():
+        disp = displacements[k]
         norm = float(np.hypot(disp[0], disp[1]))
         if norm == 0.0:
             continue
         cos_angle = float(np.dot(disp, direction)) / norm
         angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-        if angle <= max_deg + 1e-9:
-            kept.append(t)
-    return kept
+        keep[k] = angle <= max_deg + 1e-9
+    return tracks.subset(tracks.per_row(keep))
 
 
 def run_filter_cascade(
-    tracks,
+    tracks: TrackTable,
     aoi_polygon,
     travel_direction,
     h: Homography,
@@ -482,29 +471,26 @@ def run_filter_cascade(
     following_px: float = 40.0,
     following_frac: float = 0.5,
     direction_deg: float = 45.0,
-) -> tuple[list[Track], dict[str, int]]:
+) -> tuple[TrackTable, dict[str, int]]:
     """Apply the five stages in their fixed order, accounting for removals.
 
     Returns the surviving tracks and a stage->removed-count dict that also
-    carries 'input' and 'surviving' totals.
+    carries 'input' and 'surviving' totals. Each stage's input is released
+    once its output exists.
     """
+    stages = (
+        lambda t: clip_to_aoi(t, aoi_polygon),
+        filter_vehicle_type,
+        lambda t: filter_stationary(t, h, stationary_m),
+        lambda t: filter_following(t, h, travel_direction, following_px, following_frac),
+        lambda t: filter_direction(t, h, travel_direction, direction_deg),
+    )
     counts = {"input": len(tracks)}
-    clipped = clip_to_aoi(tracks, aoi_polygon)
-    counts["aoi"] = len(tracks) - len(clipped)
-
-    typed = filter_vehicle_type(clipped)
-    counts["vehicle_type"] = len(clipped) - len(typed)
-
-    moving = filter_stationary(typed, h, stationary_m)
-    counts["stationary"] = len(typed) - len(moving)
-
-    spaced = filter_following(moving, h, travel_direction, following_px, following_frac)
-    counts["following"] = len(moving) - len(spaced)
-
-    directed = filter_direction(spaced, h, travel_direction, direction_deg)
-    counts["direction"] = len(spaced) - len(directed)
-
-    counts["surviving"] = len(directed)
+    for stage, apply in zip(CASCADE_STAGES, stages):
+        n = len(tracks)
+        tracks = apply(tracks)
+        counts[stage] = n - len(tracks)
+    counts["surviving"] = len(tracks)
     for stage in CASCADE_STAGES:
         log.info("filter %s removed %d tracks", stage, counts[stage])
-    return directed, counts
+    return tracks, counts

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import Homography, project_points
+from .ingest import TrackTable, row_subset
 
 log = logging.getLogger(__name__)
 
@@ -58,31 +59,24 @@ def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple
     return wmax, first_hist
 
 
-def to_world_track(tracks, h: Homography) -> WorldTable:
+def to_world_track(tracks: TrackTable, h: Homography) -> WorldTable:
     """Map every track's anchors onto the road plane via the inverse
     homography, in one projection.
 
     Unprojectable anchors are dropped with a warning; a whole track is
     dropped when more than 10% of its points are lost.
     """
-    sizes = np.array([len(t) for t in tracks], dtype=np.int64)
-    frames = np.concatenate([t.frames for t in tracks] or [np.zeros(0, dtype=np.int64)])
-    anchors = np.concatenate([t.anchors for t in tracks] or [np.zeros((0, 2))])
-    world, valid = project_points(h.inverse().matrix, anchors)
-    owner = np.repeat(np.arange(len(tracks)), sizes)
+    world, valid = project_points(h.inverse().matrix, tracks.anchors)
+    owner = tracks.per_row(np.arange(len(tracks)))
     n_bad = np.bincount(owner[~valid], minlength=len(tracks))
-    dropped = n_bad > _MAX_DROP_FRAC * sizes
+    dropped = n_bad > _MAX_DROP_FRAC * np.diff(tracks.offsets)
     for k in np.flatnonzero(n_bad).tolist():
-        log.warning("track %d: dropped %d unprojectable points", tracks[k].track_id, n_bad[k])
+        log.warning("track %d: dropped %d unprojectable points", tracks.track_ids[k], n_bad[k])
         if dropped[k]:
-            log.warning("track %d dropped entirely", tracks[k].track_id)
+            log.warning("track %d dropped entirely", tracks.track_ids[k])
     keep = valid & ~dropped[owner]
-    return WorldTable(
-        np.array([t.track_id for t in tracks], dtype=np.int64)[~dropped],
-        np.concatenate(([0], np.cumsum((sizes - n_bad)[~dropped]))),
-        frames[keep],
-        world[keep],
-    )
+    kept, offsets = row_subset(tracks.offsets, keep)
+    return WorldTable(tracks.track_ids[kept], offsets, tracks.frames[keep], world[keep])
 
 
 def track_kinematics(
@@ -97,10 +91,8 @@ def track_kinematics(
         world.frames, world.points[:, 0], world.points[:, 1], wmax, first_hist, fps,
         np.repeat(world.offsets[:-1], np.diff(world.offsets)),
     )
-    idx = np.flatnonzero(speeds_ms >= 0.0)
-    bounds = np.searchsorted(idx, world.offsets)  # each track's first sample
-    sampled = np.diff(bounds) > 0
-    offsets = np.append(bounds[:-1][sampled], len(idx))
+    idx = speeds_ms >= 0.0
+    sampled, offsets = row_subset(world.offsets, idx)
     speeds = speeds_ms[idx] * MPS_TO_MPH
     # one mean per track, so each is the value np.mean of its samples gives;
     # a segmented sum would add in another order

@@ -49,10 +49,10 @@ def process_detections(
     detections: DetectionTable, cfg: SceneConfig, h: Homography, source: str = "<memory>"
 ) -> RecordingResult:
     """Run the full analysis over one recording's parsed detections."""
-    tracks = assemble_tracks(detections)
     th = cfg.thresholds
+    # left unnamed here, so the cascade frees the assembled table after its first stage
     survivors, counts = run_filter_cascade(
-        tracks,
+        assemble_tracks(detections),
         cfg.aoi_polygon,
         cfg.travel_direction,
         h,

@@ -16,16 +16,19 @@ import numpy as np
 from speedstudy import (
     Correspondence,
     Detection,
-    DetectionTable,
     ImagePoint,
+    TrackTable,
     WorldPoint,
     WorldTable,
     _kernels,
     assemble_tracks,
+    parse_track_file,
+    serialize_detections,
 )
 from speedstudy.geometry import project_points
 from speedstudy.ingest import LABELS, ClassLabel
 from speedstudy.kinematics import window_params
+from speedstudy.simulator import DEFAULT_CLASS_MAP
 
 MPS_TO_MPH = 2.2369362920544
 
@@ -81,11 +84,10 @@ def point_in_polygon_oracle(x, y, polygon, tol=1e-9) -> bool:
     return inside
 
 
-def clip_to_aoi_oracle(track, polygon):
+def clip_to_aoi_oracle(anchors, polygon):
     """One track's longest run of anchors inside polygon (the earliest of
-    equal runs): the track itself when every anchor is inside, None when
-    none is, else the run as a Track."""
-    inside = [point_in_polygon_oracle(u, v, polygon) for u, v in track.anchors.tolist()]
+    equal runs) as (start, stop), or None when no anchor is inside."""
+    inside = [point_in_polygon_oracle(u, v, polygon) for u, v in np.asarray(anchors).tolist()]
     best = (0, 0)
     start = None
     for i, flag in enumerate(inside + [False]):
@@ -95,11 +97,50 @@ def clip_to_aoi_oracle(track, polygon):
             if i - start > best[1] - best[0]:
                 best = (start, i)
             start = None
-    if best[1] == best[0]:
-        return None
-    if best[1] - best[0] == len(track):
-        return track
-    return track.rows(*best)
+    return None if best[1] == best[0] else best
+
+
+def direction_kept_oracle(displacements, valid, travel_direction, max_deg=45.0):
+    """Per track, whether the direction gate keeps its net world
+    displacement: the per-track loop the table stage was ported from."""
+    direction = np.asarray(travel_direction, dtype=np.float64)
+    kept = []
+    for disp, ok in zip(displacements, valid):
+        if not ok:
+            kept.append(False)
+            continue
+        norm = float(np.hypot(disp[0], disp[1]))
+        if norm == 0.0:
+            kept.append(False)
+            continue
+        cos_angle = float(np.dot(disp, direction)) / norm
+        angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
+        kept.append(angle <= max_deg + 1e-9)
+    return kept
+
+
+def is_simple_polygon_oracle(poly) -> bool:
+    """No two non-adjacent edges cross, edge pair by edge pair (touching and
+    collinear contacts within the 1e-12 orientation tolerance do not count)."""
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+
+    def cross(p1, p2, p3, p4):
+        o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
+        o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+        return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+
+    n = len(poly)
+    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share a vertex
+            if cross(*edges[i], *edges[j]):
+                return False
+    return True
 
 
 def approach_speed_oracle(samples, polygon, reduction):
@@ -148,18 +189,18 @@ def world_table(paths) -> WorldTable:
     )
 
 
-def world_track_oracle(track, h, warnings):
+def world_track_oracle(track_id, frames, anchors, h, warnings):
     """One track on the road plane, one projection per track: (frames,
     points) of its projectable anchors, or None when more than 10% of them
     are lost. Appends the warnings the pipeline logs for it to warnings."""
-    world, valid = project_points(h.inverse().matrix, track.anchors)
+    world, valid = project_points(h.inverse().matrix, anchors)
     n_bad = int((~valid).sum())
     if n_bad:
-        warnings.append(f"track {track.track_id}: dropped {n_bad} unprojectable points")
-        if n_bad > 0.10 * len(track):
-            warnings.append(f"track {track.track_id} dropped entirely")
+        warnings.append(f"track {track_id}: dropped {n_bad} unprojectable points")
+        if n_bad > 0.10 * len(frames):
+            warnings.append(f"track {track_id} dropped entirely")
             return None
-    return track.frames[valid], world[valid].copy()
+    return frames[valid], world[valid].copy()
 
 
 def track_kinematics_oracle(frames, points, fps, min_track_s=0.5):
@@ -261,10 +302,9 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_tracks_equal(a, b):
-    """Same identity and the same value in every per-detection column."""
-    assert a.track_id == b.track_id
-    for column in ("frames", "anchors", "labels", "confidences"):
+def assert_tables_equal(a, b):
+    """The same tracks with the same value in every per-detection column."""
+    for column in ("track_ids", "offsets", "frames", "anchors", "labels"):
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
@@ -278,9 +318,44 @@ def assert_table_matches_rows(table, rows):
     assert [LABELS[code] for code in table.label] == [d.class_label for d in rows]
 
 
-def tracks_of(rows):
-    """Tracks assembled from Detection rows."""
-    return assemble_tracks(DetectionTable.from_rows(rows))
+def table_of(rows):
+    """A DetectionTable of Detection rows, read as the CLI reads a CSV."""
+    return parse_track_file(serialize_detections(rows, DEFAULT_CLASS_MAP).encode(), DEFAULT_CLASS_MAP)
+
+
+def tracks_of(rows) -> TrackTable:
+    """The TrackTable assembled from Detection rows."""
+    return assemble_tracks(table_of(rows))
+
+
+def track_table(columns, track_ids=None) -> TrackTable:
+    """A TrackTable of per-track (frames, anchors, labels), ids 1, 2, ...
+    unless given; labels may be None (all cars)."""
+    frames = [np.asarray(f, dtype=np.int64) for f, _, _ in columns]
+    anchors = [np.asarray(a, dtype=np.float64).reshape(-1, 2) for _, a, _ in columns]
+    labels = [
+        np.zeros(len(f), np.int8) if lab is None else np.asarray(lab, dtype=np.int8)
+        for f, (_, _, lab) in zip(frames, columns)
+    ]
+    if track_ids is None:
+        track_ids = np.arange(1, len(columns) + 1)
+    return TrackTable(
+        np.asarray(track_ids, dtype=np.int64),
+        np.concatenate(([0], np.cumsum([len(f) for f in frames], dtype=np.int64))),
+        np.concatenate(frames or [np.zeros(0, dtype=np.int64)]),
+        np.concatenate(anchors or [np.zeros((0, 2))]),
+        np.concatenate(labels or [np.zeros(0, dtype=np.int8)]),
+    )
+
+
+def track_rows(table, k) -> slice:
+    """The rows of a table's k-th track."""
+    return slice(int(table.offsets[k]), int(table.offsets[k + 1]))
+
+
+def only_track(table, k) -> TrackTable:
+    """The table holding only its k-th track."""
+    return table.subset(table.per_row(np.arange(len(table)) == k))
 
 
 def det(frame, track_id, bbox=(0.0, 0.0, 10.0, 20.0), conf=0.9, label=ClassLabel.CAR):

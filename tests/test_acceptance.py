@@ -17,13 +17,13 @@ from helpers import (
     make_correspondences,
     random_projective_matrix,
     scene_config_dict,
-    assert_tracks_equal,
+    assert_tables_equal,
     straight_track_detections,
+    table_of,
     tracks_of,
 )
 from speedstudy import (
     Constant,
-    DetectionTable,
     Homography,
     ManeuverClass,
     Phase,
@@ -189,7 +189,7 @@ def analyze_fleet(vehicles, h, sigma, seed, duration=60.0, fps=10.0):
         approach_zone=np.array(ZONE),
     )
     cfg = scene_config_from_dict(scene_config_dict(h, fps=fps))
-    result = process_detections(DetectionTable.from_rows(dets), cfg, h)
+    result = process_detections(table_of(dets), cfg, h)
     return result, truth
 
 
@@ -354,23 +354,23 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
     direction = np.array([1.0, 0.0])
 
     # 40 px following gate
-    lead = tracks_of(straight_track_detections(1, 20, (130, 50), (5, 0)))[0]
-    tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
-    assert [t.track_id for t in filter_following([lead, tail], identity, direction)] == [1]
-    far = tracks_of(straight_track_detections(2, 20, (500, 50), (5, 0)))[0]
-    assert len(filter_following([lead, far], identity, direction)) == 2
+    lead = straight_track_detections(1, 20, (130, 50), (5, 0))
+    tail = straight_track_detections(2, 20, (100, 50), (5, 0))
+    assert filter_following(tracks_of(lead + tail), identity, direction).track_ids.tolist() == [1]
+    far = straight_track_detections(2, 20, (500, 50), (5, 0))
+    assert len(filter_following(tracks_of(lead + far), identity, direction)) == 2
 
     # 2.0 m stationary gate
-    creeper = tracks_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))[0]
-    mover = tracks_of(straight_track_detections(2, 30, (0, 10), (1, 0)))[0]
-    kept = filter_stationary([creeper, mover], identity)
-    assert [t.track_id for t in kept] == [2]
+    creeper = straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0))
+    mover = straight_track_detections(2, 30, (0, 10), (1, 0))
+    kept = filter_stationary(tracks_of(creeper + mover), identity)
+    assert kept.track_ids.tolist() == [2]
 
     # +-45 degree direction boundary
     for angle, keep in ((44.0, True), (46.0, False)):
         step = (5 * np.cos(np.radians(angle)), 5 * np.sin(np.radians(angle)))
-        t = tracks_of(straight_track_detections(1, 10, (0, 0), step))[0]
-        assert bool(filter_direction([t], identity, direction)) is keep
+        t = tracks_of(straight_track_detections(1, 10, (0, 0), step))
+        assert bool(len(filter_direction(t, identity, direction))) is keep
 
     # cascade idempotence over 100 random synthetic scenes
     square = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]])
@@ -388,9 +388,8 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
         tracks = tracks_of(dets)
         once, _ = run_filter_cascade(tracks, square, direction, identity)
         twice, _ = run_filter_cascade(once, square, direction, identity)
-        assert [t.track_id for t in once] == [t.track_id for t in twice]
-        for a, b in zip(once, twice):
-            assert_tracks_equal(a, b)
+        assert once.track_ids.tolist() == twice.track_ids.tolist()
+        assert_tables_equal(once, twice)
     print("ACCEPTANCE 7 (filter gates at 40 px / 2.0 m / 45 deg; idempotent cascade): PASS")
 
 

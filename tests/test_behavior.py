@@ -7,12 +7,12 @@ from helpers import (
     brute_speed_series,
     point_in_polygon_oracle,
     scene_config_dict,
+    table_of,
     world_table,
 )
 from speedstudy import (
     ClassLabel,
     Constant,
-    DetectionTable,
     ManeuverClass,
     ManeuverObservation,
     PiecewiseLinear,
@@ -220,7 +220,7 @@ class TestObserveManeuvers:
         ]
         dets, _ = render_scene(vehicles, demo_h, 10.0, 30.0, noise_sigma_px=0.5, seed=3,
                                approach_zone=ZONE)
-        return DetectionTable.from_rows(dets)
+        return table_of(dets)
 
     @pytest.mark.parametrize("reduction", ["min", "mean"])
     def test_one_polygon_pass_per_recording(self, monkeypatch, demo_h, reduction):

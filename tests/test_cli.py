@@ -8,13 +8,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import speedstudy
 
-from helpers import scene_config_dict
-from speedstudy import Phase, build_phase_summary
+from helpers import is_simple_polygon_oracle, scene_config_dict
+from speedstudy import Phase, build_phase_summary, config
 from speedstudy.cli import _json_text, main
 from speedstudy.errors import InvariantViolation
 from speedstudy.config import Thresholds, load_scene_config
@@ -591,3 +592,39 @@ class TestDefaults:
         assert cfg.representative == "per_vehicle"
         assert cfg.v_mean_reduction == "min"
         assert cfg.intersection_type == "unsignalized"
+
+
+# small-grid vertices make collinear edges and touching contacts common; the
+# scales put some orientation values under the 1e-12 tolerance
+GRID_POLYGON = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=12)
+COLLINEAR_POLYGON = st.lists(st.integers(-3, 3), min_size=3, max_size=8).map(
+    lambda xs: [(x, 2 * x + 1) for x in xs]
+)
+RANDOM_POLYGON = st.lists(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=16
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(GRID_POLYGON, COLLINEAR_POLYGON, RANDOM_POLYGON),
+    st.sampled_from([1.0, 0.1, 3.7, 1e-6, 5e-7, 3e-7, 1e-7]),
+)
+def test_simple_polygon_check_matches_edge_pair_loop(vertices, scale):
+    poly = np.array(vertices, dtype=np.float64) * scale
+    assert config._is_simple_polygon(poly) == is_simple_polygon_oracle(poly)
+
+
+@pytest.mark.parametrize(
+    "vertices, simple",
+    [
+        ([[0, 0], [10, 10], [10, 0], [0, 10]], False),  # bowtie
+        ([[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]], True),  # vertex touching an edge
+        ([[0, 0], [2, 0], [4, 0], [4, 4]], True),  # collinear run
+        ([[0, 0], [4, 0], [4, 4], [0, 4], [2, -2]], False),  # an edge crossing the first
+    ],
+)
+def test_simple_polygon_check_examples(vertices, simple):
+    poly = np.array(vertices, dtype=np.float64)
+    assert config._is_simple_polygon(poly) is simple
+    assert is_simple_polygon_oracle(poly) is simple

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     assert_table_matches_rows,
-    assert_tracks_equal,
+    assert_tables_equal,
     clip_to_aoi_oracle,
     det,
+    direction_kept_oracle,
+    only_track,
     point_in_polygon_oracle,
     straight_track_detections,
+    track_rows,
+    track_table,
     tracks_of,
 )
 from speedstudy import (
     Homography,
+    TrackTable,
     anchor_points,
     assemble_tracks,
     clip_to_aoi,
@@ -30,7 +36,7 @@ from speedstudy import (
 from speedstudy import ingest
 from speedstudy.geometry import project_points
 from speedstudy.errors import MalformedRow
-from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, Track
+from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, row_subset
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
@@ -39,9 +45,15 @@ SQUARE_100 = np.array([[0, 0], [100, 0], [100, 100], [0, 100]], dtype=float)
 CONCAVE_100 = np.array([[0, 0], [100, 0], [100, 100], [50, 40], [0, 100]], dtype=float)
 
 
-def track_of(detections) -> Track:
-    (track,) = tracks_of(detections)
-    return track
+def track_of(detections) -> TrackTable:
+    """The one-track table of one vehicle's detections."""
+    table = tracks_of(detections)
+    assert len(table) == 1
+    return table
+
+
+def ids(table) -> list[int]:
+    return table.track_ids.tolist()
 
 
 class TestParse:
@@ -164,7 +176,8 @@ class TestAssemble:
     def test_groups_by_id(self):
         dets = [det(0, 3), det(1, 9), det(1, 3), det(2, 9)]
         tracks = tracks_of(dets)
-        assert [t.track_id for t in tracks] == [3, 9]
+        assert ids(tracks) == [3, 9]
+        assert tracks.offsets.tolist() == [0, 2, 4]
 
     def test_sorts_frames(self):
         dets = [det(5, 1), det(2, 1), det(8, 1)]
@@ -178,24 +191,71 @@ class TestAssemble:
             "5,1,60,0,10,20,0.9,2\n"
             "4,1,90,0,10,20,0.1,1\n"
         )
-        (t,) = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP))
+        t = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP))
         assert t.frames.tolist() == [4, 5]
-        assert t.confidences.tolist() == [0.1, 0.9]
         assert t.anchors.tolist() == [[95.0, 20.0], [35.0, 20.0]]
         assert [LABELS[c] for c in t.labels] == [ClassLabel.CAR, ClassLabel.CAR]
 
     def test_duplicate_frame_keeps_higher_confidence(self):
-        dets = [det(5, 1, conf=0.4), det(5, 1, conf=0.9), det(6, 1, conf=0.5)]
+        # the anchor tells which row was kept
+        dets = [det(5, 1, bbox=(0.0, 0.0, 10.0, 20.0), conf=0.4),
+                det(5, 1, bbox=(10.0, 0.0, 10.0, 20.0), conf=0.9),
+                det(6, 1, bbox=(20.0, 0.0, 10.0, 20.0), conf=0.5)]
         t = track_of(dets)
-        assert t.confidences.tolist() == [0.9, 0.5]
-
-    def test_rejects_rows_out_of_range(self):
-        with pytest.raises(ValueError):
-            tracks_of([det(0, 1, bbox=(0.0, 0.0, 0.0, 20.0))])
+        assert t.anchors.tolist() == [[15.0, 20.0], [25.0, 20.0]]
 
     def test_anchor_rows_align_with_detections(self):
         t = track_of([det(0, 1, bbox=(512.0, 300.0, 40.0, 60.0))])
         assert t.anchors[0].tolist() == [532.0, 360.0]
+
+    def test_empty_input(self):
+        t = tracks_of([])
+        assert len(t) == 0 and t.offsets.tolist() == [0]
+        assert t.anchors.shape == (0, 2)
+
+    def test_columns_read_only(self):
+        t = tracks_of([det(0, 1), det(1, 1), det(0, 2)])
+        for column in (t.track_ids, t.offsets, t.frames, t.anchors, t.labels):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
+class TestRowSubset:
+    """row_subset and TrackTable.subset against a per-track recount."""
+
+    @given(st.lists(st.lists(st.booleans(), max_size=6), max_size=8))
+    @example([])
+    @example([[False, False], [True], []])
+    def test_offsets_match_per_track_recount(self, masks):
+        offsets = np.cumsum([0] + [len(m) for m in masks])
+        rows = np.array([b for m in masks for b in m], dtype=bool)
+        kept, got = row_subset(offsets, rows)
+        counts = [sum(m) for m in masks]
+        assert kept.tolist() == [c > 0 for c in counts]
+        assert got.tolist() == np.cumsum([0] + [c for c in counts if c]).tolist()
+        assert got.dtype == np.int64
+
+    @given(st.lists(st.lists(st.booleans(), min_size=1, max_size=6), max_size=8))
+    @example([])
+    @example([[False, False], [True], [False]])
+    @example([[True, True], [True]])
+    def test_table_subset_matches_per_track_recount(self, masks):
+        table = track_table(
+            [(np.arange(len(m)) * 2 + k, np.column_stack([np.arange(len(m)), np.full(len(m), k)]),
+              np.arange(len(m)) % len(LABELS)) for k, m in enumerate(masks)],
+            track_ids=[10 * (k + 1) for k in range(len(masks))],
+        )
+        rows = np.array([b for m in masks for b in m], dtype=bool)
+        got = table.subset(rows)
+        want = track_table(
+            [(table.frames[track_rows(table, k)][m], table.anchors[track_rows(table, k)][m],
+              table.labels[track_rows(table, k)][m]) for k, m in enumerate(masks) if any(m)],
+            track_ids=[10 * (k + 1) for k, m in enumerate(masks) if any(m)],
+        )
+        assert_tables_equal(got, want)
+        for column in (got.track_ids, got.offsets, got.frames, got.anchors, got.labels):
+            with pytest.raises(ValueError):
+                column[...] = 0
 
 
 class TestAnchor:
@@ -209,12 +269,12 @@ class TestAnchor:
 class TestClipToAoi:
     def test_all_inside_unchanged(self):
         t = track_of(straight_track_detections(1, 20, (10, 10), (2, 2)))
-        (clipped,) = clip_to_aoi([t], SQUARE_100)
-        assert clipped is t
+        clipped = clip_to_aoi(t, SQUARE_100)
+        assert_tables_equal(clipped, t)
 
     def test_none_inside(self):
         t = track_of(straight_track_detections(1, 5, (200, 200), (1, 0)))
-        assert clip_to_aoi([t], SQUARE_100) == []
+        assert len(clip_to_aoi(t, SQUARE_100)) == 0
 
     def test_longest_contiguous_run(self):
         # frames 0-30 inside, 31-35 outside, 36-40 inside: keep the long run
@@ -224,7 +284,8 @@ class TestClipToAoi:
             + straight_track_detections(1, 5, (50, 50), (1, 0), first_frame=36)
         )
         t = track_of(dets)
-        (clipped,) = clip_to_aoi([t], SQUARE_100)
+        clipped = clip_to_aoi(t, SQUARE_100)
+        assert ids(clipped) == [1]
         frames = clipped.frames.tolist()
         # oracle: exhaustive run-length scan over the inside flags
         inside = [
@@ -242,28 +303,18 @@ class TestClipToAoi:
         assert frames == list(range(0, 31))
 
     def test_clipped_anchors_all_inside(self, rng):
-        tracks = []
+        dets = []
         for i in range(20):
             n = int(rng.integers(5, 40))
             start = rng.uniform(-50, 150, 2)
             step = rng.uniform(-10, 10, 2)
-            tracks.append(track_of(straight_track_detections(i + 1, n, start, step)))
-        for clipped in clip_to_aoi(tracks, SQUARE_100):
-            for u, v in clipped.anchors:
-                assert point_in_polygon_oracle(u, v, SQUARE_100)
+            dets += straight_track_detections(i + 1, n, start, step)
+        for u, v in clip_to_aoi(tracks_of(dets), SQUARE_100).anchors:
+            assert point_in_polygon_oracle(u, v, SQUARE_100)
 
     @staticmethod
     def tracks_at(anchor_lists):
-        return [
-            Track(
-                i + 1,
-                np.arange(len(anchors), dtype=np.int64),
-                np.array(anchors, dtype=np.float64).reshape(-1, 2),
-                np.zeros(len(anchors), dtype=np.int8),
-                np.full(len(anchors), 0.9),
-            )
-            for i, anchors in enumerate(anchor_lists)
-        ]
+        return track_table([(np.arange(len(a)), a, None) for a in anchor_lists])
 
     # grid points, some on the polygons' edges: inside, outside and the
     # boundary are decided exactly by the kernel and the scalar oracle alike
@@ -273,7 +324,7 @@ class TestClipToAoi:
     )
 
     @given(
-        st.lists(st.lists(ANCHOR, max_size=12), max_size=8),
+        st.lists(st.lists(ANCHOR, min_size=1, max_size=12), max_size=8),
         st.sampled_from(["square", "concave"]),
     )
     @example([], "square")
@@ -282,119 +333,137 @@ class TestClipToAoi:
     # equal runs (earliest wins), touching the first and the last row
     @example([[(5, 5), (6, 6), (-5, 5), (7, 7), (8, 8)], [(0, 0), (-1, 0), (100, 100)]], "square")
     @example([[(-5, 5), (5, 5), (6, 6), (-5, 5), (7, 7), (8, 8)]], "concave")
+    # a run ending at one track's last row, the next starting at its first
+    @example([[(-5, 5), (5, 5)], [(5, 5), (-5, 5)]], "square")
     def test_matches_per_track_oracle(self, anchor_lists, polygon):
         poly = SQUARE_100 if polygon == "square" else CONCAVE_100
         tracks = self.tracks_at(anchor_lists)
-        want = [c for c in (clip_to_aoi_oracle(t, poly) for t in tracks) if c is not None]
+        runs = [clip_to_aoi_oracle(a, poly) for a in anchor_lists]
+        columns, kept_ids = [], []
+        for k, (anchors, run) in enumerate(zip(anchor_lists, runs)):
+            if run:
+                a, b = run
+                columns.append((np.arange(a, b), np.array(anchors, dtype=float)[a:b], None))
+                kept_ids.append(k + 1)
+        want = track_table(columns, track_ids=kept_ids)
         got = clip_to_aoi(tracks, poly)
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g is w) == (w in tracks)
-            assert_tracks_equal(g, w)
+        assert (got is tracks) == all(
+            run == (0, len(a)) for a, run in zip(anchor_lists, runs)
+        )
+        assert_tables_equal(got, want)
 
 
 class TestVehicleType:
     def test_all_car_retained(self):
         t = track_of(straight_track_detections(1, 5, (0, 0), (1, 0)))
-        assert filter_vehicle_type([t]) == [t]
+        assert_tables_equal(filter_vehicle_type(t), t)
 
     def test_all_bicycle_removed(self):
         t = track_of(straight_track_detections(1, 5, (0, 0), (1, 0), label=ClassLabel.BICYCLE))
-        assert filter_vehicle_type([t]) == []
+        assert len(filter_vehicle_type(t)) == 0
 
     def test_majority_car_with_pedestrian_flicker(self):
         dets = [det(i, 1, label=ClassLabel.CAR) for i in range(3)]
         dets += [det(i, 1, label=ClassLabel.PEDESTRIAN) for i in range(3, 5)]
         t = track_of(dets)
-        assert filter_vehicle_type([t]) == [t]
+        assert_tables_equal(filter_vehicle_type(t), t)
 
     def test_tie_broken_toward_vehicle(self):
         dets = [det(0, 1, label=ClassLabel.TRUCK), det(1, 1, label=ClassLabel.PEDESTRIAN)]
         t = track_of(dets)
-        assert filter_vehicle_type([t]) == [t]
+        assert_tables_equal(filter_vehicle_type(t), t)
 
-    @given(st.lists(st.lists(st.sampled_from(LABELS), max_size=8), max_size=8))
+    @given(st.lists(st.lists(st.sampled_from(LABELS), min_size=1, max_size=8), max_size=8))
     def test_matches_per_track_vote(self, label_lists):
-        tracks = [
-            Track(i + 1, np.arange(len(labels)), np.zeros((len(labels), 2)),
-                  np.array([LABELS.index(label) for label in labels], dtype=np.int8),
-                  np.full(len(labels), 0.9))
-            for i, labels in enumerate(label_lists)
-        ]
+        tracks = track_table([
+            (np.arange(len(labels)), np.zeros((len(labels), 2)),
+             [LABELS.index(label) for label in labels])
+            for labels in label_lists
+        ])
         want = []
-        for t, labels in zip(tracks, label_lists):
+        for k, labels in enumerate(label_lists):
             counts = {label: labels.count(label) for label in labels}
             modal = [label for label, c in counts.items() if c == max(counts.values())]
-            # an empty track ties every label at zero, vehicles included
-            if not labels or any(label in VEHICLE_LABELS for label in modal):
-                want.append(t)
-        assert filter_vehicle_type(tracks) == want
+            if any(label in VEHICLE_LABELS for label in modal):
+                want.append(k)
+        keep = np.isin(np.arange(len(tracks)), want)
+        assert_tables_equal(filter_vehicle_type(tracks), tracks.subset(tracks.per_row(keep)))
 
 
 class TestStationary:
     def test_parked_vehicle_removed(self):
         t = track_of(straight_track_detections(1, 30, (50, 50), (0, 0)))
-        assert filter_stationary([t], IDENTITY) == []
+        assert len(filter_stationary(t, IDENTITY)) == 0
 
     def test_moving_vehicle_retained(self):
         # 10 m/s for 3 s at 10 fps under the identity map (px == m)
         t = track_of(straight_track_detections(1, 30, (0, 0), (1, 0)))
-        assert filter_stationary([t], IDENTITY) == [t]
+        assert_tables_equal(filter_stationary(t, IDENTITY), t)
 
     def test_creep_below_threshold_removed(self):
         # 1.5 m total displacement over 30 frames
         t = track_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))
-        assert filter_stationary([t], IDENTITY) == []
-        assert filter_stationary([t], IDENTITY, min_net_m=1.0) == [t]
+        assert len(filter_stationary(t, IDENTITY)) == 0
+        assert_tables_equal(filter_stationary(t, IDENTITY, min_net_m=1.0), t)
+
+
+# the inverse map's vanishing line u = -r33 / r31 crosses the scene, so
+# endpoints placed on it do not project
+VANISHING_H = Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-2, 0.0, 1.0]])
 
 
 class TestEndpointStages:
     def test_fates_over_many_tracks_equal_one_track_fates(self, rng):
-        # the inverse map's vanishing line u = -r33 / r31 crosses the scene,
-        # so endpoints placed on it do not project
-        h = Homography([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-2, 0.0, 1.0]])
+        h = VANISHING_H
         r31, _, r33 = h.inverse().matrix[2]
-        tracks = []
+        dets = []
         for tid in range(1, 41):
             n = int(rng.integers(2, 15))
-            t = track_of(straight_track_detections(tid, n, rng.uniform(-50, 90, 2), rng.normal(0, 1, 2)))
+            dets += straight_track_detections(tid, n, rng.uniform(-50, 90, 2), rng.normal(0, 1, 2))
+        tracks = tracks_of(dets)
+        anchors = tracks.anchors.copy()
+        for k, tid in enumerate(ids(tracks)):
             if tid % 7 == 0:
-                anchors = t.anchors.copy()
-                anchors[0 if tid % 2 else -1, 0] = -r33 / r31
-                t = dataclasses.replace(t, anchors=anchors)
-            tracks.append(t)
+                rows = track_rows(tracks, k)
+                anchors[rows.start if tid % 2 else rows.stop - 1, 0] = -r33 / r31
+        tracks = dataclasses.replace(tracks, anchors=anchors)
         stages = (
             lambda ts: filter_stationary(ts, h),
             lambda ts: filter_direction(ts, h, np.array([1.0, 0.0]), 60.0),
         )
         for stage in stages:
-            batch = [t.track_id for t in stage(tracks)]
-            assert batch == [t.track_id for t in tracks if stage([t])]
+            batch = ids(stage(tracks))
+            assert batch == [
+                tid for k, tid in enumerate(ids(tracks)) if len(stage(only_track(tracks, k)))
+            ]
             assert 0 < len(batch) < len(tracks)
-        unprojectable = [t.track_id for t in tracks if t.track_id % 7 == 0]
+        unprojectable = [tid for tid in ids(tracks) if tid % 7 == 0]
         for tid in unprojectable:
-            _, valid = project_points(h.inverse().matrix, tracks[tid - 1].anchors[[0, -1]])
+            ends = tracks.anchors[track_rows(tracks, tid - 1)][[0, -1]]
+            _, valid = project_points(h.inverse().matrix, ends)
             assert valid.tolist() == ([False, True] if tid % 2 else [True, False])
-        assert set(unprojectable) <= {t.track_id for t in stages[0](tracks)}
+        assert set(unprojectable) <= set(ids(stages[0](tracks)))
         # any nonzero displacement is within 180 degrees: only these drop
         kept = filter_direction(tracks, h, np.array([1.0, 0.0]), 180.0)
-        assert {t.track_id for t in tracks} - {t.track_id for t in kept} == set(unprojectable)
+        assert set(ids(tracks)) - set(ids(kept)) == set(unprojectable)
 
 
 class TestFollowing:
     direction = np.array([1.0, 0.0])
 
     def test_far_apart_both_retained(self):
-        lead = track_of(straight_track_detections(1, 20, (300, 50), (5, 0)))
-        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
-        kept = filter_following([lead, tail], IDENTITY, self.direction)
+        tracks = tracks_of(straight_track_detections(1, 20, (300, 50), (5, 0))
+                           + straight_track_detections(2, 20, (100, 50), (5, 0)))
+        kept = filter_following(tracks, IDENTITY, self.direction)
         assert len(kept) == 2
 
     def test_close_trailing_removed_leader_retained(self):
         lead = track_of(straight_track_detections(1, 20, (130, 50), (5, 0)))
-        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
-        kept = filter_following([lead, tail], IDENTITY, self.direction)
-        assert kept == [lead]
+        tracks = tracks_of(straight_track_detections(1, 20, (130, 50), (5, 0))
+                           + straight_track_detections(2, 20, (100, 50), (5, 0)))
+        kept = filter_following(tracks, IDENTITY, self.direction)
+        assert_tables_equal(kept, lead)
 
     def test_brief_closeness_retained(self):
         # trailing vehicle within 40 px for only 2 of 20 coexisting frames
@@ -407,16 +476,42 @@ class TestFollowing:
 
     def test_vehicle_ahead_is_not_removed_by_follower(self):
         # follower 30 px behind: only the follower goes, per-frame oracle agrees
-        lead = track_of(straight_track_detections(1, 20, (130, 50), (5, 0)))
-        tail = tracks_of(straight_track_detections(2, 20, (100, 50), (5, 0)))[0]
+        tracks = tracks_of(straight_track_detections(1, 20, (130, 50), (5, 0))
+                           + straight_track_detections(2, 20, (100, 50), (5, 0)))
+        lead, tail = (tracks.anchors[track_rows(tracks, k)] for k in range(2))
         close_frames = sum(
             1
-            for a, b in zip(tail.anchors, lead.anchors)
+            for a, b in zip(tail, lead)
             if np.hypot(*(b - a)) < 40 and (b - a)[0] > 0
         )
         assert close_frames == 20
-        kept = filter_following([lead, tail], IDENTITY, self.direction)
-        assert [t.track_id for t in kept] == [1]
+        kept = filter_following(tracks, IDENTITY, self.direction)
+        assert ids(kept) == [1]
+
+
+@st.composite
+def direction_scenes(draw):
+    """A travel direction, a gate and world displacements: most at an angle
+    to the direction a few ulp of either coordinate off max_deg + 1e-9, the
+    rest arbitrary or degenerate; plus anchor rows to make unprojectable."""
+    heading = draw(st.floats(-math.pi, math.pi))
+    max_deg = draw(st.floats(0.5, 179.5))
+    disps = []
+    for _ in range(draw(st.integers(1, 4))):
+        radius = draw(st.floats(1.0, 1e3))
+        angle = heading + draw(st.sampled_from([-1.0, 1.0])) * math.radians(max_deg + 1e-9)
+        disp = [radius * math.cos(angle), radius * math.sin(angle)]
+        for axis in range(2):
+            toward = draw(st.sampled_from([-math.inf, math.inf]))
+            for _ in range(draw(st.integers(0, 4))):
+                disp[axis] = math.nextafter(disp[axis], toward)
+        disps.append(disp)
+    disps += draw(st.lists(st.one_of(
+        st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+        st.sampled_from([(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 5e-324), (1e-300, 0.0)]),
+    ).map(list), max_size=4))
+    unprojectable = draw(st.sets(st.integers(0, 2 * len(disps) - 1), max_size=3))
+    return [math.cos(heading), math.sin(heading)], max_deg, disps, unprojectable
 
 
 class TestDirection:
@@ -424,11 +519,11 @@ class TestDirection:
 
     def test_aligned_retained(self):
         t = track_of(straight_track_detections(1, 10, (0, 0), (5, 0)))
-        assert filter_direction([t], IDENTITY, self.direction) == [t]
+        assert_tables_equal(filter_direction(t, IDENTITY, self.direction), t)
 
     def test_opposite_removed(self):
         t = track_of(straight_track_detections(1, 10, (100, 0), (-5, 0)))
-        assert filter_direction([t], IDENTITY, self.direction) == []
+        assert len(filter_direction(t, IDENTITY, self.direction)) == 0
 
     @pytest.mark.parametrize("angle_deg,kept", [(44.0, True), (46.0, False)])
     def test_angle_boundary(self, angle_deg, kept):
@@ -440,7 +535,29 @@ class TestDirection:
             np.arccos(disp @ self.direction / np.linalg.norm(disp))
         )
         assert (oracle_deg <= 45.0) == kept
-        assert (filter_direction([t], IDENTITY, self.direction) == [t]) == kept
+        assert (len(filter_direction(t, IDENTITY, self.direction)) == 1) == kept
+
+    @settings(max_examples=300, deadline=None)
+    @given(direction_scenes())
+    @example(([1.0, 0.0], 45.0, [[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], {0, 3}))
+    def test_matches_per_track_loop(self, scene):
+        """Kept sets equal the per-track scalar loop's, on angles within a
+        few ulp of the gate, zero displacements and unprojectable endpoints."""
+        direction, max_deg, disps, unprojectable = scene
+        # every track starts at the world origin; its two anchors are the
+        # image points of its endpoints, or a point on the horizon
+        ends = np.zeros((2 * len(disps), 2))
+        ends[1::2] = disps
+        anchors, _ = project_points(VANISHING_H.matrix, ends)
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        anchors[sorted(r for r in unprojectable if r < len(anchors)), 0] = -r33 / r31
+        tracks = track_table([(np.arange(2), anchors[2 * k:2 * k + 2], None) for k in range(len(disps))])
+        inv = VANISHING_H.inverse().matrix
+        first, valid_a = project_points(inv, anchors[0::2])
+        last, valid_b = project_points(inv, anchors[1::2])
+        want = direction_kept_oracle(last - first, valid_a & valid_b, direction, max_deg)
+        got = filter_direction(tracks, VANISHING_H, direction, max_deg)
+        assert ids(got) == [k + 1 for k, keep in enumerate(want) if keep]
 
 
 class TestCascade:
@@ -459,8 +576,7 @@ class TestCascade:
     def test_subset_property_and_accounting(self, rng):
         tracks = self.random_tracks(rng, 30)
         survivors, counts = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
-        ids_in = {t.track_id for t in tracks}
-        assert {t.track_id for t in survivors} <= ids_in
+        assert set(ids(survivors)) <= set(ids(tracks))
         stage_sum = sum(counts[s] for s in ("aoi", "vehicle_type", "stationary", "following", "direction"))
         assert counts["input"] - stage_sum == counts["surviving"] == len(survivors)
 
@@ -469,9 +585,8 @@ class TestCascade:
             tracks = self.random_tracks(rng, 15)
             once, _ = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
             twice, _ = run_filter_cascade(once, SQUARE_100, self.DIRECTION, IDENTITY)
-            assert [t.track_id for t in twice] == [t.track_id for t in once]
-            for a, b in zip(once, twice):
-                assert_tracks_equal(a, b)
+            assert ids(twice) == ids(once)
+            assert_tables_equal(once, twice)
 
 
 # -- the columnar parser against the line-by-line validator ------------------

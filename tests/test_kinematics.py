@@ -11,6 +11,7 @@ from helpers import (
     make_correspondences,
     straight_track_detections,
     track_kinematics_oracle,
+    track_table,
     tracks_of,
     world_table,
     world_track_oracle,
@@ -26,7 +27,6 @@ from speedstudy import (
     track_kinematics,
 )
 from speedstudy.geometry import project_points
-from speedstudy.ingest import Track
 from speedstudy.kinematics import window_params
 
 IDENTITY = Homography(np.eye(3))
@@ -46,15 +46,15 @@ def constant_track(n, fps, speed_ms, dt_axis=(1.0, 0.0)):
 
 class TestToWorldTrack:
     def test_identity_equals_anchors(self):
-        t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)))[0]
-        wt = to_world_track([t], IDENTITY)
+        t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)))
+        wt = to_world_track(t, IDENTITY)
         assert wt.track_ids.tolist() == [1] and wt.offsets.tolist() == [0, 10]
         assert np.allclose(wt.points, t.anchors, atol=1e-9)
         assert np.array_equal(wt.frames, t.frames)
 
     def test_single_detection(self):
-        t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)))[0]
-        wt = to_world_track([t], IDENTITY)
+        t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)))
+        wt = to_world_track(t, IDENTITY)
         assert len(wt.frames) == 1
 
     def test_unprojectable_points_dropped(self, caplog):
@@ -70,12 +70,12 @@ class TestToWorldTrack:
         else:
             u, v = -r33 / r31, 5.0
         dets = straight_track_detections(1, 30, (50, 50), (3, 0))
-        t = tracks_of(dets)[0]
+        t = tracks_of(dets)
         anchors = t.anchors.copy()
         anchors[4] = (u, v)
         t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
-            wt = to_world_track([t], h)
+            wt = to_world_track(t, h)
         assert wt.track_ids.tolist() == [1]
         assert len(wt.frames) == 29 and wt.offsets.tolist() == [0, 29]
 
@@ -84,7 +84,7 @@ class TestToWorldTrack:
         inv = h.inverse().matrix
         r31, r32, r33 = inv[2]
         dets = straight_track_detections(1, 5, (50, 50), (3, 0))
-        t = tracks_of(dets)[0]
+        t = tracks_of(dets)
         anchors = t.anchors.copy()
         for i in range(2):
             if abs(r32) > 1e-12:
@@ -94,7 +94,7 @@ class TestToWorldTrack:
                 anchors[i] = (-r33 / r31, 5.0 + i)
         t = dataclasses.replace(t, anchors=anchors)
         with caplog.at_level("WARNING"):
-            wt = to_world_track([t], h)
+            wt = to_world_track(t, h)
         assert len(wt.track_ids) == 0 and len(wt.frames) == 0
 
 
@@ -176,19 +176,19 @@ class TestInvariants:
 
         t = tracks_of(
             straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
-        )[0]
-        sa = track_kinematics(to_world_track([t], h_a), 10.0)
-        sb = track_kinematics(to_world_track([t], h_b), 10.0)
+        )
+        sa = track_kinematics(to_world_track(t, h_a), 10.0)
+        sb = track_kinematics(to_world_track(t, h_b), 10.0)
         assert len(sa.frames) == len(sb.frames)
         for x, y in zip(sa.speeds_mph, sb.speeds_mph):
             assert x == pytest.approx(y, abs=1e-6)
 
     def test_speed_invariant_under_canonical_rescale_exact(self, rng):
         m = np.array([[20.0, 2.0, 500.0], [1.0, 15.0, 300.0], [1e-3, 2e-4, 1.0]])
-        t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))[0]
+        t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))
         for lam in (2.0, -8.0, 0.25):
-            a = track_kinematics(to_world_track([t], Homography(m)), 10.0)
-            b = track_kinematics(to_world_track([t], Homography(lam * m)), 10.0)
+            a = track_kinematics(to_world_track(t, Homography(m)), 10.0)
+            b = track_kinematics(to_world_track(t, Homography(lam * m)), 10.0)
             assert list(zip(a.frames.tolist(), a.speeds_mph.tolist())) == list(
                 zip(b.frames.tolist(), b.speeds_mph.tolist())
             )
@@ -285,10 +285,11 @@ ZONE = np.array([[20.0, -6.0], [35.0, -6.0], [35.0, 6.0], [20.0, 6.0]])
 TRACK_SPEC = st.tuples(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2**32 - 1))
 
 
-def recording_tracks(specs) -> list[Track]:
+def recording_tracks(specs) -> list[tuple]:
+    """Per-track (frames, anchors, None) columns, ids 1, 2, ..."""
     r31, r32, r33 = DEMO_H.inverse().matrix[2]
     tracks = []
-    for track_id, (n, n_bad, seed) in enumerate(specs, start=1):
+    for n, n_bad, seed in specs:
         rng = np.random.default_rng(seed)
         frames = int(rng.integers(0, 100)) + np.cumsum(rng.integers(1, 4, n))
         start = rng.uniform([500, 400], [1400, 900])
@@ -296,7 +297,7 @@ def recording_tracks(specs) -> list[Track]:
         bad = rng.choice(n, size=min(n_bad, n), replace=False)
         us = rng.uniform(500, 1400, len(bad))
         anchors[bad] = np.column_stack([us, (-r33 - r31 * us) / r32])  # den = 0
-        tracks.append(Track(track_id, frames, anchors, np.zeros(n, np.int8), np.full(n, 0.9)))
+        tracks.append((frames, anchors, None))
     return tracks
 
 
@@ -317,19 +318,20 @@ class TestRecordingTables:
     @example([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4), (30, 3, 5), (30, 4, 6)], 10.0, 0.5)
     @example([(1, 0, 7), (3, 0, 8), (4, 0, 9), (5, 1, 10), (40, 0, 11)], 10.0, 0.5)
     def test_matches_per_track_oracle(self, caplog, specs, fps, min_track_s):
-        tracks = recording_tracks(specs)
+        columns = recording_tracks(specs)
         inv = DEMO_H.inverse().matrix
-        n_bad = [int((~project_points(inv, t.anchors)[1]).sum()) for t in tracks]
+        n_bad = [int((~project_points(inv, a)[1]).sum()) for _, a, _ in columns]
         assert n_bad == [min(bad, n) for n, bad, _ in specs]
 
         warnings = []
-        paths = [world_track_oracle(t, DEMO_H, warnings) for t in tracks]
+        paths = [world_track_oracle(tid, f, a, DEMO_H, warnings)
+                 for tid, (f, a, _) in enumerate(columns, start=1)]
         caplog.clear()
         with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
-            world = to_world_track(tracks, DEMO_H)
+            world = to_world_track(track_table(columns), DEMO_H)
         logged = [r.getMessage() for r in caplog.records if r.name == "speedstudy.kinematics"]
         assert logged == warnings
-        kept = [(t.track_id, p) for t, p in zip(tracks, paths) if p is not None]
+        kept = [(tid, p) for tid, p in enumerate(paths, start=1) if p is not None]
         assert world.track_ids.tolist() == [tid for tid, _ in kept]
         assert world.offsets.tolist() == np.cumsum([0] + [len(f) for _, (f, _) in kept]).tolist()
         assert_same_bits(world.frames, _cat([f for _, (f, _) in kept], np.zeros(0, np.int64)))
@@ -354,7 +356,7 @@ class TestRecordingTables:
 
     def test_drop_rule_at_ten_percent(self, caplog):
         # 1 of 10 and 2 of 20 unprojectable stay; 2 of 10 and 3 of 20 go
-        tracks = recording_tracks([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4)])
+        tracks = track_table(recording_tracks([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4)]))
         with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
             world = to_world_track(tracks, DEMO_H)
         assert world.track_ids.tolist() == [1, 3]

@@ -100,8 +100,9 @@ class TestProfiles:
 class TestRender:
     def test_noiseless_round_trip_recovers_world_path(self, demo_h):
         dets, truth = render_scene([vehicle()], demo_h, fps=10.0, duration=8.0)
-        (track,) = tracks_of(dets)
-        wt = to_world_track([track], demo_h)
+        tracks = tracks_of(dets)
+        assert len(tracks) == 1
+        wt = to_world_track(tracks, demo_h)
         gt = truth.vehicles[0]
         assert np.array_equal(wt.frames, gt.frames)
         assert np.allclose(wt.points, gt.positions, atol=1e-6)
@@ -110,8 +111,9 @@ class TestRender:
         profile = TrapezoidStop(16.0, 3.0, 1.5, 2.5)
         dets, truth = render_scene([vehicle(profile=profile, start=(10.0, 0.0))],
                                    demo_h, fps=10.0, duration=20.0)
-        (track,) = tracks_of(dets)
-        wt = to_world_track([track], demo_h)
+        tracks = tracks_of(dets)
+        assert len(tracks) == 1
+        wt = to_world_track(tracks, demo_h)
         gt = truth.vehicles[0]
         # windowed speeds computed from true positions vs recovered positions
         want = brute_speed_series(gt.frames, gt.positions, 10.0)
