@@ -25,10 +25,8 @@ from .geometry import (
     Homography,
     ImagePoint,
     WorldPoint,
-    image_to_world,
     reprojection_rmse,
     solve_homography,
-    world_to_image,
 )
 from .ingest import (
     ClassLabel,
@@ -49,7 +47,6 @@ from .ingest import (
 from .kinematics import (
     MPS_TO_MPH,
     KinematicsTable,
-    WorldTable,
     to_world_track,
     track_kinematics,
 )

@@ -103,7 +103,7 @@ def round1(value: float) -> float:
 
 
 def mean_speed(values) -> float:
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInput("mean of zero values")
     return float(arr.mean())
@@ -116,7 +116,7 @@ def percentile_85(values, method: str = "interpolate") -> float:
     between the flanking order statistics; 'nearest_rank' takes the smallest
     value whose cumulative share reaches 85%.
     """
-    arr = np.sort(np.asarray(list(values), dtype=np.float64))
+    arr = np.sort(np.asarray(values, dtype=np.float64))
     n = arr.size
     if n == 0:
         raise EmptyInput("percentile of zero values")
@@ -142,7 +142,7 @@ def histogram(values, bin_width: float = 1.0) -> tuple[tuple[float, int], ...]:
     beyond the int64 range (values not finite included)."""
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return ()
     idx = np.floor(arr / bin_width)
@@ -213,8 +213,8 @@ def build_phase_summary(
     """Assemble one site-phase record from per-vehicle speeds and maneuvers."""
     if hours <= 0:
         raise ValueError(f"recording hours must be positive, got {hours}")
-    values = list(speeds_mph)
-    if not values:
+    values = np.asarray(speeds_mph, dtype=np.float64)
+    if not len(values):
         raise EmptyInput(f"no vehicles survived filtering for phase {phase.value}")
     shares = counts = None
     if maneuvers is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtInfinity, DegenerateConfiguration, TooFewPoints
+from .errors import DegenerateConfiguration, TooFewPoints
 
 INFINITY_TOL = 1e-12
 _SIGN_TOL = 1e-12
@@ -60,7 +60,7 @@ class Homography:
     and projection results directly comparable.
     """
 
-    __slots__ = ("_m", "_inv")
+    __slots__ = ("_m",)
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=np.float64).reshape(3, 3)
@@ -81,7 +81,6 @@ class Homography:
             raise DegenerateConfiguration("homography matrix is singular or near-singular")
         m.setflags(write=False)
         self._m = m
-        self._inv = None  # built by the first inverse() call
 
     @property
     def matrix(self) -> np.ndarray:
@@ -94,9 +93,7 @@ class Homography:
         return tuple(self._m.ravel())
 
     def inverse(self) -> "Homography":
-        if self._inv is None:
-            self._inv = Homography(np.linalg.inv(self._m))
-        return self._inv
+        return Homography(np.linalg.inv(self._m))
 
     def __eq__(self, other):
         if not isinstance(other, Homography):
@@ -164,25 +161,6 @@ def solve_homography(correspondences) -> Homography:
         )
     h_norm = vt[-1].reshape(3, 3)
     return Homography(np.linalg.inv(t_image) @ h_norm @ t_world)
-
-
-def _apply(matrix: np.ndarray, x: float, y: float) -> tuple[float, float]:
-    den = matrix[2, 0] * x + matrix[2, 1] * y + matrix[2, 2]
-    if abs(den) < INFINITY_TOL:
-        raise AtInfinity(f"point ({x}, {y}) maps to infinity")
-    px = (matrix[0, 0] * x + matrix[0, 1] * y + matrix[0, 2]) / den
-    py = (matrix[1, 0] * x + matrix[1, 1] * y + matrix[1, 2]) / den
-    return float(px), float(py)
-
-
-def world_to_image(h: Homography, p: WorldPoint) -> ImagePoint:
-    u, v = _apply(h.matrix, p.x, p.y)
-    return ImagePoint(u, v)
-
-
-def image_to_world(h: Homography, p: ImagePoint) -> WorldPoint:
-    x, y = _apply(h.inverse().matrix, p.u, p.v)
-    return WorldPoint(x, y)
 
 
 def project_points(matrix: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ Input format (one detection per line, no header, ``#`` lines ignored)::
 
 A file is read into one ``DetectionTable`` (a column per field) and tracks
 are cut from it with a single sort into one ``TrackTable`` (columns plus
-per-track offsets), so no per-row or per-track objects are built.
+per-track offsets), so no per-row or per-track objects are built. Assembly
+also maps every anchor onto the road plane, the recording's one inverse
+projection; later stages read those positions from the table.
 
 The cascade runs in a fixed order -- area-of-interest clipping, vehicle-type
 majority vote, stationary removal, close-follower removal, direction gating --
@@ -120,7 +122,17 @@ def row_subset(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class TrackTable:
+class ColumnTable:
+    """A table whose every field is a numpy column, made read-only on
+    construction."""
+
+    def __post_init__(self):
+        for column in fields(self):
+            getattr(self, column.name).setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class TrackTable(ColumnTable):
     """One recording's tracks as read-only columns: track k, with id
     track_ids[k], holds rows offsets[k]:offsets[k + 1], at least one, in
     frame order."""
@@ -130,10 +142,8 @@ class TrackTable:
     frames: np.ndarray  # (N,) int64, strictly increasing within a track
     anchors: np.ndarray  # (N, 2) float64, bottom-center per detection
     labels: np.ndarray  # (N,) int8 code into LABELS
-
-    def __post_init__(self):
-        for column in fields(self):
-            getattr(self, column.name).setflags(write=False)
+    world: np.ndarray  # (N, 2) float64, anchor on the road plane (m); 0 if not projectable
+    projectable: np.ndarray  # (N,) bool, the anchor maps onto the road plane
 
     def __len__(self):
         return len(self.track_ids)
@@ -148,7 +158,8 @@ class TrackTable:
             return self
         kept, offsets = row_subset(self.offsets, rows)
         return TrackTable(
-            self.track_ids[kept], offsets, self.frames[rows], self.anchors[rows], self.labels[rows]
+            self.track_ids[kept], offsets, self.frames[rows], self.anchors[rows],
+            self.labels[rows], self.world[rows], self.projectable[rows],
         )
 
 
@@ -313,11 +324,12 @@ def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def assemble_tracks(table: DetectionTable) -> TrackTable:
+def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
     """Group detections by id, sort by frame, and resolve duplicate frames.
 
     A duplicate (id, frame) pair keeps the higher-confidence detection (first
-    seen wins ties). Tracks are ordered by id.
+    seen wins ties). Tracks are ordered by id. Every kept anchor is mapped
+    onto the road plane through h's inverse in one projection.
     """
     # lexsort is stable, so rows tied on (id, frame, confidence) keep input order
     order = np.lexsort((-table.confidence, table.frame, table.track_id))
@@ -330,12 +342,16 @@ def assemble_tracks(table: DetectionTable) -> TrackTable:
     new_track = np.ones(len(ids), dtype=bool)
     new_track[1:] = ids[1:] != ids[:-1]
     starts = np.flatnonzero(new_track)
+    anchors = anchor_points(table.bbox[keep])
+    world, projectable = project_points(h.inverse().matrix, anchors)
     return TrackTable(
         ids[starts],
         np.append(starts, len(ids)),
         frames[first],
-        anchor_points(table.bbox[keep]),
+        anchors,
         table.label[keep],
+        world,
+        projectable,
     )
 
 
@@ -380,32 +396,32 @@ def filter_vehicle_type(tracks: TrackTable) -> TrackTable:
     return tracks.subset(tracks.per_row((modal & _VEHICLE_CODES).any(axis=1)))
 
 
-def _endpoint_displacements(tracks: TrackTable, h: Homography) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_displacements(tracks: TrackTable) -> tuple[np.ndarray, np.ndarray]:
     """Net world displacement first->last anchor of each track, (T, 2), and
     a mask of the tracks whose two endpoints both project."""
-    n = len(tracks)
-    ends = tracks.anchors[np.concatenate((tracks.offsets[:-1], tracks.offsets[1:] - 1))]
-    world, valid = project_points(h.inverse().matrix, ends)
-    return world[n:] - world[:n], valid[:n] & valid[n:]
+    first, last = tracks.offsets[:-1], tracks.offsets[1:] - 1
+    return (
+        tracks.world[last] - tracks.world[first],
+        tracks.projectable[first] & tracks.projectable[last],
+    )
 
 
-def filter_stationary(tracks: TrackTable, h: Homography, min_net_m: float = 2.0) -> TrackTable:
+def filter_stationary(tracks: TrackTable, min_net_m: float = 2.0) -> TrackTable:
     """Drop tracks whose net world displacement stays under min_net_m."""
-    disp, valid = _endpoint_displacements(tracks, h)
+    disp, valid = _endpoint_displacements(tracks)
     still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < min_net_m)
     return tracks.subset(tracks.per_row(~still))
 
 
-def _image_headings(anchors: np.ndarray, h: Homography, travel_direction) -> np.ndarray:
+def _image_headings(tracks: TrackTable, h: Homography, travel_direction) -> np.ndarray:
     """Unit image-space vector of a 1 m world step along travel_direction at
     each anchor; zero where the anchor or the step does not project. (A
     function of its own so its temporaries are freed before the pair scan.)"""
     direction = np.asarray(travel_direction, dtype=np.float64)
-    world, valid = project_points(h.inverse().matrix, anchors)
-    ahead_img, valid2 = project_points(h.matrix, world + direction)
-    dirs = ahead_img - anchors
+    ahead_img, ahead_valid = project_points(h.matrix, tracks.world + direction)
+    dirs = ahead_img - tracks.anchors
     norms = np.hypot(dirs[:, 0], dirs[:, 1])
-    ok = valid & valid2 & (norms > 0)
+    ok = tracks.projectable & ahead_valid & (norms > 0)
     dirs[ok] /= norms[ok, np.newaxis]
     dirs[~ok] = 0.0
     return dirs
@@ -429,7 +445,7 @@ def filter_following(
     if len(tracks) < 2:
         return tracks
     anchors = tracks.anchors
-    dirs = _image_headings(anchors, h, travel_direction)
+    dirs = _image_headings(tracks, h, travel_direction)
     follower, _, close, coexist = _kernels.close_pair_counts(
         tracks.frames, tracks.per_row(np.arange(len(tracks))), anchors[:, 0], anchors[:, 1],
         dirs[:, 0], dirs[:, 1], max_px, len(tracks),
@@ -439,9 +455,7 @@ def filter_following(
     return tracks.subset(tracks.per_row(~has_leader))
 
 
-def filter_direction(
-    tracks: TrackTable, h: Homography, travel_direction, max_deg: float = 45.0
-) -> TrackTable:
+def filter_direction(tracks: TrackTable, travel_direction, max_deg: float = 45.0) -> TrackTable:
     """Keep tracks whose net world displacement stays within max_deg of the
     travel direction. Zero or unprojectable displacement is dropped.
 
@@ -449,7 +463,7 @@ def filter_direction(
     vectorized dot and arccos round differently in the last place, which
     can flip a track lying on the boundary."""
     direction = np.asarray(travel_direction, dtype=np.float64)
-    displacements, valid = _endpoint_displacements(tracks, h)
+    displacements, valid = _endpoint_displacements(tracks)
     keep = np.zeros(len(tracks), dtype=bool)
     for k in np.flatnonzero(valid).tolist():
         disp = displacements[k]
@@ -481,9 +495,9 @@ def run_filter_cascade(
     stages = (
         lambda t: clip_to_aoi(t, aoi_polygon),
         filter_vehicle_type,
-        lambda t: filter_stationary(t, h, stationary_m),
+        lambda t: filter_stationary(t, stationary_m),
         lambda t: filter_following(t, h, travel_direction, following_px, following_frac),
-        lambda t: filter_direction(t, h, travel_direction, direction_deg),
+        lambda t: filter_direction(t, travel_direction, direction_deg),
     )
     counts = {"input": len(tracks)}
     for stage, apply in zip(CASCADE_STAGES, stages):

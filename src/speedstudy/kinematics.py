@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .geometry import Homography, project_points
-from .ingest import TrackTable, row_subset
+# unused here: the benchmark's tracer (perfbench/tracing.py) wraps kinematics.project_points
+from .geometry import project_points  # noqa: F401
+from .ingest import ColumnTable, TrackTable, row_subset
 
 log = logging.getLogger(__name__)
 
@@ -27,26 +28,16 @@ _MAX_DROP_FRAC = 0.10
 
 
 @dataclass(frozen=True, eq=False)
-class WorldTable:
-    """One recording's tracks on the road plane: track k, with id
-    track_ids[k], holds rows offsets[k]:offsets[k + 1] of the row columns."""
+class KinematicsTable(ColumnTable):
+    """One recording's sliding-window speed samples, one row per sample:
+    track k, with id track_ids[k], holds rows offsets[k]:offsets[k + 1];
+    frames and points are the frame each sample ends at and the world
+    position there. Every track has at least one sample."""
 
     track_ids: np.ndarray  # (T,) int64
     offsets: np.ndarray  # (T + 1,) int64, from 0 to the row count
     frames: np.ndarray  # (N,) int64, strictly increasing within a track
     points: np.ndarray  # (N, 2) float64, meters
-
-    def __post_init__(self):
-        for column in fields(self):
-            getattr(self, column.name).setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class KinematicsTable(WorldTable):
-    """One recording's sliding-window speed samples, one row per sample:
-    frames and points are the frame each sample ends at and the world
-    position there. Every track has at least one sample."""
-
     speeds_mph: np.ndarray  # (N,) float64
     window_frames: np.ndarray  # (N,) int64, positions spanned by each window
     representative_mph: np.ndarray  # (T,) float64, mean of each track's speeds
@@ -59,49 +50,47 @@ def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple
     return wmax, first_hist
 
 
-def to_world_track(tracks: TrackTable, h: Homography) -> WorldTable:
-    """Map every track's anchors onto the road plane via the inverse
-    homography, in one projection.
+def to_world_track(tracks: TrackTable) -> TrackTable:
+    """The tracks on the road plane: their rows whose anchor projects (see
+    assemble_tracks).
 
     Unprojectable anchors are dropped with a warning; a whole track is
     dropped when more than 10% of its points are lost.
     """
-    world, valid = project_points(h.inverse().matrix, tracks.anchors)
     owner = tracks.per_row(np.arange(len(tracks)))
-    n_bad = np.bincount(owner[~valid], minlength=len(tracks))
+    n_bad = np.bincount(owner[~tracks.projectable], minlength=len(tracks))
     dropped = n_bad > _MAX_DROP_FRAC * np.diff(tracks.offsets)
     for k in np.flatnonzero(n_bad).tolist():
         log.warning("track %d: dropped %d unprojectable points", tracks.track_ids[k], n_bad[k])
         if dropped[k]:
             log.warning("track %d dropped entirely", tracks.track_ids[k])
-    keep = valid & ~dropped[owner]
-    kept, offsets = row_subset(tracks.offsets, keep)
-    return WorldTable(tracks.track_ids[kept], offsets, tracks.frames[keep], world[keep])
+    return tracks.subset(tracks.projectable & ~dropped[owner])
 
 
 def track_kinematics(
-    world: WorldTable, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
+    tracks: TrackTable, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
 ) -> KinematicsTable:
-    """Every track's speed samples, from one window pass over the table,
-    plus each track's mean; tracks too short for a sample are left out."""
+    """Every track's speed samples, from one window pass over the road-plane
+    positions of to_world_track's tracks, plus each track's mean; tracks too
+    short for a sample are left out."""
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     wmax, first_hist = window_params(fps, min_track_s)
     speeds_ms, wlens = _kernels.window_speeds(
-        world.frames, world.points[:, 0], world.points[:, 1], wmax, first_hist, fps,
-        np.repeat(world.offsets[:-1], np.diff(world.offsets)),
+        tracks.frames, tracks.world[:, 0], tracks.world[:, 1], wmax, first_hist, fps,
+        tracks.per_row(tracks.offsets[:-1]),
     )
     idx = speeds_ms >= 0.0
-    sampled, offsets = row_subset(world.offsets, idx)
+    sampled, offsets = row_subset(tracks.offsets, idx)
     speeds = speeds_ms[idx] * MPS_TO_MPH
     # one mean per track, so each is the value np.mean of its samples gives;
     # a segmented sum would add in another order
     means = [speeds[a:b].mean() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
     return KinematicsTable(
-        world.track_ids[sampled],
+        tracks.track_ids[sampled],
         offsets,
-        world.frames[idx],
-        world.points[idx],
+        tracks.frames[idx],
+        tracks.world[idx],
         speeds,
         wlens[idx],
         np.array(means, dtype=np.float64),

@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytics import PhaseSummary, build_phase_summary
 from .behavior import ManeuverObservation, observe_maneuvers
 from .config import PhaseInput, SceneConfig
@@ -52,7 +54,7 @@ def process_detections(
     th = cfg.thresholds
     # left unnamed here, so the cascade frees the assembled table after its first stage
     survivors, counts = run_filter_cascade(
-        assemble_tracks(detections),
+        assemble_tracks(detections, h),
         cfg.aoi_polygon,
         cfg.travel_direction,
         h,
@@ -64,10 +66,10 @@ def process_detections(
     if counts["input"] - sum(counts[s] for s in CASCADE_STAGES) != counts["surviving"]:
         raise InvariantViolation(f"filter accounting does not balance: {counts}")
 
-    world = to_world_track(survivors, h)
-    counts["unprojectable"] = len(survivors) - len(world.track_ids)
+    world = to_world_track(survivors)
+    counts["unprojectable"] = len(survivors) - len(world)
     kins = track_kinematics(world, cfg.fps, th.min_track_s)
-    counts["no_kinematics"] = len(world.track_ids) - len(kins.track_ids)
+    counts["no_kinematics"] = len(world) - len(kins.track_ids)
 
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
@@ -92,9 +94,9 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
     totals["raw_detections"] = sum(r.raw_rows for r in recordings)
 
     if cfg.representative == "per_vehicle":
-        speeds = [s for rec in recordings for s in rec.kinematics.representative_mph.tolist()]
+        speeds = np.concatenate([rec.kinematics.representative_mph for rec in recordings])
     else:
-        speeds = [s for rec in recordings for s in rec.kinematics.speeds_mph.tolist()]
+        speeds = np.concatenate([rec.kinematics.speeds_mph for rec in recordings])
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = [m for rec in recordings for m in rec.maneuvers]

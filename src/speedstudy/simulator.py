@@ -23,6 +23,7 @@ from .geometry import (
     Homography,
     ImagePoint,
     WorldPoint,
+    project_points,
     solve_homography,
 )
 from .ingest import ClassLabel, Detection
@@ -244,9 +245,7 @@ def render_scene(
                 f"vehicle {veh.vehicle_id} crosses the projective horizon; "
                 "shorten max_distance_m or move its path"
             )
-        anchors = np.empty_like(positions)
-        anchors[:, 0] = (h_mat[0, 0] * positions[:, 0] + h_mat[0, 1] * positions[:, 1] + h_mat[0, 2]) / den
-        anchors[:, 1] = (h_mat[1, 0] * positions[:, 0] + h_mat[1, 1] * positions[:, 1] + h_mat[1, 2]) / den
+        anchors, _ = project_points(h_mat, positions)
         if noise_sigma_px > 0:
             anchors = anchors + rng.normal(0.0, noise_sigma_px, anchors.shape)
         bw, bh = veh.bbox_px

@@ -16,10 +16,11 @@ import numpy as np
 from speedstudy import (
     Correspondence,
     Detection,
+    DetectionTable,
+    Homography,
     ImagePoint,
     TrackTable,
     WorldPoint,
-    WorldTable,
     _kernels,
     assemble_tracks,
     parse_track_file,
@@ -31,6 +32,7 @@ from speedstudy.kinematics import window_params
 from speedstudy.simulator import DEFAULT_CLASS_MAP
 
 MPS_TO_MPH = 2.2369362920544
+IDENTITY = Homography(np.eye(3))
 
 
 def apply_h(matrix, x, y):
@@ -177,16 +179,11 @@ def brute_speed_series(frames, points, fps, min_track_s=0.5):
     return out
 
 
-def world_table(paths) -> WorldTable:
-    """A WorldTable of (frames, points) pairs, one per track, ids 1, 2, ..."""
-    frames = [np.asarray(f, dtype=np.int64) for f, _ in paths]
-    points = [np.asarray(p, dtype=np.float64).reshape(-1, 2) for _, p in paths]
-    return WorldTable(
-        np.arange(1, len(paths) + 1, dtype=np.int64),
-        np.concatenate(([0], np.cumsum([len(f) for f in frames], dtype=np.int64))),
-        np.concatenate(frames or [np.zeros(0, dtype=np.int64)]),
-        np.concatenate(points or [np.zeros((0, 2))]),
-    )
+def world_table(paths) -> TrackTable:
+    """The TrackTable of (frames, points) pairs, one per track, ids 1, 2, ...,
+    assembled under the identity map: its world column holds the points, each
+    within an ulp (the canonical identity matrix is I / sqrt(3))."""
+    return track_table([(f, p, None) for f, p in paths])
 
 
 def world_track_oracle(track_id, frames, anchors, h, warnings):
@@ -267,13 +264,8 @@ CORRIDOR_CORNERS = [
 
 def scene_config_dict(h, location_id=1, fps=10.0, **overrides) -> dict:
     """Scene config JSON body for the demo corridor camera."""
-    from speedstudy.geometry import world_to_image
-
     aoi_world = [(-5.0, -6.0), (65.0, -6.0), (65.0, 6.0), (-5.0, 6.0)]
-    aoi = []
-    for x, y in aoi_world:
-        p = world_to_image(h, WorldPoint(x, y))
-        aoi.append([p.u, p.v])
+    aoi = project_points(h.matrix, np.array(aoi_world))[0].tolist()
     cfg = {
         "location_id": location_id,
         "name": "demo corridor",
@@ -304,7 +296,7 @@ def assert_same_bits(got, want):
 
 def assert_tables_equal(a, b):
     """The same tracks with the same value in every per-detection column."""
-    for column in ("track_ids", "offsets", "frames", "anchors", "labels"):
+    for column in ("track_ids", "offsets", "frames", "anchors", "labels", "world", "projectable"):
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
@@ -323,14 +315,33 @@ def table_of(rows):
     return parse_track_file(serialize_detections(rows, DEFAULT_CLASS_MAP).encode(), DEFAULT_CLASS_MAP)
 
 
-def tracks_of(rows) -> TrackTable:
-    """The TrackTable assembled from Detection rows."""
-    return assemble_tracks(table_of(rows))
+def tracks_of(rows, h=IDENTITY) -> TrackTable:
+    """The TrackTable assembled from Detection rows under h."""
+    return assemble_tracks(table_of(rows), h)
 
 
-def track_table(columns, track_ids=None) -> TrackTable:
+def assembled(frames, track_ids, anchors, labels, h=IDENTITY) -> TrackTable:
+    """The TrackTable assemble_tracks makes of these rows under h; each box
+    has zero size, so its bottom center is exactly its anchor."""
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
+    bbox = np.zeros((len(anchors), 4))
+    bbox[:, :2] = anchors
+    table = DetectionTable(
+        np.asarray(frames, dtype=np.int64), np.asarray(track_ids, dtype=np.int64), bbox,
+        np.ones(len(anchors)), np.asarray(labels, dtype=np.int8),
+    )
+    return assemble_tracks(table, h)
+
+
+def with_anchors(tracks, anchors, h) -> TrackTable:
+    """The same tracks with other anchors, assembled under h."""
+    return assembled(tracks.frames, tracks.per_row(tracks.track_ids), anchors, tracks.labels, h)
+
+
+def track_table(columns, track_ids=None, h=IDENTITY) -> TrackTable:
     """A TrackTable of per-track (frames, anchors, labels), ids 1, 2, ...
-    unless given; labels may be None (all cars)."""
+    unless given (in increasing order), assembled under h; labels may be
+    None (all cars)."""
     frames = [np.asarray(f, dtype=np.int64) for f, _, _ in columns]
     anchors = [np.asarray(a, dtype=np.float64).reshape(-1, 2) for _, a, _ in columns]
     labels = [
@@ -339,12 +350,12 @@ def track_table(columns, track_ids=None) -> TrackTable:
     ]
     if track_ids is None:
         track_ids = np.arange(1, len(columns) + 1)
-    return TrackTable(
-        np.asarray(track_ids, dtype=np.int64),
-        np.concatenate(([0], np.cumsum([len(f) for f in frames], dtype=np.int64))),
+    return assembled(
         np.concatenate(frames or [np.zeros(0, dtype=np.int64)]),
+        np.repeat(np.asarray(track_ids, dtype=np.int64), [len(f) for f in frames]),
         np.concatenate(anchors or [np.zeros((0, 2))]),
         np.concatenate(labels or [np.zeros(0, dtype=np.int8)]),
+        h,
     )
 
 

@@ -35,15 +35,14 @@ from speedstudy import (
     build_phase_summary,
     compare_phases,
     delta_mismatches,
-    image_to_world,
     percent_change,
     percentile_85,
     render_scene,
     solve_homography,
-    world_to_image,
 )
 from speedstudy.cli import main
 from speedstudy.config import scene_config_from_dict
+from speedstudy.geometry import project_points
 from speedstudy.ingest import ClassLabel, run_filter_cascade
 from speedstudy.pipeline import process_detections
 
@@ -309,11 +308,11 @@ def test_criterion_5_homography_suite(demo_h):
         assert Homography(lam * m) == base
 
     # inverse round trip
-    for _ in range(200):
-        x, y = rng.uniform(0, 60), rng.uniform(-5, 5)
-        img = world_to_image(demo_h, WorldPoint(x, y))
-        back = image_to_world(demo_h, img)
-        assert math.hypot(back.x - x, back.y - y) < 1e-9
+    world = np.array([(rng.uniform(0, 60), rng.uniform(-5, 5)) for _ in range(200)])
+    img, valid = project_points(demo_h.matrix, world)
+    back, valid_back = project_points(demo_h.inverse().matrix, img)
+    assert valid.all() and valid_back.all()
+    assert np.hypot(*(back - world).T).max() < 1e-9
 
     # 1000-case solve/recover property run under 5 s
     start = time.perf_counter()
@@ -363,14 +362,14 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
     # 2.0 m stationary gate
     creeper = straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0))
     mover = straight_track_detections(2, 30, (0, 10), (1, 0))
-    kept = filter_stationary(tracks_of(creeper + mover), identity)
+    kept = filter_stationary(tracks_of(creeper + mover))
     assert kept.track_ids.tolist() == [2]
 
     # +-45 degree direction boundary
     for angle, keep in ((44.0, True), (46.0, False)):
         step = (5 * np.cos(np.radians(angle)), 5 * np.sin(np.radians(angle)))
         t = tracks_of(straight_track_detections(1, 10, (0, 0), step))
-        assert bool(len(filter_direction(t, identity, direction))) is keep
+        assert bool(len(filter_direction(t, direction))) is keep
 
     # cascade idempotence over 100 random synthetic scenes
     square = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]])
@@ -429,9 +428,8 @@ def test_criterion_8_throughput_100k_rows():
     cfg = scene_config_from_dict(scene)
     h = solve_homography(cfg.correspondences)
 
-    # one tiny recording first, so that one-time costs of a first call (the
-    # inverse homography, cached on first use; numpy's lazy setup) are not
-    # billed as processing
+    # one tiny recording first, so that one-time costs of a first call
+    # (numpy's lazy setup) are not billed as processing
     from speedstudy.ingest import parse_track_file
 
     warm = parse_track_file(

@@ -22,6 +22,8 @@ from speedstudy import (
     _kernels,
     approach_speeds,
     classify_maneuver,
+    geometry,
+    ingest,
     kinematics,
     maneuver_distribution,
     pipeline,
@@ -258,34 +260,54 @@ class TestObserveManeuvers:
     def test_one_projection_and_window_pass_per_recording(self, monkeypatch, demo_h, reduction):
         table = self.recording(demo_h)
         cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
-        calls = {"window_speeds": 0, "project_points": 0}
-        in_world = []
+        calls = {"window_speeds": 0}
+        stages = ["process_detections"]  # the innermost running stage is last
+        projections = []  # (stage, which matrix, point count) per call
+        following_rows = []
+        matrices = {"inverse": demo_h.inverse().matrix, "forward": demo_h.matrix}
 
-        def counting(module, name):
+        def counting_windows(*args):
+            calls["window_speeds"] += 1
+            return real_windows(*args)
+
+        def counting_projections(matrix, points):
+            which = [name for name, m in matrices.items() if np.array_equal(m, matrix)]
+            projections.append((stages[-1], *which, len(points)))
+            return real_project(matrix, points)
+
+        def stage(module, name):
             real = getattr(module, name)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
+            def wrapper(*args, **kwargs):
+                if name == "filter_following":
+                    following_rows.append(len(args[0].frames))
+                stages.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    stages.pop()
 
             monkeypatch.setattr(module, name, wrapper)
 
-        def world_projections(*args):
-            before = calls["project_points"]
-            result = real_world(*args)
-            in_world.append(calls["project_points"] - before)
-            return result
-
-        real_world = pipeline.to_world_track
-        monkeypatch.setattr(pipeline, "to_world_track", world_projections)
-        counting(_kernels, "window_speeds")
-        counting(kinematics, "project_points")
+        real_windows = _kernels.window_speeds
+        real_project = geometry.project_points
+        monkeypatch.setattr(_kernels, "window_speeds", counting_windows)
+        for module in (geometry, ingest, kinematics):
+            monkeypatch.setattr(module, "project_points", counting_projections)
+        for name in ("assemble_tracks", "to_world_track", "track_kinematics"):
+            stage(pipeline, name)
+        stage(ingest, "filter_following")
         result = pipeline.process_detections(table, cfg, demo_h)
 
         kins = result.kinematics
         assert kins.track_ids.tolist() == [1, 2, 3, 4]
         assert calls["window_speeds"] == 1
-        assert in_world == [1]
+        # one inverse projection of every assembled row, one forward
+        # projection for the follower headings, none in to_world_track
+        assert projections == [
+            ("assemble_tracks", "inverse", len(table)),
+            ("filter_following", "forward", following_rows[0]),
+        ]
         assert len(result.maneuvers) == len(self.PROFILES)
         for m in result.maneuvers:
             k = kins.track_ids.tolist().index(m.track_id)

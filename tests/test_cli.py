@@ -89,13 +89,12 @@ class TestCalibrate:
             c["image"][0] += rng.normal(0, 0.5)
             c["image"][1] += rng.normal(0, 0.5)
         # four extra exact points keep the solve well determined
-        from speedstudy.geometry import world_to_image
-        from speedstudy import WorldPoint
+        from speedstudy.geometry import project_points
 
         for x, y in ((15.0, -4.0), (30.0, 4.0), (45.0, -2.0), (20.0, 0.0)):
-            p = world_to_image(demo_h, WorldPoint(x, y))
+            u, v = project_points(demo_h.matrix, [(x, y)])[0][0].tolist()
             cfg["calibration"]["correspondences"].append(
-                {"world": [x, y], "image": [p.u + rng.normal(0, 0.5), p.v + rng.normal(0, 0.5)]}
+                {"world": [x, y], "image": [u + rng.normal(0, 0.5), v + rng.normal(0, 0.5)]}
             )
         path = tmp_path / "scene.json"
         write_json(path, cfg)
@@ -103,13 +102,12 @@ class TestCalibrate:
 
     def test_tight_gate_fails(self, tmp_path, demo_h, rng):
         cfg = scene_config_dict(demo_h)
-        for x, y in ((15.0, -4.0), (30.0, 4.0), (45.0, -2.0), (20.0, 0.0)):
-            from speedstudy.geometry import world_to_image
-            from speedstudy import WorldPoint
+        from speedstudy.geometry import project_points
 
-            p = world_to_image(demo_h, WorldPoint(x, y))
+        for x, y in ((15.0, -4.0), (30.0, 4.0), (45.0, -2.0), (20.0, 0.0)):
+            u, v = project_points(demo_h.matrix, [(x, y)])[0][0].tolist()
             cfg["calibration"]["correspondences"].append(
-                {"world": [x, y], "image": [p.u + rng.normal(0, 3.0), p.v + rng.normal(0, 3.0)]}
+                {"world": [x, y], "image": [u + rng.normal(0, 3.0), v + rng.normal(0, 3.0)]}
             )
         path = tmp_path / "scene.json"
         write_json(path, cfg)
@@ -352,6 +350,36 @@ class TestAnalyze:
             out = tmp_path / name
             assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1]
+
+    def test_shuffled_rows_give_byte_identical_reports(self, tmp_path, scene_path, sim_homography):
+        # every cascade stage removes a vehicle of this scene: one parked,
+        # a bicycle, one driving against the travel direction, a close follower
+        cfg = dict(sim_config(noise=1.0, n_vehicles=4), homography_matrix=sim_homography)
+        car = cfg["vehicles"][0]
+        cfg["vehicles"] += [
+            dict(car, id=5, start=[30.0, 3.0], profile={"kind": "constant", "v_mph": 0.0}),
+            dict(car, id=6, start=[0.0, 4.0], class_label="bicycle"),
+            dict(car, id=7, start=[60.0, 1.0], direction=[-1.0, 0.0], max_distance_m=60.0),
+            dict(car, id=8, entry_time_s=0.3),
+        ]
+        write_json(tmp_path / "sim.json", cfg)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "5",
+                     "--out", str(sim)]) == 0
+        manifest = self.make_manifest(tmp_path, scene_path, sim / "detections.csv")
+        blobs = []
+        for name in ("in_order", "shuffled"):
+            if name == "shuffled":
+                # the same path, since the filter counts name their source file
+                lines = (sim / "detections.csv").read_text().splitlines(keepends=True)
+                order = np.random.default_rng(11).permutation(len(lines))
+                (sim / "detections.csv").write_text("".join(lines[i] for i in order))
+            out = tmp_path / name
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        counts = json.loads(blobs[0]["pre_filter_counts.json"])["totals"]
+        assert all(counts[stage] for stage in ("vehicle_type", "stationary", "following", "direction"))
         assert blobs[0] == blobs[1]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 
@@ -7,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    IDENTITY,
+    assembled,
+    assert_same_bits,
     assert_table_matches_rows,
     assert_tables_equal,
     clip_to_aoi_oracle,
@@ -18,6 +20,7 @@ from helpers import (
     track_rows,
     track_table,
     tracks_of,
+    with_anchors,
 )
 from speedstudy import (
     Homography,
@@ -40,7 +43,6 @@ from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, row_subset
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
-IDENTITY = Homography(np.eye(3))
 SQUARE_100 = np.array([[0, 0], [100, 0], [100, 100], [0, 100]], dtype=float)
 CONCAVE_100 = np.array([[0, 0], [100, 0], [100, 100], [50, 40], [0, 100]], dtype=float)
 
@@ -191,7 +193,7 @@ class TestAssemble:
             "5,1,60,0,10,20,0.9,2\n"
             "4,1,90,0,10,20,0.1,1\n"
         )
-        t = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP))
+        t = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP), IDENTITY)
         assert t.frames.tolist() == [4, 5]
         assert t.anchors.tolist() == [[95.0, 20.0], [35.0, 20.0]]
         assert [LABELS[c] for c in t.labels] == [ClassLabel.CAR, ClassLabel.CAR]
@@ -212,6 +214,16 @@ class TestAssemble:
         t = tracks_of([])
         assert len(t) == 0 and t.offsets.tolist() == [0]
         assert t.anchors.shape == (0, 2)
+
+    def test_world_column_projects_every_anchor(self, rng):
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        anchors = rng.uniform(-150, 150, (40, 2))
+        anchors[::7, 0] = -r33 / r31  # on the inverse map's horizon
+        t = assembled(rng.permutation(40), rng.integers(1, 5, 40), anchors, np.zeros(40), VANISHING_H)
+        want, valid = project_points(VANISHING_H.inverse().matrix, t.anchors)
+        assert_same_bits(t.world, want)
+        assert_same_bits(t.projectable, valid)
+        assert 0 < valid.sum() < len(valid)
 
     def test_columns_read_only(self):
         t = tracks_of([det(0, 1), det(1, 1), det(0, 2)])
@@ -253,7 +265,8 @@ class TestRowSubset:
             track_ids=[10 * (k + 1) for k, m in enumerate(masks) if any(m)],
         )
         assert_tables_equal(got, want)
-        for column in (got.track_ids, got.offsets, got.frames, got.anchors, got.labels):
+        for column in (got.track_ids, got.offsets, got.frames, got.anchors, got.labels,
+                       got.world, got.projectable):
             with pytest.raises(ValueError):
                 column[...] = 0
 
@@ -394,18 +407,18 @@ class TestVehicleType:
 class TestStationary:
     def test_parked_vehicle_removed(self):
         t = track_of(straight_track_detections(1, 30, (50, 50), (0, 0)))
-        assert len(filter_stationary(t, IDENTITY)) == 0
+        assert len(filter_stationary(t)) == 0
 
     def test_moving_vehicle_retained(self):
         # 10 m/s for 3 s at 10 fps under the identity map (px == m)
         t = track_of(straight_track_detections(1, 30, (0, 0), (1, 0)))
-        assert_tables_equal(filter_stationary(t, IDENTITY), t)
+        assert_tables_equal(filter_stationary(t), t)
 
     def test_creep_below_threshold_removed(self):
         # 1.5 m total displacement over 30 frames
         t = track_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))
-        assert len(filter_stationary(t, IDENTITY)) == 0
-        assert_tables_equal(filter_stationary(t, IDENTITY, min_net_m=1.0), t)
+        assert len(filter_stationary(t)) == 0
+        assert_tables_equal(filter_stationary(t, min_net_m=1.0), t)
 
 
 # the inverse map's vanishing line u = -r33 / r31 crosses the scene, so
@@ -421,16 +434,16 @@ class TestEndpointStages:
         for tid in range(1, 41):
             n = int(rng.integers(2, 15))
             dets += straight_track_detections(tid, n, rng.uniform(-50, 90, 2), rng.normal(0, 1, 2))
-        tracks = tracks_of(dets)
+        tracks = tracks_of(dets, h)
         anchors = tracks.anchors.copy()
         for k, tid in enumerate(ids(tracks)):
             if tid % 7 == 0:
                 rows = track_rows(tracks, k)
                 anchors[rows.start if tid % 2 else rows.stop - 1, 0] = -r33 / r31
-        tracks = dataclasses.replace(tracks, anchors=anchors)
+        tracks = with_anchors(tracks, anchors, h)
         stages = (
-            lambda ts: filter_stationary(ts, h),
-            lambda ts: filter_direction(ts, h, np.array([1.0, 0.0]), 60.0),
+            filter_stationary,
+            lambda ts: filter_direction(ts, np.array([1.0, 0.0]), 60.0),
         )
         for stage in stages:
             batch = ids(stage(tracks))
@@ -445,7 +458,7 @@ class TestEndpointStages:
             assert valid.tolist() == ([False, True] if tid % 2 else [True, False])
         assert set(unprojectable) <= set(ids(stages[0](tracks)))
         # any nonzero displacement is within 180 degrees: only these drop
-        kept = filter_direction(tracks, h, np.array([1.0, 0.0]), 180.0)
+        kept = filter_direction(tracks, np.array([1.0, 0.0]), 180.0)
         assert set(ids(tracks)) - set(ids(kept)) == set(unprojectable)
 
 
@@ -488,6 +501,20 @@ class TestFollowing:
         kept = filter_following(tracks, IDENTITY, self.direction)
         assert ids(kept) == [1]
 
+    def test_heading_is_zero_where_the_anchor_does_not_project(self, rng):
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        anchors = rng.uniform(0, 90, (12, 2))
+        anchors[::3, 0] = -r33 / r31  # on the inverse map's horizon
+        tracks = track_table([(np.arange(12), anchors, None)], h=VANISHING_H)
+        dirs = ingest._image_headings(tracks, VANISHING_H, self.direction)
+        ok = tracks.projectable
+        assert ok.tolist() == [k % 3 != 0 for k in range(12)]
+        assert (dirs[~ok] == 0.0).all()
+        # elsewhere: the unit vector toward the image of a 1 m step ahead
+        ahead, _ = project_points(VANISHING_H.matrix, tracks.world[ok] + self.direction)
+        step = ahead - tracks.anchors[ok]
+        assert np.allclose(dirs[ok], step / np.hypot(step[:, 0], step[:, 1])[:, np.newaxis])
+
 
 @st.composite
 def direction_scenes(draw):
@@ -519,11 +546,11 @@ class TestDirection:
 
     def test_aligned_retained(self):
         t = track_of(straight_track_detections(1, 10, (0, 0), (5, 0)))
-        assert_tables_equal(filter_direction(t, IDENTITY, self.direction), t)
+        assert_tables_equal(filter_direction(t, self.direction), t)
 
     def test_opposite_removed(self):
         t = track_of(straight_track_detections(1, 10, (100, 0), (-5, 0)))
-        assert len(filter_direction(t, IDENTITY, self.direction)) == 0
+        assert len(filter_direction(t, self.direction)) == 0
 
     @pytest.mark.parametrize("angle_deg,kept", [(44.0, True), (46.0, False)])
     def test_angle_boundary(self, angle_deg, kept):
@@ -535,7 +562,7 @@ class TestDirection:
             np.arccos(disp @ self.direction / np.linalg.norm(disp))
         )
         assert (oracle_deg <= 45.0) == kept
-        assert (len(filter_direction(t, IDENTITY, self.direction)) == 1) == kept
+        assert (len(filter_direction(t, self.direction)) == 1) == kept
 
     @settings(max_examples=300, deadline=None)
     @given(direction_scenes())
@@ -551,12 +578,15 @@ class TestDirection:
         anchors, _ = project_points(VANISHING_H.matrix, ends)
         r31, _, r33 = VANISHING_H.inverse().matrix[2]
         anchors[sorted(r for r in unprojectable if r < len(anchors)), 0] = -r33 / r31
-        tracks = track_table([(np.arange(2), anchors[2 * k:2 * k + 2], None) for k in range(len(disps))])
+        tracks = track_table(
+            [(np.arange(2), anchors[2 * k:2 * k + 2], None) for k in range(len(disps))],
+            h=VANISHING_H,
+        )
         inv = VANISHING_H.inverse().matrix
         first, valid_a = project_points(inv, anchors[0::2])
         last, valid_b = project_points(inv, anchors[1::2])
         want = direction_kept_oracle(last - first, valid_a & valid_b, direction, max_deg)
-        got = filter_direction(tracks, VANISHING_H, direction, max_deg)
+        got = filter_direction(tracks, direction, max_deg)
         assert ids(got) == [k + 1 for k, keep in enumerate(want) if keep]
 
 

@@ -1,10 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import (
+    IDENTITY,
     MPS_TO_MPH,
     assert_same_bits,
     brute_speed_series,
@@ -13,12 +12,13 @@ from helpers import (
     track_kinematics_oracle,
     track_table,
     tracks_of,
+    with_anchors,
     world_table,
     world_track_oracle,
 )
 from speedstudy import (
     Homography,
-    WorldTable,
+    TrackTable,
     _kernels,
     approach_speeds,
     example_roadside_homography,
@@ -29,11 +29,10 @@ from speedstudy import (
 from speedstudy.geometry import project_points
 from speedstudy.kinematics import window_params
 
-IDENTITY = Homography(np.eye(3))
 
 
-def world_track(frames, points) -> WorldTable:
-    """A one-track WorldTable (track id 1)."""
+def world_track(frames, points) -> TrackTable:
+    """A one-track table on the road plane (track id 1)."""
     return world_table([(frames, points)])
 
 
@@ -46,15 +45,15 @@ def constant_track(n, fps, speed_ms, dt_axis=(1.0, 0.0)):
 
 class TestToWorldTrack:
     def test_identity_equals_anchors(self):
-        t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)))
-        wt = to_world_track(t, IDENTITY)
+        t = tracks_of(straight_track_detections(1, 10, (5, 5), (2, 1)), IDENTITY)
+        wt = to_world_track(t)
         assert wt.track_ids.tolist() == [1] and wt.offsets.tolist() == [0, 10]
-        assert np.allclose(wt.points, t.anchors, atol=1e-9)
+        assert np.allclose(wt.world, t.anchors, atol=1e-9)
         assert np.array_equal(wt.frames, t.frames)
 
     def test_single_detection(self):
-        t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)))
-        wt = to_world_track(t, IDENTITY)
+        t = tracks_of(straight_track_detections(1, 1, (5, 5), (0, 0)), IDENTITY)
+        wt = to_world_track(t)
         assert len(wt.frames) == 1
 
     def test_unprojectable_points_dropped(self, caplog):
@@ -73,9 +72,9 @@ class TestToWorldTrack:
         t = tracks_of(dets)
         anchors = t.anchors.copy()
         anchors[4] = (u, v)
-        t = dataclasses.replace(t, anchors=anchors)
+        t = with_anchors(t, anchors, h)
         with caplog.at_level("WARNING"):
-            wt = to_world_track(t, h)
+            wt = to_world_track(t)
         assert wt.track_ids.tolist() == [1]
         assert len(wt.frames) == 29 and wt.offsets.tolist() == [0, 29]
 
@@ -92,9 +91,9 @@ class TestToWorldTrack:
                 anchors[i] = (u, (-r33 - r31 * u) / r32)
             else:
                 anchors[i] = (-r33 / r31, 5.0 + i)
-        t = dataclasses.replace(t, anchors=anchors)
+        t = with_anchors(t, anchors, h)
         with caplog.at_level("WARNING"):
-            wt = to_world_track(t, h)
+            wt = to_world_track(t)
         assert len(wt.track_ids) == 0 and len(wt.frames) == 0
 
 
@@ -174,21 +173,19 @@ class TestInvariants:
         ]
         h_b = solve_homography(corrs_b)
 
-        t = tracks_of(
-            straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
-        )
-        sa = track_kinematics(to_world_track(t, h_a), 10.0)
-        sb = track_kinematics(to_world_track(t, h_b), 10.0)
+        dets = straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
+        sa = track_kinematics(to_world_track(tracks_of(dets, h_a)), 10.0)
+        sb = track_kinematics(to_world_track(tracks_of(dets, h_b)), 10.0)
         assert len(sa.frames) == len(sb.frames)
         for x, y in zip(sa.speeds_mph, sb.speeds_mph):
             assert x == pytest.approx(y, abs=1e-6)
 
     def test_speed_invariant_under_canonical_rescale_exact(self, rng):
         m = np.array([[20.0, 2.0, 500.0], [1.0, 15.0, 300.0], [1e-3, 2e-4, 1.0]])
-        t = tracks_of(straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0)))
+        dets = straight_track_detections(1, 40, (520.0, 320.0), (3.0, 1.0))
         for lam in (2.0, -8.0, 0.25):
-            a = track_kinematics(to_world_track(t, Homography(m)), 10.0)
-            b = track_kinematics(to_world_track(t, Homography(lam * m)), 10.0)
+            a = track_kinematics(to_world_track(tracks_of(dets, Homography(m))), 10.0)
+            b = track_kinematics(to_world_track(tracks_of(dets, Homography(lam * m))), 10.0)
             assert list(zip(a.frames.tolist(), a.speeds_mph.tolist())) == list(
                 zip(b.frames.tolist(), b.speeds_mph.tolist())
             )
@@ -213,7 +210,7 @@ class TestInvariants:
         fwd = track_kinematics(wt, 10.0)
         rev = track_kinematics(
             world_track(
-                wt.frames.max() - wt.frames[::-1], wt.points[::-1].copy()
+                wt.frames.max() - wt.frames[::-1], wt.world[::-1].copy()
             ),
             10.0,
         )
@@ -247,10 +244,11 @@ class TestTrackKinematics:
     def test_points_are_the_world_positions_at_sample_frames(self, rng):
         frames = np.sort(rng.choice(np.arange(100), size=40, replace=False))
         pts = np.cumsum(rng.normal(0, 0.4, (40, 2)), axis=0)
-        k = track_kinematics(world_track(frames, pts), 10.0)
+        wt = world_track(frames, pts)
+        k = track_kinematics(wt, 10.0)
         row = np.searchsorted(frames, k.frames)
         assert np.array_equal(frames[row], k.frames)
-        assert np.array_equal(k.points, pts[row])
+        assert np.array_equal(k.points, wt.world[row])
         assert k.frames.dtype == np.int64 and k.window_frames.dtype == np.int64
         assert k.track_ids.dtype == np.int64 and k.offsets.dtype == np.int64
         for column in (k.frames, k.speeds_mph, k.window_frames, k.points,
@@ -328,16 +326,16 @@ class TestRecordingTables:
                  for tid, (f, a, _) in enumerate(columns, start=1)]
         caplog.clear()
         with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
-            world = to_world_track(track_table(columns), DEMO_H)
+            on_plane = to_world_track(track_table(columns, h=DEMO_H))
         logged = [r.getMessage() for r in caplog.records if r.name == "speedstudy.kinematics"]
         assert logged == warnings
         kept = [(tid, p) for tid, p in enumerate(paths, start=1) if p is not None]
-        assert world.track_ids.tolist() == [tid for tid, _ in kept]
-        assert world.offsets.tolist() == np.cumsum([0] + [len(f) for _, (f, _) in kept]).tolist()
-        assert_same_bits(world.frames, _cat([f for _, (f, _) in kept], np.zeros(0, np.int64)))
-        assert_same_bits(world.points, _cat([p for _, (_, p) in kept], np.zeros((0, 2))))
+        assert on_plane.track_ids.tolist() == [tid for tid, _ in kept]
+        assert on_plane.offsets.tolist() == np.cumsum([0] + [len(f) for _, (f, _) in kept]).tolist()
+        assert_same_bits(on_plane.frames, _cat([f for _, (f, _) in kept], np.zeros(0, np.int64)))
+        assert_same_bits(on_plane.world, _cat([p for _, (_, p) in kept], np.zeros((0, 2))))
 
-        kin = track_kinematics(world, fps, min_track_s)
+        kin = track_kinematics(on_plane, fps, min_track_s)
         sampled = [(tid, track_kinematics_oracle(f, p, fps, min_track_s)) for tid, (f, p) in kept]
         sampled = [(tid, s) for tid, s in sampled if s is not None]
         assert kin.track_ids.tolist() == [tid for tid, _ in sampled]
@@ -356,11 +354,13 @@ class TestRecordingTables:
 
     def test_drop_rule_at_ten_percent(self, caplog):
         # 1 of 10 and 2 of 20 unprojectable stay; 2 of 10 and 3 of 20 go
-        tracks = track_table(recording_tracks([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4)]))
+        tracks = track_table(
+            recording_tracks([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4)]), h=DEMO_H
+        )
         with caplog.at_level("WARNING", logger="speedstudy.kinematics"):
-            world = to_world_track(tracks, DEMO_H)
-        assert world.track_ids.tolist() == [1, 3]
-        assert world.offsets.tolist() == [0, 9, 27]
+            on_plane = to_world_track(tracks)
+        assert on_plane.track_ids.tolist() == [1, 3]
+        assert on_plane.offsets.tolist() == [0, 9, 27]
         assert [r.getMessage() for r in caplog.records] == [
             "track 1: dropped 1 unprojectable points",
             "track 2: dropped 2 unprojectable points",

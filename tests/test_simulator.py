@@ -100,24 +100,24 @@ class TestProfiles:
 class TestRender:
     def test_noiseless_round_trip_recovers_world_path(self, demo_h):
         dets, truth = render_scene([vehicle()], demo_h, fps=10.0, duration=8.0)
-        tracks = tracks_of(dets)
+        tracks = tracks_of(dets, demo_h)
         assert len(tracks) == 1
-        wt = to_world_track(tracks, demo_h)
+        wt = to_world_track(tracks)
         gt = truth.vehicles[0]
         assert np.array_equal(wt.frames, gt.frames)
-        assert np.allclose(wt.points, gt.positions, atol=1e-6)
+        assert np.allclose(wt.world, gt.positions, atol=1e-6)
 
     def test_noiseless_speeds_recovered_everywhere(self, demo_h):
         profile = TrapezoidStop(16.0, 3.0, 1.5, 2.5)
         dets, truth = render_scene([vehicle(profile=profile, start=(10.0, 0.0))],
                                    demo_h, fps=10.0, duration=20.0)
-        tracks = tracks_of(dets)
+        tracks = tracks_of(dets, demo_h)
         assert len(tracks) == 1
-        wt = to_world_track(tracks, demo_h)
+        wt = to_world_track(tracks)
         gt = truth.vehicles[0]
         # windowed speeds computed from true positions vs recovered positions
         want = brute_speed_series(gt.frames, gt.positions, 10.0)
-        got = brute_speed_series(wt.frames, wt.points, 10.0)
+        got = brute_speed_series(wt.frames, wt.world, 10.0)
         for (gf, gs, _), (wf, ws, _) in zip(got, want):
             assert gf == wf
             assert gs == pytest.approx(ws, rel=1e-6, abs=1e-9)
