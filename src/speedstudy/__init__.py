@@ -14,11 +14,11 @@ from .analytics import (
     percentile_85,
 )
 from .behavior import (
+    MANEUVERS,
     ManeuverClass,
-    ManeuverObservation,
+    ManeuverTable,
     approach_speeds,
-    classify_maneuver,
-    maneuver_distribution,
+    classify_maneuvers,
 )
 from .geometry import (
     Correspondence,
@@ -57,7 +57,6 @@ from .simulator import (
     SyntheticVehicle,
     TrapezoidStop,
     example_roadside_homography,
-    integrate_profile,
     render_scene,
 )
 

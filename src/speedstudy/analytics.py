@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .behavior import ManeuverClass, maneuver_distribution
+from .behavior import MANEUVERS
 from .errors import ConfigError, EmptyInput, InvariantViolation, LocationMismatch, NonPositiveBaseline
 
 # Histograms wider than this are refused: each bin is a report row.
@@ -39,7 +39,6 @@ class PhaseSummary:
     p85_mph: float | None
     histogram: tuple[tuple[float, int], ...] | None = None  # (bin lower edge, count)
     maneuver_shares: dict[str, float] | None = None
-    maneuver_counts: dict[str, int] | None = None
 
     def __post_init__(self):
         if self.histogram is not None:
@@ -210,25 +209,24 @@ def build_phase_summary(
     bin_width_mph: float = 1.0,
     percentile_method: str = "interpolate",
 ) -> PhaseSummary:
-    """Assemble one site-phase record from per-vehicle speeds and maneuvers."""
+    """Assemble one site-phase record from per-vehicle speeds and maneuver
+    codes (into MANEUVERS). A phase without speeds has no mean, p85 or
+    histogram bins, and one without maneuver codes no shares."""
     if hours <= 0:
         raise ValueError(f"recording hours must be positive, got {hours}")
     values = np.asarray(speeds_mph, dtype=np.float64)
-    if not len(values):
-        raise EmptyInput(f"no vehicles survived filtering for phase {phase.value}")
-    shares = counts = None
-    if maneuvers is not None:
-        dist = maneuver_distribution(maneuvers)
-        shares = {cls.value: dist.shares_pct[cls] for cls in ManeuverClass}
-        counts = {cls.value: dist.counts[cls] for cls in ManeuverClass}
+    shares = None
+    if maneuvers is not None and len(maneuvers):
+        counts = np.bincount(maneuvers, minlength=len(MANEUVERS)).tolist()
+        shares = {cls.value: 100.0 * c / len(maneuvers) for cls, c in zip(MANEUVERS, counts)}
+    empty = not len(values)
     return PhaseSummary(
         location_id=location_id,
         phase=phase,
         sample_count=len(values),
         hours=hours,
-        mean_mph=mean_speed(values),
-        p85_mph=percentile_85(values, percentile_method),
+        mean_mph=None if empty else mean_speed(values),
+        p85_mph=None if empty else percentile_85(values, percentile_method),
         histogram=histogram(values, bin_width_mph),
         maneuver_shares=shares,
-        maneuver_counts=counts,
     )

@@ -8,14 +8,13 @@ Thresholds: below 5 mph is stop-and-go, 5 to under 10 mph is a slow-down, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyInput
+from .ingest import ColumnTable
 
 STOP_AND_GO_MPH = 5.0
 SLOW_DOWN_MPH = 10.0
@@ -27,31 +26,35 @@ class ManeuverClass(Enum):
     STOP_AND_GO = "stop_and_go"
 
 
-@dataclass(frozen=True)
-class ManeuverObservation:
-    track_id: int
-    v_mean_mph: float
-    maneuver: ManeuverClass
+# maneuver code (as stored in ManeuverTable.classes) -> class
+MANEUVERS = tuple(ManeuverClass)
 
 
-@dataclass(frozen=True)
-class ManeuverDistribution:
-    counts: dict[ManeuverClass, int]
-    shares_pct: dict[ManeuverClass, float]
+@dataclass(frozen=True, eq=False)
+class ManeuverTable(ColumnTable):
+    """One recording's classified tracks as read-only columns, one row per
+    track sampled inside the approach zone, in KinematicsTable order."""
+
+    track_ids: np.ndarray  # (M,) int64
+    v_mean_mph: np.ndarray  # (M,) float64, the approach-zone statistic
+    classes: np.ndarray  # (M,) int8 code into MANEUVERS
 
 
-def classify_maneuver(
-    v_mean_mph: float,
-    stopgo_mph: float = STOP_AND_GO_MPH,
-    slowdown_mph: float = SLOW_DOWN_MPH,
-) -> ManeuverClass:
-    if v_mean_mph < 0:
-        raise ValueError(f"speed must be non-negative, got {v_mean_mph}")
-    if v_mean_mph < stopgo_mph:
-        return ManeuverClass.STOP_AND_GO
-    if v_mean_mph < slowdown_mph:
-        return ManeuverClass.SLOW_DOWN
-    return ManeuverClass.PASS_THROUGH
+def classify_maneuvers(
+    v_mph, stopgo_mph: float = STOP_AND_GO_MPH, slowdown_mph: float = SLOW_DOWN_MPH
+) -> np.ndarray:
+    """int8 codes into MANEUVERS: stop-and-go below stopgo_mph, else
+    slow-down below slowdown_mph, else pass-through. Stop-and-go is tested
+    first, so thresholds given in either order classify alike."""
+    v = np.asarray(v_mph, dtype=np.float64)
+    if (v < 0).any():
+        raise ValueError(f"speed must be non-negative, got {v[v < 0][0]}")
+    code = MANEUVERS.index
+    return np.where(
+        v < stopgo_mph,
+        code(ManeuverClass.STOP_AND_GO),
+        np.where(v < slowdown_mph, code(ManeuverClass.SLOW_DOWN), code(ManeuverClass.PASS_THROUGH)),
+    ).astype(np.int8)
 
 
 def approach_speeds(kinematics, approach_zone, reduction: str = "min") -> np.ndarray:
@@ -76,31 +79,19 @@ def approach_speeds(kinematics, approach_zone, reduction: str = "min") -> np.nda
     return out
 
 
-def maneuver_distribution(observations) -> ManeuverDistribution:
-    """Counts and percentage shares per maneuver class (shares sum to 100)."""
-    obs = list(observations)
-    if not obs:
-        raise EmptyInput("no maneuver observations")
-    counts = {cls: 0 for cls in ManeuverClass}
-    for o in obs:
-        counts[o.maneuver] += 1
-    total = len(obs)
-    shares = {cls: 100.0 * c / total for cls, c in counts.items()}
-    return ManeuverDistribution(counts, shares)
-
-
 def observe_maneuvers(
     kinematics,
     approach_zone,
     reduction: str = "min",
     stopgo_mph: float = STOP_AND_GO_MPH,
     slowdown_mph: float = SLOW_DOWN_MPH,
-) -> list[ManeuverObservation]:
+) -> ManeuverTable:
     """Classify each track of a KinematicsTable by its approach-zone
     statistic; tracks never sampled inside the zone are skipped."""
     speeds = approach_speeds(kinematics, approach_zone, reduction)
-    return [
-        ManeuverObservation(track_id, v, classify_maneuver(v, stopgo_mph, slowdown_mph))
-        for track_id, v in zip(kinematics.track_ids.tolist(), speeds.tolist())
-        if not math.isnan(v)
-    ]
+    seen = ~np.isnan(speeds)
+    return ManeuverTable(
+        kinematics.track_ids[seen],
+        speeds[seen],
+        classify_maneuvers(speeds[seen], stopgo_mph, slowdown_mph),
+    )

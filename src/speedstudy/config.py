@@ -119,6 +119,8 @@ def _number(value, path: str, kind: type = float, positive: bool = True):
         raise ConfigError(f"{path}: expected a number, got {_short(repr(value))}") from None
     if not finite:
         raise ConfigError(f"{path}: {_short(repr(value))} is not a finite number")
+    if isinstance(value, float) and number != value:  # int() truncated it
+        raise ConfigError(f"{path}: expected an integer, got {_short(repr(value))}")
     if positive and number <= 0:
         raise ConfigError(f"{path}: must be positive")
     return number
@@ -329,7 +331,14 @@ def sim_config_from_dict(data: dict, path: str) -> SimConfig:
     if not vehicles:
         raise ConfigError(f"{path}.vehicles: need at least one vehicle")
     vehicles = tuple(_vehicle(v, f"{path}.vehicles[{i}]", fps) for i, v in enumerate(vehicles))
+    first_use: dict[int, int] = {}
     for i, v in enumerate(vehicles):
+        # each id is one track of the detection CSV
+        j = first_use.setdefault(v.vehicle_id, i)
+        if j != i:
+            raise ConfigError(
+                f"{path}.vehicles[{i}].id: {v.vehicle_id} is already used by vehicles[{j}]"
+            )
         # the detection CSV writes each label as a class id
         if v.class_label not in class_map.values():
             raise ConfigError(

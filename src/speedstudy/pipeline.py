@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import PhaseSummary, build_phase_summary
-from .behavior import ManeuverObservation, observe_maneuvers
+from .behavior import MANEUVERS, ManeuverTable, observe_maneuvers
 from .config import PhaseInput, SceneConfig
-from .errors import EmptyInput, InvariantViolation
+from .errors import InvariantViolation
 from .geometry import Homography
 from .ingest import (
     CASCADE_STAGES,
@@ -36,7 +36,7 @@ class RecordingResult:
     source: str
     raw_rows: int
     kinematics: KinematicsTable
-    maneuvers: list[ManeuverObservation] | None
+    maneuvers: ManeuverTable | None
     filter_counts: dict[str, int]
 
 
@@ -99,29 +99,19 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
         speeds = np.concatenate([rec.kinematics.speeds_mph for rec in recordings])
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
-        maneuvers = [m for rec in recordings for m in rec.maneuvers]
+        maneuvers = np.concatenate([rec.maneuvers.classes for rec in recordings])
 
-    try:
-        summary = build_phase_summary(
-            cfg.location_id,
-            phase_input.phase,
-            speeds,
-            phase_input.hours,
-            maneuvers=maneuvers if maneuvers else None,
-            bin_width_mph=cfg.histogram_bin_mph,
-            percentile_method=cfg.percentile_method,
-        )
-    except EmptyInput:
+    summary = build_phase_summary(
+        cfg.location_id,
+        phase_input.phase,
+        speeds,
+        phase_input.hours,
+        maneuvers=maneuvers,
+        bin_width_mph=cfg.histogram_bin_mph,
+        percentile_method=cfg.percentile_method,
+    )
+    if not summary.sample_count:
         log.warning("phase %s: no vehicles survived; writing empty report", phase_input.phase.value)
-        summary = PhaseSummary(
-            location_id=cfg.location_id,
-            phase=phase_input.phase,
-            sample_count=0,
-            hours=phase_input.hours,
-            mean_mph=None,
-            p85_mph=None,
-            histogram=(),
-        )
     log.info(
         "phase %s: %d raw rows, %d vehicles in summary",
         phase_input.phase.value,
@@ -147,8 +137,9 @@ def kinematics_csv(kins: KinematicsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def maneuvers_csv(observations: list[ManeuverObservation]) -> str:
+def maneuvers_csv(maneuvers: ManeuverTable) -> str:
+    names = [cls.value for cls in MANEUVERS]
+    columns = (maneuvers.track_ids, maneuvers.v_mean_mph, maneuvers.classes)
     lines = ["track_id,v_mean_mph,class"]
-    for o in observations:
-        lines.append(f"{o.track_id},{o.v_mean_mph!r},{o.maneuver.value}")
+    lines += [f"{t},{v!r},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"

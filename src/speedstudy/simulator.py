@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .behavior import ManeuverClass, classify_maneuver
+from .behavior import MANEUVERS, ManeuverClass, classify_maneuvers
 from .errors import AtInfinity
 from .geometry import (
     Correspondence,
@@ -139,21 +139,6 @@ def profile_motion(profile: SpeedProfile, times) -> tuple[np.ndarray, np.ndarray
     return dist, speeds
 
 
-def integrate_profile(
-    profile: SpeedProfile, fps: float, duration: float
-) -> list[tuple[int, float, float]]:
-    """(frame, distance m, speed mph) sampled at every frame up to duration."""
-    if fps <= 0 or duration <= 0:
-        raise ValueError("fps and duration must be positive")
-    n = int(math.floor(duration * fps + 1e-9)) + 1
-    frames = np.arange(n)
-    dist, speed_ms = profile_motion(profile, frames / fps)
-    return [
-        (int(k), float(d), float(v * MPS_TO_MPH))
-        for k, d, v in zip(frames, dist, speed_ms)
-    ]
-
-
 @dataclass(frozen=True)
 class SyntheticVehicle:
     vehicle_id: int
@@ -198,7 +183,7 @@ def _true_maneuver(truth_speeds, positions, approach_zone) -> ManeuverClass:
         inside = _kernels.points_in_polygon(positions, approach_zone)
         if inside.any():
             speeds = speeds[inside]
-    return classify_maneuver(float(speeds.min()))
+    return MANEUVERS[classify_maneuvers(speeds.min())]
 
 
 def render_scene(

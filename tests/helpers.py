@@ -19,6 +19,7 @@ from speedstudy import (
     DetectionTable,
     Homography,
     ImagePoint,
+    ManeuverClass,
     TrackTable,
     WorldPoint,
     _kernels,
@@ -155,6 +156,17 @@ def approach_speed_oracle(samples, polygon, reduction):
     if not len(in_zone):
         return None
     return float(in_zone.min() if reduction == "min" else in_zone.mean())
+
+
+def classify_maneuver_oracle(v_mph, stopgo_mph=5.0, slowdown_mph=10.0) -> ManeuverClass:
+    """The scalar maneuver rule: stop-and-go is tested before slow-down."""
+    if v_mph < 0:
+        raise ValueError(f"speed must be non-negative, got {v_mph}")
+    if v_mph < stopgo_mph:
+        return ManeuverClass.STOP_AND_GO
+    if v_mph < slowdown_mph:
+        return ManeuverClass.SLOW_DOWN
+    return ManeuverClass.PASS_THROUGH
 
 
 def brute_speed_series(frames, points, fps, min_track_s=0.5):

@@ -23,6 +23,7 @@ from helpers import (
     tracks_of,
 )
 from speedstudy import (
+    MANEUVERS,
     Constant,
     Homography,
     ManeuverClass,
@@ -254,6 +255,12 @@ def mixed_fleet():
     return vehicles
 
 
+def observed_classes(maneuvers) -> dict:
+    """track id -> ManeuverClass over a ManeuverTable."""
+    codes = maneuvers.classes.tolist()
+    return {t: MANEUVERS[c] for t, c in zip(maneuvers.track_ids.tolist(), codes)}
+
+
 def test_criterion_4_maneuver_classification_oracle(demo_h):
     vehicles = mixed_fleet()
     result, truth = analyze_fleet(vehicles, demo_h, sigma=0.0, seed=0, duration=75.0)
@@ -268,7 +275,7 @@ def test_criterion_4_maneuver_classification_oracle(demo_h):
         got_truth_counts[label] += 1
     assert got_truth_counts == want_counts  # the fleet realizes its design
 
-    observed = {m.track_id: m.maneuver for m in result.maneuvers}
+    observed = observed_classes(result.maneuvers)
     assert len(observed) == 40, result.filter_counts
     got_counts = {cls: 0 for cls in ManeuverClass}
     for label in observed.values():
@@ -278,7 +285,7 @@ def test_criterion_4_maneuver_classification_oracle(demo_h):
 
     noisy, truth_n = analyze_fleet(vehicles, demo_h, sigma=1.0, seed=5, duration=75.0)
     truth_labels_n = {v.vehicle_id: v.maneuver for v in truth_n.vehicles}
-    observed_n = {m.track_id: m.maneuver for m in noisy.maneuvers}
+    observed_n = observed_classes(noisy.maneuvers)
     agree = sum(
         1 for vid, label in observed_n.items() if truth_labels_n[vid] == label
     )

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedstudy import (
+    MANEUVERS,
     ManeuverClass,
-    ManeuverObservation,
     Phase,
     PhaseSummary,
     build_phase_summary,
@@ -239,18 +239,22 @@ class TestPhaseSummary:
         assert s.p85_mph == 20.0
         assert dict(s.histogram)[20.0] == 1
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            build_phase_summary(1, Phase.PRE, [], hours=1.0)
+    def test_empty_phase_summary(self):
+        codes = np.array([], dtype=np.int8)
+        s = build_phase_summary(1, Phase.PRE, [], hours=1.0, maneuvers=codes)
+        assert (s.sample_count, s.mean_mph, s.p85_mph, s.histogram) == (0, None, None, ())
+        assert s.maneuver_shares is None
+        assert "maneuvers" not in s.to_json_dict()
 
     def test_maneuver_shares_wired(self):
-        obs = [
-            ManeuverObservation(1, 20.0, ManeuverClass.PASS_THROUGH),
-            ManeuverObservation(2, 7.0, ManeuverClass.SLOW_DOWN),
-        ]
-        s = build_phase_summary(1, Phase.PRE, [20.0, 7.0], hours=2.0, maneuvers=obs)
+        codes = np.array(
+            [MANEUVERS.index(ManeuverClass.PASS_THROUGH), MANEUVERS.index(ManeuverClass.SLOW_DOWN)],
+            dtype=np.int8,
+        )
+        s = build_phase_summary(1, Phase.PRE, [20.0, 7.0], hours=2.0, maneuvers=codes)
         assert s.maneuver_shares["pass_through"] == 50.0
-        assert s.maneuver_counts["slow_down"] == 1
+        assert s.maneuver_shares["slow_down"] == 50.0
+        assert s.maneuver_shares["stop_and_go"] == 0.0
 
     def test_histogram_total_invariant_enforced(self):
         with pytest.raises(InvariantViolation):
@@ -262,7 +266,7 @@ class TestPhaseSummary:
             Phase.POST_W1,
             [18.0, 22.5, 31.0],
             hours=12.5,
-            maneuvers=[ManeuverObservation(1, 18.0, ManeuverClass.PASS_THROUGH)],
+            maneuvers=np.array([MANEUVERS.index(ManeuverClass.PASS_THROUGH)], dtype=np.int8),
         )
         back = PhaseSummary.from_json_dict(s.to_json_dict())
         assert back.location_id == s.location_id

@@ -5,32 +5,33 @@ from hypothesis import example, given, strategies as st
 from helpers import (
     approach_speed_oracle,
     brute_speed_series,
+    classify_maneuver_oracle,
     point_in_polygon_oracle,
     scene_config_dict,
     table_of,
     world_table,
 )
 from speedstudy import (
+    MANEUVERS,
     ClassLabel,
     Constant,
     ManeuverClass,
-    ManeuverObservation,
+    Phase,
     PiecewiseLinear,
     SyntheticVehicle,
     TrapezoidStop,
     WorldPoint,
     _kernels,
     approach_speeds,
-    classify_maneuver,
+    build_phase_summary,
+    classify_maneuvers,
     geometry,
     ingest,
     kinematics,
-    maneuver_distribution,
     pipeline,
     render_scene,
 )
 from speedstudy.config import scene_config_from_dict
-from speedstudy.errors import EmptyInput
 from speedstudy.kinematics import KinematicsTable, track_kinematics
 
 ZONE = np.array([[20.0, -5.0], [35.0, -5.0], [35.0, 5.0], [20.0, 5.0]])
@@ -40,31 +41,57 @@ def world_track(frames, points):
     return world_table([(frames, points)])
 
 
+def classify(v_mph, *thresholds) -> ManeuverClass:
+    """The class classify_maneuvers gives one speed."""
+    (code,) = classify_maneuvers([v_mph], *thresholds)
+    return MANEUVERS[code]
+
+
 class TestClassify:
     def test_stop_and_go(self):
-        assert classify_maneuver(3.0) is ManeuverClass.STOP_AND_GO
+        assert classify(3.0) is ManeuverClass.STOP_AND_GO
 
     def test_slow_down(self):
-        assert classify_maneuver(7.0) is ManeuverClass.SLOW_DOWN
+        assert classify(7.0) is ManeuverClass.SLOW_DOWN
 
     def test_pass_through(self):
-        assert classify_maneuver(10.0) is ManeuverClass.PASS_THROUGH
+        assert classify(10.0) is ManeuverClass.PASS_THROUGH
 
     def test_boundaries(self):
-        assert classify_maneuver(5.0) is ManeuverClass.SLOW_DOWN
-        assert classify_maneuver(4.999999) is ManeuverClass.STOP_AND_GO
-        assert classify_maneuver(9.999999) is ManeuverClass.SLOW_DOWN
-        assert classify_maneuver(0.0) is ManeuverClass.STOP_AND_GO
+        assert classify(5.0) is ManeuverClass.SLOW_DOWN
+        assert classify(4.999999) is ManeuverClass.STOP_AND_GO
+        assert classify(9.999999) is ManeuverClass.SLOW_DOWN
+        assert classify(0.0) is ManeuverClass.STOP_AND_GO
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            classify_maneuver(-0.1)
+        with pytest.raises(ValueError, match="-0.1"):
+            classify_maneuvers([3.0, -0.1, 12.0])
 
     @given(st.floats(0, 200), st.floats(0, 200))
     def test_monotone_step_function(self, a, b):
         order = [ManeuverClass.STOP_AND_GO, ManeuverClass.SLOW_DOWN, ManeuverClass.PASS_THROUGH]
         lo, hi = min(a, b), max(a, b)
-        assert order.index(classify_maneuver(hi)) >= order.index(classify_maneuver(lo))
+        assert order.index(classify(hi)) >= order.index(classify(lo))
+
+    @given(st.floats(0, 50), st.floats(0, 50), st.lists(st.floats(0, 60), max_size=20))
+    @example(5.0, 10.0, [])
+    @example(10.0, 5.0, [7.0])  # stop-and-go tested first: no slow-down band
+    @example(7.0, 7.0, [])
+    @example(0.0, 0.0, [])
+    def test_matches_scalar_rule(self, a, b, speeds):
+        # each threshold, one float either side of it, in both orders
+        for stopgo, slowdown in ((a, b), (b, a)):
+            edges = [
+                float(e)
+                for t in (stopgo, slowdown)
+                for e in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))
+                if e >= 0
+            ]
+            v = np.array(edges + speeds, dtype=np.float64)
+            got = classify_maneuvers(v, stopgo, slowdown)
+            assert got.dtype == np.int8 and got.shape == v.shape
+            want = [classify_maneuver_oracle(x, stopgo, slowdown) for x in v.tolist()]
+            assert [MANEUVERS[c] for c in got.tolist()] == want
 
 
 class TestApproachSpeed:
@@ -164,46 +191,56 @@ class TestApproachSpeed:
         assert got[~np.isnan(got)].tolist() == [w for w in want if w is not None]
 
 
-def obs(n_pt, n_sd, n_sg):
-    out = []
-    tid = 0
-    for n, v, cls in (
-        (n_pt, 20.0, ManeuverClass.PASS_THROUGH),
-        (n_sd, 7.0, ManeuverClass.SLOW_DOWN),
-        (n_sg, 2.0, ManeuverClass.STOP_AND_GO),
-    ):
-        for _ in range(n):
-            tid += 1
-            out.append(ManeuverObservation(tid, v, cls))
-    return out
+def classes(n_pt, n_sd, n_sg):
+    """A classes column of n_pt pass-through, n_sd slow-down and n_sg
+    stop-and-go codes."""
+    codes = [
+        MANEUVERS.index(cls)
+        for cls in (ManeuverClass.PASS_THROUGH, ManeuverClass.SLOW_DOWN, ManeuverClass.STOP_AND_GO)
+    ]
+    return np.repeat(np.array(codes, dtype=np.int8), [n_pt, n_sd, n_sg])
+
+
+def shares_of(codes):
+    """The maneuver shares of a phase summary over one classes column."""
+    speeds = np.full(len(codes), 20.0)
+    return build_phase_summary(1, Phase.PRE, speeds, 1.0, maneuvers=codes).maneuver_shares
 
 
 class TestDistribution:
     def test_nine_pass_one_slow(self):
-        dist = maneuver_distribution(obs(9, 1, 0))
-        assert dist.shares_pct[ManeuverClass.PASS_THROUGH] == pytest.approx(90.0)
-        assert dist.shares_pct[ManeuverClass.SLOW_DOWN] == pytest.approx(10.0)
-        assert dist.shares_pct[ManeuverClass.STOP_AND_GO] == 0.0
+        shares = shares_of(classes(9, 1, 0))
+        assert shares["pass_through"] == pytest.approx(90.0)
+        assert shares["slow_down"] == pytest.approx(10.0)
+        assert shares["stop_and_go"] == 0.0
 
     def test_all_stop_and_go(self):
-        dist = maneuver_distribution(obs(0, 0, 7))
-        assert dist.shares_pct[ManeuverClass.STOP_AND_GO] == pytest.approx(100.0)
-        assert dist.counts[ManeuverClass.STOP_AND_GO] == 7
+        shares = shares_of(classes(0, 0, 7))
+        assert shares["stop_and_go"] == pytest.approx(100.0)
+        assert shares["pass_through"] == shares["slow_down"] == 0.0
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            maneuver_distribution([])
+        assert shares_of(classes(0, 0, 0)) is None
+        assert build_phase_summary(1, Phase.PRE, [20.0], 1.0).maneuver_shares is None
 
     def test_counting_oracle_and_permutation_invariance(self, rng):
-        fleet = obs(13, 5, 7)
-        dist = maneuver_distribution(fleet)
-        assert dist.counts[ManeuverClass.PASS_THROUGH] == 13
-        assert dist.counts[ManeuverClass.SLOW_DOWN] == 5
-        assert dist.counts[ManeuverClass.STOP_AND_GO] == 7
-        assert sum(dist.shares_pct.values()) == pytest.approx(100.0, abs=1e-9)
-        shuffled = list(fleet)
+        fleet = classes(13, 5, 7)
+        shares = shares_of(fleet)
+        assert shares["pass_through"] == 100.0 * 13 / 25
+        assert shares["slow_down"] == 100.0 * 5 / 25
+        assert shares["stop_and_go"] == 100.0 * 7 / 25
+        assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
+        shuffled = fleet.copy()
         rng.shuffle(shuffled)
-        assert maneuver_distribution(shuffled) == dist
+        assert shares_of(shuffled) == shares
+
+    @given(st.lists(st.integers(0, len(MANEUVERS) - 1), min_size=1, max_size=300))
+    def test_shares_equal_a_per_vehicle_count(self, codes):
+        shares = shares_of(np.array(codes, dtype=np.int8))
+        counts = dict.fromkeys(MANEUVERS, 0)
+        for code in codes:
+            counts[MANEUVERS[code]] += 1
+        assert shares == {cls.value: 100.0 * n / len(codes) for cls, n in counts.items()}
 
 
 class TestObserveManeuvers:
@@ -252,7 +289,7 @@ class TestObserveManeuvers:
         calls_during("observe_maneuvers")
         result = pipeline.process_detections(table, cfg, demo_h)
 
-        assert len(result.maneuvers) == len(self.PROFILES)
+        assert len(result.maneuvers.track_ids) == len(self.PROFILES)
         assert calls_in == {"run_filter_cascade": 1, "observe_maneuvers": 1}
         assert polygon_calls == [len(table), len(result.kinematics.frames)]
 
@@ -308,11 +345,16 @@ class TestObserveManeuvers:
             ("assemble_tracks", "inverse", len(table)),
             ("filter_following", "forward", following_rows[0]),
         ]
-        assert len(result.maneuvers) == len(self.PROFILES)
-        for m in result.maneuvers:
-            k = kins.track_ids.tolist().index(m.track_id)
+        maneuvers = result.maneuvers
+        assert len(maneuvers.track_ids) == len(self.PROFILES)
+        assert not maneuvers.classes.flags.writeable
+        for track_id, v_mean, code in zip(
+            maneuvers.track_ids.tolist(), maneuvers.v_mean_mph.tolist(), maneuvers.classes.tolist()
+        ):
+            k = kins.track_ids.tolist().index(track_id)
             rows = slice(kins.offsets[k], kins.offsets[k + 1])
             inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in kins.points[rows]]
             zone_speeds = kins.speeds_mph[rows][inside]
             want = zone_speeds.min() if reduction == "min" else zone_speeds.mean()
-            assert m.v_mean_mph == float(want)
+            assert v_mean == float(want)
+            assert MANEUVERS[code] is classify_maneuver_oracle(v_mean)

@@ -171,6 +171,8 @@ class TestSimulate:
             (("homography_matrix", 2, 2), "inf", "homography_matrix[2][2]: 'inf' is not a finite"),
             (("class_map",), {"1.5": "car"}, "class_map.1.5: class id must be an integer"),
             (("class_map",), {"1": "bus"}, "vehicles[0].class_label: 'car' has no id in class_map"),
+            (("vehicles", 1, "id"), 1, "sim.json.vehicles[1].id: 1 is already used by vehicles[0]"),
+            (("vehicles", 1, "id"), 2.7, "vehicles[1].id: expected an integer, got 2.7"),
         ],
     )
     def test_invalid_field_exits_2(self, tmp_path, sim_homography, caplog, path, value, message):
@@ -180,6 +182,16 @@ class TestSimulate:
         with caplog.at_level("ERROR"):
             assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert message in caplog.text
+
+    def test_integral_float_id_is_read(self, tmp_path, sim_homography):
+        cfg = dict(sim_config(), homography_matrix=sim_homography)
+        cfg = with_field(cfg, ("vehicles", 1, "id"), 2.0)
+        p = tmp_path / "sim.json"
+        write_json(p, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        gt = (out / "ground_truth.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in gt[1:]} == {"1", "2", "3"}
 
 
 def run_simulate(tmp_path, sim_homography, name="sim_out", noise=0.0, seed=42):
@@ -545,12 +557,16 @@ class TestConfigFields:
             ("manifest", ("phases", 0, "detections"), [5], "detections[0]: expected a string"),
             ("manifest", ("scene_config",), 5, "scene_config: expected a string, got a number"),
             ("scene", ("travel_direction",), [0, 0], "travel_direction: must be nonzero"),
+            ("scene", ("location_id",), 1.5, "location_id: expected an integer, got 1.5"),
         ],
     )
     def test_wrongly_typed_field_exits_2(self, analyze_inputs, caplog, target, path, value, message):
         with caplog.at_level("ERROR"):
             assert analyze_with_field(analyze_inputs, target, path, value) == 2
         assert message in caplog.text
+
+    def test_integral_float_location_id_is_read(self, analyze_inputs):
+        assert analyze_with_field(analyze_inputs, "scene", ("location_id",), 3.0) == 0
 
     @pytest.mark.parametrize("field", ["aoi_polygon", "approach_zone"])
     def test_self_intersecting_polygon_exits_2(self, analyze_inputs, caplog, field):

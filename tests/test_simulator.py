@@ -9,7 +9,6 @@ from speedstudy import (
     SyntheticVehicle,
     TrapezoidStop,
     WorldPoint,
-    integrate_profile,
     render_scene,
     serialize_detections,
     to_world_track,
@@ -41,16 +40,18 @@ def vehicle(vid=1, profile=None, start=(0.0, 0.0), entry=0.0, max_dist=90.0, lab
 
 class TestProfiles:
     def test_constant_closed_form(self):
-        rows = integrate_profile(Constant(10.0 * MPS_TO_MPH), fps=10.0, duration=2.0)
-        assert len(rows) == 21
-        for k, dist, speed in rows:
-            assert dist == pytest.approx(k * 1.0, abs=1e-12)
+        frames = np.arange(21)  # every frame of 2 s at 10 fps
+        dist, speed_ms = profile_motion(Constant(10.0 * MPS_TO_MPH), frames / 10.0)
+        assert len(dist) == len(speed_ms) == 21
+        for k, d, speed in zip(frames, dist, speed_ms * MPS_TO_MPH):
+            assert d == pytest.approx(k * 1.0, abs=1e-12)
             assert speed == pytest.approx(10.0 * MPS_TO_MPH, abs=1e-12)
 
     def test_trapezoid_dwell_zero_speed(self):
         profile = TrapezoidStop(v_free_mph=10.0 * MPS_TO_MPH, decel_ms2=5.0, dwell_s=1.0, accel_ms2=5.0)
-        rows = integrate_profile(profile, fps=10.0, duration=6.0)
-        zero_frames = [k for k, _, v in rows if v == 0.0]
+        frames = np.arange(61)  # every frame of 6 s at 10 fps
+        _, speed_ms = profile_motion(profile, frames / 10.0)
+        zero_frames = frames[speed_ms * MPS_TO_MPH == 0.0].tolist()
         # braking takes 2 s; dwell covers t in [2, 3] -> 11 sampled frames
         assert len(zero_frames) >= 10
         assert zero_frames == list(range(min(zero_frames), max(zero_frames) + 1))
