@@ -56,29 +56,12 @@ class PhaseSummary:
             "hours": self.hours,
             "mean_mph": self.mean_mph,
             "p85_mph": self.p85_mph,
-            "histogram": [
-                {"bin_lo": lo, "count": c} for lo, c in (self.histogram or ())
-            ],
         }
+        if self.histogram is not None:
+            out["histogram"] = [{"bin_lo": lo, "count": c} for lo, c in self.histogram]
         if self.maneuver_shares is not None:
             out["maneuvers"] = dict(self.maneuver_shares)
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PhaseSummary":
-        hist = data.get("histogram")
-        return cls(
-            location_id=int(data["location_id"]),
-            phase=Phase(data["phase"]),
-            sample_count=int(data["sample_count"]),
-            hours=float(data["hours"]),
-            mean_mph=None if data.get("mean_mph") is None else float(data["mean_mph"]),
-            p85_mph=None if data.get("p85_mph") is None else float(data["p85_mph"]),
-            histogram=None
-            if hist is None
-            else tuple((float(b["bin_lo"]), int(b["count"])) for b in hist),
-            maneuver_shares=data.get("maneuvers"),
-        )
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,10 @@ class ComparisonRow:
 
 
 def round1(value: float) -> float:
-    """Round to one decimal, ties away from zero."""
+    """Round to one decimal, ties away from zero. A float of magnitude 2**52
+    or more is a whole number already."""
+    if abs(value) >= 2.0**52:
+        return value
     return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
@@ -157,10 +143,14 @@ def histogram(values, bin_width: float = 1.0) -> tuple[tuple[float, int], ...]:
 
 
 def percent_change(pre: float, post: float) -> float:
-    """Relative change in percent; requires a positive baseline."""
+    """Relative change in percent; requires a positive baseline, and one
+    large enough against post that the change is a finite float."""
     if pre <= 0:
         raise NonPositiveBaseline(f"baseline must be positive, got {pre}")
-    return 100.0 * (post - pre) / pre
+    change = 100.0 * (post - pre) / pre
+    if not math.isfinite(change):
+        raise NonPositiveBaseline(f"percent change from {pre!r} to {post!r} overflows a float")
+    return change
 
 
 def compare_phases(

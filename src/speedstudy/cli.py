@@ -4,10 +4,13 @@ Subcommands:
   calibrate --config scene.json [--max-rmse-px 2.0]
   analyze   --manifest run.json --out dir/
   compare   --pre a.json --w1 b.json --w2 c.json --out dir/
+            (each a summary JSON of its slot's phase, as analyze writes it)
   simulate  --config sim.json --seed N --out dir/
 
-Exit codes: 0 success, 2 input/config error, 3 calibration gate failure,
-4 internal invariant violation.
+Exit codes: 0 success, 2 input error (a detection CSV, or a scene config,
+manifest, simulation config or phase summary JSON; the message names the
+file and the field), 3 calibration gate failure, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .analytics import compare_phases, percent_change, PhaseSummary
-from .config import load_manifest, load_scene_config, load_sim_config, read_json, SceneConfig
-from .errors import ConfigError, InvariantViolation, SpeedStudyError
+from .analytics import compare_phases, percent_change, Phase
+from .config import load_manifest, load_scene_config, load_sim_config, load_summary, SceneConfig
+from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
 from .ingest import serialize_detections
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
@@ -107,18 +110,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_summary(path) -> PhaseSummary:
-    data = read_json(path, "summary")
-    try:
-        return PhaseSummary.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad summary ({exc})") from None
-
-
 def cmd_compare(args) -> int:
-    pre = _load_summary(args.pre)
-    w1 = _load_summary(args.w1)
-    w2 = _load_summary(args.w2)
+    pre, w1, w2 = (load_summary(p, phase) for p, phase in zip((args.pre, args.w1, args.w2), Phase))
     mean_row, p85_row = compare_phases(pre, w1, w2)
 
     lines = ["loc_id,metric,pre,post_w1,delta_w1,post_w2,delta_w2"]

@@ -1,10 +1,13 @@
-"""Scene configuration, run manifest and simulation config loading.
+"""Scene configuration, run manifest, simulation config and phase summary
+loading.
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
 meters), travel direction, tracker class ids, and all analysis thresholds. A
 run manifest points a scene at one detection CSV set + recorded hours per
-phase.
+phase. A phase summary is the JSON `analyze` writes and `compare` reads.
+Every number in them is read by `_number`, and every fault is a ConfigError
+naming the file and the field.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import Phase
+from .analytics import Phase, PhaseSummary
+from .behavior import MANEUVERS
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Correspondence, Homography, ImagePoint, WorldPoint
 from .ingest import ClassLabel
@@ -108,21 +112,35 @@ def _get(data: dict, key: str, path: str):
 
 
 def _number(value, path: str, kind: type = float, positive: bool = True):
-    """A config number read with kind (float or int): finite, and above zero
-    when positive. Numeric strings are read too; booleans are not."""
+    """A JSON number read with kind (float, or int within the signed 64-bit
+    range): finite, and above zero when positive. A numeric string is read
+    like the number it spells; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{path}: expected a number, got {_kind(value)}")
     try:
-        number = kind(value)
-        finite = math.isfinite(number)
+        number = float(value)
     except (ValueError, OverflowError):
         raise ConfigError(f"{path}: expected a number, got {_short(repr(value))}") from None
-    if not finite:
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: {_short(repr(value))} is not a finite number")
-    if isinstance(value, float) and number != value:  # int() truncated it
-        raise ConfigError(f"{path}: expected an integer, got {_short(repr(value))}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {_short(repr(value))}")
+        try:
+            number = int(value)  # exact for a JSON integer or an integer string
+        except ValueError:  # a string such as "2.0" or "1e3"
+            number = int(number)
+        if not -(2**63) <= number < 2**63:
+            raise ConfigError(f"{path}: {_short(repr(value))} is outside the 64-bit integer range")
     if positive and number <= 0:
         raise ConfigError(f"{path}: must be positive")
+    return number
+
+
+def _at_least_zero(value, path: str, kind: type = float):
+    number = _number(value, path, kind, positive=False)
+    if number < 0:
+        raise ConfigError(f"{path}: must be >= 0")
     return number
 
 
@@ -317,9 +335,7 @@ def sim_config_from_dict(data: dict, path: str) -> SimConfig:
     duration_s = _number(_get(data, "duration_s", path), f"{path}.duration_s")
     if not math.isfinite(fps * duration_s):
         raise ConfigError(f"{path}.duration_s: fps x duration_s is not finite")
-    sigma = _number(data.get("noise_sigma_px", 0.0), f"{path}.noise_sigma_px", positive=False)
-    if sigma < 0:
-        raise ConfigError(f"{path}.noise_sigma_px: must be >= 0")
+    sigma = _at_least_zero(data.get("noise_sigma_px", 0.0), f"{path}.noise_sigma_px")
     try:
         homography = Homography(np.array(matrix))
     except DegenerateConfiguration as exc:
@@ -439,3 +455,49 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"{pp}.detections: need at least one CSV path")
         phases.append(PhaseInput(phase, paths, hours))
     return RunManifest(scene_path, tuple(phases))
+
+
+def load_summary(path, phase: Phase) -> PhaseSummary:
+    """A phase summary JSON (PhaseSummary.to_json_dict's schema) read for
+    phase's slot. The histogram, when given, sums to sample_count, and the
+    maneuver shares, when given, hold each class once and sum to 100."""
+    path = Path(path)
+    data = read_json(path, "summary")
+    p = path.name
+    found = _get(data, "phase", p)
+    if found != phase.value:
+        raise ConfigError(f"{p}.phase: expected {phase.value!r}, got {_short(repr(found))}")
+    location = _number(_get(data, "location_id", p), f"{p}.location_id", kind=int, positive=False)
+    count = _at_least_zero(_get(data, "sample_count", p), f"{p}.sample_count", kind=int)
+    hours = _number(_get(data, "hours", p), f"{p}.hours")
+
+    def speed(key: str) -> float | None:
+        value = _get(data, key, p)
+        return None if value is None else _at_least_zero(value, f"{p}.{key}")
+
+    histogram = None
+    if "histogram" in data:
+        hp = f"{p}.histogram"
+        histogram = tuple(
+            (_number(_get(b, "bin_lo", f"{hp}[{i}]"), f"{hp}[{i}].bin_lo", positive=False),
+             _at_least_zero(_get(b, "count", f"{hp}[{i}]"), f"{hp}[{i}].count", kind=int))
+            for i, b in enumerate(_shaped(data["histogram"], list, hp))
+        )
+        total = sum(c for _, c in histogram)
+        if total != count:
+            raise ConfigError(f"{hp}: counts sum to {total}, sample_count is {count}")
+    shares = None
+    if "maneuvers" in data:
+        mp = f"{p}.maneuvers"
+        names = sorted(m.value for m in MANEUVERS)
+        if sorted(_shaped(data["maneuvers"], dict, mp)) != names:
+            raise ConfigError(f"{mp}: expected the keys {names}, got {sorted(data['maneuvers'])}")
+        shares = {k: _at_least_zero(data["maneuvers"][k], f"{mp}.{k}") for k in names}
+        for k in names:
+            if shares[k] > 100:
+                raise ConfigError(f"{mp}.{k}: must be <= 100")
+        if abs(sum(shares.values()) - 100) > 1e-6:
+            raise ConfigError(f"{mp}: shares sum to {sum(shares.values())!r}, not 100")
+    return PhaseSummary(
+        location, phase, count, hours, speed("mean_mph"), speed("p85_mph"), histogram, shares
+    )

@@ -6,7 +6,8 @@ class SpeedStudyError(Exception):
 
 
 class ConfigError(SpeedStudyError):
-    """Invalid scene config, manifest, or simulation config (includes the field path)."""
+    """Invalid scene config, manifest, simulation config or phase summary
+    (includes the file and the field path)."""
 
 
 class TooFewPoints(SpeedStudyError):
@@ -37,7 +38,8 @@ class EmptyInput(SpeedStudyError):
 
 
 class NonPositiveBaseline(SpeedStudyError):
-    """Percent change is undefined for a non-positive baseline."""
+    """Percent change is undefined for a non-positive baseline (or overflows a
+    float for a tiny one)."""
 
 
 class LocationMismatch(SpeedStudyError):

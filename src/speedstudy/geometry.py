@@ -87,11 +87,6 @@ class Homography:
         """Canonical 3x3 matrix (read-only view)."""
         return self._m
 
-    @property
-    def h(self) -> tuple[float, ...]:
-        """The nine entries, row-major."""
-        return tuple(self._m.ravel())
-
     def inverse(self) -> "Homography":
         return Homography(np.linalg.inv(self._m))
 

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from speedstudy import (
     percentile_85,
 )
 from speedstudy.analytics import MAX_HISTOGRAM_BINS, round1
+from speedstudy.cli import _json_text
+from speedstudy.config import load_summary
 from speedstudy.errors import (
     ConfigError,
     EmptyInput,
@@ -29,6 +33,13 @@ from speedstudy.errors import (
 
 def summary(loc, phase, mean, p85, count=100, hours=10.0):
     return PhaseSummary(loc, phase, count, hours, mean, p85)
+
+
+def write_summary(directory: Path, s: PhaseSummary) -> Path:
+    """s written under directory as analyze writes it."""
+    path = directory / f"{s.phase.value}_summary.json"
+    path.write_text(_json_text(s.to_json_dict()), encoding="utf-8")
+    return path
 
 
 def oracle_p85(values):
@@ -154,6 +165,10 @@ class TestRound1:
         assert round1(20.9 - 25.6) == -4.7
         assert round1(20.8 - 25.6) == -4.8
 
+    @pytest.mark.parametrize("value", [2.0**52, -(2.0**52) - 2, 1e27, -1e300, 1.7e308])
+    def test_whole_floats_beyond_decimal_precision(self, value):
+        assert round1(value) == value
+
 
 class TestCompare:
     def test_mean_row_example(self):
@@ -230,6 +245,10 @@ class TestPercentChange:
         with pytest.raises(NonPositiveBaseline):
             percent_change(0.0, 10.0)
 
+    def test_change_beyond_float_range(self):
+        with pytest.raises(NonPositiveBaseline, match="overflows a float"):
+            percent_change(1e-310, 20.0)
+
 
 class TestPhaseSummary:
     def test_single_vehicle(self):
@@ -260,7 +279,7 @@ class TestPhaseSummary:
         with pytest.raises(InvariantViolation):
             PhaseSummary(1, Phase.PRE, 5, 1.0, 20.0, 20.0, histogram=((20.0, 1),))
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         s = build_phase_summary(
             3,
             Phase.POST_W1,
@@ -268,10 +287,29 @@ class TestPhaseSummary:
             hours=12.5,
             maneuvers=np.array([MANEUVERS.index(ManeuverClass.PASS_THROUGH)], dtype=np.int8),
         )
-        back = PhaseSummary.from_json_dict(s.to_json_dict())
-        assert back.location_id == s.location_id
-        assert back.phase == s.phase
-        assert back.mean_mph == s.mean_mph
-        assert back.p85_mph == s.p85_mph
+        back = load_summary(write_summary(tmp_path, s), Phase.POST_W1)
+        assert back == s
         assert back.histogram == s.histogram
         assert back.maneuver_shares == s.maneuver_shares
+
+    def test_summary_without_histogram_round_trips(self, tmp_path):
+        # criterion 1 builds its summaries from the published tables, without bins
+        s = PhaseSummary(5, Phase.POST_W2, 412, 81.5, 21.3, 26.0)
+        assert "histogram" not in s.to_json_dict()
+        assert load_summary(write_summary(tmp_path, s), Phase.POST_W2) == s
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        speeds=st.lists(st.floats(0.0, 150.0), max_size=30),
+        codes=st.none() | st.lists(st.integers(0, len(MANEUVERS) - 1), max_size=30),
+        hours=st.floats(1e-6, 1e6),
+        location_id=st.integers(-(2**63), 2**63 - 1),
+        phase=st.sampled_from(Phase),
+    )
+    def test_load_summary_reads_back_what_analyze_writes(
+        self, speeds, codes, hours, location_id, phase
+    ):
+        maneuvers = None if codes is None else np.array(codes, dtype=np.int8)
+        s = build_phase_summary(location_id, phase, speeds, hours, maneuvers=maneuvers)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert load_summary(write_summary(Path(tmp), s), phase) == s

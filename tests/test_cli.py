@@ -173,6 +173,8 @@ class TestSimulate:
             (("class_map",), {"1": "bus"}, "vehicles[0].class_label: 'car' has no id in class_map"),
             (("vehicles", 1, "id"), 1, "sim.json.vehicles[1].id: 1 is already used by vehicles[0]"),
             (("vehicles", 1, "id"), 2.7, "vehicles[1].id: expected an integer, got 2.7"),
+            (("vehicles", 0, "id"), 2**63,
+             "sim.json.vehicles[0].id: 9223372036854775808 is outside the 64-bit integer range"),
         ],
     )
     def test_invalid_field_exits_2(self, tmp_path, sim_homography, caplog, path, value, message):
@@ -395,6 +397,11 @@ class TestAnalyze:
         assert blobs[0] == blobs[1]
 
 
+def run_compare(paths, out) -> int:
+    pre, w1, w2 = paths
+    return main(["compare", "--pre", str(pre), "--w1", str(w1), "--w2", str(w2), "--out", str(out)])
+
+
 class TestCompare:
     def write_summaries(self, tmp_path, stats):
         paths = []
@@ -440,6 +447,57 @@ class TestCompare:
             ["compare", "--pre", str(paths[0]), "--w1", str(paths[1]),
              "--w2", str(p9), "--out", str(tmp_path / "cmp")]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean_mph", True, "post_w2.json.mean_mph: expected a number, got a boolean"),
+            ("location_id", 1.5, "post_w2.json.location_id: expected an integer, got 1.5"),
+            ("hours", -3, "post_w2.json.hours: must be positive"),
+            ("maneuvers", [1, 2], "post_w2.json.maneuvers: expected an object, got a list"),
+            ("sample_count", 2, "post_w2.json.histogram: counts sum to 1, sample_count is 2"),
+            ("sample_count", -1, "post_w2.json.sample_count: must be >= 0"),
+            ("maneuvers", {"pass_through": 60, "slow_down": 30},
+             "post_w2.json.maneuvers: expected the keys ['pass_through', 'slow_down', 'stop_and_go']"),
+            ("maneuvers", {"pass_through": 60, "slow_down": 30, "stop_and_go": 0},
+             "post_w2.json.maneuvers: shares sum to 90.0, not 100"),
+            ("maneuvers", {"pass_through": 100.0000005, "slow_down": 0, "stop_and_go": 0},
+             "post_w2.json.maneuvers.pass_through: must be <= 100"),
+            ("histogram", [{"bin_lo": 23.0, "count": 0.5}],
+             "post_w2.json.histogram[0].count: expected an integer, got 0.5"),
+        ],
+    )
+    def test_loose_summary_field_exits_2(self, tmp_path, caplog, field, value, message):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        write_json(paths[2], dict(json.loads(paths[2].read_text()), **{field: value}))
+        with caplog.at_level("ERROR"):
+            assert run_compare(paths, tmp_path / "cmp") == 2
+        assert message in caplog.text
+        assert not (tmp_path / "cmp").exists()
+
+    def test_summary_of_another_phase_exits_2(self, tmp_path, caplog):
+        pre, w1, _ = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        with caplog.at_level("ERROR"):
+            assert run_compare((pre, w1, pre), tmp_path / "cmp") == 2
+        assert "pre.json.phase: expected 'post_w2', got 'pre'" in caplog.text
+
+    def test_numeric_string_speed_is_read(self, tmp_path):
+        paths = self.write_summaries(tmp_path, ([25.6], [20.9], [20.8]))
+        write_json(paths[2], dict(json.loads(paths[2].read_text()), p85_mph="29"))
+        out = tmp_path / "cmp"
+        assert run_compare(paths, out) == 0
+        assert (out / "comparison.csv").read_text().splitlines()[2] == "1,p85,25.6,20.9,-4.7,29.0,3.4"
+
+    @pytest.mark.parametrize(
+        "pre_mean, w1_mean, code",
+        [(1e-310, 20.0, 2), (25.0, 1e30, 0)],
+        ids=["percent-change-overflows", "delta-beyond-decimal-precision"],
+    )
+    def test_extreme_speeds_exit_0_or_2(self, tmp_path, pre_mean, w1_mean, code):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        for path, mean in zip(paths, (pre_mean, w1_mean)):
+            write_json(path, dict(json.loads(path.read_text()), mean_mph=mean))
+        assert run_compare(paths, tmp_path / "cmp") == code
 
 
 class TestJson:
@@ -558,6 +616,11 @@ class TestConfigFields:
             ("manifest", ("scene_config",), 5, "scene_config: expected a string, got a number"),
             ("scene", ("travel_direction",), [0, 0], "travel_direction: must be nonzero"),
             ("scene", ("location_id",), 1.5, "location_id: expected an integer, got 1.5"),
+            ("scene", ("location_id",), "2.5", "location_id: expected an integer, got '2.5'"),
+            ("scene", ("location_id",), 2**63,
+             "location_id: 9223372036854775808 is outside the 64-bit integer range"),
+            ("scene", ("location_id",), 1e300, "location_id: 1e+300 is outside the 64-bit integer"),
+            ("scene", ("location_id",), "1e300", "location_id: '1e300' is outside the 64-bit integer"),
         ],
     )
     def test_wrongly_typed_field_exits_2(self, analyze_inputs, caplog, target, path, value, message):
@@ -567,6 +630,15 @@ class TestConfigFields:
 
     def test_integral_float_location_id_is_read(self, analyze_inputs):
         assert analyze_with_field(analyze_inputs, "scene", ("location_id",), 3.0) == 0
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("2.0", 2), (" 7 ", 7), ("1e3", 1000), (2**63 - 1, 2**63 - 1),
+         ("9223372036854775807", 2**63 - 1), (-(2**63), -(2**63)), (2**53 + 1, 2**53 + 1)],
+    )
+    def test_integer_is_read_exactly(self, value, expected):
+        number = config._number(value, "x", kind=int, positive=False)
+        assert (type(number), number) == (int, expected)
 
     @pytest.mark.parametrize("field", ["aoi_polygon", "approach_zone"])
     def test_self_intersecting_polygon_exits_2(self, analyze_inputs, caplog, field):
@@ -593,6 +665,41 @@ class TestConfigFields:
     def test_any_field_value_exits_0_or_2(self, analyze_inputs, field, value):
         target, path = field
         assert analyze_with_field(analyze_inputs, target, path, value) in (0, 2)
+
+
+SUMMARY_FIELDS = (
+    *((key,) for key in (
+        "location_id", "phase", "sample_count", "hours", "mean_mph", "p85_mph", "histogram",
+        "maneuvers",
+    )),
+    ("histogram", 0),
+    ("histogram", 0, "bin_lo"),
+    ("histogram", 0, "count"),
+    ("maneuvers", "slow_down"),
+)
+
+
+@pytest.fixture(scope="module")
+def summary_docs():
+    """The three phase summaries of one site, with histograms and maneuver shares."""
+    codes = np.array([0, 1, 2, 0], dtype=np.int8)
+    return [
+        build_phase_summary(4, phase, speeds, hours=2.0, maneuvers=codes).to_json_dict()
+        for phase, speeds in zip(Phase, ([25.0, 31.5], [22.0, 28.0], [21.0, 26.5]))
+    ]
+
+
+class TestSummaryFields:
+    @settings(max_examples=150, deadline=None)
+    @given(slot=st.integers(0, 2), field=st.sampled_from(SUMMARY_FIELDS), value=JSON_VALUES)
+    def test_any_field_value_exits_0_or_2(self, summary_docs, slot, field, value):
+        docs = list(summary_docs)
+        docs[slot] = with_field(docs[slot], field, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{phase.value}.json" for phase in Phase]
+            for path, doc in zip(paths, docs):
+                write_json(path, doc)
+            assert run_compare(paths, Path(tmp) / "cmp") in (0, 2)
 
 
 class TestPackage:
