@@ -154,15 +154,18 @@ def percent_change(pre: float, post: float) -> float:
 
 
 def compare_phases(
-    pre: PhaseSummary, w1: PhaseSummary, w2: PhaseSummary
+    pre: PhaseSummary, w1: PhaseSummary, w2: PhaseSummary, names=None
 ) -> tuple[ComparisonRow, ComparisonRow]:
-    """(mean row, 85th-percentile row) comparing one location across phases."""
+    """(mean row, 85th-percentile row) comparing one location across phases.
+    names label the three summaries in errors, by default with their phases."""
     ids = {pre.location_id, w1.location_id, w2.location_id}
     if len(ids) != 1:
         raise LocationMismatch(f"summaries span locations {sorted(ids)}")
-    for s in (pre, w1, w2):
-        if s.mean_mph is None or s.p85_mph is None:
-            raise EmptyInput(f"phase {s.phase.value} has no speed statistics")
+    summaries = (pre, w1, w2)
+    for s, name in zip(summaries, names or [s.phase.value for s in summaries]):
+        for field in ("mean_mph", "p85_mph"):
+            if getattr(s, field) is None:
+                raise EmptyInput(f"{name}.{field}: null; compare needs speed statistics")
     mean_row = ComparisonRow(pre.location_id, "mean", pre.mean_mph, w1.mean_mph, w2.mean_mph)
     p85_row = ComparisonRow(pre.location_id, "p85", pre.p85_mph, w1.p85_mph, w2.p85_mph)
     return mean_row, p85_row

@@ -111,8 +111,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    pre, w1, w2 = (load_summary(p, phase) for p, phase in zip((args.pre, args.w1, args.w2), Phase))
-    mean_row, p85_row = compare_phases(pre, w1, w2)
+    paths = [Path(p) for p in (args.pre, args.w1, args.w2)]
+    pre, w1, w2 = (load_summary(p, phase) for p, phase in zip(paths, Phase))
+    mean_row, p85_row = compare_phases(pre, w1, w2, names=[p.name for p in paths])
 
     lines = ["loc_id,metric,pre,post_w1,delta_w1,post_w2,delta_w2"]
     for row in (mean_row, p85_row):

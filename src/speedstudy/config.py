@@ -431,13 +431,14 @@ def load_manifest(path) -> RunManifest:
     path = Path(path)
     data = read_json(path, "manifest")
     base = path.parent
-    scene_path = base / _shaped(_get(data, "scene_config", "manifest"), str, "manifest.scene_config")
-    phases_raw = _shaped(_get(data, "phases", "manifest"), list, "manifest.phases")
+    p = path.name
+    scene_path = base / _shaped(_get(data, "scene_config", p), str, f"{p}.scene_config")
+    phases_raw = _shaped(_get(data, "phases", p), list, f"{p}.phases")
     if not phases_raw:
-        raise ConfigError("manifest.phases: need at least one phase")
+        raise ConfigError(f"{p}.phases: need at least one phase")
     phases = []
     for i, entry in enumerate(phases_raw):
-        pp = f"manifest.phases[{i}]"
+        pp = f"{p}.phases[{i}]"
         try:
             phase = Phase(_get(entry, "phase", pp))
         except ValueError:

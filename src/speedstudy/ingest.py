@@ -178,20 +178,23 @@ _ROW_DTYPE = np.dtype(
 def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable:
     """Parse a detection CSV into a DetectionTable, preserving row order.
 
-    source is a path, the file's bytes, or a seekable text stream. The file
-    is streamed through one np.loadtxt call and checked with column masks.
-    When either rejects it, a second, line-by-line pass names the first bad
-    row: MalformedRow carries its 1-based line number. A path or bytes that
-    are not valid UTF-8 are malformed at the first line holding a bad byte;
-    a text stream decodes itself. Unknown class ids map to OTHER with a
-    warning (once per id).
+    source is a path, the file's bytes, or a seekable text stream. The whole
+    file goes to np.loadtxt in one pass and is checked with column masks; a
+    file with comment or whitespace-only lines costs a second, line-filtered
+    read (_load_rows). When the reads or the checks reject it, a line-by-line
+    pass names the first bad row: MalformedRow carries its 1-based line
+    number. A path and bytes break lines alike, at LF, CRLF or CR; a text
+    stream breaks its own. A path or bytes that are not valid UTF-8 are
+    malformed at the first line holding a bad byte; a text stream decodes
+    itself. Unknown class ids map to OTHER with a warning (once per id).
     """
     if isinstance(source, (bytes, bytearray)):
         data = bytes(source)
         name = None
 
         def open_lines(errors):
-            return io.StringIO(data.decode("utf-8", errors))
+            # newline=None reads line breaks as open() does for a path
+            return io.StringIO(data.decode("utf-8", errors), newline=None)
 
     elif isinstance(source, (str, Path)):
         name = str(source)
@@ -246,7 +249,19 @@ def _loadtxt(lines) -> np.ndarray:
 
 def _load_rows(open_lines) -> np.ndarray | None:
     """All data lines as one structured array, or None when one does not
-    parse or the text is not UTF-8 (UnicodeDecodeError is a ValueError)."""
+    parse or the text is not UTF-8 (UnicodeDecodeError is a ValueError).
+
+    The whole stream goes to loadtxt first. It skips empty lines and rejects
+    every other line _is_data drops: a whitespace-only line is one field
+    where eight are needed, and no integer parses from a field starting with
+    '#'. So a read that succeeds has kept exactly the lines _is_data keeps,
+    and only a file it rejects is read again, line-filtered.
+    """
+    try:
+        with open_lines("strict") as lines:
+            return _loadtxt(lines)
+    except (ValueError, DeprecationWarning):
+        pass
     try:
         with open_lines("strict") as lines:
             return _loadtxt(filter(_is_data, lines))

@@ -475,6 +475,15 @@ class TestCompare:
         assert message in caplog.text
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("field", ["mean_mph", "p85_mph"])
+    def test_null_speed_statistic_exits_2_naming_file_and_field(self, tmp_path, caplog, field):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        write_json(paths[1], dict(json.loads(paths[1].read_text()), **{field: None}))
+        with caplog.at_level("ERROR"):
+            assert run_compare(paths, tmp_path / "cmp") == 2
+        assert f"post_w1.json.{field}: null; compare needs speed statistics" in caplog.text
+        assert not (tmp_path / "cmp").exists()
+
     def test_summary_of_another_phase_exits_2(self, tmp_path, caplog):
         pre, w1, _ = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
         with caplog.at_level("ERROR"):
@@ -610,7 +619,7 @@ class TestConfigFields:
             ),
             ("manifest", ("phases", 0, "hours"), "nan", "hours: 'nan' is not a finite number"),
             ("manifest", ("phases", 0, "hours"), [1], "hours: expected a number, got a list"),
-            ("manifest", ("phases",), 5, "manifest.phases: expected a list, got a number"),
+            ("manifest", ("phases",), 5, "run.json.phases: expected a list, got a number"),
             ("manifest", ("phases", 0, "detections"), 5, "detections: expected a list"),
             ("manifest", ("phases", 0, "detections"), [5], "detections[0]: expected a string"),
             ("manifest", ("scene_config",), 5, "scene_config: expected a string, got a number"),

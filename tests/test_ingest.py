@@ -151,6 +151,45 @@ class TestParse:
                 parse_track_file(source, CLASS_MAP)
             assert exc_info.value.line_no == line_no
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "second, outcome", [("2,1,0,0,10,10,0.9,1", [1, 2]), ("bad", 2)], ids=["valid", "malformed"]
+    )
+    def test_path_and_bytes_break_lines_alike(self, tmp_path, second, outcome, end):
+        """Rows read, or the line number of the malformed one."""
+        data = f"1,1,0,0,10,10,0.9,1{end}{second}{end}".encode()
+        path = tmp_path / "dets.csv"
+        path.write_bytes(data)
+
+        def read(source):
+            try:
+                return parse_track_file(source, CLASS_MAP).frame.tolist()
+            except MalformedRow as exc:
+                return exc.line_no
+
+        assert read(path) == read(data) == outcome
+
+    def test_comment_free_file_is_one_loadtxt_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "dets.csv"
+        path.write_text("1,1,0,0,10,10,0.9,1\n2,1,0,0,10,10,0.9,1\n")
+        calls = []
+        loadtxt = ingest._loadtxt
+        monkeypatch.setattr(ingest, "_loadtxt", lambda lines: calls.append(1) or loadtxt(lines))
+        monkeypatch.setattr(ingest, "_is_data", lambda line: pytest.fail("line filter ran"))
+        assert parse_track_file(path, CLASS_MAP).frame.tolist() == [1, 2]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "at, line", [(2, "# note"), (1, " \t ")], ids=["last-line-comment", "inner-whitespace-line"]
+    )
+    def test_dropped_line_reads_as_if_absent(self, at, line):
+        lines = ["1,1,0,0,10,10,0.9,1", "2,3,1.5,2,10,10,0.5,2"]
+        with_line = lines[:at] + [line] + lines[at:]
+        got = parse_track_file(io.StringIO("\n".join(with_line) + "\n"), CLASS_MAP)
+        want = parse_track_file(io.StringIO("\n".join(lines) + "\n"), CLASS_MAP)
+        for column in ("frame", "track_id", "bbox", "confidence", "label"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+
     def test_stream_is_read_from_its_position(self):
         stream = io.StringIO("skipped header\n1,1,0,0,10,10,0.9,1\nbad\n")
         stream.readline()
@@ -686,6 +725,8 @@ def _is_data(line):
 
 @settings(max_examples=200, deadline=None)
 @given(TEXTS)
+@example("1,1,0,0,10,10,0.9,1\r\n2,3,1.5,2,10,10,0.5,2\r\n")  # whole-stream read
+@example("1,1,0,0,10,10,0.9,1\n2,3,1.5,2,10,10,0.5,2\n# note\n")  # line-filtered read
 def test_columnar_parser_agrees_with_line_validator(text):
     """The whole-file parse names the first line the one-line validator
     rejects, or reads every line to the values int() and float() give."""
