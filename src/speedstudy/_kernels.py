@@ -20,7 +20,9 @@ BOUNDARY_TOL = 1e-9
 def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
     """Boolean mask of points inside (or within tol of) a simple polygon.
 
-    Loops over the polygon's edges and broadcasts over the points.
+    Loops over the polygon's edges and broadcasts over the points. Each
+    edge's sums are taken in place in two row-length buffers, in the order
+    the comments give, so the pass holds no other float temporary.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     poly = np.asarray(polygon, dtype=np.float64)
@@ -28,6 +30,8 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
     y = pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
     on_edge = np.zeros(len(pts), dtype=bool)
+    a = np.empty(len(pts))
+    b = np.empty(len(pts))
     tol2 = tol * tol
     m = len(poly)
     for i in range(m):
@@ -37,18 +41,40 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
         ey = yj - yi
         seg2 = ex * ex + ey * ey
         if seg2 > 0.0:
-            t = np.clip(((x - xi) * ex + (y - yi) * ey) / seg2, 0.0, 1.0)
-            cx = xi + t * ex - x
-            cy = yi + t * ey - y
+            # t = clip(((x - xi) * ex + (y - yi) * ey) / seg2, 0, 1)
+            t = np.subtract(x, xi, out=a)
+            t *= ex
+            np.subtract(y, yi, out=b)
+            b *= ey
+            t += b
+            t /= seg2
+            np.clip(t, 0.0, 1.0, out=t)
+            # cx = xi + t * ex - x, then cy = yi + t * ey - y
+            cx = np.multiply(t, ex, out=b)
+            cx += xi
+            cx -= x
+            cy = t
+            cy *= ey
+            cy += yi
+            cy -= y
         else:
-            cx = xi - x
-            cy = yi - y
-        on_edge |= cx * cx + cy * cy <= tol2
+            cx = np.subtract(xi, x, out=b)
+            cy = np.subtract(yi, y, out=a)
+        # on_edge |= cx * cx + cy * cy <= tol2
+        cx *= cx
+        cy *= cy
+        cx += cy
+        on_edge |= cx <= tol2
         crosses = (yi > y) != (yj > y)
         dy = yj - yi
         safe_dy = np.where(dy == 0.0, 1.0, dy)
-        x_cross = xi + (y - yi) * (xj - xi) / safe_dy
-        inside ^= crosses & (x < x_cross)
+        # x_cross = xi + (y - yi) * (xj - xi) / safe_dy
+        x_cross = np.subtract(y, yi, out=a)
+        x_cross *= xj - xi
+        x_cross /= safe_dy
+        x_cross += xi
+        crosses &= x < x_cross
+        inside ^= crosses
     return inside | on_edge
 
 

@@ -166,12 +166,20 @@ def project_points(matrix: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, 
     and hold zeros.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    den = matrix[2, 0] * pts[:, 0] + matrix[2, 1] * pts[:, 1] + matrix[2, 2]
+    x, y = pts[:, 0], pts[:, 1]
+    # row i of matrix gives (m[i, 0] * x + m[i, 1] * y) + m[i, 2], summed in
+    # place, so each projection holds one row-length temporary at a time
+    den = matrix[2, 0] * x
+    den += matrix[2, 1] * y
+    den += matrix[2, 2]
     valid = np.abs(den) >= INFINITY_TOL
-    safe = np.where(valid, den, 1.0)
+    den[~valid] = 1.0
     out = np.empty_like(pts)
-    out[:, 0] = (matrix[0, 0] * pts[:, 0] + matrix[0, 1] * pts[:, 1] + matrix[0, 2]) / safe
-    out[:, 1] = (matrix[1, 0] * pts[:, 0] + matrix[1, 1] * pts[:, 1] + matrix[1, 2]) / safe
+    for i in range(2):
+        column = np.multiply(matrix[i, 0], x, out=out[:, i])
+        column += matrix[i, 1] * y
+        column += matrix[i, 2]
+        column /= den
     out[~valid] = 0.0
     return out, valid
 

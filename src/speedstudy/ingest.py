@@ -67,34 +67,42 @@ class Detection:
     class_label: ClassLabel
 
 
-def anchor_points(bbox: np.ndarray) -> np.ndarray:
-    """(N, 2) bottom centers of (N, 4) boxes: the vehicles' ground-contact points."""
-    out = np.empty((len(bbox), 2), dtype=np.float64)
-    out[:, 0] = bbox[:, 0] + bbox[:, 2] / 2.0
-    out[:, 1] = bbox[:, 1] + bbox[:, 3]
+def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """(N, 2) bottom centers of (N, 4) boxes, or of the boxes at the indices
+    rows: the vehicles' ground-contact points. The columns are gathered one
+    at a time into the result, so no (N, 4) copy is made."""
+    n = len(bbox) if rows is None else len(rows)
+    rows = slice(None) if rows is None else rows
+    out = np.empty((n, 2), dtype=np.float64)
+    # u = left + width / 2, v = top + height
+    u, v = out[:, 0], out[:, 1]
+    u[:] = bbox[rows, 2]
+    u /= 2.0
+    np.add(bbox[rows, 0], u, out=u)
+    v[:] = bbox[rows, 1]
+    v += bbox[rows, 3]
     return out
 
 
-def _range_faults(frame, track_id, bbox, confidence) -> list[tuple[np.ndarray, str]]:
-    """For each range check every row must pass: the rows failing it, and why."""
+def _range_faults(frame, track_id, bbox, confidence):
+    """For each range check every row must pass: the rows failing it, and
+    why. A generator, so one check's mask is made at a time."""
+    yield (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
+           "a bbox or confidence value is not a finite number")
+    yield frame < 0, "frame must be >= 0"
+    yield track_id <= 0, "track id must be positive"
+    yield ~(bbox[:, 2:] > 0.0).all(axis=1), "bbox width and height must be positive"
+    yield ~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"
     with np.errstate(over="ignore", invalid="ignore"):
         anchors = anchor_points(bbox)
-    return [
-        (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
-         "a bbox or confidence value is not a finite number"),
-        (frame < 0, "frame must be >= 0"),
-        (track_id <= 0, "track id must be positive"),
-        (~(bbox[:, 2:] > 0.0).all(axis=1), "bbox width and height must be positive"),
-        (~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"),
-        (~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"),
-    ]
+    yield ~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"
 
 
 def _first_bad_row(frame, track_id, bbox, confidence) -> int | None:
     """Index of the first row failing a range check, or None."""
-    bad = np.logical_or.reduce(
-        [rows for rows, _ in _range_faults(frame, track_id, bbox, confidence)]
-    )
+    bad = np.zeros(len(frame), dtype=bool)
+    for rows, _ in _range_faults(frame, track_id, bbox, confidence):
+        bad |= rows
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -345,6 +353,10 @@ def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
     A duplicate (id, frame) pair keeps the higher-confidence detection (first
     seen wins ties). Tracks are ordered by id. Every kept anchor is mapped
     onto the road plane through h's inverse in one projection.
+
+    The table is let go of once its kept rows are gathered, so when the
+    caller holds no other reference to it, its rows are freed before the
+    projection; each row-length temporary here is let go of once used.
     """
     # lexsort is stable, so rows tied on (id, frame, confidence) keep input order
     order = np.lexsort((-table.confidence, table.frame, table.track_id))
@@ -353,18 +365,20 @@ def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
     keep = order[first]
-    ids = ids[first]
+    del order, ids, frames, first
+    anchors = anchor_points(table.bbox, keep)
+    ids, frames, labels = table.track_id[keep], table.frame[keep], table.label[keep]
+    del table, keep
     new_track = np.ones(len(ids), dtype=bool)
     new_track[1:] = ids[1:] != ids[:-1]
     starts = np.flatnonzero(new_track)
-    anchors = anchor_points(table.bbox[keep])
     world, projectable = project_points(h.inverse().matrix, anchors)
     return TrackTable(
         ids[starts],
         np.append(starts, len(ids)),
-        frames[first],
+        frames,
         anchors,
-        table.label[keep],
+        labels,
         world,
         projectable,
     )

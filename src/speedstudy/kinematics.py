@@ -83,9 +83,12 @@ def track_kinematics(
     idx = speeds_ms >= 0.0
     sampled, offsets = row_subset(tracks.offsets, idx)
     speeds = speeds_ms[idx] * MPS_TO_MPH
-    # one mean per track, so each is the value np.mean of its samples gives;
-    # a segmented sum would add in another order
-    means = [speeds[a:b].mean() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    # one mean per track, so each is the value np.mean of its samples gives
+    # (np.mean is this sum then divide); a segmented sum would add in another order
+    means = [
+        np.add.reduce(speeds[a:b]) / (b - a)
+        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
     return KinematicsTable(
         tracks.track_ids[sampled],
         offsets,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,11 +51,21 @@ class PhaseResult:
 def process_detections(
     detections: DetectionTable, cfg: SceneConfig, h: Homography, source: str = "<memory>"
 ) -> RecordingResult:
-    """Run the full analysis over one recording's parsed detections."""
+    """Run the full analysis over one recording's parsed detections.
+
+    Each table is handed on through `held`, with no name bound to it, so
+    the parsed rows are freed during assembly and the assembled tracks once
+    the cascade's first stage has its output. (CPython 3.11 and later hand
+    a call's arguments over to the callee; older versions keep them on the
+    caller's stack until the call returns.)
+    """
     th = cfg.thresholds
-    # left unnamed here, so the cascade frees the assembled table after its first stage
+    raw_rows = len(detections)
+    held = [detections]
+    del detections
+    held.append(assemble_tracks(held.pop(), h))
     survivors, counts = run_filter_cascade(
-        assemble_tracks(detections, h),
+        held.pop(),
         cfg.aoi_polygon,
         cfg.travel_direction,
         h,
@@ -76,12 +87,12 @@ def process_detections(
         maneuvers = observe_maneuvers(
             kins, cfg.approach_zone, cfg.v_mean_reduction, th.stopgo_mph, th.slowdown_mph
         )
-    return RecordingResult(source, len(detections), kins, maneuvers, counts)
+    return RecordingResult(source, raw_rows, kins, maneuvers, counts)
 
 
 def process_recording(path, cfg: SceneConfig, h: Homography) -> RecordingResult:
-    detections = parse_track_file(path, cfg.class_map)
-    return process_detections(detections, cfg, h, source=str(path))
+    # unnamed, so process_detections can free the parsed rows (see there)
+    return process_detections(parse_track_file(path, cfg.class_map), cfg, h, source=str(path))
 
 
 def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> PhaseResult:
@@ -124,22 +135,26 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
 def kinematics_csv(kins: KinematicsTable) -> str:
     """Sample rows plus one `track_id,summary,<mean mph>,<n samples>` row per
     track (the literal 'summary' sits in the frame column)."""
-    lines = ["track_id,frame,speed_mph,window_frames"]
+    chunks = ["track_id,frame,speed_mph,window_frames\n"]
     offsets = kins.offsets.tolist()
     for track_id, mean, a, b in zip(
         kins.track_ids.tolist(), kins.representative_mph.tolist(), offsets, offsets[1:]
     ):
-        # one track at a time: holding every sample of the recording as
-        # Python objects at once raises peak memory
+        # one format per track: a str per sample row, or every sample of the
+        # recording as Python objects at once, would raise peak memory
         columns = (kins.frames[a:b], kins.speeds_mph[a:b], kins.window_frames[a:b])
-        lines += [f"{track_id},{f},{s!r},{w}" for f, s, w in zip(*(c.tolist() for c in columns))]
-        lines.append(f"{track_id},summary,{mean!r},{b - a}")
-    return "\n".join(lines) + "\n"
+        values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+        chunks.append((f"{track_id},%d,%r,%d\n" * (b - a)) % values)
+        chunks.append(f"{track_id},summary,{mean!r},{b - a}\n")
+    return "".join(chunks)
 
 
 def maneuvers_csv(maneuvers: ManeuverTable) -> str:
     names = [cls.value for cls in MANEUVERS]
-    columns = (maneuvers.track_ids, maneuvers.v_mean_mph, maneuvers.classes)
-    lines = ["track_id,v_mean_mph,class"]
-    lines += [f"{t},{v!r},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    columns = (
+        maneuvers.track_ids.tolist(),
+        maneuvers.v_mean_mph.tolist(),
+        [names[code] for code in maneuvers.classes.tolist()],
+    )
+    values = tuple(chain.from_iterable(zip(*columns)))
+    return "track_id,v_mean_mph,class\n" + ("%d,%r,%s\n" * len(maneuvers.track_ids)) % values

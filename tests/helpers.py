@@ -4,7 +4,9 @@ Most of this is written directly from first principles (plain Python, no
 package kernels) so tests compare the implementation against a second path.
 The kinematics oracles are instead the per-track path that the
 recording-level tables replaced: one projection and one window_speeds call
-per track.
+per track. The `*_reference` functions keep the whole-array expressions and
+the row-at-a-time writers that in-place code replaced, for tests that
+require bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from speedstudy import (
+    MANEUVERS,
     Correspondence,
     Detection,
     DetectionTable,
@@ -27,7 +30,7 @@ from speedstudy import (
     parse_track_file,
     serialize_detections,
 )
-from speedstudy.geometry import project_points
+from speedstudy.geometry import INFINITY_TOL, project_points
 from speedstudy.ingest import LABELS, ClassLabel
 from speedstudy.kinematics import window_params
 from speedstudy.simulator import DEFAULT_CLASS_MAP
@@ -42,6 +45,83 @@ def apply_h(matrix, x, y):
     num_v = matrix[1][0] * x + matrix[1][1] * y + matrix[1][2]
     den = matrix[2][0] * x + matrix[2][1] * y + matrix[2][2]
     return num_u / den, num_v / den
+
+
+def project_points_reference(matrix, points):
+    """project_points as whole-array expressions: the sums the in-place
+    version must reproduce bit for bit."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    den = matrix[2, 0] * pts[:, 0] + matrix[2, 1] * pts[:, 1] + matrix[2, 2]
+    valid = np.abs(den) >= INFINITY_TOL
+    safe = np.where(valid, den, 1.0)
+    out = np.empty_like(pts)
+    out[:, 0] = (matrix[0, 0] * pts[:, 0] + matrix[0, 1] * pts[:, 1] + matrix[0, 2]) / safe
+    out[:, 1] = (matrix[1, 0] * pts[:, 0] + matrix[1, 1] * pts[:, 1] + matrix[1, 2]) / safe
+    out[~valid] = 0.0
+    return out, valid
+
+
+def anchor_points_reference(bbox):
+    """(N, 2) bottom centers of (N, 4) boxes as whole-array expressions."""
+    bbox = np.asarray(bbox, dtype=np.float64).reshape(-1, 4)
+    out = np.empty((len(bbox), 2), dtype=np.float64)
+    out[:, 0] = bbox[:, 0] + bbox[:, 2] / 2.0
+    out[:, 1] = bbox[:, 1] + bbox[:, 3]
+    return out
+
+
+def points_in_polygon_reference(points, polygon, tol=1e-9):
+    """The even-odd pass with one fresh temporary per operation: the
+    expressions the in-place kernel must reproduce bit for bit."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    poly = np.asarray(polygon, dtype=np.float64)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    on_edge = np.zeros(len(pts), dtype=bool)
+    tol2 = tol * tol
+    for i in range(len(poly)):
+        xi, yi = poly[i]
+        xj, yj = poly[i - 1]
+        ex = xj - xi
+        ey = yj - yi
+        seg2 = ex * ex + ey * ey
+        if seg2 > 0.0:
+            t = np.clip(((x - xi) * ex + (y - yi) * ey) / seg2, 0.0, 1.0)
+            cx = xi + t * ex - x
+            cy = yi + t * ey - y
+        else:
+            cx = xi - x
+            cy = yi - y
+        on_edge |= cx * cx + cy * cy <= tol2
+        crosses = (yi > y) != (yj > y)
+        dy = yj - yi
+        safe_dy = np.where(dy == 0.0, 1.0, dy)
+        x_cross = xi + (y - yi) * (xj - xi) / safe_dy
+        inside ^= crosses & (x < x_cross)
+    return inside | on_edge
+
+
+def kinematics_csv_reference(kins) -> str:
+    """The kinematics report built one f-string per sample row."""
+    lines = ["track_id,frame,speed_mph,window_frames"]
+    offsets = kins.offsets.tolist()
+    for track_id, mean, a, b in zip(
+        kins.track_ids.tolist(), kins.representative_mph.tolist(), offsets, offsets[1:]
+    ):
+        columns = (kins.frames[a:b], kins.speeds_mph[a:b], kins.window_frames[a:b])
+        lines += [f"{track_id},{f},{s!r},{w}" for f, s, w in zip(*(c.tolist() for c in columns))]
+        lines.append(f"{track_id},summary,{mean!r},{b - a}")
+    return "\n".join(lines) + "\n"
+
+
+def maneuvers_csv_reference(maneuvers) -> str:
+    """The maneuvers report built one f-string per row."""
+    names = [cls.value for cls in MANEUVERS]
+    columns = (maneuvers.track_ids, maneuvers.v_mean_mph, maneuvers.classes)
+    lines = ["track_id,v_mean_mph,class"]
+    lines += [f"{t},{v!r},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
 
 
 def make_correspondences(matrix, world_pts) -> list[Correspondence]:
@@ -264,6 +344,39 @@ def close_pairs_of_oracle(*args):
     coexist, close = close_pair_counts_oracle(*args)
     follower, leader = np.nonzero(close)
     return follower, leader, close[follower, leader], coexist[follower, leader]
+
+
+def synthesize_bulk_csv(n_tracks=500, frames_per_track=200):
+    """Straight constant-speed tracks on an identity-mapped scene; >=100k rows."""
+    lines = []
+    for tid in range(1, n_tracks + 1):
+        lane_y = 100.0 + (tid % 25) * 60.0
+        first = (tid * 7) % 1800
+        u0 = 50.0 + (tid % 13) * 5.0
+        for k in range(frames_per_track):
+            u = u0 + 4.0 * k
+            lines.append(f"{first + k},{tid},{u - 20.0},{lane_y - 40.0},40.0,40.0,0.9,1")
+    return "\n".join(lines) + "\n", n_tracks * frames_per_track
+
+
+# The identity-calibrated scene synthesize_bulk_csv's tracks cross.
+BULK_SCENE = {
+    "location_id": 77,
+    "name": "throughput",
+    "fps": 10.0,
+    "calibration": {
+        "correspondences": [
+            {"world": [0.0, 0.0], "image": [0.0, 0.0]},
+            {"world": [100.0, 0.0], "image": [100.0, 0.0]},
+            {"world": [100.0, 100.0], "image": [100.0, 100.0]},
+            {"world": [0.0, 100.0], "image": [0.0, 100.0]},
+        ]
+    },
+    "aoi_polygon": [[0, 0], [5000, 0], [5000, 5000], [0, 5000]],
+    "approach_zone": [[300, 0], [600, 0], [600, 5000], [300, 5000]],
+    "travel_direction": [1.0, 0.0],
+    "class_map": {"1": "car"},
+}
 
 
 CORRIDOR_CORNERS = [

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BULK_SCENE,
+    synthesize_bulk_csv,
     make_correspondences,
     random_projective_matrix,
     scene_config_dict,
@@ -399,40 +401,10 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
     print("ACCEPTANCE 7 (filter gates at 40 px / 2.0 m / 45 deg; idempotent cascade): PASS")
 
 
-def synthesize_bulk_csv(n_tracks=500, frames_per_track=200):
-    """Straight constant-speed tracks on an identity-mapped scene; >=100k rows."""
-    lines = []
-    for tid in range(1, n_tracks + 1):
-        lane_y = 100.0 + (tid % 25) * 60.0
-        first = (tid * 7) % 1800
-        u0 = 50.0 + (tid % 13) * 5.0
-        for k in range(frames_per_track):
-            u = u0 + 4.0 * k
-            lines.append(f"{first + k},{tid},{u - 20.0},{lane_y - 40.0},40.0,40.0,0.9,1")
-    return "\n".join(lines) + "\n", n_tracks * frames_per_track
-
-
 def test_criterion_8_throughput_100k_rows():
     text, n_rows = synthesize_bulk_csv()
     assert n_rows >= 100_000
-    scene = {
-        "location_id": 77,
-        "name": "throughput",
-        "fps": 10.0,
-        "calibration": {
-            "correspondences": [
-                {"world": [0.0, 0.0], "image": [0.0, 0.0]},
-                {"world": [100.0, 0.0], "image": [100.0, 0.0]},
-                {"world": [100.0, 100.0], "image": [100.0, 100.0]},
-                {"world": [0.0, 100.0], "image": [0.0, 100.0]},
-            ]
-        },
-        "aoi_polygon": [[0, 0], [5000, 0], [5000, 5000], [0, 5000]],
-        "approach_zone": [[300, 0], [600, 0], [600, 5000], [300, 5000]],
-        "travel_direction": [1.0, 0.0],
-        "class_map": {"1": "car"},
-    }
-    cfg = scene_config_from_dict(scene)
+    cfg = scene_config_from_dict(BULK_SCENE)
     h = solve_homography(cfg.correspondences)
 
     # one tiny recording first, so that one-time costs of a first call

@@ -6,19 +6,38 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import speedstudy
 
-from helpers import is_simple_polygon_oracle, scene_config_dict
-from speedstudy import Phase, build_phase_summary, config
+from helpers import (
+    BULK_SCENE,
+    is_simple_polygon_oracle,
+    kinematics_csv_reference,
+    maneuvers_csv_reference,
+    scene_config_dict,
+    synthesize_bulk_csv,
+)
+from speedstudy import (
+    MANEUVERS,
+    KinematicsTable,
+    ManeuverTable,
+    Phase,
+    build_phase_summary,
+    config,
+    ingest,
+    pipeline,
+    solve_homography,
+)
 from speedstudy.cli import _json_text, main
 from speedstudy.errors import InvariantViolation
-from speedstudy.config import Thresholds, load_scene_config
+from speedstudy.config import Thresholds, load_scene_config, scene_config_from_dict
 
 
 def write_json(path, data):
@@ -400,6 +419,147 @@ class TestAnalyze:
 def run_compare(paths, out) -> int:
     pre, w1, w2 = paths
     return main(["compare", "--pre", str(pre), "--w1", str(w1), "--w2", str(w2), "--out", str(out)])
+
+
+INT64_MAX = 2**63 - 1
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def kinematics_tables(draw):
+    """A KinematicsTable of tracks with 1 to 4 samples each, any int64 ids,
+    frames and window lengths, and any float speeds."""
+    lengths = draw(st.lists(st.integers(1, 4), max_size=5))
+    ids = sorted(draw(st.lists(
+        st.integers(1, INT64_MAX), min_size=len(lengths), max_size=len(lengths), unique=True
+    )))
+    n = sum(lengths)
+    int_column = st.lists(st.integers(0, INT64_MAX), min_size=n, max_size=n)
+    return KinematicsTable(
+        np.array(ids, dtype=np.int64),
+        np.cumsum([0, *lengths]).astype(np.int64),
+        np.array(draw(int_column), dtype=np.int64),
+        np.zeros((n, 2)),
+        np.array(draw(st.lists(ANY_FLOAT, min_size=n, max_size=n)), dtype=np.float64),
+        np.array(draw(int_column), dtype=np.int64),
+        np.array(draw(st.lists(ANY_FLOAT, min_size=len(lengths), max_size=len(lengths))),
+                 dtype=np.float64),
+    )
+
+
+def _kinematics_table(track_ids, lengths):
+    n = sum(lengths)
+    return KinematicsTable(
+        np.array(track_ids, dtype=np.int64), np.cumsum([0, *lengths]).astype(np.int64),
+        np.arange(n, dtype=np.int64), np.zeros((n, 2)), np.linspace(0.1, 30.3, n),
+        np.full(n, 7, dtype=np.int64), np.linspace(1.5, 2.5, len(lengths)),
+    )
+
+
+class TestReportWriters:
+    """The report writers against the one-f-string-per-row writers, string
+    for string."""
+
+    @given(kinematics_tables())
+    @example(_kinematics_table([], []))
+    @example(_kinematics_table([1, INT64_MAX], [1, 1]))
+    def test_kinematics_csv(self, kins):
+        assert pipeline.kinematics_csv(kins) == kinematics_csv_reference(kins)
+
+    @given(st.lists(st.tuples(st.integers(1, INT64_MAX), ANY_FLOAT,
+                              st.integers(0, len(MANEUVERS) - 1)), max_size=8))
+    @example([])
+    @example([(INT64_MAX, 4.999999999999999, 2)])
+    def test_maneuvers_csv(self, rows):
+        maneuvers = ManeuverTable(
+            np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[1] for r in rows], dtype=np.float64),
+            np.array([r[2] for r in rows], dtype=np.int8),
+        )
+        assert pipeline.maneuvers_csv(maneuvers) == maneuvers_csv_reference(maneuvers)
+
+
+# CPython 3.11 hands a call's arguments over to the callee; older versions
+# keep them on the caller's stack until the call returns, which keeps each
+# table alive through the call it was passed to.
+HANDS_OVER_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the caller's stack holds call arguments before 3.11"
+)
+
+
+class TestWorkingSet:
+    """What a recording's processing holds at once."""
+
+    @HANDS_OVER_ARGUMENTS
+    def test_parsed_and_assembled_tables_freed_before_the_second_stage(
+        self, tmp_path, monkeypatch, scene_path, sim_homography, demo_h
+    ):
+        # the simulated vehicles drive on past the AoI, so the clip drops rows
+        detections = run_simulate(tmp_path, sim_homography)
+        cfg = load_scene_config(scene_path)
+        refs = {}
+        assembled_rows = []
+        seen = []
+        real_parse, real_assemble = pipeline.parse_track_file, pipeline.assemble_tracks
+        real_vehicle_type = ingest.filter_vehicle_type
+
+        def parse(*args, **kwargs):
+            table = real_parse(*args, **kwargs)
+            refs["parsed"] = weakref.ref(table)
+            refs["loadtxt buffer"] = weakref.ref(table.frame.base)
+            return table
+
+        def assemble(*args, **kwargs):
+            tracks = real_assemble(*args, **kwargs)
+            refs["assembled"] = weakref.ref(tracks)
+            assembled_rows.append(len(tracks.frames))
+            return tracks
+
+        def vehicle_type(tracks):
+            seen.append((len(tracks.frames), {name: ref() is None for name, ref in refs.items()}))
+            return real_vehicle_type(tracks)
+
+        monkeypatch.setattr(pipeline, "parse_track_file", parse)
+        monkeypatch.setattr(pipeline, "assemble_tracks", assemble)
+        monkeypatch.setattr(ingest, "filter_vehicle_type", vehicle_type)
+        pipeline.process_recording(detections, cfg, demo_h)
+
+        [(clipped_rows, freed)] = seen
+        assert clipped_rows < assembled_rows[0]
+        assert freed == {"parsed": True, "loadtxt buffer": True, "assembled": True}
+
+    @pytest.fixture(scope="class")
+    def bulk(self, tmp_path_factory):
+        """The acceptance throughput CSV (criterion 8) on disk, its row count,
+        scene and calibration."""
+        text, n_rows = synthesize_bulk_csv()
+        path = tmp_path_factory.mktemp("bulk") / "bulk.csv"
+        path.write_text(text, encoding="utf-8")
+        cfg = scene_config_from_dict(BULK_SCENE)
+        return path, n_rows, cfg, solve_homography(cfg.correspondences)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """fn's result and the peak bytes it allocated (tracemalloc)."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @HANDS_OVER_ARGUMENTS
+    def test_recording_peak_bytes_per_row(self, bulk):
+        path, n_rows, cfg, h = bulk
+        pipeline.process_recording(path, cfg, h)  # numpy's lazy set-up is not billed
+        _, peak = self.traced_peak(pipeline.process_recording, path, cfg, h)
+        assert peak <= 160 * n_rows, f"{peak / n_rows:.1f} B/row"
+
+    def test_kinematics_csv_peak_within_its_output(self, bulk):
+        path, _, cfg, h = bulk
+        kins = pipeline.process_recording(path, cfg, h).kinematics
+        text, peak = self.traced_peak(pipeline.kinematics_csv, kins)
+        assert peak <= 2.5 * len(text), f"{peak / len(text):.2f} x output"
 
 
 class TestCompare:

@@ -3,8 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from helpers import apply_h, make_correspondences, random_projective_matrix
+from helpers import (
+    apply_h,
+    assert_same_bits,
+    make_correspondences,
+    project_points_reference,
+    random_projective_matrix,
+)
 from speedstudy import (
     Correspondence,
     Homography,
@@ -14,7 +21,7 @@ from speedstudy import (
     solve_homography,
 )
 from speedstudy.errors import DegenerateConfiguration, TooFewPoints
-from speedstudy.geometry import project_points
+from speedstudy.geometry import INFINITY_TOL, project_points
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -136,6 +143,52 @@ class TestProjection:
     def test_simulator_h_round_trip(self, demo_h):
         back = project_one(demo_h.inverse().matrix, *project_one(demo_h.matrix, 12.0, 3.5))
         assert back == pytest.approx((12.0, 3.5), abs=1e-9)
+
+
+COORD = st.floats(-1e4, 1e4, allow_nan=False)
+ENTRY = st.floats(-1e3, 1e3, allow_nan=False)
+# a denominator entry at, just below and just above the infinity tolerance
+TOL_EDGES = (INFINITY_TOL, np.nextafter(INFINITY_TOL, 0.0), np.nextafter(INFINITY_TOL, 1.0))
+
+
+class TestProjectionBits:
+    """project_points against its whole-array expressions, bit for bit."""
+
+    @given(
+        st.lists(ENTRY, min_size=9, max_size=9),
+        st.lists(st.tuples(COORD, COORD), min_size=1, max_size=30),
+    )
+    @example([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, INFINITY_TOL], [(3.0, 4.0)])
+    @example([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 0.0, -1.0], [(1.0, 7.0), (1.0 + 1e-12, 7.0)])
+    def test_matches_whole_array_expressions(self, entries, points):
+        matrix = np.array(entries).reshape(3, 3)
+        got, valid = project_points(matrix, np.array(points))
+        want, want_valid = project_points_reference(matrix, np.array(points))
+        assert_same_bits(got, want)
+        assert_same_bits(valid, want_valid)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_denominator_at_and_below_the_tolerance(self, sign):
+        # den = m22 exactly, since the points' terms are multiplied by zero
+        points = np.array([[3.0, -4.0]] * len(TOL_EDGES))
+        for den, projectable in zip(TOL_EDGES, (True, False, True)):
+            matrix = np.array([[2.0, 1.0, 5.0], [0.5, 3.0, -1.0], [0.0, 0.0, sign * den]])
+            got, valid = project_points(matrix, points)
+            want, want_valid = project_points_reference(matrix, points)
+            assert valid.tolist() == [projectable] * len(points)
+            assert_same_bits(got, want)
+            assert_same_bits(valid, want_valid)
+
+    @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=30), st.sampled_from(TOL_EDGES))
+    def test_denominator_near_the_tolerance_from_the_points(self, points, target):
+        # m22 puts the first point's denominator at (or within rounding of) target
+        x, y = points[0]
+        matrix = np.array([[1.5, -0.5, 2.0], [0.25, 1.0, -3.0], [1e-3, -2e-3, 0.0]])
+        matrix[2, 2] = target - (matrix[2, 0] * x + matrix[2, 1] * y)
+        got, valid = project_points(matrix, np.array(points))
+        want, want_valid = project_points_reference(matrix, np.array(points))
+        assert_same_bits(got, want)
+        assert_same_bits(valid, want_valid)
 
 
 class TestReprojectionRmse:

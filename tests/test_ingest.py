@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     IDENTITY,
+    anchor_points_reference,
     assembled,
     assert_same_bits,
     assert_table_matches_rows,
@@ -23,6 +24,7 @@ from helpers import (
     with_anchors,
 )
 from speedstudy import (
+    DetectionTable,
     Homography,
     TrackTable,
     anchor_points,
@@ -316,6 +318,39 @@ class TestAnchor:
 
     def test_second_example(self):
         assert anchor_points(np.array([[512.0, 300.0, 40.0, 60.0]])).tolist() == [[532.0, 360.0]]
+
+    @given(
+        st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 4), max_size=20),
+        st.data(),
+    )
+    @example([], None)
+    @example([(0.1, 0.2, 0.30000000000000004, 1e-300)], None)
+    def test_gathered_columns_match_whole_array_expressions(self, boxes, data):
+        bbox = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        assert_same_bits(anchor_points(bbox), anchor_points_reference(bbox))
+        if data is None or not len(bbox):
+            return
+        rows = np.array(data.draw(st.lists(st.integers(0, len(bbox) - 1), max_size=30)), dtype=np.intp)
+        assert_same_bits(anchor_points(bbox, rows), anchor_points_reference(bbox[rows]))
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 4), *[st.floats(-1e4, 1e4, allow_nan=False)] * 2,
+                  st.floats(0.001, 1e3), st.floats(0.001, 1e3)),
+        max_size=25,
+    ))
+    def test_assembled_anchors_match_whole_array_expressions(self, rows):
+        # unique (id, frame) pairs, so every row is kept, in (id, frame) order
+        rows = list({(frame, tid): (frame, tid, *box) for frame, tid, *box in rows}.values())
+        table = DetectionTable(
+            np.array([r[0] for r in rows], dtype=np.int64).reshape(-1),
+            np.array([r[1] for r in rows], dtype=np.int64).reshape(-1),
+            np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4),
+            np.ones(len(rows)),
+            np.zeros(len(rows), dtype=np.int8),
+        )
+        order = np.lexsort((table.frame, table.track_id))
+        want = anchor_points_reference(table.bbox[order])
+        assert_same_bits(assemble_tracks(table, IDENTITY).anchors, want)
 
 
 class TestClipToAoi:

@@ -10,6 +10,7 @@ from helpers import (
     brute_speed_series,
     close_pairs_of_oracle,
     point_in_polygon_oracle,
+    points_in_polygon_reference,
 )
 from speedstudy import _kernels
 
@@ -38,6 +39,31 @@ class TestPointsInPolygon:
         got = _kernels.points_in_polygon(pts, CONCAVE)
         want = [point_in_polygon_oracle(x, y, CONCAVE) for x, y in pts]
         assert got.tolist() == want
+
+
+    @given(
+        st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=3, max_size=7),
+        st.lists(st.tuples(st.floats(-60, 60), st.floats(-60, 60)), max_size=20),
+        st.lists(st.floats(0.0, 1.0), max_size=10),
+        st.sampled_from([0.0, 1e-9, -1e-9, 2e-9]),
+        st.sampled_from([1.0, 3e9]),
+    )
+    @example([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 0.0)], [(5.0, 0.0)], [0.5], 1e-9, 1.0)
+    def test_matches_whole_array_expressions(self, polygon, points, ts, offset, scale):
+        # the points, every vertex, and points on (or offset from) each edge;
+        # scaled up, an ulp of a coordinate exceeds the boundary tolerance, so
+        # the crossing test itself decides the points near an edge
+        poly = np.array(polygon) * scale
+        edge_points = [
+            poly[i] + t * (poly[i - 1] - poly[i]) + offset for i in range(len(poly)) for t in ts
+        ]
+        points = np.array(points).reshape(-1, 2) * scale
+        pts = np.array([*points, *poly, *edge_points], dtype=np.float64).reshape(-1, 2)
+        # a nearly level edge's crossing can overflow to infinity, in both
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _kernels.points_in_polygon(pts, poly)
+            want = points_in_polygon_reference(pts, poly)
+        assert_same_bits(got, want)
 
 
 class TestWindowSpeeds:

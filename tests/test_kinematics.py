@@ -276,6 +276,27 @@ class TestTrackKinematics:
         assert k.representative_mph.tolist() == pytest.approx([oracle], abs=1e-6)
 
 
+    # np.add.reduce sums in blocks of 8 and halves runs of more than 128, so
+    # these sample counts sit on each side of its block edges
+    @given(
+        st.lists(st.sampled_from([1, 7, 8, 9, 128, 129, 1000]), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_means_are_np_mean_of_each_tracks_samples(self, sample_counts, seed):
+        rng = np.random.default_rng(seed)
+        fps = 10.0
+        warm_up = window_params(fps)[1] - 1  # rows before a track's first sample
+        paths = [
+            (np.arange(n + warm_up), np.cumsum(rng.normal(0, 0.8, (n + warm_up, 2)), axis=0))
+            for n in sample_counts
+        ]
+        k = track_kinematics(world_table(paths), fps)
+        assert np.diff(k.offsets).tolist() == sample_counts
+        want = [np.mean(k.speeds_mph[a:b]) for a, b in zip(k.offsets[:-1], k.offsets[1:])]
+        assert_same_bits(k.representative_mph, np.array(want, dtype=np.float64))
+
+
 DEMO_H = example_roadside_homography()
 ZONE = np.array([[20.0, -6.0], [35.0, -6.0], [35.0, 6.0], [20.0, 6.0]])
 # (detections, unprojectable among them, seed): a wandering path inside the
