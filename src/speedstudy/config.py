@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import behavior, ingest, kinematics
 from .analytics import Phase, PhaseSummary
 from .behavior import MANEUVERS
 from .errors import ConfigError, DegenerateConfiguration
@@ -36,13 +37,15 @@ from .simulator import (
 
 @dataclass(frozen=True)
 class Thresholds:
-    stationary_m: float = 2.0
-    following_px: float = 40.0
-    following_frac: float = 0.5
-    direction_deg: float = 45.0
-    stopgo_mph: float = 5.0
-    slowdown_mph: float = 10.0
-    min_track_s: float = 0.5
+    """The analysis thresholds; each default is the one its stage declares."""
+
+    stationary_m: float = ingest.DEFAULT_STATIONARY_M
+    following_px: float = ingest.DEFAULT_FOLLOWING_PX
+    following_frac: float = ingest.DEFAULT_FOLLOWING_FRAC
+    direction_deg: float = ingest.DEFAULT_DIRECTION_DEG
+    stopgo_mph: float = behavior.STOP_AND_GO_MPH
+    slowdown_mph: float = behavior.SLOW_DOWN_MPH
+    min_track_s: float = kinematics.DEFAULT_MIN_TRACK_S
 
 
 @dataclass(frozen=True)

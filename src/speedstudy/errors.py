@@ -25,12 +25,11 @@ class AtInfinity(SpeedStudyError):
 class MalformedRow(SpeedStudyError):
     """A detection CSV row could not be parsed."""
 
-    def __init__(self, line_no: int, reason: str, source: str | None = None):
+    def __init__(self, line_no: int, reason: str, source: str):
         self.line_no = line_no
         self.reason = reason
         self.source = source
-        where = f"{source}:{line_no}" if source else f"line {line_no}"
-        super().__init__(f"malformed row at {where}: {reason}")
+        super().__init__(f"malformed row at {source}:{line_no}: {reason}")
 
 
 class EmptyInput(SpeedStudyError):

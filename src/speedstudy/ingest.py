@@ -17,15 +17,12 @@ and every stage is one row mask over its input table (``TrackTable.subset``).
 
 from __future__ import annotations
 
-import contextlib
-import io
 import logging
 import math
 import re
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +33,11 @@ from .geometry import Homography, project_points
 log = logging.getLogger(__name__)
 
 CASCADE_STAGES = ("aoi", "vehicle_type", "stationary", "following", "direction")
+# the cascade's default thresholds, which config.Thresholds reads too
+DEFAULT_STATIONARY_M = 2.0
+DEFAULT_FOLLOWING_PX = 40.0
+DEFAULT_FOLLOWING_FRAC = 0.5
+DEFAULT_DIRECTION_DEG = 45.0
 
 
 class ClassLabel(Enum):
@@ -84,9 +86,11 @@ def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _range_faults(frame, track_id, bbox, confidence):
-    """For each range check every row must pass: the rows failing it, and
-    why. A generator, so one check's mask is made at a time."""
+def _range_faults(rows: np.ndarray):
+    """For each range check every parsed row must pass: the rows failing it,
+    and why. A generator, so one check's mask is made at a time."""
+    frame, track_id, confidence = rows["frame"], rows["track_id"], rows["confidence"]
+    bbox = rows["bbox"]
     yield (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
            "a bbox or confidence value is not a finite number")
     yield frame < 0, "frame must be >= 0"
@@ -98,11 +102,11 @@ def _range_faults(frame, track_id, bbox, confidence):
     yield ~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"
 
 
-def _first_bad_row(frame, track_id, bbox, confidence) -> int | None:
-    """Index of the first row failing a range check, or None."""
-    bad = np.zeros(len(frame), dtype=bool)
-    for rows, _ in _range_faults(frame, track_id, bbox, confidence):
-        bad |= rows
+def _first_bad_row(rows: np.ndarray) -> int | None:
+    """Index of the first of the parsed rows failing a range check, or None."""
+    bad = np.zeros(len(rows), dtype=bool)
+    for failing, _ in _range_faults(rows):
+        bad |= failing
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -183,50 +187,23 @@ _ROW_DTYPE = np.dtype(
 )
 
 
-def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable:
-    """Parse a detection CSV into a DetectionTable, preserving row order.
+def parse_track_file(path, class_map: dict[int, ClassLabel]) -> DetectionTable:
+    """Read the detection CSV at path into a DetectionTable, in row order.
 
-    source is a path, the file's bytes, or a seekable text stream. The whole
-    file goes to np.loadtxt in one pass and is checked with column masks; a
-    file with comment or whitespace-only lines costs a second, line-filtered
-    read (_load_rows). When the reads or the checks reject it, a line-by-line
-    pass names the first bad row: MalformedRow carries its 1-based line
-    number. A path and bytes break lines alike, at LF, CRLF or CR; a text
-    stream breaks its own. A path or bytes that are not valid UTF-8 are
-    malformed at the first line holding a bad byte; a text stream decodes
-    itself. Unknown class ids map to OTHER with a warning (once per id).
+    The whole file goes to np.loadtxt in one pass and is checked with column
+    masks; a file with comment or whitespace-only lines costs a second,
+    line-filtered read (_load_rows). When the reads or the checks reject it,
+    one chunked walk (_diagnose) names the first bad row: MalformedRow
+    carries its 1-based line number. Lines break at LF, CRLF or CR. A file
+    that is not valid UTF-8 is malformed at the first line holding a bad
+    byte. Unknown class ids map to OTHER with a warning (once per id).
     """
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-        name = None
-
-        def open_lines(errors):
-            # newline=None reads line breaks as open() does for a path
-            return io.StringIO(data.decode("utf-8", errors), newline=None)
-
-    elif isinstance(source, (str, Path)):
-        name = str(source)
-
-        def open_lines(errors):
-            return open(source, "r", encoding="utf-8", errors=errors)
-
-    else:
-        name = getattr(source, "name", None)
-        start = source.tell()
-
-        def open_lines(errors):
-            source.seek(start)
-            return contextlib.nullcontext(source)
-
-    rows = _load_rows(open_lines)
-    first_bad = None
-    if rows is not None:
-        first_bad = _first_bad_row(rows["frame"], rows["track_id"], rows["bbox"], rows["confidence"])
-    if rows is None or first_bad is not None:
+    rows = _load_rows(path)
+    if rows is None or _first_bad_row(rows) is not None:
         # bytes that are not UTF-8 decode to lone surrogates, which _diagnose names
-        with open_lines("surrogateescape") as lines:
-            _diagnose(lines, name, first_bad)
-        raise InvariantViolation(f"{name or 'detections'}: rejected, but no row is malformed")
+        with open(path, encoding="utf-8", errors="surrogateescape") as lines:
+            _diagnose(lines, str(path))
+        raise InvariantViolation(f"{path}: rejected, but no row is malformed")
     return DetectionTable(
         frame=rows["frame"],
         track_id=rows["track_id"],
@@ -238,6 +215,10 @@ def parse_track_file(source, class_map: dict[int, ClassLabel]) -> DetectionTable
 
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+# Data lines _diagnose parses at once: a bounded parse buffer, and at most
+# this many one-line checks for the chunk holding the first fault.
+_CHUNK_LINES = 4096
 
 
 def _is_data(line: str) -> bool:
@@ -255,7 +236,7 @@ def _loadtxt(lines) -> np.ndarray:
         return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
-def _load_rows(open_lines) -> np.ndarray | None:
+def _load_rows(path) -> np.ndarray | None:
     """All data lines as one structured array, or None when one does not
     parse or the text is not UTF-8 (UnicodeDecodeError is a ValueError).
 
@@ -266,41 +247,60 @@ def _load_rows(open_lines) -> np.ndarray | None:
     and only a file it rejects is read again, line-filtered.
     """
     try:
-        with open_lines("strict") as lines:
+        with open(path, encoding="utf-8") as lines:
             return _loadtxt(lines)
     except (ValueError, DeprecationWarning):
         pass
     try:
-        with open_lines("strict") as lines:
+        with open(path, encoding="utf-8") as lines:
             return _loadtxt(filter(_is_data, lines))
     except (ValueError, DeprecationWarning):
         return None
 
 
-def _diagnose(lines, name, first_bad: int | None) -> None:
+def _diagnose(lines, name: str) -> None:
     """Raise MalformedRow for the first line holding a byte that is not
     UTF-8 or the first data line that loadtxt or the range checks reject;
     return None when every line passes. lines were decoded with
     errors="surrogateescape".
 
-    first_bad, when the whole file parsed, is the index among the data lines
-    of the first row the range checks reject; only that line is checked.
+    Data lines are parsed _CHUNK_LINES at a time and no parsed rows are
+    kept; a chunk is pending until it is full or a bad byte is reached, so
+    the earliest fault in the file wins.
     """
-    index = 0
+    chunk = []  # (line number, data line)
     for line_no, line in enumerate(lines, start=1):
         bad_byte = _ESCAPED_BYTE.search(line)
         if bad_byte:
+            _check_chunk(chunk, name)
             byte = ord(bad_byte[0]) - 0xDC00
             raise MalformedRow(line_no, f"byte 0x{byte:02X} is not valid UTF-8", name)
-        if not _is_data(line):
-            continue
-        if first_bad is None or index == first_bad:
-            fault = _row_fault(line)
-            if fault is not None:
-                raise MalformedRow(line_no, fault, name)
-            if first_bad is not None:
-                return
-        index += 1
+        if _is_data(line):
+            chunk.append((line_no, line))
+            if len(chunk) == _CHUNK_LINES:
+                _check_chunk(chunk, name)
+                chunk = []
+    _check_chunk(chunk, name)
+
+
+def _check_chunk(chunk, name: str) -> None:
+    """Raise MalformedRow for the first of the (line number, data line)
+    pairs that is rejected. The chunk is parsed in one loadtxt call; only a
+    rejected one is checked line by line, from the first row the range
+    checks flag, or from its start when it does not parse."""
+    start = 0
+    try:
+        rows = _loadtxt([line for _, line in chunk])
+    except (ValueError, DeprecationWarning):
+        pass
+    else:
+        start = _first_bad_row(rows)
+        if start is None:
+            return
+    for line_no, line in chunk[start:]:
+        fault = _row_fault(line)
+        if fault is not None:
+            raise MalformedRow(line_no, fault, name)
 
 
 def _row_fault(line: str) -> str | None:
@@ -311,24 +311,27 @@ def _row_fault(line: str) -> str | None:
     except (ValueError, DeprecationWarning) as exc:
         # loadtxt counts rows of its own one-line input; drop that position
         return re.sub(r" at row \d+", "", str(exc)).split(";")[0]
-    for bad, reason in _range_faults(row["frame"], row["track_id"], row["bbox"], row["confidence"]):
+    for bad, reason in _range_faults(row):
         if bad.any():
             return reason
     return None
 
 
 def _label_codes(class_ids: np.ndarray, class_map: dict[int, ClassLabel]) -> np.ndarray:
-    """Label code per row; unknown ids become OTHER, warned once each in order
-    of first appearance."""
-    ids, first, inverse = np.unique(class_ids, return_index=True, return_inverse=True)
-    codes = np.empty(len(ids), dtype=np.int8)
-    for i in np.argsort(first):
-        label = class_map.get(int(ids[i]))
-        if label is None:
-            log.warning("unknown class id %d mapped to 'other'", ids[i])
-            label = ClassLabel.OTHER
-        codes[i] = _LABEL_CODE[label]
-    return codes[inverse]
+    """Label code per row, set through one mask per class_map id (an id
+    outside int64 matches no row); unknown ids become OTHER, warned once
+    each in order of first appearance."""
+    codes = np.full(len(class_ids), _LABEL_CODE[ClassLabel.OTHER], dtype=np.int8)
+    known = np.zeros(len(class_ids), dtype=bool)
+    for class_id, label in class_map.items():
+        if -(2**63) <= class_id < 2**63:
+            rows = class_ids == class_id
+            codes[rows] = _LABEL_CODE[label]
+            known |= rows
+    unknown, first = np.unique(class_ids[~known], return_index=True)
+    for class_id in unknown[np.argsort(first)].tolist():
+        log.warning("unknown class id %d mapped to 'other'", class_id)
+    return codes
 
 
 def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
@@ -435,7 +438,7 @@ def _endpoint_displacements(tracks: TrackTable) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def filter_stationary(tracks: TrackTable, min_net_m: float = 2.0) -> TrackTable:
+def filter_stationary(tracks: TrackTable, min_net_m: float = DEFAULT_STATIONARY_M) -> TrackTable:
     """Drop tracks whose net world displacement stays under min_net_m."""
     disp, valid = _endpoint_displacements(tracks)
     still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < min_net_m)
@@ -457,11 +460,8 @@ def _image_headings(tracks: TrackTable, h: Homography, travel_direction) -> np.n
 
 
 def filter_following(
-    tracks: TrackTable,
-    h: Homography,
-    travel_direction,
-    max_px: float = 40.0,
-    min_frac: float = 0.5,
+    tracks: TrackTable, h: Homography, travel_direction,
+    max_px: float = DEFAULT_FOLLOWING_PX, min_frac: float = DEFAULT_FOLLOWING_FRAC,
 ) -> TrackTable:
     """Drop tracks trailing another vehicle too closely for too long.
 
@@ -484,7 +484,9 @@ def filter_following(
     return tracks.subset(tracks.per_row(~has_leader))
 
 
-def filter_direction(tracks: TrackTable, travel_direction, max_deg: float = 45.0) -> TrackTable:
+def filter_direction(
+    tracks: TrackTable, travel_direction, max_deg: float = DEFAULT_DIRECTION_DEG
+) -> TrackTable:
     """Keep tracks whose net world displacement stays within max_deg of the
     travel direction. Zero or unprojectable displacement is dropped.
 
@@ -506,14 +508,11 @@ def filter_direction(tracks: TrackTable, travel_direction, max_deg: float = 45.0
 
 
 def run_filter_cascade(
-    tracks: TrackTable,
-    aoi_polygon,
-    travel_direction,
-    h: Homography,
-    stationary_m: float = 2.0,
-    following_px: float = 40.0,
-    following_frac: float = 0.5,
-    direction_deg: float = 45.0,
+    tracks: TrackTable, aoi_polygon, travel_direction, h: Homography,
+    stationary_m: float = DEFAULT_STATIONARY_M,
+    following_px: float = DEFAULT_FOLLOWING_PX,
+    following_frac: float = DEFAULT_FOLLOWING_FRAC,
+    direction_deg: float = DEFAULT_DIRECTION_DEG,
 ) -> tuple[TrackTable, dict[str, int]]:
     """Apply the five stages in their fixed order, accounting for removals.
 

@@ -19,6 +19,7 @@ from . import _kernels
 from .behavior import MANEUVERS, ManeuverClass, classify_maneuvers
 from .errors import AtInfinity
 from .geometry import (
+    INFINITY_TOL,
     Correspondence,
     Homography,
     ImagePoint,
@@ -225,7 +226,7 @@ def render_scene(
         den = h_mat[2, 0] * positions[:, 0] + h_mat[2, 1] * positions[:, 1] + h_mat[2, 2]
         # crossing the horizon flips the denominator's sign; a path is only
         # valid while it stays on one side of it
-        if np.any(np.abs(den) < 1e-12) or (np.any(den > 0) and np.any(den < 0)):
+        if np.any(np.abs(den) < INFINITY_TOL) or (np.any(den > 0) and np.any(den < 0)):
             raise AtInfinity(
                 f"vehicle {veh.vehicle_id} crosses the projective horizon; "
                 "shorten max_distance_m or move its path"

@@ -12,6 +12,8 @@ require bit-identical results.
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -435,9 +437,18 @@ def assert_table_matches_rows(table, rows):
     assert [LABELS[code] for code in table.label] == [d.class_label for d in rows]
 
 
+def parse_text(text: str, class_map=DEFAULT_CLASS_MAP) -> DetectionTable:
+    """parse_track_file of a CSV file holding text as UTF-8, its line
+    breaks as given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "detections.csv"
+        path.write_bytes(text.encode())
+        return parse_track_file(path, class_map)
+
+
 def table_of(rows):
     """A DetectionTable of Detection rows, read as the CLI reads a CSV."""
-    return parse_track_file(serialize_detections(rows, DEFAULT_CLASS_MAP).encode(), DEFAULT_CLASS_MAP)
+    return parse_text(serialize_detections(rows, DEFAULT_CLASS_MAP))
 
 
 def tracks_of(rows, h=IDENTITY) -> TrackTable:

@@ -17,6 +17,7 @@ from helpers import (
     BULK_SCENE,
     synthesize_bulk_csv,
     make_correspondences,
+    parse_text,
     random_projective_matrix,
     scene_config_dict,
     assert_tables_equal,
@@ -38,6 +39,7 @@ from speedstudy import (
     build_phase_summary,
     compare_phases,
     delta_mismatches,
+    parse_track_file,
     percent_change,
     percentile_85,
     render_scene,
@@ -401,24 +403,21 @@ def test_criterion_7_filter_gates_and_idempotence(rng):
     print("ACCEPTANCE 7 (filter gates at 40 px / 2.0 m / 45 deg; idempotent cascade): PASS")
 
 
-def test_criterion_8_throughput_100k_rows():
+def test_criterion_8_throughput_100k_rows(tmp_path):
     text, n_rows = synthesize_bulk_csv()
     assert n_rows >= 100_000
+    path = tmp_path / "bulk.csv"
+    path.write_text(text, encoding="utf-8")
     cfg = scene_config_from_dict(BULK_SCENE)
     h = solve_homography(cfg.correspondences)
 
     # one tiny recording first, so that one-time costs of a first call
     # (numpy's lazy setup) are not billed as processing
-    from speedstudy.ingest import parse_track_file
-
-    warm = parse_track_file(
-        __import__("io").StringIO("0,1,0,0,10,10,0.9,1\n1,1,5,0,10,10,0.9,1\n"),
-        cfg.class_map,
-    )
+    warm = parse_text("0,1,0,0,10,10,0.9,1\n1,1,5,0,10,10,0.9,1\n", cfg.class_map)
     process_detections(warm, cfg, h)
 
     start = time.perf_counter()
-    detections = parse_track_file(__import__("io").StringIO(text), cfg.class_map)
+    detections = parse_track_file(path, cfg.class_map)
     result = process_detections(detections, cfg, h)
     speeds = result.kinematics.representative_mph.tolist()
     summary = build_phase_summary(77, Phase.PRE, speeds, hours=1.0)

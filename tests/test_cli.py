@@ -1,5 +1,6 @@
 import copy
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -29,9 +30,11 @@ from speedstudy import (
     KinematicsTable,
     ManeuverTable,
     Phase,
+    behavior,
     build_phase_summary,
     config,
     ingest,
+    kinematics,
     pipeline,
     solve_homography,
 )
@@ -899,6 +902,32 @@ class TestDefaults:
         assert t.stationary_m == 2.0
         assert t.following_frac == 0.5
         assert t.direction_deg == 45.0
+
+    # Each threshold and the stage parameters whose default it must equal.
+    STAGE_DEFAULTS = {
+        "stationary_m": [(ingest.filter_stationary, "min_net_m"),
+                         (ingest.run_filter_cascade, "stationary_m")],
+        "following_px": [(ingest.filter_following, "max_px"),
+                         (ingest.run_filter_cascade, "following_px")],
+        "following_frac": [(ingest.filter_following, "min_frac"),
+                           (ingest.run_filter_cascade, "following_frac")],
+        "direction_deg": [(ingest.filter_direction, "max_deg"),
+                          (ingest.run_filter_cascade, "direction_deg")],
+        "stopgo_mph": [(behavior.classify_maneuvers, "stopgo_mph"),
+                       (behavior.observe_maneuvers, "stopgo_mph")],
+        "slowdown_mph": [(behavior.classify_maneuvers, "slowdown_mph"),
+                         (behavior.observe_maneuvers, "slowdown_mph")],
+        "min_track_s": [(kinematics.window_params, "min_track_s"),
+                        (kinematics.track_kinematics, "min_track_s")],
+    }
+
+    def test_thresholds_are_the_stage_signature_defaults(self):
+        t = Thresholds()
+        assert set(self.STAGE_DEFAULTS) == set(THRESHOLD_FIELDS)
+        for name, params in self.STAGE_DEFAULTS.items():
+            for fn, param in params:
+                default = inspect.signature(fn).parameters[param].default
+                assert getattr(t, name) == default, (name, fn.__name__, param)
 
     def test_travel_direction_is_normalised(self, tmp_path, demo_h):
         path = tmp_path / "scene.json"

@@ -16,8 +16,10 @@ from helpers import (
     det,
     direction_kept_oracle,
     only_track,
+    parse_text,
     point_in_polygon_oracle,
     straight_track_detections,
+    synthesize_bulk_csv,
     track_rows,
     track_table,
     tracks_of,
@@ -62,7 +64,7 @@ def ids(table) -> list[int]:
 
 class TestParse:
     def test_single_row(self):
-        rows = parse_track_file(io.StringIO("120,7,512.0,300.0,40.0,60.0,0.93,1\n"), CLASS_MAP)
+        rows = parse_text("120,7,512.0,300.0,40.0,60.0,0.93,1\n", CLASS_MAP)
         assert len(rows) == 1
         assert rows.frame[0] == 120 and rows.track_id[0] == 7
         assert rows.bbox[0].tolist() == [512.0, 300.0, 40.0, 60.0]
@@ -70,42 +72,42 @@ class TestParse:
         assert LABELS[rows.label[0]] is ClassLabel.CAR
 
     def test_empty_file(self):
-        assert len(parse_track_file(io.StringIO(""), CLASS_MAP)) == 0
+        assert len(parse_text("", CLASS_MAP)) == 0
 
     def test_wrong_column_count(self):
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO("120,7,512,300,40,60,0.93\n"), CLASS_MAP)
+            parse_text("120,7,512,300,40,60,0.93\n", CLASS_MAP)
         assert exc_info.value.line_no == 1
 
     def test_error_line_number_counts_comments(self):
         text = "# header comment\n1,1,0,0,10,10,0.9,1\nbogus,row\n"
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO(text), CLASS_MAP)
+            parse_text(text, CLASS_MAP)
         assert exc_info.value.line_no == 3
 
     def test_unknown_class_id_maps_to_other(self, caplog):
         with caplog.at_level("WARNING"):
-            rows = parse_track_file(io.StringIO("1,1,0,0,10,10,0.9,99\n"), CLASS_MAP)
+            rows = parse_text("1,1,0,0,10,10,0.9,99\n", CLASS_MAP)
         assert LABELS[rows.label[0]] is ClassLabel.OTHER
         assert "99" in caplog.text
 
     def test_rejects_nonpositive_bbox(self):
         with pytest.raises(MalformedRow):
-            parse_track_file(io.StringIO("1,1,0,0,0,10,0.9,1\n"), CLASS_MAP)
+            parse_text("1,1,0,0,0,10,0.9,1\n", CLASS_MAP)
 
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(MalformedRow):
-            parse_track_file(io.StringIO("1,1,0,0,10,10,1.5,1\n"), CLASS_MAP)
+            parse_text("1,1,0,0,10,10,1.5,1\n", CLASS_MAP)
 
     def test_trailing_comment_is_malformed(self):
         text = "# export\n1,1,0,0,10,10,0.9,1\n2,1,0,0,10,10,0.9,1 # late\n"
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO(text), CLASS_MAP)
+            parse_text(text, CLASS_MAP)
         assert exc_info.value.line_no == 3
 
     def test_blank_and_indented_comment_lines_skipped(self):
         text = "\n   \n  # note\n1,1,0,0,10,10,0.9,1\r\n\t\n2,1,0,0,10,10,0.9,1"
-        rows = parse_track_file(io.StringIO(text), CLASS_MAP)
+        rows = parse_text(text, CLASS_MAP)
         assert rows.frame.tolist() == [1, 2]
 
     @pytest.mark.parametrize("column", range(2, 7))
@@ -115,7 +117,7 @@ class TestParse:
         fields[column] = value
         text = "1,1,0,0,10,10,0.9,1\n" + ",".join(fields) + "\n"
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO(text), CLASS_MAP)
+            parse_text(text, CLASS_MAP)
         assert exc_info.value.line_no == 2
 
     @pytest.mark.parametrize(
@@ -132,7 +134,7 @@ class TestParse:
     )
     def test_rejected_forms(self, row):
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO(row + "\n"), CLASS_MAP)
+            parse_text(row + "\n", CLASS_MAP)
         assert exc_info.value.line_no == 1
 
     @pytest.mark.parametrize(
@@ -148,28 +150,24 @@ class TestParse:
     def test_bytes_not_utf8_are_malformed(self, tmp_path, data, line_no):
         path = tmp_path / "dets.csv"
         path.write_bytes(data)
-        for source in (path, data):
-            with pytest.raises(MalformedRow) as exc_info:
-                parse_track_file(source, CLASS_MAP)
-            assert exc_info.value.line_no == line_no
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(path, CLASS_MAP)
+        assert exc_info.value.line_no == line_no
+        assert exc_info.value.source == str(path)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize(
         "second, outcome", [("2,1,0,0,10,10,0.9,1", [1, 2]), ("bad", 2)], ids=["valid", "malformed"]
     )
     def test_path_and_bytes_break_lines_alike(self, tmp_path, second, outcome, end):
-        """Rows read, or the line number of the malformed one."""
-        data = f"1,1,0,0,10,10,0.9,1{end}{second}{end}".encode()
+        """A file's bytes break into lines at LF, CRLF or CR: the rows read,
+        or the line number of the malformed one."""
         path = tmp_path / "dets.csv"
-        path.write_bytes(data)
-
-        def read(source):
-            try:
-                return parse_track_file(source, CLASS_MAP).frame.tolist()
-            except MalformedRow as exc:
-                return exc.line_no
-
-        assert read(path) == read(data) == outcome
+        path.write_bytes(f"1,1,0,0,10,10,0.9,1{end}{second}{end}".encode())
+        try:
+            assert parse_track_file(path, CLASS_MAP).frame.tolist() == outcome
+        except MalformedRow as exc:
+            assert exc.line_no == outcome
 
     def test_comment_free_file_is_one_loadtxt_call(self, tmp_path, monkeypatch):
         path = tmp_path / "dets.csv"
@@ -181,23 +179,70 @@ class TestParse:
         assert parse_track_file(path, CLASS_MAP).frame.tolist() == [1, 2]
         assert len(calls) == 1
 
+    def test_rejecting_a_long_file_checks_one_chunk_line_by_line(self, tmp_path, monkeypatch):
+        """A bad last line costs at most one one-line check per line of its
+        chunk, not one per row of the file."""
+        text, n_rows = synthesize_bulk_csv(n_tracks=100)
+        path = tmp_path / "dets.csv"
+        path.write_text(text + "1,1,0\n")
+        calls = []
+        row_fault = ingest._row_fault
+        monkeypatch.setattr(ingest, "_row_fault", lambda line: calls.append(1) or row_fault(line))
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(path, CLASS_MAP)
+        assert exc_info.value.line_no == n_rows + 1
+        assert n_rows >= 20_000 and len(calls) <= ingest._CHUNK_LINES < n_rows
+
+    FAULTS = {
+        b"1,1,0,0,10,10,1.5,1\n": "confidence must be in [0, 1]",
+        b"1,1,0,0\n": None,  # the loader's message
+        b"# caf\xe9\n": "byte 0xE9 is not valid UTF-8",
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("first", range(3))
+    def test_earliest_fault_wins_across_chunks(self, tmp_path, monkeypatch, chunk, first):
+        """Three faults of different kinds, the given one first: it is named
+        however the data lines fall into chunks."""
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        faults = list(self.FAULTS)
+        faults = faults[first:] + faults[:first]
+        good = b"1,1,0,0,10,10,0.9,1\n"
+        path = tmp_path / "dets.csv"
+        path.write_bytes(good * 4 + b"# note\n" + good.join(faults))
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(path, CLASS_MAP)
+        assert exc_info.value.line_no == 6
+        assert self.FAULTS[faults[0]] in (None, exc_info.value.reason)
+
+    def test_class_ids_beyond_int64_in_the_map_match_no_row(self):
+        class_map = {2**63: ClassLabel.BUS, -(2**63) - 1: ClassLabel.BUS, -(2**63): ClassLabel.TRUCK}
+        text = "1,1,0,0,10,10,0.9,9223372036854775807\n2,1,0,0,10,10,0.9,-9223372036854775808\n"
+        table = parse_text(text, class_map)
+        assert [LABELS[c] for c in table.label] == [ClassLabel.OTHER, ClassLabel.TRUCK]
+
+    def test_unknown_class_ids_warned_once_each_in_order(self, caplog):
+        text = "".join(f"{k},1,0,0,10,10,0.9,{c}\n" for k, c in enumerate([9, 1, 7, 9, 7, 2]))
+        with caplog.at_level("WARNING"):
+            table = parse_text(text, CLASS_MAP)
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown class id 9 mapped to 'other'", "unknown class id 7 mapped to 'other'"
+        ]
+        assert [LABELS[c] for c in table.label] == [
+            ClassLabel.OTHER, ClassLabel.CAR, ClassLabel.OTHER, ClassLabel.OTHER, ClassLabel.OTHER,
+            ClassLabel.BUS,
+        ]
+
     @pytest.mark.parametrize(
         "at, line", [(2, "# note"), (1, " \t ")], ids=["last-line-comment", "inner-whitespace-line"]
     )
     def test_dropped_line_reads_as_if_absent(self, at, line):
         lines = ["1,1,0,0,10,10,0.9,1", "2,3,1.5,2,10,10,0.5,2"]
         with_line = lines[:at] + [line] + lines[at:]
-        got = parse_track_file(io.StringIO("\n".join(with_line) + "\n"), CLASS_MAP)
-        want = parse_track_file(io.StringIO("\n".join(lines) + "\n"), CLASS_MAP)
+        got = parse_text("\n".join(with_line) + "\n", CLASS_MAP)
+        want = parse_text("\n".join(lines) + "\n", CLASS_MAP)
         for column in ("frame", "track_id", "bbox", "confidence", "label"):
             np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
-
-    def test_stream_is_read_from_its_position(self):
-        stream = io.StringIO("skipped header\n1,1,0,0,10,10,0.9,1\nbad\n")
-        stream.readline()
-        with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(stream, CLASS_MAP)
-        assert exc_info.value.line_no == 2
 
     def test_round_trip_lossless(self, rng):
         dets = []
@@ -212,7 +257,7 @@ class TestParse:
                 )
             )
         text = serialize_detections(dets, CLASS_MAP)
-        assert_table_matches_rows(parse_track_file(io.StringIO(text), CLASS_MAP), dets)
+        assert_table_matches_rows(parse_text(text, CLASS_MAP), dets)
 
 
 class TestAssemble:
@@ -234,7 +279,7 @@ class TestAssemble:
             "5,1,60,0,10,20,0.9,2\n"
             "4,1,90,0,10,20,0.1,1\n"
         )
-        t = assemble_tracks(parse_track_file(io.StringIO(text), CLASS_MAP), IDENTITY)
+        t = assemble_tracks(parse_text(text, CLASS_MAP), IDENTITY)
         assert t.frames.tolist() == [4, 5]
         assert t.anchors.tolist() == [[95.0, 20.0], [35.0, 20.0]]
         assert [LABELS[c] for c in t.labels] == [ClassLabel.CAR, ClassLabel.CAR]
@@ -741,7 +786,7 @@ def rows(draw):
 
 LINES = st.one_of(rows(), rows(), rows(), st.sampled_from(["", "  ", "# note", " # x"]))
 TEXTS = st.lists(
-    st.tuples(LINES, st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=4
+    st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1, max_size=4
 ).map(lambda parts: "".join(line + end for line, end in parts))
 
 
@@ -762,17 +807,19 @@ def _is_data(line):
 @given(TEXTS)
 @example("1,1,0,0,10,10,0.9,1\r\n2,3,1.5,2,10,10,0.5,2\r\n")  # whole-stream read
 @example("1,1,0,0,10,10,0.9,1\n2,3,1.5,2,10,10,0.5,2\n# note\n")  # line-filtered read
+@example("1,1,0,0,10,10,0.9,1\r\r\n2,1,0,0,10,10,0.9,1\rbad\n")  # CR ends a line
 def test_columnar_parser_agrees_with_line_validator(text):
     """The whole-file parse names the first line the one-line validator
     rejects, or reads every line to the values int() and float() give."""
-    lines = io.StringIO(text).readlines()  # the same line split parse_track_file sees
+    # the line split open() makes of the file parse_text writes
+    lines = io.StringIO(text, newline=None).readlines()
     bad = [no for no, line in enumerate(lines, 1) if _is_data(line) and ingest._row_fault(line)]
     if bad:
         with pytest.raises(MalformedRow) as exc_info:
-            parse_track_file(io.StringIO(text), CLASS_MAP)
+            parse_text(text, CLASS_MAP)
         assert exc_info.value.line_no == bad[0]
         return
-    table = parse_track_file(io.StringIO(text), CLASS_MAP)
+    table = parse_text(text, CLASS_MAP)
     expected = [_reference_row(line) for line in lines if _is_data(line)]
     assert table.frame.tolist() == [r[0] for r in expected]
     assert table.track_id.tolist() == [r[1] for r in expected]
