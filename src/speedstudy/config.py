@@ -452,12 +452,16 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"{pp}.phase: {phase.value} is listed twice")
         hours = _number(_get(entry, "hours", pp), f"{pp}.hours")
         detections = _shaped(_get(entry, "detections", pp), list, f"{pp}.detections")
-        paths = tuple(
-            base / _shaped(p, str, f"{pp}.detections[{j}]") for j, p in enumerate(detections)
-        )
+        paths = []
+        for j, name in enumerate(detections):
+            csv = base / _shaped(name, str, f"{pp}.detections[{j}]")
+            # checked here, so a missing file stops analyze before any report is written
+            if not csv.is_file():
+                raise ConfigError(f"{pp}.detections[{j}]: {csv} is not an existing file")
+            paths.append(csv)
         if not paths:
             raise ConfigError(f"{pp}.detections: need at least one CSV path")
-        phases.append(PhaseInput(phase, paths, hours))
+        phases.append(PhaseInput(phase, tuple(paths), hours))
     return RunManifest(scene_path, tuple(phases))
 
 

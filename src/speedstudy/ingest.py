@@ -17,9 +17,12 @@ and every stage is one row mask over its input table (``TrackTable.subset``).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import os
 import re
+import urllib.parse
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -88,18 +91,23 @@ def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarra
 
 def _range_faults(rows: np.ndarray):
     """For each range check every parsed row must pass: the rows failing it,
-    and why. A generator, so one check's mask is made at a time."""
+    and why. A generator, so one check's mask is made at a time; each mask
+    is built from the bbox columns one at a time."""
     frame, track_id, confidence = rows["frame"], rows["track_id"], rows["confidence"]
-    bbox = rows["bbox"]
-    yield (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
-           "a bbox or confidence value is not a finite number")
+    left, top, width, height = (rows["bbox"][:, k] for k in range(4))
+    finite = np.isfinite(confidence)
+    for column in (left, top, width, height):
+        finite &= np.isfinite(column)
+    yield ~finite, "a bbox or confidence value is not a finite number"
     yield frame < 0, "frame must be >= 0"
     yield track_id <= 0, "track id must be positive"
-    yield ~(bbox[:, 2:] > 0.0).all(axis=1), "bbox width and height must be positive"
+    yield ~((width > 0.0) & (height > 0.0)), "bbox width and height must be positive"
     yield ~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"
+    # the anchor_points sums: u = left + width / 2, v = top + height
     with np.errstate(over="ignore", invalid="ignore"):
-        anchors = anchor_points(bbox)
-    yield ~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"
+        finite = np.isfinite(left + width / 2.0)
+        finite &= np.isfinite(top + height)
+    yield ~finite, "bbox bottom-center point is not finite"
 
 
 def _first_bad_row(rows: np.ndarray) -> int | None:
@@ -190,20 +198,21 @@ _ROW_DTYPE = np.dtype(
 def parse_track_file(path, class_map: dict[int, ClassLabel]) -> DetectionTable:
     """Read the detection CSV at path into a DetectionTable, in row order.
 
-    The whole file goes to np.loadtxt in one pass and is checked with column
-    masks; a file with comment or whitespace-only lines costs a second,
-    line-filtered read (_load_rows). When the reads or the checks reject it,
-    one chunked walk (_diagnose) names the first bad row: MalformedRow
-    carries its 1-based line number. Lines break at LF, CRLF or CR. A file
-    that is not valid UTF-8 is malformed at the first line holding a bad
-    byte. Unknown class ids map to OTHER with a warning (once per id).
+    An existing regular file with a plain suffix goes by name to np.loadtxt,
+    which reads it in chunks with numpy's own reader, in one pass, and is
+    checked with column masks (_load_rows). Any other path, and any file
+    that read or the checks reject, takes one chunked walk over its lines
+    (_diagnose): it names the first bad row, MalformedRow carrying its
+    1-based line number, or returns the rows when there is none (a file
+    with comment or whitespace-only lines). Lines break at LF, CRLF or CR. A
+    file that is not valid UTF-8 is malformed at the first line holding a
+    bad byte. Unknown class ids map to OTHER with a warning (once per id).
     """
     rows = _load_rows(path)
     if rows is None or _first_bad_row(rows) is not None:
         # bytes that are not UTF-8 decode to lone surrogates, which _diagnose names
         with open(path, encoding="utf-8", errors="surrogateescape") as lines:
-            _diagnose(lines, str(path))
-        raise InvariantViolation(f"{path}: rejected, but no row is malformed")
+            rows = _diagnose(lines, str(path))
     return DetectionTable(
         frame=rows["frame"],
         track_id=rows["track_id"],
@@ -216,9 +225,12 @@ def parse_track_file(path, class_map: dict[int, ClassLabel]) -> DetectionTable:
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
-# Data lines _diagnose parses at once: a bounded parse buffer, and at most
-# this many one-line checks for the chunk holding the first fault.
+# Lines _diagnose takes at once: a bounded parse buffer, and at most this
+# many one-line checks for the chunk holding the first fault.
 _CHUNK_LINES = 4096
+
+# Suffixes np.loadtxt decompresses a named file by (numpy's _datasource).
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _is_data(line: str) -> bool:
@@ -226,81 +238,90 @@ def _is_data(line: str) -> bool:
     return line.lstrip()[:1] not in ("", "#")
 
 
-def _loadtxt(lines) -> np.ndarray:
-    """The lines as one structured array. Raises ValueError, or the
-    DeprecationWarning of numpy versions that still read '1.0' or '1e3' into
-    an integer column, so that every numpy rejects the same rows."""
+def _loadtxt(source) -> np.ndarray:
+    """A file name's text, or a list of lines, as one structured array.
+    Raises ValueError, or the DeprecationWarning of numpy versions that
+    still read '1.0' or '1e3' into an integer column, so that every numpy
+    rejects the same rows."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(
+            source, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1, encoding="utf-8"
+        )
 
 
 def _load_rows(path) -> np.ndarray | None:
-    """All data lines as one structured array, or None when one does not
-    parse or the text is not UTF-8 (UnicodeDecodeError is a ValueError).
+    """All data lines of the file at path as one structured array, read by
+    name; None when a line does not parse, the text is not UTF-8
+    (UnicodeDecodeError is a ValueError), or path is not an existing
+    regular file with a plain suffix.
 
-    The whole stream goes to loadtxt first. It skips empty lines and rejects
-    every other line _is_data drops: a whitespace-only line is one field
-    where eight are needed, and no integer parses from a field starting with
-    '#'. So a read that succeeds has kept exactly the lines _is_data keeps,
-    and only a file it rejects is read again, line-filtered.
+    numpy opens a name itself: it decompresses by suffix, reads a sibling
+    such as <name>.gz when the name does not exist, and fetches a URL, so
+    only a name it opens as the plain file is handed to it. loadtxt skips
+    empty lines and rejects every other line _is_data drops: a
+    whitespace-only line is one field where eight are needed, and no
+    integer parses from a field starting with '#'. So a read that succeeds
+    has kept exactly the lines _is_data keeps.
     """
+    name = os.fspath(path)
+    scheme, netloc = urllib.parse.urlparse(name)[:2]
+    plain = not (scheme and netloc) and not name.lower().endswith(_COMPRESSED_SUFFIXES)
+    if not (plain and os.path.isfile(name)):
+        return None
     try:
-        with open(path, encoding="utf-8") as lines:
-            return _loadtxt(lines)
-    except (ValueError, DeprecationWarning):
-        pass
-    try:
-        with open(path, encoding="utf-8") as lines:
-            return _loadtxt(filter(_is_data, lines))
+        return _loadtxt(name)
     except (ValueError, DeprecationWarning):
         return None
 
 
-def _diagnose(lines, name: str) -> None:
+def _diagnose(lines, name: str) -> np.ndarray:
     """Raise MalformedRow for the first line holding a byte that is not
     UTF-8 or the first data line that loadtxt or the range checks reject;
-    return None when every line passes. lines were decoded with
-    errors="surrogateescape".
+    return the data lines' rows when every line passes. lines were decoded
+    with errors="surrogateescape" and break at LF only.
 
-    Data lines are parsed _CHUNK_LINES at a time and no parsed rows are
-    kept; a chunk is pending until it is full or a bad byte is reached, so
-    the earliest fault in the file wins.
+    Lines are taken in chunks of _CHUNK_LINES, and a chunk's data lines are
+    parsed in one loadtxt call. A bad byte ends the walk once the data
+    lines before it are checked, so the earliest fault in the file wins.
     """
-    chunk = []  # (line number, data line)
-    for line_no, line in enumerate(lines, start=1):
-        bad_byte = _ESCAPED_BYTE.search(line)
+    parts = []
+    first = 1  # line number of the chunk's first line
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        text = "".join(chunk)
+        bad_byte = None if text.isascii() else _ESCAPED_BYTE.search(text)
         if bad_byte:
-            _check_chunk(chunk, name)
+            at = text.count("\n", 0, bad_byte.start())
+            _check_chunk(chunk[:at], first, name)
             byte = ord(bad_byte[0]) - 0xDC00
-            raise MalformedRow(line_no, f"byte 0x{byte:02X} is not valid UTF-8", name)
-        if _is_data(line):
-            chunk.append((line_no, line))
-            if len(chunk) == _CHUNK_LINES:
-                _check_chunk(chunk, name)
-                chunk = []
-    _check_chunk(chunk, name)
+            raise MalformedRow(first + at, f"byte 0x{byte:02X} is not valid UTF-8", name)
+        parts.append(_check_chunk(chunk, first, name))
+        first += len(chunk)
+    return np.concatenate(parts) if parts else _loadtxt([])
 
 
-def _check_chunk(chunk, name: str) -> None:
-    """Raise MalformedRow for the first of the (line number, data line)
-    pairs that is rejected. The chunk is parsed in one loadtxt call; only a
-    rejected one is checked line by line, from the first row the range
-    checks flag, or from its start when it does not parse."""
+def _check_chunk(chunk: list[str], first: int, name: str) -> np.ndarray:
+    """The rows of the data lines among the lines numbered from first, or
+    MalformedRow for the first of them that is rejected. The data lines are
+    parsed in one loadtxt call; only a rejected chunk is checked line by
+    line, from the first row the range checks flag, or from its start when
+    it does not parse."""
     start = 0
     try:
-        rows = _loadtxt([line for _, line in chunk])
+        rows = _loadtxt([line for line in chunk if _is_data(line)])
     except (ValueError, DeprecationWarning):
         pass
     else:
         start = _first_bad_row(rows)
         if start is None:
-            return
-    for line_no, line in chunk[start:]:
+            return rows
+    numbered = [(line_no, line) for line_no, line in enumerate(chunk, first) if _is_data(line)]
+    for line_no, line in numbered[start:]:
         fault = _row_fault(line)
         if fault is not None:
             raise MalformedRow(line_no, fault, name)
+    raise InvariantViolation(f"{name}: lines {first}-{first + len(chunk) - 1} rejected, none alone")
 
 
 def _row_fault(line: str) -> str | None:
@@ -318,16 +339,18 @@ def _row_fault(line: str) -> str | None:
 
 
 def _label_codes(class_ids: np.ndarray, class_map: dict[int, ClassLabel]) -> np.ndarray:
-    """Label code per row, set through one mask per class_map id (an id
-    outside int64 matches no row); unknown ids become OTHER, warned once
-    each in order of first appearance."""
-    codes = np.full(len(class_ids), _LABEL_CODE[ClassLabel.OTHER], dtype=np.int8)
-    known = np.zeros(len(class_ids), dtype=bool)
-    for class_id, label in class_map.items():
-        if -(2**63) <= class_id < 2**63:
-            rows = class_ids == class_id
-            codes[rows] = _LABEL_CODE[label]
-            known |= rows
+    """Label code per row, looked up through one searchsorted over the
+    sorted class_map ids (an id outside int64 matches no row); unknown ids
+    become OTHER, warned once each in order of first appearance."""
+    ids = sorted(k for k in class_map if -(2**63) <= k < 2**63)
+    # lookup[i] is the code of ids[i]; the last entry, OTHER, is for rows no id matches
+    lookup = np.full(len(ids) + 1, _LABEL_CODE[ClassLabel.OTHER], dtype=np.int8)
+    lookup[:-1] = [_LABEL_CODE[class_map[k]] for k in ids]
+    keys = np.array(ids, dtype=np.int64)
+    slot = np.searchsorted(keys, class_ids)
+    known = keys.take(slot, mode="clip") == class_ids if ids else np.zeros(len(slot), dtype=bool)
+    slot[~known] = len(ids)
+    codes = lookup[slot]
     unknown, first = np.unique(class_ids[~known], return_index=True)
     for class_id in unknown[np.argsort(first)].tolist():
         log.warning("unknown class id %d mapped to 'other'", class_id)

@@ -4,9 +4,10 @@ Most of this is written directly from first principles (plain Python, no
 package kernels) so tests compare the implementation against a second path.
 The kinematics oracles are instead the per-track path that the
 recording-level tables replaced: one projection and one window_speeds call
-per track. The `*_reference` functions keep the whole-array expressions and
-the row-at-a-time writers that in-place code replaced, for tests that
-require bit-identical results.
+per track. The `*_reference` functions keep the whole-array expressions,
+the per-id label masks and the row-at-a-time writers that in-place,
+column-wise or lookup code replaced, for tests that require bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -102,6 +103,39 @@ def points_in_polygon_reference(points, polygon, tol=1e-9):
         x_cross = xi + (y - yi) * (xj - xi) / safe_dy
         inside ^= crosses & (x < x_cross)
     return inside | on_edge
+
+
+def range_faults_reference(rows) -> list:
+    """The parser's six (failing-row mask, reason) range checks, the bbox and
+    anchor masks made by .all(axis=1) over whole rows."""
+    frame, track_id, confidence = rows["frame"], rows["track_id"], rows["confidence"]
+    bbox = rows["bbox"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchors = anchor_points_reference(bbox)
+    return [
+        (~(np.isfinite(bbox).all(axis=1) & np.isfinite(confidence)),
+         "a bbox or confidence value is not a finite number"),
+        (frame < 0, "frame must be >= 0"),
+        (track_id <= 0, "track id must be positive"),
+        (~(bbox[:, 2:] > 0.0).all(axis=1), "bbox width and height must be positive"),
+        (~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"),
+        (~np.isfinite(anchors).all(axis=1), "bbox bottom-center point is not finite"),
+    ]
+
+
+def label_codes_reference(class_ids, class_map) -> tuple[np.ndarray, list[int]]:
+    """Label code per row, set through one mask per class_map id (an id
+    outside int64 matches no row), and the ids no key matched, in order of
+    first appearance."""
+    codes = np.full(len(class_ids), LABELS.index(ClassLabel.OTHER), dtype=np.int8)
+    known = np.zeros(len(class_ids), dtype=bool)
+    for class_id, label in class_map.items():
+        if -(2**63) <= class_id < 2**63:
+            rows = class_ids == class_id
+            codes[rows] = LABELS.index(label)
+            known |= rows
+    unknown, first = np.unique(class_ids[~known], return_index=True)
+    return codes, unknown[np.argsort(first)].tolist()
 
 
 def kinematics_csv_reference(kins) -> str:

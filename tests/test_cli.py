@@ -322,6 +322,26 @@ class TestAnalyze:
         assert "phases[1].phase" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["gone.csv", "sim_out"], ids=["no-file", "directory"])
+    def test_missing_detection_file_exits_2_before_any_report(
+        self, tmp_path, scene_path, sim_homography, caplog, missing
+    ):
+        dets = str(run_simulate(tmp_path, sim_homography).relative_to(tmp_path))
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {
+            "scene_config": scene_path.name,
+            "phases": [
+                {"phase": "pre", "detections": [dets], "hours": 1.0},
+                {"phase": "post_w1", "detections": [dets], "hours": 1.0},
+                {"phase": "post_w2", "detections": [missing, dets], "hours": 1.0},
+            ],
+        })
+        out = tmp_path / "report"
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"run.json.phases[2].detections[0]: {tmp_path / missing} is not an existing file" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "literal",
         [

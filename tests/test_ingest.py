@@ -1,5 +1,9 @@
+import bz2
+import gzip
 import io
+import lzma
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +19,11 @@ from helpers import (
     clip_to_aoi_oracle,
     det,
     direction_kept_oracle,
+    label_codes_reference,
     only_track,
     parse_text,
     point_in_polygon_oracle,
+    range_faults_reference,
     straight_track_detections,
     synthesize_bulk_csv,
     track_rows,
@@ -174,10 +180,10 @@ class TestParse:
         path.write_text("1,1,0,0,10,10,0.9,1\n2,1,0,0,10,10,0.9,1\n")
         calls = []
         loadtxt = ingest._loadtxt
-        monkeypatch.setattr(ingest, "_loadtxt", lambda lines: calls.append(1) or loadtxt(lines))
+        monkeypatch.setattr(ingest, "_loadtxt", lambda source: calls.append(source) or loadtxt(source))
         monkeypatch.setattr(ingest, "_is_data", lambda line: pytest.fail("line filter ran"))
         assert parse_track_file(path, CLASS_MAP).frame.tolist() == [1, 2]
-        assert len(calls) == 1
+        assert calls == [str(path)]  # by name, so numpy reads the file itself
 
     def test_rejecting_a_long_file_checks_one_chunk_line_by_line(self, tmp_path, monkeypatch):
         """A bad last line costs at most one one-line check per line of its
@@ -258,6 +264,146 @@ class TestParse:
             )
         text = serialize_detections(dets, CLASS_MAP)
         assert_table_matches_rows(parse_text(text, CLASS_MAP), dets)
+
+
+def parse_outcome(path):
+    """The columns parse_track_file reads from path, or the line number and
+    reason of the MalformedRow it raises."""
+    try:
+        table = parse_track_file(path, CLASS_MAP)
+    except MalformedRow as exc:
+        return exc.line_no, exc.reason
+    return tuple(getattr(table, c).tolist() for c in ("frame", "track_id", "bbox", "confidence", "label"))
+
+
+class TestReadByName:
+    """A plain CSV file goes to np.loadtxt by name; every input reads as the
+    line walk reads it."""
+
+    ROWS = "1,1,0,0,10,10,0.9,1", "2,3,1.5,2,10,10,0.5,2"
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            pytest.param("{0}\n{1}\n", [1, 2], id="lf"),
+            pytest.param("{0}\r\n{1}\r\n", [1, 2], id="crlf"),
+            pytest.param("{0}\r{1}\r", [1, 2], id="cr"),
+            pytest.param("{0}\n{1}", [1, 2], id="no-trailing-newline"),
+            pytest.param("\ufeff{0}\n{1}\n", 1, id="bom"),
+            pytest.param("", [], id="empty"),
+            pytest.param("{0}\n \t \n{1}\n", [1, 2], id="whitespace-only-line"),
+            pytest.param("# export\n{0}\n{1}\n", [1, 2], id="comment-line"),
+            pytest.param("{0}\r\nbad\r\n{1}\r\n", 2, id="malformed-crlf"),
+        ],
+    )
+    def test_reads_as_the_line_walk(self, tmp_path, monkeypatch, text, outcome):
+        """The rows read, or the line number of the malformed one; the line
+        walk alone gives the same table, or the same line and message."""
+        path = tmp_path / "dets.csv"
+        path.write_bytes(text.format(*self.ROWS).encode())
+        got = parse_outcome(path)
+        assert got[0] == outcome  # the frames read, or the malformed line's number
+        monkeypatch.setattr(ingest, "_load_rows", lambda path: None)
+        assert parse_outcome(path) == got
+
+    @pytest.mark.parametrize("suffix, compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+        (".lzma", lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE)),
+    ])
+    def test_compressed_file_is_read_as_it_is(self, tmp_path, monkeypatch, suffix, compress):
+        """numpy would decompress by suffix; the file's bytes are read instead."""
+        path = tmp_path / f"x.csv{suffix}"
+        path.write_bytes(compress(f"{self.ROWS[0]}\n".encode()))
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_track_file(path, CLASS_MAP)
+        if suffix == ".gz":
+            assert (exc_info.value.line_no, exc_info.value.reason) == (1, "byte 0x8B is not valid UTF-8")
+        monkeypatch.setattr(ingest, "_load_rows", lambda path: None)
+        assert parse_outcome(path) == (exc_info.value.line_no, exc_info.value.reason)
+
+    def test_missing_file_is_not_read_from_a_compressed_sibling(self, tmp_path):
+        (tmp_path / "rec.csv.gz").write_bytes(gzip.compress(f"{self.ROWS[0]}\n".encode()))
+        with pytest.raises(FileNotFoundError) as exc_info:
+            parse_track_file(tmp_path / "rec.csv", CLASS_MAP)
+        assert exc_info.value.filename == str(tmp_path / "rec.csv")
+
+    def test_url_shaped_name_is_not_fetched(self, tmp_path, monkeypatch):
+        """A local file whose name parses as a URL is read by the walk:
+        numpy would fetch the URL."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "x.csv").write_text(f"{self.ROWS[0]}\n")
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: pytest.fail("fetched"))
+        assert ingest._load_rows("http://localhost/x.csv") is None
+        assert parse_track_file("http://localhost/x.csv", CLASS_MAP).frame.tolist() == [1]
+
+
+EXTREME_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 1.7e308, -1.7e308, 5e-324]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.lists(st.one_of(EXTREME_FLOATS, st.floats()), min_size=5, max_size=5),
+    ),
+    max_size=12,
+))
+@example([(1, 1, [1.7e308, 0.0, 1.7e308, 1.0, 0.5])])  # anchor u overflows
+@example([(1, 1, [0.0, math.nan, 1.0, 1.0, 0.5])])  # only top is not finite
+@example([(1, 1, [0.0, -1.7e308, 1.0, -1.7e308, 0.5])])  # anchor v overflows
+def test_range_masks_match_whole_row_expressions(values):
+    """The column-by-column masks equal the .all(axis=1) masks over rows
+    holding NaN, infinities, zeros, negatives and near-overflow values."""
+    rows = np.zeros(len(values), dtype=ingest._ROW_DTYPE)
+    for k, (frame, track_id, floats) in enumerate(values):
+        rows[k] = frame, track_id, floats[:4], floats[4], 1
+    got = list(ingest._range_faults(rows))
+    want = range_faults_reference(rows)
+    assert [reason for _, reason in got] == [reason for _, reason in want]
+    for (mask, _), (expected, _) in zip(got, want):
+        assert_same_bits(mask, expected)
+
+
+INT64_IDS = st.one_of(
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+MAP_IDS = st.one_of(INT64_IDS, st.sampled_from([2**63, -(2**63) - 1, 2**64]))
+COCO_MAP = {k: LABELS[k % len(LABELS)] for k in range(-10, 70)}  # 80 ids, some negative
+
+
+@st.composite
+def labelled_ids(draw):
+    """A class_map and class ids drawn partly from its in-range keys."""
+    class_map = draw(st.one_of(
+        st.dictionaries(MAP_IDS, st.sampled_from(LABELS), max_size=8), st.just(COCO_MAP)
+    ))
+    keys = [k for k in class_map if -(2**63) <= k < 2**63]
+    ids = st.one_of(INT64_IDS, st.sampled_from(keys)) if keys else INT64_IDS
+    return class_map, draw(st.lists(ids, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_ids())
+@example(({2**63 - 1: ClassLabel.BUS, -(2**63): ClassLabel.TRUCK, 2**63: ClassLabel.CAR},
+          [2**63 - 1, -(2**63), 0, 2**63 - 1]))
+@example((COCO_MAP, [-10, 69, 70, -11, 0, 70]))
+@example(({}, [3, 1, 3]))
+def test_label_lookup_matches_one_mask_per_id(case):
+    """The searchsorted lookup gives the per-id masks' codes, and warns for
+    the same unknown ids, once each, in order of first appearance."""
+    class_map, ids = case
+    rows = np.zeros(len(ids), dtype=ingest._ROW_DTYPE)
+    rows["class_id"] = ids
+    want, unknown = label_codes_reference(rows["class_id"], class_map)
+    with mock.patch.object(ingest.log, "warning") as warning:
+        got = ingest._label_codes(rows["class_id"], class_map)
+    assert_same_bits(got, want)
+    assert [call.args[1] for call in warning.call_args_list] == unknown
 
 
 class TestAssemble:
