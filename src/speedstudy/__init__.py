@@ -50,17 +50,28 @@ from .kinematics import (
     to_world_track,
     track_kinematics,
 )
-from .simulator import (
-    Constant,
-    GroundTruth,
-    PiecewiseLinear,
-    SyntheticVehicle,
-    TrapezoidStop,
-    example_roadside_homography,
-    render_scene,
-)
 
 __version__ = "0.1.0"
+
+# The simulator serves `simulate` and the tests, not analysis, so it is
+# imported on first use of one of these names (PEP 562).
+_SIMULATOR_NAMES = frozenset({
+    "Constant",
+    "GroundTruth",
+    "PiecewiseLinear",
+    "SyntheticVehicle",
+    "TrapezoidStop",
+    "example_roadside_homography",
+    "render_scene",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def backend_name() -> str:

@@ -22,12 +22,15 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
 
     Loops over the polygon's edges and broadcasts over the points. Each
     edge's sums are taken in place in two row-length buffers, in the order
-    the comments give, so the pass holds no other float temporary.
+    the comments give, so the pass holds no other float temporary. Every
+    pass reads the points one coordinate at a time: column-major points are
+    read in place, and row-major ones are first copied into two contiguous
+    columns.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     poly = np.asarray(polygon, dtype=np.float64)
-    x = pts[:, 0]
-    y = pts[:, 1]
+    x = np.ascontiguousarray(pts[:, 0])
+    y = np.ascontiguousarray(pts[:, 1])
     inside = np.zeros(len(pts), dtype=bool)
     on_edge = np.zeros(len(pts), dtype=bool)
     a = np.empty(len(pts))

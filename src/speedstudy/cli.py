@@ -29,7 +29,6 @@ from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
 from .ingest import serialize_detections
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
-from .simulator import ground_truth_csv, render_scene
 
 log = logging.getLogger("speedstudy")
 
@@ -146,6 +145,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import ground_truth_csv, render_scene
+
     sim = load_sim_config(args.config)
     detections, truth = render_scene(
         sim.vehicles,

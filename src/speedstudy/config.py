@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,14 +26,10 @@ from .behavior import MANEUVERS
 from .errors import ConfigError, DegenerateConfiguration
 from .geometry import Correspondence, Homography, ImagePoint, WorldPoint
 from .ingest import ClassLabel
-from .simulator import (
-    DEFAULT_CLASS_MAP,
-    Constant,
-    PiecewiseLinear,
-    SpeedProfile,
-    SyntheticVehicle,
-    TrapezoidStop,
-)
+
+if TYPE_CHECKING:
+    # the simulation-config readers import the simulator when they are called
+    from .simulator import SpeedProfile, SyntheticVehicle
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,8 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
 
 def profile_from_dict(data, path: str) -> SpeedProfile:
     """A simulated vehicle's speed profile from its JSON form."""
+    from .simulator import Constant, PiecewiseLinear, TrapezoidStop
+
     kind = _shaped(data, dict, path).get("kind")
 
     def number(key: str) -> float:
@@ -297,6 +296,8 @@ def profile_from_dict(data, path: str) -> SpeedProfile:
 
 
 def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
+    from .simulator import SyntheticVehicle
+
     dx, dy = _point(_get(data, "direction", path), f"{path}.direction")
     norm = float(np.hypot(dx, dy))
     if norm == 0:
@@ -324,6 +325,8 @@ def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
 
 
 def sim_config_from_dict(data: dict, path: str) -> SimConfig:
+    from .simulator import DEFAULT_CLASS_MAP
+
     matrix_path = f"{path}.homography_matrix"
     rows = _shaped(_get(data, "homography_matrix", path), list, matrix_path)
     if len(rows) != 3 or any(len(_shaped(r, list, f"{matrix_path}[{i}]")) != 3

@@ -161,9 +161,10 @@ def solve_homography(correspondences) -> Homography:
 def project_points(matrix: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply a 3x3 projective matrix to an (N, 2) array of points.
 
-    Returns the projected (N, 2) array plus a validity mask; rows whose
-    homogeneous denominator falls below the infinity tolerance are invalid
-    and hold zeros.
+    Returns the projected (N, 2) array, column-major (the .T of a (2, N)
+    array), plus a validity mask; rows whose homogeneous denominator falls
+    below the infinity tolerance are invalid and hold zeros. Column-major
+    points are read one contiguous column at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     x, y = pts[:, 0], pts[:, 1]
@@ -174,14 +175,14 @@ def project_points(matrix: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, 
     den += matrix[2, 2]
     valid = np.abs(den) >= INFINITY_TOL
     den[~valid] = 1.0
-    out = np.empty_like(pts)
-    for i in range(2):
-        column = np.multiply(matrix[i, 0], x, out=out[:, i])
+    out = np.empty((2, len(pts)), dtype=np.float64)
+    for i, column in enumerate(out):
+        np.multiply(matrix[i, 0], x, out=column)
         column += matrix[i, 1] * y
         column += matrix[i, 2]
         column /= den
-    out[~valid] = 0.0
-    return out, valid
+    np.copyto(out, 0.0, where=~valid)
+    return out.T, valid
 
 
 def reprojection_rmse(h: Homography, correspondences) -> float:

@@ -74,19 +74,21 @@ class Detection:
 
 def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """(N, 2) bottom centers of (N, 4) boxes, or of the boxes at the indices
-    rows: the vehicles' ground-contact points. The columns are gathered one
-    at a time into the result, so no (N, 4) copy is made."""
+    rows: the vehicles' ground-contact points, column-major (see
+    TrackTable). Each bbox column is gathered on its own with a 1-D take,
+    so no (N, 4) copy is made."""
     n = len(bbox) if rows is None else len(rows)
-    rows = slice(None) if rows is None else rows
-    out = np.empty((n, 2), dtype=np.float64)
+    out = np.empty((2, n), dtype=np.float64)
+
+    def column(k: int) -> np.ndarray:
+        return bbox[:, k] if rows is None else bbox[:, k].take(rows)
+
     # u = left + width / 2, v = top + height
-    u, v = out[:, 0], out[:, 1]
-    u[:] = bbox[rows, 2]
-    u /= 2.0
-    np.add(bbox[rows, 0], u, out=u)
-    v[:] = bbox[rows, 1]
-    v += bbox[rows, 3]
-    return out
+    u, v = out
+    np.divide(column(2), 2.0, out=u)
+    u += column(0)
+    np.add(column(1), column(3), out=v)
+    return out.T
 
 
 def _range_faults(rows: np.ndarray):
@@ -141,6 +143,11 @@ def row_subset(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return kept, np.append(ends[:-1][kept], ends[-1])
 
 
+def take_rows(pairs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows idx of an (N, 2) array, column-major (see TrackTable)."""
+    return pairs.T.take(idx, axis=1).T
+
+
 @dataclass(frozen=True, eq=False)
 class ColumnTable:
     """A table whose every field is a numpy column, made read-only on
@@ -155,7 +162,13 @@ class ColumnTable:
 class TrackTable(ColumnTable):
     """One recording's tracks as read-only columns: track k, with id
     track_ids[k], holds rows offsets[k]:offsets[k + 1], at least one, in
-    frame order."""
+    frame order.
+
+    The coordinate pairs (anchors, world) are column-major: each is the .T
+    of a C-ordered (2, N) array, so a[:, 0] and a[:, 1] are contiguous. The
+    kernels read one coordinate at a time and subset gathers rows by index,
+    both from contiguous columns, where row-major (N, 2) arrays would need
+    strided reads and numpy's slower boolean-mask gathers."""
 
     track_ids: np.ndarray  # (T,) int64
     offsets: np.ndarray  # (T + 1,) int64, from 0 to the row count
@@ -173,13 +186,15 @@ class TrackTable(ColumnTable):
         return np.repeat(values, np.diff(self.offsets), axis=0)
 
     def subset(self, rows: np.ndarray) -> "TrackTable":
-        """The masked rows; tracks left without a row are dropped."""
+        """The masked rows; tracks left without a row are dropped. Every
+        column is gathered with the indices of the mask's true rows."""
         if rows.all():
             return self
         kept, offsets = row_subset(self.offsets, rows)
+        idx = np.flatnonzero(rows)
         return TrackTable(
-            self.track_ids[kept], offsets, self.frames[rows], self.anchors[rows],
-            self.labels[rows], self.world[rows], self.projectable[rows],
+            self.track_ids[kept], offsets, self.frames.take(idx), take_rows(self.anchors, idx),
+            self.labels.take(idx), take_rows(self.world, idx), self.projectable.take(idx),
         )
 
 
@@ -473,12 +488,12 @@ def _image_headings(tracks: TrackTable, h: Homography, travel_direction) -> np.n
     each anchor; zero where the anchor or the step does not project. (A
     function of its own so its temporaries are freed before the pair scan.)"""
     direction = np.asarray(travel_direction, dtype=np.float64)
-    ahead_img, ahead_valid = project_points(h.matrix, tracks.world + direction)
-    dirs = ahead_img - tracks.anchors
+    dirs, ahead_valid = project_points(h.matrix, tracks.world + direction)
+    dirs -= tracks.anchors
     norms = np.hypot(dirs[:, 0], dirs[:, 1])
     ok = tracks.projectable & ahead_valid & (norms > 0)
-    dirs[ok] /= norms[ok, np.newaxis]
-    dirs[~ok] = 0.0
+    np.divide(dirs, norms[:, np.newaxis], out=dirs, where=ok[:, np.newaxis])
+    dirs[np.flatnonzero(~ok)] = 0.0
     return dirs
 
 

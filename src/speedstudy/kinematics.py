@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 # unused here: the benchmark's tracer (perfbench/tracing.py) wraps kinematics.project_points
 from .geometry import project_points  # noqa: F401
-from .ingest import ColumnTable, TrackTable, row_subset
+from .ingest import ColumnTable, TrackTable, row_subset, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,9 @@ class KinematicsTable(ColumnTable):
     """One recording's sliding-window speed samples, one row per sample:
     track k, with id track_ids[k], holds rows offsets[k]:offsets[k + 1];
     frames and points are the frame each sample ends at and the world
-    position there. Every track has at least one sample."""
+    position there. Every track has at least one sample. points is
+    column-major, like TrackTable's coordinate pairs, so the approach-zone
+    test reads two contiguous columns."""
 
     track_ids: np.ndarray  # (T,) int64
     offsets: np.ndarray  # (T + 1,) int64, from 0 to the row count
@@ -80,9 +82,10 @@ def track_kinematics(
         tracks.frames, tracks.world[:, 0], tracks.world[:, 1], wmax, first_hist, fps,
         tracks.per_row(tracks.offsets[:-1]),
     )
-    idx = speeds_ms >= 0.0
-    sampled, offsets = row_subset(tracks.offsets, idx)
-    speeds = speeds_ms[idx] * MPS_TO_MPH
+    emitted = speeds_ms >= 0.0
+    sampled, offsets = row_subset(tracks.offsets, emitted)
+    rows = np.flatnonzero(emitted)
+    speeds = speeds_ms.take(rows) * MPS_TO_MPH
     # one mean per track, so each is the value np.mean of its samples gives
     # (np.mean is this sum then divide); a segmented sum would add in another order
     means = [
@@ -92,9 +95,9 @@ def track_kinematics(
     return KinematicsTable(
         tracks.track_ids[sampled],
         offsets,
-        tracks.frames[idx],
-        tracks.world[idx],
+        tracks.frames.take(rows),
+        take_rows(tracks.world, rows),
         speeds,
-        wlens[idx],
+        wlens.take(rows),
         np.array(means, dtype=np.float64),
     )

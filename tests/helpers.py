@@ -5,9 +5,9 @@ package kernels) so tests compare the implementation against a second path.
 The kinematics oracles are instead the per-track path that the
 recording-level tables replaced: one projection and one window_speeds call
 per track. The `*_reference` functions keep the whole-array expressions,
-the per-id label masks and the row-at-a-time writers that in-place,
-column-wise or lookup code replaced, for tests that require bit-identical
-results.
+the per-id label masks, the boolean-mask row selection and the
+row-at-a-time writers that in-place, column-wise, index or lookup code
+replaced, for tests that require bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from speedstudy import (
     serialize_detections,
 )
 from speedstudy.geometry import INFINITY_TOL, project_points
-from speedstudy.ingest import LABELS, ClassLabel
+from speedstudy.ingest import LABELS, ClassLabel, row_subset
 from speedstudy.kinematics import window_params
 from speedstudy.simulator import DEFAULT_CLASS_MAP
 
@@ -71,6 +71,23 @@ def anchor_points_reference(bbox):
     out[:, 0] = bbox[:, 0] + bbox[:, 2] / 2.0
     out[:, 1] = bbox[:, 1] + bbox[:, 3]
     return out
+
+
+def subset_reference(table, rows):
+    """TrackTable.subset as boolean-mask gathers of every column: the rows
+    the index gathers must reproduce bit for bit."""
+    if rows.all():
+        return table
+    kept, offsets = row_subset(table.offsets, rows)
+    return TrackTable(
+        table.track_ids[kept], offsets, table.frames[rows], table.anchors[rows],
+        table.labels[rows], table.world[rows], table.projectable[rows],
+    )
+
+
+def is_column_major(pairs) -> bool:
+    """An (N, 2) array whose two columns are each contiguous."""
+    return pairs.shape[1:] == (2,) and pairs.T.flags.c_contiguous
 
 
 def points_in_polygon_reference(points, polygon, tol=1e-9):

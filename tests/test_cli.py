@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import importlib
 import inspect
 import json
+import logging
 import os
 import pkgutil
 import subprocess
@@ -739,6 +741,20 @@ def with_field(doc, path, value):
     return doc
 
 
+@contextlib.contextmanager
+def logged_errors():
+    """The messages of the records the CLI logs at ERROR within the block."""
+    messages = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("speedstudy")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
 def analyze_with_field(inputs, target, path, value) -> int:
     """Exit code of analyze with one scene ("scene") or manifest field replaced."""
     base, scene, manifest = inputs
@@ -854,9 +870,20 @@ class TestConfigFields:
 
     @settings(max_examples=200, deadline=None)
     @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+    # a finite world point far off the others: the homography solves, with
+    # a reprojection RMSE over the 2 px gate
+    @example(field=("scene", ("calibration", "correspondences", 0, "world")),
+             value=[2147483648, -26])
     def test_any_field_value_exits_0_or_2(self, analyze_inputs, field, value):
+        """Any value exits 0 or 2; a field under calibration may also fail
+        the calibration gate (exit 3), and then the gate says so."""
         target, path = field
-        assert analyze_with_field(analyze_inputs, target, path, value) in (0, 2)
+        with logged_errors() as errors:
+            code = analyze_with_field(analyze_inputs, target, path, value)
+        if code == 3 and target == "scene" and path[0] == "calibration":
+            assert any("calibration gate failed" in message for message in errors)
+        else:
+            assert code in (0, 2)
 
 
 SUMMARY_FIELDS = (
@@ -901,6 +928,24 @@ class TestPackage:
         for name in names:
             importlib.import_module(f"speedstudy.{name}")
         assert "numba" not in sys.modules
+
+    def test_cli_import_leaves_the_simulator_unloaded(self):
+        # in a fresh process, since the tests themselves load the simulator
+        env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]))
+        code = (
+            "import sys, speedstudy.cli\n"
+            "assert 'speedstudy.simulator' not in sys.modules\n"
+            "from speedstudy import render_scene\n"
+            "import speedstudy\n"
+            "assert render_scene is speedstudy.simulator.render_scene\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'render_scenes'"):
+            speedstudy.render_scenes
 
     def test_module_help_runs(self):
         env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]))

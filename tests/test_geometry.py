@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from helpers import (
     apply_h,
     assert_same_bits,
+    is_column_major,
     make_correspondences,
     project_points_reference,
     random_projective_matrix,
@@ -166,6 +167,11 @@ class TestProjectionBits:
         want, want_valid = project_points_reference(matrix, np.array(points))
         assert_same_bits(got, want)
         assert_same_bits(valid, want_valid)
+        # column-major in and out: the same bits from contiguous columns
+        assert is_column_major(got)
+        got_f, valid_f = project_points(matrix, np.asfortranarray(points))
+        assert_same_bits(got_f, got)
+        assert_same_bits(valid_f, valid)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_denominator_at_and_below_the_tolerance(self, sign):

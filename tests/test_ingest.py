@@ -19,12 +19,14 @@ from helpers import (
     clip_to_aoi_oracle,
     det,
     direction_kept_oracle,
+    is_column_major,
     label_codes_reference,
     only_track,
     parse_text,
     point_in_polygon_oracle,
     range_faults_reference,
     straight_track_detections,
+    subset_reference,
     synthesize_bulk_csv,
     track_rows,
     track_table,
@@ -45,6 +47,8 @@ from speedstudy import (
     parse_track_file,
     run_filter_cascade,
     serialize_detections,
+    to_world_track,
+    track_kinematics,
 )
 from speedstudy import ingest
 from speedstudy.geometry import project_points
@@ -502,6 +506,30 @@ class TestRowSubset:
             with pytest.raises(ValueError):
                 column[...] = 0
 
+    @given(
+        st.lists(st.lists(st.booleans(), min_size=1, max_size=6), max_size=8),
+        st.sampled_from(["drawn", "all", "none"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([], "drawn", 0)
+    @example([[True, False, True], [False], [True, True]], "drawn", 1)
+    def test_index_gathers_match_boolean_mask_reference(self, masks, fill, seed):
+        # anchors on the inverse map's horizon give rows that do not project
+        rng = np.random.default_rng(seed)
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        columns = []
+        for k, m in enumerate(masks):
+            anchors = rng.uniform(-150, 150, (len(m), 2))
+            anchors[rng.random(len(m)) < 0.3, 0] = -r33 / r31
+            columns.append((np.arange(len(m)) * 3 + k, anchors, rng.integers(0, len(LABELS), len(m))))
+        table = track_table(columns, h=VANISHING_H)
+        drawn = np.array([b for m in masks for b in m], dtype=bool)
+        rows = {"drawn": drawn, "all": np.ones_like(drawn), "none": np.zeros_like(drawn)}[fill]
+        got, want = table.subset(rows), subset_reference(table, rows)
+        for column in ("track_ids", "offsets", "frames", "anchors", "labels", "world", "projectable"):
+            assert_same_bits(getattr(got, column), getattr(want, column))
+        assert is_column_major(got.anchors) and is_column_major(got.world)
+
 
 class TestAnchor:
     def test_definition(self):
@@ -874,6 +902,36 @@ class TestCascade:
         assert set(ids(survivors)) <= set(ids(tracks))
         stage_sum = sum(counts[s] for s in ("aoi", "vehicle_type", "stationary", "following", "direction"))
         assert counts["input"] - stage_sum == counts["surviving"] == len(survivors)
+
+    def test_coordinates_stay_column_major(self):
+        # one designed fate per stage, so that every stage drops rows and
+        # gathers new columns; track 1's run inside the AoI, 5 and 7 are kept
+        dets = [
+            *straight_track_detections(1, 30, (-30.0, 95.0), (3.0, 0.0)),  # aoi: starts outside
+            *straight_track_detections(2, 20, (10.0, 75.0), (3.0, 0.0),
+                                       label=ClassLabel.PEDESTRIAN),  # vehicle_type
+            *straight_track_detections(3, 20, (50.0, 25.0), (0.01, 0.0)),  # stationary
+            *straight_track_detections(4, 20, (10.0, 50.0), (2.0, 0.0)),  # following 5
+            *straight_track_detections(5, 20, (30.0, 50.0), (2.0, 0.0)),
+            *straight_track_detections(6, 20, (90.0, 5.0), (-3.0, 0.0)),  # direction
+            *straight_track_detections(7, 20, (5.0, 95.0), (4.0, 0.0), first_frame=100),
+        ]
+        tables = [tracks_of(dets)]
+        stages = (
+            lambda t: clip_to_aoi(t, SQUARE_100),
+            filter_vehicle_type,
+            filter_stationary,
+            lambda t: filter_following(t, IDENTITY, self.DIRECTION),
+            lambda t: filter_direction(t, self.DIRECTION),
+        )
+        for stage in stages:
+            tables.append(stage(tables[-1]))
+        assert all(len(b.frames) < len(a.frames) for a, b in zip(tables, tables[1:]))
+        assert ids(tables[-1]) == [1, 5, 7]
+        tables.append(to_world_track(tables[-1]))
+        for table in tables:
+            assert is_column_major(table.anchors) and is_column_major(table.world)
+        assert is_column_major(track_kinematics(tables[-1], 10.0).points)
 
     def test_idempotent(self, rng):
         for _ in range(20):

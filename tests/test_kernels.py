@@ -63,7 +63,9 @@ class TestPointsInPolygon:
         with np.errstate(over="ignore", invalid="ignore"):
             got = _kernels.points_in_polygon(pts, poly)
             want = points_in_polygon_reference(pts, poly)
+            column_major = _kernels.points_in_polygon(np.asfortranarray(pts), poly)
         assert_same_bits(got, want)
+        assert_same_bits(column_major, got)
 
 
 class TestWindowSpeeds:
