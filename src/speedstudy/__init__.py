@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .ingest import (
     ClassLabel,
-    Detection,
     DetectionTable,
     TrackTable,
     anchor_points,
@@ -42,7 +41,6 @@ from .ingest import (
     filter_vehicle_type,
     parse_track_file,
     run_filter_cascade,
-    serialize_detections,
 )
 from .kinematics import (
     MPS_TO_MPH,
@@ -57,12 +55,14 @@ __version__ = "0.1.0"
 # imported on first use of one of these names (PEP 562).
 _SIMULATOR_NAMES = frozenset({
     "Constant",
+    "Detection",
     "GroundTruth",
     "PiecewiseLinear",
     "SyntheticVehicle",
     "TrapezoidStop",
     "example_roadside_homography",
     "render_scene",
+    "serialize_detections",
 })
 
 

@@ -24,10 +24,9 @@ import tempfile
 from pathlib import Path
 
 from .analytics import compare_phases, percent_change, Phase
-from .config import load_manifest, load_scene_config, load_sim_config, load_summary, SceneConfig
+from .config import load_manifest, load_scene_config, load_summary, SceneConfig
 from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
-from .ingest import serialize_detections
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
 
 log = logging.getLogger("speedstudy")
@@ -145,7 +144,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import ground_truth_csv, render_scene
+    from .simulator import ground_truth_csv, load_sim_config, render_scene, serialize_detections
 
     sim = load_sim_config(args.config)
     detections, truth = render_scene(
@@ -162,11 +161,30 @@ def cmd_simulate(args) -> int:
     write_atomic(out / "ground_truth.csv", ground_truth_csv(truth))
 
     speeds = [float(v.speeds_mph.max()) for v in truth.vehicles]
+    # empty when no vehicle falls inside the time window
+    peaks = f"peak speeds {min(speeds):.1f}-{max(speeds):.1f} mph, " if speeds else ""
     print(
         f"rendered {len(truth.vehicles)} vehicles, {len(detections)} detections, "
-        f"peak speeds {min(speeds):.1f}-{max(speeds):.1f} mph, seed {args.seed}"
+        f"{peaks}seed {args.seed}"
     )
     return EXIT_OK
+
+
+def _non_negative(kind: type):
+    """An argparse type: a kind (int or float) value >= 0. NaN fails too, so
+    a --max-rmse-px of nan cannot turn the gate off, and a --seed is one
+    numpy's random generators take."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="solve and gate the scene homography")
     p.add_argument("--config", required=True, help="scene config JSON")
-    p.add_argument("--max-rmse-px", type=float, default=2.0)
+    p.add_argument("--max-rmse-px", type=_non_negative(float), default=2.0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze", help="run the full pipeline over a manifest")
     p.add_argument("--manifest", required=True, help="run manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-rmse-px", type=float, default=2.0)
+    p.add_argument("--max-rmse-px", type=_non_negative(float), default=2.0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="before/after comparison of three summaries")
@@ -193,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="render a synthetic scene to CSV")
     p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative(int), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
     return parser

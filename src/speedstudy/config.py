@@ -1,5 +1,4 @@
-"""Scene configuration, run manifest, simulation config and phase summary
-loading.
+"""Scene configuration, run manifest and phase summary loading.
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
@@ -7,7 +6,8 @@ meters), travel direction, tracker class ids, and all analysis thresholds. A
 run manifest points a scene at one detection CSV set + recorded hours per
 phase. A phase summary is the JSON `analyze` writes and `compare` reads.
 Every number in them is read by `_number`, and every fault is a ConfigError
-naming the file and the field.
+naming the file and the field. The simulation config is read in
+`simulator`, with these field readers.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import behavior, ingest, kinematics
 from .analytics import Phase, PhaseSummary
 from .behavior import MANEUVERS
-from .errors import ConfigError, DegenerateConfiguration
-from .geometry import Correspondence, Homography, ImagePoint, WorldPoint
+from .errors import ConfigError
+from .geometry import Correspondence, ImagePoint, WorldPoint
 from .ingest import ClassLabel
-
-if TYPE_CHECKING:
-    # the simulation-config readers import the simulator when they are called
-    from .simulator import SpeedProfile, SyntheticVehicle
 
 
 @dataclass(frozen=True)
@@ -61,20 +56,6 @@ class SceneConfig:
     v_mean_reduction: str = "min"
     intersection_type: str = "unsignalized"
     histogram_bin_mph: float = 1.0
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """What `simulate` renders: the true camera, the time span, the anchor
-    noise and the vehicles."""
-
-    homography: Homography
-    fps: float
-    duration_s: float
-    noise_sigma_px: float
-    approach_zone: np.ndarray | None  # world meters; None: no zone
-    class_map: dict[int, ClassLabel]
-    vehicles: tuple[SyntheticVehicle, ...]
 
 
 @dataclass(frozen=True)
@@ -269,114 +250,6 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     )
 
 
-def profile_from_dict(data, path: str) -> SpeedProfile:
-    """A simulated vehicle's speed profile from its JSON form."""
-    from .simulator import Constant, PiecewiseLinear, TrapezoidStop
-
-    kind = _shaped(data, dict, path).get("kind")
-
-    def number(key: str) -> float:
-        return _number(_get(data, key, path), f"{path}.{key}", positive=False)
-
-    try:
-        if kind == "constant":
-            return Constant(number("v_mph"))
-        if kind == "trapezoid_stop":
-            return TrapezoidStop(
-                number("v_free_mph"), number("decel_ms2"), number("dwell_s"), number("accel_ms2")
-            )
-        if kind == "piecewise":
-            knots = _shaped(_get(data, "knots", path), list, f"{path}.knots")
-            return PiecewiseLinear(
-                tuple(_point(knot, f"{path}.knots[{i}]") for i, knot in enumerate(knots))
-            )
-    except ValueError as exc:  # the profile's own range checks
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: expected constant|trapezoid_stop|piecewise, got {kind!r}")
-
-
-def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
-    from .simulator import SyntheticVehicle
-
-    dx, dy = _point(_get(data, "direction", path), f"{path}.direction")
-    norm = float(np.hypot(dx, dy))
-    if norm == 0:
-        raise ConfigError(f"{path}.direction: must be nonzero")
-    entry_time_s = _number(data.get("entry_time_s", 0.0), f"{path}.entry_time_s", positive=False)
-    if not math.isfinite(entry_time_s * fps):
-        raise ConfigError(f"{path}.entry_time_s: fps x entry_time_s is not finite")
-    max_distance_m = data.get("max_distance_m")
-    try:
-        return SyntheticVehicle(
-            vehicle_id=_number(_get(data, "id", path), f"{path}.id", kind=int),
-            entry_time_s=entry_time_s,
-            start=WorldPoint(*_point(_get(data, "start", path), f"{path}.start")),
-            direction=(dx / norm, dy / norm),
-            profile=profile_from_dict(_get(data, "profile", path), f"{path}.profile"),
-            bbox_px=_point(_get(data, "bbox_px", path), f"{path}.bbox_px"),
-            class_label=_label(data.get("class_label", "car"), f"{path}.class_label"),
-            max_distance_m=(
-                None if max_distance_m is None
-                else _number(max_distance_m, f"{path}.max_distance_m")
-            ),
-        )
-    except ValueError as exc:  # the vehicle's own range checks
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def sim_config_from_dict(data: dict, path: str) -> SimConfig:
-    from .simulator import DEFAULT_CLASS_MAP
-
-    matrix_path = f"{path}.homography_matrix"
-    rows = _shaped(_get(data, "homography_matrix", path), list, matrix_path)
-    if len(rows) != 3 or any(len(_shaped(r, list, f"{matrix_path}[{i}]")) != 3
-                             for i, r in enumerate(rows)):
-        raise ConfigError(f"{matrix_path}: expected 3 rows of 3 numbers")
-    matrix = [
-        [_number(v, f"{matrix_path}[{i}][{j}]", positive=False) for j, v in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
-
-    fps = _number(data.get("fps", 10.0), f"{path}.fps")
-    duration_s = _number(_get(data, "duration_s", path), f"{path}.duration_s")
-    if not math.isfinite(fps * duration_s):
-        raise ConfigError(f"{path}.duration_s: fps x duration_s is not finite")
-    sigma = _at_least_zero(data.get("noise_sigma_px", 0.0), f"{path}.noise_sigma_px")
-    try:
-        homography = Homography(np.array(matrix))
-    except DegenerateConfiguration as exc:
-        raise ConfigError(f"{matrix_path}: {exc}") from None
-    zone = data.get("approach_zone")
-    raw_map = data.get("class_map")
-    class_map = DEFAULT_CLASS_MAP if raw_map is None else _class_map(raw_map, f"{path}.class_map")
-    vehicles = _shaped(data.get("vehicles", []), list, f"{path}.vehicles")
-    if not vehicles:
-        raise ConfigError(f"{path}.vehicles: need at least one vehicle")
-    vehicles = tuple(_vehicle(v, f"{path}.vehicles[{i}]", fps) for i, v in enumerate(vehicles))
-    first_use: dict[int, int] = {}
-    for i, v in enumerate(vehicles):
-        # each id is one track of the detection CSV
-        j = first_use.setdefault(v.vehicle_id, i)
-        if j != i:
-            raise ConfigError(
-                f"{path}.vehicles[{i}].id: {v.vehicle_id} is already used by vehicles[{j}]"
-            )
-        # the detection CSV writes each label as a class id
-        if v.class_label not in class_map.values():
-            raise ConfigError(
-                f"{path}.vehicles[{i}].class_label: {v.class_label.value!r} has no id in class_map"
-            )
-    return SimConfig(
-        homography=homography,
-        fps=fps,
-        duration_s=duration_s,
-        noise_sigma_px=sigma,
-        approach_zone=None if zone is None else _polygon(zone, f"{path}.approach_zone"),
-        class_map=class_map,
-        vehicles=vehicles,
-    )
-
-
 class _NonFinite(ValueError):
     pass
 
@@ -427,10 +300,6 @@ def load_scene_config(path) -> SceneConfig:
     path = Path(path)
     return scene_config_from_dict(read_json(path, "scene config"), path.name)
 
-
-def load_sim_config(path) -> SimConfig:
-    path = Path(path)
-    return sim_config_from_dict(read_json(path, "sim config"), path.name)
 
 
 def load_manifest(path) -> RunManifest:

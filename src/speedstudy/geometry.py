@@ -105,9 +105,14 @@ class Homography:
 
 def _hartley_transform(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Translate centroid to origin and scale mean distance to sqrt(2)."""
-    centroid = points.mean(axis=0)
-    shifted = points - centroid
-    mean_dist = np.sqrt((shifted**2).sum(axis=1)).mean()
+    # finite coordinates near the float limit overflow the squares (or the
+    # centroid's sum); that is reported below, so numpy need not warn
+    with np.errstate(over="ignore"):
+        centroid = points.mean(axis=0)
+        shifted = points - centroid
+        mean_dist = np.sqrt((shifted**2).sum(axis=1)).mean()
+    if not math.isfinite(mean_dist):
+        raise DegenerateConfiguration("correspondence coordinates are too large to normalize")
     if mean_dist < 1e-12:
         raise DegenerateConfiguration("correspondence points are coincident")
     s = math.sqrt(2.0) / mean_dist

@@ -8,7 +8,8 @@ A file is read into one ``DetectionTable`` (a column per field) and tracks
 are cut from it with a single sort into one ``TrackTable`` (columns plus
 per-track offsets), so no per-row or per-track objects are built. Assembly
 also maps every anchor onto the road plane, the recording's one inverse
-projection; later stages read those positions from the table.
+projection; later stages read those positions from the table. The CSV
+writer and its per-row ``Detection`` belong to ``simulator``.
 
 The cascade runs in a fixed order -- area-of-interest clipping, vehicle-type
 majority vote, stationary removal, close-follower removal, direction gating --
@@ -59,17 +60,6 @@ VEHICLE_LABELS = frozenset({ClassLabel.CAR, ClassLabel.BUS, ClassLabel.TRUCK})
 LABELS = tuple(ClassLabel)
 _LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 _VEHICLE_CODES = np.array([label in VEHICLE_LABELS for label in LABELS])
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One tracker row; the simulator's output type (see DetectionTable)."""
-
-    frame: int
-    track_id: int
-    bbox: tuple[float, float, float, float]  # left, top, width, height (px)
-    confidence: float
-    class_label: ClassLabel
 
 
 def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -370,22 +360,6 @@ def _label_codes(class_ids: np.ndarray, class_map: dict[int, ClassLabel]) -> np.
     for class_id in unknown[np.argsort(first)].tolist():
         log.warning("unknown class id %d mapped to 'other'", class_id)
     return codes
-
-
-def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
-    """Inverse of parse_track_file; floats use repr so round trips are lossless."""
-    reverse: dict[ClassLabel, int] = {}
-    for class_id, label in class_map.items():
-        reverse.setdefault(label, class_id)
-    lines = []
-    for d in detections:
-        class_id = reverse[d.class_label]
-        left, top, width, height = (float(v) for v in d.bbox)
-        lines.append(
-            f"{d.frame},{d.track_id},{left!r},{top!r},{width!r},{height!r},"
-            f"{float(d.confidence)!r},{class_id}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:

@@ -1,5 +1,6 @@
 """Synthetic scenes with known trajectories, rendered through a known
-homography into detection CSV rows.
+homography into detection CSV rows, and the simulation config that
+describes them.
 
 Every profile reduces to a piecewise-linear speed curve, so distances come
 from exact closed-form integration (quadratic within each segment). Rendering
@@ -12,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
 from .behavior import MANEUVERS, ManeuverClass, classify_maneuvers
-from .errors import AtInfinity
+from .config import (
+    _at_least_zero, _class_map, _get, _label, _number, _point, _polygon, _shaped, read_json
+)
+from .errors import AtInfinity, ConfigError, DegenerateConfiguration
 from .geometry import (
     INFINITY_TOL,
     Correspondence,
@@ -27,7 +32,7 @@ from .geometry import (
     project_points,
     solve_homography,
 )
-from .ingest import ClassLabel, Detection
+from .ingest import ClassLabel
 from .kinematics import MPS_TO_MPH
 
 DEFAULT_CLASS_MAP = {
@@ -178,6 +183,17 @@ class GroundTruth:
         return {v.vehicle_id: v for v in self.vehicles}
 
 
+@dataclass(frozen=True)
+class Detection:
+    """One tracker row; the simulator's output type (see ingest.DetectionTable)."""
+
+    frame: int
+    track_id: int
+    bbox: tuple[float, float, float, float]  # left, top, width, height (px)
+    confidence: float
+    class_label: ClassLabel
+
+
 def _true_maneuver(truth_speeds, positions, approach_zone) -> ManeuverClass:
     speeds = np.asarray(truth_speeds)
     if approach_zone is not None:
@@ -260,6 +276,22 @@ def render_scene(
     return detections, GroundTruth(tuple(truths))
 
 
+def serialize_detections(detections, class_map: dict[int, ClassLabel]) -> str:
+    """Inverse of ingest.parse_track_file; floats use repr so round trips are lossless."""
+    reverse: dict[ClassLabel, int] = {}
+    for class_id, label in class_map.items():
+        reverse.setdefault(label, class_id)
+    lines = []
+    for d in detections:
+        class_id = reverse[d.class_label]
+        left, top, width, height = (float(v) for v in d.bbox)
+        lines.append(
+            f"{d.frame},{d.track_id},{left!r},{top!r},{width!r},{height!r},"
+            f"{float(d.confidence)!r},{class_id}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def ground_truth_csv(truth: GroundTruth) -> str:
     """`id,frame,world_x_m,world_y_m,speed_mph,maneuver` rows, sorted by id."""
     lines = ["id,frame,world_x_m,world_y_m,speed_mph,maneuver"]
@@ -288,3 +320,124 @@ def example_roadside_homography() -> Homography:
     return solve_homography(
         Correspondence(WorldPoint(*w), ImagePoint(*i)) for w, i in corners
     )
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """What `simulate` renders: the true camera, the time span, the anchor
+    noise and the vehicles."""
+
+    homography: Homography
+    fps: float
+    duration_s: float
+    noise_sigma_px: float
+    approach_zone: np.ndarray | None  # world meters; None: no zone
+    class_map: dict[int, ClassLabel]
+    vehicles: tuple[SyntheticVehicle, ...]
+
+
+def profile_from_dict(data, path: str) -> SpeedProfile:
+    """A simulated vehicle's speed profile from its JSON form."""
+    kind = _shaped(data, dict, path).get("kind")
+
+    def number(key: str) -> float:
+        return _number(_get(data, key, path), f"{path}.{key}", positive=False)
+
+    try:
+        if kind == "constant":
+            return Constant(number("v_mph"))
+        if kind == "trapezoid_stop":
+            return TrapezoidStop(
+                number("v_free_mph"), number("decel_ms2"), number("dwell_s"), number("accel_ms2")
+            )
+        if kind == "piecewise":
+            knots = _shaped(_get(data, "knots", path), list, f"{path}.knots")
+            return PiecewiseLinear(
+                tuple(_point(knot, f"{path}.knots[{i}]") for i, knot in enumerate(knots))
+            )
+    except ValueError as exc:  # the profile's own range checks
+        raise ConfigError(f"{path}: {exc}") from None
+    raise ConfigError(f"{path}.kind: expected constant|trapezoid_stop|piecewise, got {kind!r}")
+
+
+def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
+    dx, dy = _point(_get(data, "direction", path), f"{path}.direction")
+    norm = float(np.hypot(dx, dy))
+    if norm == 0:
+        raise ConfigError(f"{path}.direction: must be nonzero")
+    entry_time_s = _number(data.get("entry_time_s", 0.0), f"{path}.entry_time_s", positive=False)
+    if not math.isfinite(entry_time_s * fps):
+        raise ConfigError(f"{path}.entry_time_s: fps x entry_time_s is not finite")
+    max_distance_m = data.get("max_distance_m")
+    try:
+        return SyntheticVehicle(
+            vehicle_id=_number(_get(data, "id", path), f"{path}.id", kind=int),
+            entry_time_s=entry_time_s,
+            start=WorldPoint(*_point(_get(data, "start", path), f"{path}.start")),
+            direction=(dx / norm, dy / norm),
+            profile=profile_from_dict(_get(data, "profile", path), f"{path}.profile"),
+            bbox_px=_point(_get(data, "bbox_px", path), f"{path}.bbox_px"),
+            class_label=_label(data.get("class_label", "car"), f"{path}.class_label"),
+            max_distance_m=(
+                None if max_distance_m is None
+                else _number(max_distance_m, f"{path}.max_distance_m")
+            ),
+        )
+    except ValueError as exc:  # the vehicle's own range checks
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def sim_config_from_dict(data: dict, path: str) -> SimConfig:
+    matrix_path = f"{path}.homography_matrix"
+    rows = _shaped(_get(data, "homography_matrix", path), list, matrix_path)
+    if len(rows) != 3 or any(len(_shaped(r, list, f"{matrix_path}[{i}]")) != 3
+                             for i, r in enumerate(rows)):
+        raise ConfigError(f"{matrix_path}: expected 3 rows of 3 numbers")
+    matrix = [
+        [_number(v, f"{matrix_path}[{i}][{j}]", positive=False) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+    fps = _number(data.get("fps", 10.0), f"{path}.fps")
+    duration_s = _number(_get(data, "duration_s", path), f"{path}.duration_s")
+    if not math.isfinite(fps * duration_s):
+        raise ConfigError(f"{path}.duration_s: fps x duration_s is not finite")
+    sigma = _at_least_zero(data.get("noise_sigma_px", 0.0), f"{path}.noise_sigma_px")
+    try:
+        homography = Homography(np.array(matrix))
+    except DegenerateConfiguration as exc:
+        raise ConfigError(f"{matrix_path}: {exc}") from None
+    zone = data.get("approach_zone")
+    raw_map = data.get("class_map")
+    class_map = DEFAULT_CLASS_MAP if raw_map is None else _class_map(raw_map, f"{path}.class_map")
+    vehicles = _shaped(data.get("vehicles", []), list, f"{path}.vehicles")
+    if not vehicles:
+        raise ConfigError(f"{path}.vehicles: need at least one vehicle")
+    vehicles = tuple(_vehicle(v, f"{path}.vehicles[{i}]", fps) for i, v in enumerate(vehicles))
+    first_use: dict[int, int] = {}
+    for i, v in enumerate(vehicles):
+        # each id is one track of the detection CSV
+        j = first_use.setdefault(v.vehicle_id, i)
+        if j != i:
+            raise ConfigError(
+                f"{path}.vehicles[{i}].id: {v.vehicle_id} is already used by vehicles[{j}]"
+            )
+        # the detection CSV writes each label as a class id
+        if v.class_label not in class_map.values():
+            raise ConfigError(
+                f"{path}.vehicles[{i}].class_label: {v.class_label.value!r} has no id in class_map"
+            )
+    return SimConfig(
+        homography=homography,
+        fps=fps,
+        duration_s=duration_s,
+        noise_sigma_px=sigma,
+        approach_zone=None if zone is None else _polygon(zone, f"{path}.approach_zone"),
+        class_map=class_map,
+        vehicles=vehicles,
+    )
+
+
+def load_sim_config(path) -> SimConfig:
+    path = Path(path)
+    return sim_config_from_dict(read_json(path, "sim config"), path.name)

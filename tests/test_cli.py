@@ -137,6 +137,36 @@ class TestCalibrate:
         write_json(path, cfg)
         assert main(["calibrate", "--config", str(path), "--max-rmse-px", "1e-6"]) == 3
 
+    def test_world_point_too_large_to_normalize(self, tmp_path, demo_h, caplog):
+        cfg = scene_config_dict(demo_h)
+        cfg["calibration"]["correspondences"][2]["world"] = [1e200, 0.0]
+        path = tmp_path / "scene.json"
+        write_json(path, cfg)
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(path)]) == 2
+        assert "coordinates are too large to normalize" in caplog.text
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--config", "sim.json", "--out", "o", "--seed", "-1"], "--seed"),
+            (["simulate", "--config", "sim.json", "--out", "o", "--seed", "1.5"], "--seed"),
+            (["calibrate", "--config", "scene.json", "--max-rmse-px", "nan"], "--max-rmse-px"),
+            (["calibrate", "--config", "scene.json", "--max-rmse-px", "-1"], "--max-rmse-px"),
+            (["analyze", "--manifest", "run.json", "--out", "o", "--max-rmse-px", "NaN"],
+             "--max-rmse-px"),
+            (["analyze", "--manifest", "run.json", "--out", "o", "--max-rmse-px", "-0.5"],
+             "--max-rmse-px"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_outputs_and_stats(self, tmp_path, sim_homography, capsys):
@@ -151,6 +181,22 @@ class TestSimulate:
         ids = {line.split(",")[0] for line in gt[1:]}
         assert ids == {"1", "2", "3"}
         assert "rendered 3 vehicles" in capsys.readouterr().out
+
+    def test_no_vehicle_in_the_window(self, tmp_path, sim_homography, scene_path, capsys):
+        cfg = dict(sim_config(n_vehicles=1), homography_matrix=sim_homography)
+        cfg["vehicles"][0]["entry_time_s"] = cfg["duration_s"] + 1.0
+        p = tmp_path / "sim.json"
+        write_json(p, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(p), "--seed", "42", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "rendered 0 vehicles, 0 detections, seed 42\n"
+        assert (out / "detections.csv").read_text() == ""
+        # the empty recording is one analyze reads
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {"scene_config": scene_path.name, "phases": [
+            {"phase": "pre", "detections": ["out/detections.csv"], "hours": 1.0}]})
+        assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "r")]) == 0
+        assert "phase pre: 0 vehicles" in capsys.readouterr().out
 
     def test_seed_determinism(self, tmp_path, sim_homography):
         cfg = dict(sim_config(noise=1.0), homography_matrix=sim_homography)
@@ -921,6 +967,25 @@ class TestSummaryFields:
             assert run_compare(paths, Path(tmp) / "cmp") in (0, 2)
 
 
+class TestReadme:
+    def test_config_examples_run(self, tmp_path, demo_h):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+        def example(heading: str) -> Path:
+            """The JSON block under heading, written to a file."""
+            block = text.split(f"### {heading}\n", 1)[1].split("```json\n", 1)[1]
+            path = tmp_path / f"{heading.split()[0].lower()}.json"
+            path.write_text(block.split("```", 1)[0], encoding="utf-8")
+            return path
+
+        assert load_scene_config(example("Scene config")).location_id == 1
+        sim = example("Simulation config")
+        # the example camera, so the simulated scene is the scene config's
+        assert json.loads(sim.read_text())["homography_matrix"] == demo_h.matrix.tolist()
+        assert main(["simulate", "--config", str(sim), "--seed", "42",
+                     "--out", str(tmp_path / "sim")]) == 0
+
+
 class TestPackage:
     def test_every_submodule_imports(self):
         names = [m.name for m in pkgutil.iter_modules(speedstudy.__path__)]
@@ -930,18 +995,23 @@ class TestPackage:
         assert "numba" not in sys.modules
 
     def test_cli_import_leaves_the_simulator_unloaded(self):
-        # in a fresh process, since the tests themselves load the simulator
+        # in a fresh process per module, since the tests themselves load the
+        # simulator; config and ingest read and parse for analyze, so they
+        # must not load it either
         env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]))
-        code = (
-            "import sys, speedstudy.cli\n"
-            "assert 'speedstudy.simulator' not in sys.modules\n"
-            "from speedstudy import render_scene\n"
-            "import speedstudy\n"
-            "assert render_scene is speedstudy.simulator.render_scene\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=60)
-        assert out.returncode == 0, out.stderr
+        for module in ("cli", "config", "ingest", "pipeline"):
+            code = (
+                f"import sys, speedstudy.{module}\n"
+                "assert 'speedstudy.simulator' not in sys.modules\n"
+                "from speedstudy import Detection, render_scene, serialize_detections\n"
+                "import speedstudy\n"
+                "assert render_scene is speedstudy.simulator.render_scene\n"
+                "assert Detection is speedstudy.simulator.Detection\n"
+                "assert serialize_detections is speedstudy.simulator.serialize_detections\n"
+            )
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=60)
+            assert out.returncode == 0, (module, out.stderr)
 
     def test_unknown_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'render_scenes'"):

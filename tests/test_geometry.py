@@ -88,6 +88,21 @@ class TestSolve:
         with pytest.raises(DegenerateConfiguration):
             solve_homography(corrs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["world", "image"])
+    @pytest.mark.parametrize("point", [(1e200, 0.0), (1.7e308, 1.0), (-1e300, 1e300)])
+    def test_coordinates_too_large_to_normalize(self, side, point):
+        # finite, but their squares overflow: named as such, with no numpy warning
+        corrs = square_corrs()
+        world, image = corrs[2].world, corrs[2].image
+        if side == "world":
+            world = WorldPoint(*point)
+        else:
+            image = ImagePoint(*point)
+        corrs[2] = Correspondence(world, image)
+        with pytest.raises(DegenerateConfiguration, match="too large to normalize"):
+            solve_homography(corrs)
+
 
 class TestProjection:
     def test_identity_world_to_image(self):
