@@ -1,16 +1,14 @@
 """speedstudy: calibrated vehicle speeds and before/after intervention
 reports from fixed-camera multi-object-tracker output."""
 
+import importlib
+
 from .analytics import (
-    ComparisonRow,
     Phase,
     PhaseSummary,
     build_phase_summary,
-    compare_phases,
-    delta_mismatches,
     histogram,
     mean_speed,
-    percent_change,
     percentile_85,
 )
 from .behavior import (
@@ -51,26 +49,28 @@ from .kinematics import (
 
 __version__ = "0.1.0"
 
-# The simulator serves `simulate` and the tests, not analysis, so it is
-# imported on first use of one of these names (PEP 562).
-_SIMULATOR_NAMES = frozenset({
-    "Constant",
-    "Detection",
-    "GroundTruth",
-    "PiecewiseLinear",
-    "SyntheticVehicle",
-    "TrapezoidStop",
-    "example_roadside_homography",
-    "render_scene",
-    "serialize_detections",
-})
+# Modules that only some commands need are imported on first use of one of
+# their names here (PEP 562): the simulator serves `simulate` and the tests,
+# the before/after comparison serves `compare`.
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "Constant",
+        "Detection",
+        "GroundTruth",
+        "PiecewiseLinear",
+        "SyntheticVehicle",
+        "TrapezoidStop",
+        "example_roadside_homography",
+        "render_scene",
+        "serialize_detections",
+    ), "simulator"),
+    **dict.fromkeys(("ComparisonRow", "compare_phases", "delta_mismatches", "percent_change"), "compare"),
+}
 
 
 def __getattr__(name: str):
-    if name in _SIMULATOR_NAMES:
-        from . import simulator
-
-        return getattr(simulator, name)
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

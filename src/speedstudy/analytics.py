@@ -1,23 +1,21 @@
-"""Phase-level aggregation and before/after comparison.
+"""Phase-level aggregation.
 
 A phase summary carries the per-vehicle speed distribution statistics (mean,
 85th percentile, 1-mph histogram) plus optional maneuver shares for one
-site-phase. Comparison rows report post-minus-pre deltas rounded half away
-from zero to one decimal, matching how such results are conventionally
-published.
+site-phase; `analyze` writes one per phase. The before/after comparison of
+three summaries is in `compare`, which only the `compare` command loads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .behavior import MANEUVERS
-from .errors import ConfigError, EmptyInput, InvariantViolation, LocationMismatch, NonPositiveBaseline
+from .errors import ConfigError, EmptyInput, InvariantViolation
 
 # Histograms wider than this are refused: each bin is a report row.
 MAX_HISTOGRAM_BINS = 100_000
@@ -62,29 +60,6 @@ class PhaseSummary:
         if self.maneuver_shares is not None:
             out["maneuvers"] = dict(self.maneuver_shares)
         return out
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    location_id: int
-    metric: str  # "mean" | "p85"
-    pre: float
-    post_w1: float
-    post_w2: float
-    delta_w1: float = field(init=False)
-    delta_w2: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta_w1", round1(self.post_w1 - self.pre))
-        object.__setattr__(self, "delta_w2", round1(self.post_w2 - self.pre))
-
-
-def round1(value: float) -> float:
-    """Round to one decimal, ties away from zero. A float of magnitude 2**52
-    or more is a whole number already."""
-    if abs(value) >= 2.0**52:
-        return value
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def mean_speed(values) -> float:
@@ -140,57 +115,6 @@ def histogram(values, bin_width: float = 1.0) -> tuple[tuple[float, int], ...]:
     lo, hi = int(lo), int(hi)
     counts = np.bincount(idx.astype(np.int64) - lo, minlength=hi - lo + 1)
     return tuple((k * bin_width, int(c)) for k, c in zip(range(lo, hi + 1), counts))
-
-
-def percent_change(pre: float, post: float) -> float:
-    """Relative change in percent; requires a positive baseline, and one
-    large enough against post that the change is a finite float."""
-    if pre <= 0:
-        raise NonPositiveBaseline(f"baseline must be positive, got {pre}")
-    change = 100.0 * (post - pre) / pre
-    if not math.isfinite(change):
-        raise NonPositiveBaseline(f"percent change from {pre!r} to {post!r} overflows a float")
-    return change
-
-
-def compare_phases(
-    pre: PhaseSummary, w1: PhaseSummary, w2: PhaseSummary, names=None
-) -> tuple[ComparisonRow, ComparisonRow]:
-    """(mean row, 85th-percentile row) comparing one location across phases.
-    names label the three summaries in errors, by default with their phases."""
-    ids = {pre.location_id, w1.location_id, w2.location_id}
-    if len(ids) != 1:
-        raise LocationMismatch(f"summaries span locations {sorted(ids)}")
-    summaries = (pre, w1, w2)
-    for s, name in zip(summaries, names or [s.phase.value for s in summaries]):
-        for field in ("mean_mph", "p85_mph"):
-            if getattr(s, field) is None:
-                raise EmptyInput(f"{name}.{field}: null; compare needs speed statistics")
-    mean_row = ComparisonRow(pre.location_id, "mean", pre.mean_mph, w1.mean_mph, w2.mean_mph)
-    p85_row = ComparisonRow(pre.location_id, "p85", pre.p85_mph, w1.p85_mph, w2.p85_mph)
-    return mean_row, p85_row
-
-
-def delta_mismatches(
-    row: ComparisonRow, reported_w1: float, reported_w2: float
-) -> list[str]:
-    """Flag externally reported deltas that disagree with the computed ones.
-
-    Published before/after tables occasionally carry rounding or transcription
-    slips; this compares them against deltas recomputed from the printed phase
-    values and describes every cell that differs.
-    """
-    issues = []
-    for week, computed, reported in (
-        ("W1", row.delta_w1, reported_w1),
-        ("W2", row.delta_w2, reported_w2),
-    ):
-        if abs(computed - reported) > 1e-9:
-            issues.append(
-                f"loc {row.location_id} {row.metric} delta {week}: "
-                f"computed {computed:+.1f} but reported {reported:+.1f}"
-            )
-    return issues
 
 
 def build_phase_summary(

@@ -23,8 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .analytics import compare_phases, percent_change, Phase
-from .config import load_manifest, load_scene_config, load_summary, SceneConfig
+from .analytics import Phase
+from .config import load_manifest, load_scene_config, SceneConfig
 from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
 from .pipeline import kinematics_csv, maneuvers_csv, process_phase
@@ -109,6 +109,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .compare import compare_phases, load_summary, percent_change
+
     paths = [Path(p) for p in (args.pre, args.w1, args.w2)]
     pre, w1, w2 = (load_summary(p, phase) for p, phase in zip(paths, Phase))
     mean_row, p85_row = compare_phases(pre, w1, w2, names=[p.name for p in paths])

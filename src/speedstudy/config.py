@@ -1,34 +1,34 @@
-"""Scene configuration, run manifest and phase summary loading.
+"""Scene configuration and run manifest loading, and the JSON field readers.
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
 meters), travel direction, tracker class ids, and all analysis thresholds. A
 run manifest points a scene at one detection CSV set + recorded hours per
-phase. A phase summary is the JSON `analyze` writes and `compare` reads.
-Every number in them is read by `_number`, and every fault is a ConfigError
-naming the file and the field. The simulation config is read in
-`simulator`, with these field readers.
+phase. Every number in them is read by `_number`, and every fault is a
+ConfigError naming the file and the field. Two other inputs are read with
+these field readers where they are used: the phase summary that `analyze`
+writes and `compare` reads (`compare.load_summary`), and the simulation
+config (`simulator`). The records read here are NamedTuples: immutable,
+compared by value, and cheaper to define than dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import behavior, ingest, kinematics
-from .analytics import Phase, PhaseSummary
-from .behavior import MANEUVERS
+from .analytics import Phase
 from .errors import ConfigError
 from .geometry import Correspondence, ImagePoint, WorldPoint
 from .ingest import ClassLabel
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """The analysis thresholds; each default is the one its stage declares."""
 
     stationary_m: float = ingest.DEFAULT_STATIONARY_M
@@ -40,8 +40,7 @@ class Thresholds:
     min_track_s: float = kinematics.DEFAULT_MIN_TRACK_S
 
 
-@dataclass(frozen=True)
-class SceneConfig:
+class SceneConfig(NamedTuple):
     location_id: int
     name: str
     fps: float
@@ -50,7 +49,7 @@ class SceneConfig:
     approach_zone: np.ndarray
     travel_direction: np.ndarray
     class_map: dict[int, ClassLabel]
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    thresholds: Thresholds = Thresholds()
     percentile_method: str = "interpolate"
     representative: str = "per_vehicle"
     v_mean_reduction: str = "min"
@@ -58,15 +57,13 @@ class SceneConfig:
     histogram_bin_mph: float = 1.0
 
 
-@dataclass(frozen=True)
-class PhaseInput:
+class PhaseInput(NamedTuple):
     phase: Phase
     detection_paths: tuple[Path, ...]
     hours: float
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     scene_config_path: Path
     phases: tuple[PhaseInput, ...]
 
@@ -216,7 +213,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     class_map = _class_map(_get(data, "class_map", path), f"{path}.class_map")
 
     raw = _shaped(data.get("thresholds", {}), dict, f"{path}.thresholds")
-    unknown = set(raw) - set(Thresholds.__dataclass_fields__)
+    unknown = set(raw) - set(Thresholds._fields)
     if unknown:
         raise ConfigError(f"{path}.thresholds: unknown keys {sorted(unknown)}")
     thresholds = Thresholds(**{k: _number(v, f"{path}.thresholds.{k}") for k, v in raw.items()})
@@ -301,7 +298,6 @@ def load_scene_config(path) -> SceneConfig:
     return scene_config_from_dict(read_json(path, "scene config"), path.name)
 
 
-
 def load_manifest(path) -> RunManifest:
     path = Path(path)
     data = read_json(path, "manifest")
@@ -335,49 +331,3 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"{pp}.detections: need at least one CSV path")
         phases.append(PhaseInput(phase, tuple(paths), hours))
     return RunManifest(scene_path, tuple(phases))
-
-
-def load_summary(path, phase: Phase) -> PhaseSummary:
-    """A phase summary JSON (PhaseSummary.to_json_dict's schema) read for
-    phase's slot. The histogram, when given, sums to sample_count, and the
-    maneuver shares, when given, hold each class once and sum to 100."""
-    path = Path(path)
-    data = read_json(path, "summary")
-    p = path.name
-    found = _get(data, "phase", p)
-    if found != phase.value:
-        raise ConfigError(f"{p}.phase: expected {phase.value!r}, got {_short(repr(found))}")
-    location = _number(_get(data, "location_id", p), f"{p}.location_id", kind=int, positive=False)
-    count = _at_least_zero(_get(data, "sample_count", p), f"{p}.sample_count", kind=int)
-    hours = _number(_get(data, "hours", p), f"{p}.hours")
-
-    def speed(key: str) -> float | None:
-        value = _get(data, key, p)
-        return None if value is None else _at_least_zero(value, f"{p}.{key}")
-
-    histogram = None
-    if "histogram" in data:
-        hp = f"{p}.histogram"
-        histogram = tuple(
-            (_number(_get(b, "bin_lo", f"{hp}[{i}]"), f"{hp}[{i}].bin_lo", positive=False),
-             _at_least_zero(_get(b, "count", f"{hp}[{i}]"), f"{hp}[{i}].count", kind=int))
-            for i, b in enumerate(_shaped(data["histogram"], list, hp))
-        )
-        total = sum(c for _, c in histogram)
-        if total != count:
-            raise ConfigError(f"{hp}: counts sum to {total}, sample_count is {count}")
-    shares = None
-    if "maneuvers" in data:
-        mp = f"{p}.maneuvers"
-        names = sorted(m.value for m in MANEUVERS)
-        if sorted(_shaped(data["maneuvers"], dict, mp)) != names:
-            raise ConfigError(f"{mp}: expected the keys {names}, got {sorted(data['maneuvers'])}")
-        shares = {k: _at_least_zero(data["maneuvers"][k], f"{mp}.{k}") for k in names}
-        for k in names:
-            if shares[k] > 100:
-                raise ConfigError(f"{mp}.{k}: must be <= 100")
-        if abs(sum(shares.values()) - 100) > 1e-6:
-            raise ConfigError(f"{mp}: shares sum to {sum(shares.values())!r}, not 100")
-    return PhaseSummary(
-        location, phase, count, hours, speed("mean_mph"), speed("p85_mph"), histogram, shares
-    )

@@ -15,7 +15,8 @@ class TooFewPoints(SpeedStudyError):
 
 
 class DegenerateConfiguration(SpeedStudyError):
-    """Collinear or duplicate points make the calibration system rank-deficient."""
+    """Collinear or duplicate points make the calibration system rank-deficient,
+    or its coordinates span too wide a range to normalize and solve."""
 
 
 class AtInfinity(SpeedStudyError):

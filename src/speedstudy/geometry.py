@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ INFINITY_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _RANK_TOL = 1e-9
 _COND_LIMIT = 1e12
+# Distinct points closer than this once normalized count as merged: the DLT
+# rows they give differ by about as much, so the solve sees one point there.
+_MERGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,7 @@ class ImagePoint:
             raise ValueError(f"image point must be finite, got ({self.u}, {self.v})")
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(NamedTuple):
     world: WorldPoint
     image: ImagePoint
 
@@ -122,6 +125,14 @@ def _hartley_transform(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return T, shifted * s
 
 
+def _merged(points: np.ndarray, normalized: np.ndarray) -> bool:
+    """Whether two distinct points lie within _MERGE_TOL of each other once
+    normalized (to a mean distance of sqrt(2) from their centroid)."""
+    i, j = np.triu_indices(len(points), 1)
+    distinct = (points[i] != points[j]).any(axis=1)
+    return bool((distinct & (np.hypot(*(normalized[i] - normalized[j]).T) < _MERGE_TOL)).any())
+
+
 def solve_homography(correspondences) -> Homography:
     """Recover the world->image homography from >=4 point correspondences.
 
@@ -156,6 +167,12 @@ def solve_homography(correspondences) -> Homography:
     # Null space must be one-dimensional: with the smallest singular value
     # belonging to the solution, the 8th (index 7) must stay well away from 0.
     if sv[7] <= sv[0] * _RANK_TOL:
+        # one point far from the others scales the rest onto each other
+        if _merged(world, wn) or _merged(image, im):
+            raise DegenerateConfiguration(
+                "correspondence coordinates span too wide a range to solve: "
+                "distinct points coincide once normalized"
+            )
         raise DegenerateConfiguration(
             "correspondences are collinear or duplicated; homography is not unique"
         )

@@ -10,8 +10,8 @@ independently and exported separately.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .kinematics import KinematicsTable, to_world_track, track_kinematics
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RecordingResult:
+class RecordingResult(NamedTuple):
     source: str
     raw_rows: int
     kinematics: KinematicsTable
@@ -41,8 +40,7 @@ class RecordingResult:
     filter_counts: dict[str, int]
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     summary: PhaseSummary
     recordings: list[RecordingResult]
     filter_totals: dict[str, int]

@@ -19,9 +19,9 @@ from speedstudy import (
     percent_change,
     percentile_85,
 )
-from speedstudy.analytics import MAX_HISTOGRAM_BINS, round1
+from speedstudy.analytics import MAX_HISTOGRAM_BINS
 from speedstudy.cli import _json_text
-from speedstudy.config import load_summary
+from speedstudy.compare import load_summary, round1
 from speedstudy.errors import (
     ConfigError,
     EmptyInput,

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import importlib
 import inspect
 import json
@@ -35,6 +36,7 @@ from speedstudy import (
     behavior,
     build_phase_summary,
     config,
+    geometry,
     ingest,
     kinematics,
     pipeline,
@@ -145,6 +147,22 @@ class TestCalibrate:
         with caplog.at_level("ERROR"):
             assert main(["calibrate", "--config", str(path)]) == 2
         assert "coordinates are too large to normalize" in caplog.text
+
+    def test_world_point_far_from_the_others(self, tmp_path, demo_h, caplog):
+        cfg = scene_config_dict(demo_h)
+        cfg["calibration"]["correspondences"].append({"world": [1e100, 0.0], "image": [300.0, 350.0]})
+        path = tmp_path / "scene.json"
+        write_json(path, cfg)
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(path)]) == 2
+        assert "coordinates span too wide a range to solve" in caplog.text
+
+    def test_unknown_threshold_key_exits_2(self, tmp_path, demo_h, caplog):
+        path = tmp_path / "scene.json"
+        write_json(path, scene_config_dict(demo_h, thresholds={"following_px": 30.0, "speed_mph": 1}))
+        with caplog.at_level("ERROR"):
+            assert main(["calibrate", "--config", str(path)]) == 2
+        assert "scene.json.thresholds: unknown keys ['speed_mph']" in caplog.text
 
 
 class TestFlags:
@@ -815,7 +833,7 @@ def analyze_with_field(inputs, target, path, value) -> int:
         return main(["analyze", "--manifest", str(tmp / "run.json"), "--out", str(tmp / "report")])
 
 
-THRESHOLD_FIELDS = tuple(Thresholds.__dataclass_fields__)
+THRESHOLD_FIELDS = Thresholds._fields
 CONFIG_FIELDS = (
     *(("scene", (key,)) for key in (
         "location_id", "name", "fps", "calibration", "aoi_polygon", "approach_zone",
@@ -996,22 +1014,34 @@ class TestPackage:
 
     def test_cli_import_leaves_the_simulator_unloaded(self):
         # in a fresh process per module, since the tests themselves load the
-        # simulator; config and ingest read and parse for analyze, so they
-        # must not load it either
+        # simulator and the comparison; config and ingest read and parse for
+        # analyze, so they must not load either (nor decimal, which only the
+        # comparison uses)
         env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]))
         for module in ("cli", "config", "ingest", "pipeline"):
             code = (
                 f"import sys, speedstudy.{module}\n"
-                "assert 'speedstudy.simulator' not in sys.modules\n"
+                "for lazy in ('speedstudy.simulator', 'speedstudy.compare', 'decimal'):\n"
+                "    assert lazy not in sys.modules, lazy\n"
                 "from speedstudy import Detection, render_scene, serialize_detections\n"
                 "import speedstudy\n"
                 "assert render_scene is speedstudy.simulator.render_scene\n"
                 "assert Detection is speedstudy.simulator.Detection\n"
                 "assert serialize_detections is speedstudy.simulator.serialize_detections\n"
+                "assert 'speedstudy.compare' not in sys.modules\n"
             )
             out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                  env=env, timeout=60)
             assert out.returncode == 0, (module, out.stderr)
+
+    def test_comparison_names_come_from_compare(self):
+        from speedstudy import ComparisonRow, compare_phases, delta_mismatches, percent_change
+        from speedstudy import compare
+
+        assert (ComparisonRow, compare_phases, delta_mismatches, percent_change) == (
+            compare.ComparisonRow, compare.compare_phases, compare.delta_mismatches,
+            compare.percent_change,
+        )
 
     def test_unknown_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'render_scenes'"):
@@ -1025,6 +1055,43 @@ class TestPackage:
         )
         assert out.returncode == 0, out.stderr
         assert "analyze" in out.stdout
+
+
+# array and table fields compare by identity, so the records share these
+RECORD_AOI = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+RECORD_DIRECTION = np.array([1.0, 0.0])
+RECORD_KINS = KinematicsTable(*(np.zeros(n) for n in (0, 1, 0, (0, 2), 0, 0, 0)))
+
+
+def plain_records():
+    """One of each record type the package defines as a NamedTuple, built
+    afresh from equal values."""
+    corr = geometry.Correspondence(geometry.WorldPoint(0.0, 1.0), geometry.ImagePoint(2.0, 3.0))
+    phase = config.PhaseInput(Phase.PRE, (Path("pre.csv"),), 2.5)
+    recording = pipeline.RecordingResult("pre.csv", 3, RECORD_KINS, None, {"input": 3})
+    return [
+        config.Thresholds(following_px=30.0),
+        config.SceneConfig(1, "site", 10.0, (corr,), RECORD_AOI, RECORD_AOI, RECORD_DIRECTION,
+                           {1: ingest.ClassLabel.CAR}),
+        phase,
+        config.RunManifest(Path("scene.json"), (phase,)),
+        corr,
+        recording,
+        pipeline.PhaseResult(build_phase_summary(1, Phase.PRE, [20.0], 2.5), [recording], {"input": 3}),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("index", range(7), ids=lambda i: type(plain_records()[i]).__name__)
+    def test_immutable_compared_by_value_and_not_a_dataclass(self, index):
+        record, twin = plain_records()[index], plain_records()[index]
+        assert record == twin and record is not twin
+        assert record != record._replace(**{record._fields[0]: None})
+        assert not dataclasses.is_dataclass(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 class TestDefaults:

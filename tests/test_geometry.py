@@ -103,6 +103,25 @@ class TestSolve:
         with pytest.raises(DegenerateConfiguration, match="too large to normalize"):
             solve_homography(corrs)
 
+    @pytest.mark.parametrize("side", ["world", "image"])
+    @pytest.mark.parametrize("far", [1e12, 1e100, 1e154])
+    def test_far_point_named_as_too_wide_a_range(self, side, far):
+        """A fifth point far from four that solve alone: normalizing scales
+        the four onto each other, which is named, not called collinear."""
+        corrs = square_corrs()
+        world, image = WorldPoint(0.5, 0.5), ImagePoint(0.5, 0.5)
+        if side == "world":
+            world = WorldPoint(far, 0.0)
+        else:
+            image = ImagePoint(far, 0.0)
+        with pytest.raises(DegenerateConfiguration, match="span too wide a range to solve"):
+            solve_homography([*corrs, Correspondence(world, image)])
+
+    def test_exact_duplicates_are_still_called_duplicated(self):
+        corrs = square_corrs()[:3] * 2
+        with pytest.raises(DegenerateConfiguration, match="collinear or duplicated"):
+            solve_homography(corrs)
+
 
 class TestProjection:
     def test_identity_world_to_image(self):
