@@ -38,11 +38,15 @@ EXIT_INVARIANT = 4
 
 
 def write_atomic(path: Path, text: str):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename. The file
+    gets the mode a plain open would give it (mkstemp's is 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -109,39 +113,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .compare import compare_phases, load_summary, percent_change
+    from .compare import compare_phases, load_summary, render
 
     paths = [Path(p) for p in (args.pre, args.w1, args.w2)]
-    pre, w1, w2 = (load_summary(p, phase) for p, phase in zip(paths, Phase))
-    mean_row, p85_row = compare_phases(pre, w1, w2, names=[p.name for p in paths])
-
-    lines = ["loc_id,metric,pre,post_w1,delta_w1,post_w2,delta_w2"]
-    for row in (mean_row, p85_row):
-        lines.append(
-            f"{row.location_id},{row.metric},{row.pre:.1f},{row.post_w1:.1f},"
-            f"{row.delta_w1:.1f},{row.post_w2:.1f},{row.delta_w2:.1f}"
-        )
-    out = Path(args.out)
-    write_atomic(out / "comparison.csv", "\n".join(lines) + "\n")
-
-    report = {"location_id": pre.location_id}
-    for row in (mean_row, p85_row):
-        report[row.metric] = {
-            "pre": row.pre,
-            "post_w1": row.post_w1,
-            "post_w2": row.post_w2,
-            "delta_w1": row.delta_w1,
-            "delta_w2": row.delta_w2,
-            "pct_w1": percent_change(row.pre, row.post_w1),
-            "pct_w2": percent_change(row.pre, row.post_w2),
-        }
-    write_atomic(out / "percent_change.json", _json_text(report))
-    for row in (mean_row, p85_row):
-        print(
-            f"loc {row.location_id} {row.metric}: pre {row.pre:.1f} -> "
-            f"W1 {row.post_w1:.1f} ({row.delta_w1:+.1f}), "
-            f"W2 {row.post_w2:.1f} ({row.delta_w2:+.1f})"
-        )
+    summaries = (load_summary(p, phase) for p, phase in zip(paths, Phase))
+    table, report, lines = render(compare_phases(*summaries, names=[p.name for p in paths]))
+    report = _json_text(report)
+    write_atomic(Path(args.out) / "comparison.csv", table)
+    write_atomic(Path(args.out) / "percent_change.json", report)
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,17 +1,20 @@
 """Before/after comparison of one location's three phase summaries.
 
 `compare` reads the summaries `analyze` wrote (load_summary) and reports
-post-minus-pre deltas, rounded half away from zero to one decimal as such
-results are conventionally published, plus percent changes. Only `compare`
-needs this module, so `analyze` and `calibrate` never load it (or decimal).
+post-minus-pre deltas plus percent changes. Every figure is printed
+rounded half away from zero to one decimal, as such results are
+conventionally published, and each delta is the difference of the printed
+values, so a table reader can check it. This module builds every row and
+renders every output, so the CLI only writes them. Only `compare` needs it, so
+`analyze` and `calibrate` never load it (or decimal).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .analytics import Phase, PhaseSummary
 from .behavior import MANEUVERS
@@ -19,37 +22,37 @@ from .config import _at_least_zero, _get, _number, _shaped, _short, read_json
 from .errors import ConfigError, EmptyInput, LocationMismatch, NonPositiveBaseline
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One metric's values as read, the deltas of their printed values, and percent changes."""
+
     location_id: int
     metric: str  # "mean" | "p85"
     pre: float
     post_w1: float
     post_w2: float
-    delta_w1: float = field(init=False)
-    delta_w2: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta_w1", round1(self.post_w1 - self.pre))
-        object.__setattr__(self, "delta_w2", round1(self.post_w2 - self.pre))
+    delta_w1: float
+    delta_w2: float
+    pct_w1: float
+    pct_w2: float
 
 
 def round1(value: float) -> float:
     """Round to one decimal, ties away from zero. A float of magnitude 2**52
-    or more is a whole number already."""
+    or more is a whole number already. A zero is +0.0, which never prints
+    as -0.0."""
     if abs(value) >= 2.0**52:
         return value
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)) + 0.0
 
 
-def percent_change(pre: float, post: float) -> float:
-    """Relative change in percent; requires a positive baseline, and one
-    large enough against post that the change is a finite float."""
+def percent_change(pre: float, post: float, where: str = "pre") -> float:
+    """Relative change in percent from a positive baseline, named where in
+    errors, and one large enough against post that the change is a finite float."""
     if pre <= 0:
-        raise NonPositiveBaseline(f"baseline must be positive, got {pre}")
+        raise NonPositiveBaseline(f"{where}: {pre!r} is not a positive baseline for a percent change")
     change = 100.0 * (post - pre) / pre
     if not math.isfinite(change):
-        raise NonPositiveBaseline(f"percent change from {pre!r} to {post!r} overflows a float")
+        raise NonPositiveBaseline(f"{where}: percent change from {pre!r} to {post!r} overflows a float")
     return change
 
 
@@ -58,17 +61,42 @@ def compare_phases(
 ) -> tuple[ComparisonRow, ComparisonRow]:
     """(mean row, 85th-percentile row) comparing one location across phases.
     names label the three summaries in errors, by default with their phases."""
-    ids = {pre.location_id, w1.location_id, w2.location_id}
-    if len(ids) != 1:
-        raise LocationMismatch(f"summaries span locations {sorted(ids)}")
     summaries = (pre, w1, w2)
-    for s, name in zip(summaries, names or [s.phase.value for s in summaries]):
+    names = names or [s.phase.value for s in summaries]
+    for s, name in zip(summaries[1:], names[1:]):
+        if s.location_id != pre.location_id:
+            raise LocationMismatch(
+                f"{name}.location_id: {s.location_id}, but {names[0]} has {pre.location_id}"
+            )
+    for s, name in zip(summaries, names):
         for field in ("mean_mph", "p85_mph"):
             if getattr(s, field) is None:
                 raise EmptyInput(f"{name}.{field}: null; compare needs speed statistics")
-    mean_row = ComparisonRow(pre.location_id, "mean", pre.mean_mph, w1.mean_mph, w2.mean_mph)
-    p85_row = ComparisonRow(pre.location_id, "p85", pre.p85_mph, w1.p85_mph, w2.p85_mph)
-    return mean_row, p85_row
+
+    def row(metric: str) -> ComparisonRow:
+        base, *posts = (getattr(s, f"{metric}_mph") for s in summaries)
+        deltas = (round1(round1(v) - round1(base)) for v in posts)
+        pcts = (percent_change(base, v, f"{names[0]}.{metric}_mph") for v in posts)
+        return ComparisonRow(pre.location_id, metric, base, *posts, *deltas, *pcts)
+
+    return row("mean"), row("p85")
+
+
+def render(rows) -> tuple[str, dict, list[str]]:
+    """comparison.csv's text, percent_change.json's object (the values as
+    read) and the stdout lines. Every printed figure is a round1 value."""
+    table = ["loc_id,metric,pre,post_w1,delta_w1,post_w2,delta_w2"]
+    report = {"location_id": rows[0].location_id}
+    lines = []
+    for r in rows:
+        pre, w1, w2 = (f"{round1(v):.1f}" for v in (r.pre, r.post_w1, r.post_w2))
+        table.append(f"{r.location_id},{r.metric},{pre},{w1},{r.delta_w1:.1f},{w2},{r.delta_w2:.1f}")
+        report[r.metric] = dict(zip(r._fields[2:], r[2:]))
+        lines.append(
+            f"loc {r.location_id} {r.metric}: pre {pre} -> "
+            f"W1 {w1} ({r.delta_w1:+.1f}), W2 {w2} ({r.delta_w2:+.1f})"
+        )
+    return "\n".join(table) + "\n", report, lines
 
 
 def delta_mismatches(

@@ -205,10 +205,11 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     fps = _number(_get(data, "fps", path), f"{path}.fps")
 
     direction = np.array(_point(_get(data, "travel_direction", path), f"{path}.travel_direction"))
-    norm = float(np.hypot(direction[0], direction[1]))
-    if norm == 0:
+    if not direction.any():
         raise ConfigError(f"{path}.travel_direction: must be nonzero")
-    direction = direction / norm
+    # scaled exactly, by a power of two, to below 1 so that hypot cannot overflow
+    direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
+    direction = direction / np.hypot(*direction)
 
     class_map = _class_map(_get(data, "class_map", path), f"{path}.class_map")
 

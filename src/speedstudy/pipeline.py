@@ -18,15 +18,8 @@ import numpy as np
 from .analytics import PhaseSummary, build_phase_summary
 from .behavior import MANEUVERS, ManeuverTable, observe_maneuvers
 from .config import PhaseInput, SceneConfig
-from .errors import InvariantViolation
 from .geometry import Homography
-from .ingest import (
-    CASCADE_STAGES,
-    DetectionTable,
-    assemble_tracks,
-    parse_track_file,
-    run_filter_cascade,
-)
+from .ingest import DetectionTable, assemble_tracks, parse_track_file, run_filter_cascade
 from .kinematics import KinematicsTable, to_world_track, track_kinematics
 
 log = logging.getLogger(__name__)
@@ -72,8 +65,6 @@ def process_detections(
         following_frac=th.following_frac,
         direction_deg=th.direction_deg,
     )
-    if counts["input"] - sum(counts[s] for s in CASCADE_STAGES) != counts["surviving"]:
-        raise InvariantViolation(f"filter accounting does not balance: {counts}")
 
     world = to_world_track(survivors)
     counts["unprojectable"] = len(survivors) - len(world)

@@ -169,6 +169,10 @@ class TestRound1:
     def test_whole_floats_beyond_decimal_precision(self, value):
         assert round1(value) == value
 
+    @pytest.mark.parametrize("value", [-0.0, -0.04, 0.04])
+    def test_zero_never_prints_negative(self, value):
+        assert f"{round1(value):.1f}" == "0.0"
+
 
 class TestCompare:
     def test_mean_row_example(self):

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import logging
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from speedstudy import (
     KinematicsTable,
     ManeuverTable,
     Phase,
+    PhaseSummary,
     behavior,
     build_phase_summary,
     config,
@@ -757,6 +760,99 @@ class TestCompare:
             write_json(path, dict(json.loads(path.read_text()), mean_mph=mean))
         assert run_compare(paths, tmp_path / "cmp") == code
 
+    def run_means(self, tmp_path, means):
+        """compare over one-vehicle phases (mean == p85) of the given speeds;
+        the exit code and comparison.csv's mean row and stdout lines."""
+        paths = self.write_summaries(tmp_path, [[m] for m in means])
+        out = tmp_path / "cmp"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run_compare(paths, out)
+        row = (out / "comparison.csv").read_text().splitlines()[1] if code == 0 else None
+        return code, row, stdout.getvalue().splitlines()
+
+    @given(st.lists(st.floats(0.05, 200.0), min_size=6, max_size=6))
+    @example([25.26, 25.04, 25.01, 25.25, 25.0, 25.3])
+    @settings(deadline=None, max_examples=30)
+    def test_deltas_are_differences_of_the_printed_values(self, speeds):
+        # full-precision phase values: the table must pass its own delta check
+        from speedstudy.compare import compare_phases, delta_mismatches
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for phase, mean, p85 in zip(Phase, speeds[:3], speeds[3:]):
+                write_json(tmp / f"{phase.value}.json", {
+                    "location_id": 1, "phase": phase.value, "sample_count": 0,
+                    "hours": 1.0, "mean_mph": mean, "p85_mph": p85,
+                })
+            paths = [tmp / f"{phase.value}.json" for phase in Phase]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert run_compare(paths, tmp / "cmp") == 0
+            rows = (tmp / "cmp" / "comparison.csv").read_text().splitlines()[1:]
+        expected_stdout = []
+        for row in rows:
+            loc, metric, pre, w1, d1, w2, d2 = row.split(",")
+            printed = [PhaseSummary(1, phase, 0, 1.0, float(v), float(v)) for phase, v in zip(Phase, (pre, w1, w2))]
+            recomputed = compare_phases(*printed)[0]._replace(metric=metric)
+            assert delta_mismatches(recomputed, float(d1), float(d2)) == [], row
+            assert "-0.0" not in (d1, d2), row
+            expected_stdout.append(
+                f"loc {loc} {metric}: pre {pre} -> W1 {w1} ({float(d1):+.1f}), W2 {w2} ({float(d2):+.1f})"
+            )
+        assert stdout.getvalue().splitlines() == expected_stdout
+
+    def test_half_way_value_prints_rounded_away_from_zero(self, tmp_path):
+        code, row, stdout = self.run_means(tmp_path, (25.25, 25.0, 25.3))
+        assert code == 0
+        assert row == "1,mean,25.3,25.0,-0.3,25.3,0.0"
+        assert stdout[0] == "loc 1 mean: pre 25.3 -> W1 25.0 (-0.3), W2 25.3 (+0.0)"
+
+    def test_no_negative_zero_delta(self, tmp_path):
+        code, row, stdout = self.run_means(tmp_path, (25.04, 25.01, 25.01))
+        assert code == 0
+        assert row == "1,mean,25.0,25.0,0.0,25.0,0.0"
+        assert stdout[0] == "loc 1 mean: pre 25.0 -> W1 25.0 (+0.0), W2 25.0 (+0.0)"
+
+    @pytest.mark.parametrize(
+        "pre_mean, message",
+        [
+            (0.0, "pre.json.mean_mph: 0.0 is not a positive baseline for a percent change"),
+            (1e-310, "pre.json.mean_mph: percent change from 1e-310 to 24.0 overflows a float"),
+        ],
+    )
+    def test_baseline_fault_names_file_and_field_and_writes_nothing(
+        self, tmp_path, caplog, pre_mean, message
+    ):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        write_json(paths[0], dict(json.loads(paths[0].read_text()), mean_mph=pre_mean))
+        with caplog.at_level("ERROR"):
+            assert run_compare(paths, tmp_path / "cmp") == 2
+        assert message in caplog.text
+        assert not (tmp_path / "cmp").exists()
+
+    def test_location_mismatch_names_file_and_field(self, tmp_path, caplog):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        write_json(paths[2], dict(json.loads(paths[2].read_text()), location_id=9))
+        with caplog.at_level("ERROR"):
+            assert run_compare(paths, tmp_path / "cmp") == 2
+        assert "post_w2.json.location_id: 9, but pre.json has 1" in caplog.text
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_report_files_follow_the_umask(self, tmp_path, umask):
+        paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+        out = tmp_path / "cmp"
+        old = os.umask(umask)
+        try:
+            assert run_compare(paths, out) == 0
+            with open(out / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (out / "plain.txt").stat().st_mode
+        assert mode & 0o777 == 0o666 & ~umask
+        for name in ("comparison.csv", "percent_change.json"):
+            assert (out / name).stat().st_mode == mode, name
+
 
 class TestJson:
     def test_non_finite_scene_number_exits_2(self, scene_path, caplog):
@@ -1135,6 +1231,15 @@ class TestDefaults:
         path = tmp_path / "scene.json"
         write_json(path, scene_config_dict(demo_h, travel_direction=[3, -4]))
         assert load_scene_config(path).travel_direction.tolist() == [0.6, -0.8]
+
+    def test_travel_direction_near_the_float_limit_is_normalised(self, tmp_path, demo_h):
+        # its length overflows a float, so it is scaled down before the norm
+        path = tmp_path / "scene.json"
+        write_json(path, scene_config_dict(demo_h, travel_direction=[-1.3e308, -1.3e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direction = load_scene_config(path).travel_direction
+        assert direction.tolist() == pytest.approx([-(0.5**0.5), -(0.5**0.5)])
 
     def test_scene_defaults(self, scene_path):
         cfg = load_scene_config(scene_path)
