@@ -2,15 +2,15 @@
 
 Subcommands:
   calibrate --config scene.json [--max-rmse-px 2.0]
-  analyze   --manifest run.json --out dir/
-  compare   --pre a.json --w1 b.json --w2 c.json --out dir/
+  analyze   --manifest run.json --out new_dir/
+  compare   --pre a.json --w1 b.json --w2 c.json --out new_dir/
             (each a summary JSON of its slot's phase, as analyze writes it)
-  simulate  --config sim.json --seed N --out dir/
+  simulate  --config sim.json --seed N --out new_dir/
 
 Exit codes: 0 success, 2 input error (a detection CSV, or a scene config,
-manifest, simulation config or phase summary JSON; the message names the
-file and the field), 3 calibration gate failure, 4 internal invariant
-violation.
+manifest, simulation config or phase summary JSON, named with the field;
+or an --out that exists or cannot be written), 3 calibration gate failure,
+4 internal invariant violation. Only a run that exits 0 leaves an --out.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analytics import Phase
@@ -37,20 +39,35 @@ EXIT_GATE = 3
 EXIT_INVARIANT = 4
 
 
-def write_atomic(path: Path, text: str):
-    """Write via a temp file in the same directory, then rename. The file
-    gets the mode a plain open would give it (mkstemp's is 0600)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+@contextmanager
+def _writing(out: Path):
+    """Report an OSError as a failure to write out, not as one of a private path."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(f.fileno(), 0o666 & ~umask)
-            f.write(text)
-        os.replace(tmp, path)
+        yield
+    except OSError as exc:
+        raise SpeedStudyError(f"{out}: cannot write the reports ({exc.strerror or exc})") from None
+
+
+def write_atomic(out: Path, reports):
+    """Write reports, (file name, text) pairs, into a private sibling directory
+    of out, give it the mode a plain mkdir would and rename it to out. Any
+    exception, KeyboardInterrupt included, removes it, so out gets all or none."""
+    if os.path.lexists(out):  # a rename would replace an empty directory
+        raise SpeedStudyError(f"{out}: already exists; reports go to a new --out directory")
+    with _writing(out):
+        tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        for name, text in reports:
+            with _writing(out):
+                (tmp / name).write_text(text, encoding="utf-8")
+            del text  # not held while the next one is built
+        umask = os.umask(0)
+        os.umask(umask)
+        with _writing(out):
+            tmp.chmod(0o777 & ~umask)
+            tmp.rename(out)
     except BaseException:
-        os.unlink(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 
@@ -87,11 +104,18 @@ def cmd_analyze(args) -> int:
     if rmse > args.max_rmse_px:
         log.error("calibration gate failed: RMSE %.6g px > %.6g px", rmse, args.max_rmse_px)
         return EXIT_GATE
-    out = Path(args.out)
+    lines: list[str] = []
+    write_atomic(Path(args.out), _analyze_reports(manifest, cfg, h, lines))
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _analyze_reports(manifest, cfg, h, lines: list[str]):
+    """Run each phase, yield its reports as they are built and add its line to lines."""
     for phase_input in manifest.phases:
         result = process_phase(phase_input, cfg, h)
         tag = phase_input.phase.value
-        write_atomic(out / f"{tag}_summary.json", _json_text(result.summary.to_json_dict()))
+        yield f"{tag}_summary.json", _json_text(result.summary.to_json_dict())
         counts = {
             "phase": tag,
             "totals": result.filter_totals,
@@ -100,16 +124,15 @@ def cmd_analyze(args) -> int:
                 for r in result.recordings
             ],
         }
-        write_atomic(out / f"{tag}_filter_counts.json", _json_text(counts))
+        yield f"{tag}_filter_counts.json", _json_text(counts)
         for i, rec in enumerate(result.recordings):
-            write_atomic(out / f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics))
+            yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
             if rec.maneuvers is not None:
-                write_atomic(out / f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers))
-        print(
+                yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
+        lines.append(
             f"phase {tag}: {result.summary.sample_count} vehicles, "
             f"mean {result.summary.mean_mph}, p85 {result.summary.p85_mph}"
         )
-    return EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -118,9 +141,7 @@ def cmd_compare(args) -> int:
     paths = [Path(p) for p in (args.pre, args.w1, args.w2)]
     summaries = (load_summary(p, phase) for p, phase in zip(paths, Phase))
     table, report, lines = render(compare_phases(*summaries, names=[p.name for p in paths]))
-    report = _json_text(report)
-    write_atomic(Path(args.out) / "comparison.csv", table)
-    write_atomic(Path(args.out) / "percent_change.json", report)
+    write_atomic(Path(args.out), [("comparison.csv", table), ("percent_change.json", _json_text(report))])
     print("\n".join(lines))
     return EXIT_OK
 
@@ -138,9 +159,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         approach_zone=sim.approach_zone,
     )
-    out = Path(args.out)
-    write_atomic(out / "detections.csv", serialize_detections(detections, sim.class_map))
-    write_atomic(out / "ground_truth.csv", ground_truth_csv(truth))
+    write_atomic(Path(args.out), [
+        ("detections.csv", serialize_detections(detections, sim.class_map)),
+        ("ground_truth.csv", ground_truth_csv(truth)),
+    ])
 
     speeds = [float(v.speeds_mph.max()) for v in truth.vehicles]
     # empty when no vehicle falls inside the time window

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import importlib
 import inspect
 import io
@@ -838,20 +839,188 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
-    def test_report_files_follow_the_umask(self, tmp_path, umask):
+    def test_report_files_follow_the_umask(self, tmp_path, scene_path, sim_homography, umask):
+        # every command's --out, and each report in it, gets the mode a plain
+        # mkdir and a plain open give under the umask
         paths = self.write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
-        out = tmp_path / "cmp"
         old = os.umask(umask)
         try:
-            assert run_compare(paths, out) == 0
-            with open(out / "plain.txt", "w"):
+            dets = run_simulate(tmp_path, sim_homography)
+            manifest = TestAnalyze().make_manifest(tmp_path, scene_path, dets)
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "report")]) == 0
+            assert run_compare(paths, tmp_path / "cmp") == 0
+            os.mkdir(tmp_path / "plain")
+            with open(tmp_path / "plain" / "plain.txt", "w"):
                 pass
         finally:
             os.umask(old)
-        mode = (out / "plain.txt").stat().st_mode
-        assert mode & 0o777 == 0o666 & ~umask
-        for name in ("comparison.csv", "percent_change.json"):
-            assert (out / name).stat().st_mode == mode, name
+        dir_mode = (tmp_path / "plain").stat().st_mode
+        file_mode = (tmp_path / "plain" / "plain.txt").stat().st_mode
+        assert dir_mode & 0o777 == 0o777 & ~umask
+        assert file_mode & 0o777 == 0o666 & ~umask
+        for out, count in (("sim_out", 2), ("report", 4), ("cmp", 2)):
+            assert (tmp_path / out).stat().st_mode == dir_mode, out
+            reports = sorted((tmp_path / out).iterdir())
+            assert len(reports) == count, out
+            for report in reports:
+                assert report.stat().st_mode == file_mode, report
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestReportDirectory:
+    """Every command writes all its reports into a new --out, or leaves none."""
+
+    @pytest.fixture()
+    def study(self, tmp_path, scene_path, sim_homography):
+        """A three-phase manifest over one simulated recording per phase."""
+        dets = str(run_simulate(tmp_path, sim_homography).relative_to(tmp_path))
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {
+            "scene_config": scene_path.name,
+            "phases": [{"phase": phase.value, "detections": [dets], "hours": 1.0} for phase in Phase],
+        })
+        return manifest
+
+    def analyze(self, manifest, out) -> int:
+        return main(["analyze", "--manifest", str(manifest), "--out", str(out)])
+
+    def argv(self, command, tmp_path, sim_homography):
+        """A compare or simulate command line over valid inputs, less --out."""
+        if command == "compare":
+            paths = TestCompare().write_summaries(tmp_path, ([25.0], [24.0], [23.0]))
+            return ["compare", "--pre", str(paths[0]), "--w1", str(paths[1]), "--w2", str(paths[2])]
+        write_json(tmp_path / "sim.json", dict(sim_config(), homography_matrix=sim_homography))
+        return ["simulate", "--config", str(tmp_path / "sim.json")]
+
+    @staticmethod
+    def assert_nothing_left(out):
+        assert not out.exists()
+        assert [p.name for p in out.parent.iterdir() if p.name.startswith(f".{out.name}.")] == []
+
+    def test_rerun_into_a_used_out_exits_2_and_leaves_it_as_it_was(
+        self, tmp_path, study, monkeypatch, caplog, capsys
+    ):
+        out = tmp_path / "report"
+        assert self.analyze(study, out) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        # a rerun over fewer recordings no longer mixes two runs' files
+        doc = json.loads(study.read_text())
+        doc["phases"] = doc["phases"][:1]
+        write_json(study, doc)
+
+        def no_phase(*args):
+            raise AssertionError("a phase ran before --out was checked")
+
+        monkeypatch.setattr(speedstudy.cli, "process_phase", no_phase)
+        with caplog.at_level("ERROR"):
+            assert self.analyze(study, out) == 2
+        assert f"{out}: already exists" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".report.")] == []
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_used_out_of_compare_and_simulate_exits_2(
+        self, tmp_path, sim_homography, caplog, command
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        argv = self.argv(command, tmp_path, sim_homography)
+        with caplog.at_level("ERROR"):
+            assert main([*argv, "--out", str(out)]) == 2
+        assert f"{out}: already exists" in caplog.text
+        assert snapshot(out) == {"keep.txt": b"kept"}
+
+    def test_empty_out_directory_is_refused(self, tmp_path, study, caplog):
+        # a rename onto an empty directory would replace it
+        out = tmp_path / "report"
+        out.mkdir()
+        with caplog.at_level("ERROR"):
+            assert self.analyze(study, out) == 2
+        assert f"{out}: already exists" in caplog.text
+        assert list(out.iterdir()) == []
+
+    def test_malformed_post_w2_csv_leaves_nothing(self, tmp_path, study, caplog, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,1,0,0,10,10,0.9,1\n2,1,0\n")
+        doc = json.loads(study.read_text())
+        doc["phases"][2]["detections"] = ["bad.csv"]
+        write_json(study, doc)
+        out = tmp_path / "report"
+        with caplog.at_level("ERROR"):
+            assert self.analyze(study, out) == 2
+        assert "bad.csv:2" in caplog.text
+        # no phase line for reports that were never written
+        assert capsys.readouterr().out == ""
+        self.assert_nothing_left(out)
+
+    def test_exception_in_a_report_writer_leaves_nothing(self, tmp_path, study, monkeypatch):
+        calls = []
+
+        def failing_csv(kinematics):
+            calls.append(kinematics)
+            if len(calls) == 2:  # the second phase, after the first one's reports
+                raise RuntimeError("injected")
+            return pipeline.kinematics_csv(kinematics)
+
+        monkeypatch.setattr(speedstudy.cli, "kinematics_csv", failing_csv)
+        out = tmp_path / "report"
+        with pytest.raises(RuntimeError, match="injected"):
+            self.analyze(study, out)
+        self.assert_nothing_left(out)
+
+    def test_keyboard_interrupt_in_a_phase_is_reraised_and_leaves_nothing(
+        self, tmp_path, study, monkeypatch, capsys
+    ):
+        phases = []
+
+        def interrupted(*args):
+            phases.append(args)
+            if len(phases) == 3:
+                raise KeyboardInterrupt
+            return pipeline.process_phase(*args)
+
+        monkeypatch.setattr(speedstudy.cli, "process_phase", interrupted)
+        out = tmp_path / "report"
+        with pytest.raises(KeyboardInterrupt):
+            self.analyze(study, out)
+        assert capsys.readouterr().out == ""
+        self.assert_nothing_left(out)
+
+    @pytest.mark.parametrize(
+        "command, second", [("compare", "percent_change.json"), ("simulate", "ground_truth.csv")]
+    )
+    def test_failing_second_write_exits_2_naming_out_and_leaves_nothing(
+        self, tmp_path, sim_homography, monkeypatch, caplog, capsys, command, second
+    ):
+        write_text = Path.write_text
+
+        def full_disk(path, text, *args, **kwargs):
+            if path.name == second:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return write_text(path, text, *args, **kwargs)
+
+        argv = self.argv(command, tmp_path, sim_homography)
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            assert main([*argv, "--out", str(out)]) == 2
+        assert f"{out}: cannot write the reports (No space left on device)" in caplog.text
+        assert ".out." not in caplog.text and second not in caplog.text
+        assert capsys.readouterr().out == ""
+        self.assert_nothing_left(out)
+
+    def test_out_in_a_missing_directory_exits_2_naming_it(self, tmp_path, study, caplog):
+        out = tmp_path / "missing" / "report"
+        with caplog.at_level("ERROR"):
+            assert self.analyze(study, out) == 2
+        assert f"{out}: cannot write the reports (No such file or directory)" in caplog.text
+        assert not out.parent.exists()
 
 
 class TestJson:
