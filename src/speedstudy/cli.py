@@ -29,7 +29,7 @@ from .analytics import Phase
 from .config import load_manifest, load_scene_config, SceneConfig
 from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
-from .pipeline import kinematics_csv, maneuvers_csv, process_phase
+from .pipeline import filter_counts, kinematics_csv, maneuvers_csv, process_phase
 
 log = logging.getLogger("speedstudy")
 
@@ -118,9 +118,12 @@ def _analyze_reports(manifest, cfg, h, lines: list[str]):
         yield f"{tag}_summary.json", _json_text(result.summary.to_json_dict())
         counts = {
             "phase": tag,
-            "totals": result.filter_totals,
+            "totals": {
+                **filter_counts(*(r.fates for r in result.recordings)),
+                "raw_detections": sum(r.raw_rows for r in result.recordings),
+            },
             "recordings": [
-                {"source": r.source, "raw_rows": r.raw_rows, "counts": r.filter_counts}
+                {"source": r.source, "raw_rows": r.raw_rows, "counts": filter_counts(r.fates)}
                 for r in result.recordings
             ],
         }

@@ -51,7 +51,6 @@ class SceneConfig(NamedTuple):
     class_map: dict[int, ClassLabel]
     thresholds: Thresholds = Thresholds()
     percentile_method: str = "interpolate"
-    representative: str = "per_vehicle"
     v_mean_reduction: str = "min"
     intersection_type: str = "unsignalized"
     histogram_bin_mph: float = 1.0
@@ -81,6 +80,14 @@ def _shaped(value, shape: type, path: str):
     if not isinstance(value, shape):
         raise ConfigError(f"{path}: expected {_JSON_KINDS[shape]}, got {_kind(value)}")
     return value
+
+
+def _known(data, keys, path: str) -> dict:
+    """data itself when it is a JSON object holding no key outside keys."""
+    unknown = set(_shaped(data, dict, path)) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    return data
 
 
 def _get(data: dict, key: str, path: str):
@@ -189,7 +196,12 @@ def _class_map(data, path: str) -> dict[int, ClassLabel]:
     return class_map
 
 
+# the scene JSON's keys: SceneConfig's fields, with the correspondences under calibration
+_SCENE_KEYS = ("calibration", *(f for f in SceneConfig._fields if f != "correspondences"))
+
+
 def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
+    _known(data, _SCENE_KEYS, path)
     corr_raw = _get(data, "calibration", path)
     corr_path = f"{path}.calibration.correspondences"
     corr_list = _shaped(_get(corr_raw, "correspondences", f"{path}.calibration"), list, corr_path)
@@ -213,10 +225,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
 
     class_map = _class_map(_get(data, "class_map", path), f"{path}.class_map")
 
-    raw = _shaped(data.get("thresholds", {}), dict, f"{path}.thresholds")
-    unknown = set(raw) - set(Thresholds._fields)
-    if unknown:
-        raise ConfigError(f"{path}.thresholds: unknown keys {sorted(unknown)}")
+    raw = _known(data.get("thresholds", {}), Thresholds._fields, f"{path}.thresholds")
     thresholds = Thresholds(**{k: _number(v, f"{path}.thresholds.{k}") for k, v in raw.items()})
     # the warm-up length ceil(fps * min_track_s) must be an integer
     if not math.isfinite(fps * thresholds.min_track_s):
@@ -241,7 +250,6 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         class_map=class_map,
         thresholds=thresholds,
         percentile_method=_choice("percentile_method", ("interpolate", "nearest_rank"), "interpolate"),
-        representative=_choice("representative", ("per_vehicle", "per_sample"), "per_vehicle"),
         v_mean_reduction=_choice("v_mean_reduction", ("min", "mean"), "min"),
         intersection_type=_choice("intersection_type", ("unsignalized", "signalized"), "unsignalized"),
         histogram_bin_mph=_number(data.get("histogram_bin_mph", 1.0), f"{path}.histogram_bin_mph"),
@@ -301,9 +309,9 @@ def load_scene_config(path) -> SceneConfig:
 
 def load_manifest(path) -> RunManifest:
     path = Path(path)
-    data = read_json(path, "manifest")
-    base = path.parent
     p = path.name
+    data = _known(read_json(path, "manifest"), ("scene_config", "phases"), p)
+    base = path.parent
     scene_path = base / _shaped(_get(data, "scene_config", p), str, f"{p}.scene_config")
     phases_raw = _shaped(_get(data, "phases", p), list, f"{p}.phases")
     if not phases_raw:
@@ -311,6 +319,7 @@ def load_manifest(path) -> RunManifest:
     phases = []
     for i, entry in enumerate(phases_raw):
         pp = f"{p}.phases[{i}]"
+        _known(entry, ("phase", "hours", "detections"), pp)
         try:
             phase = Phase(_get(entry, "phase", pp))
         except ValueError:

@@ -525,13 +525,10 @@ def run_filter_cascade(
     following_px: float = DEFAULT_FOLLOWING_PX,
     following_frac: float = DEFAULT_FOLLOWING_FRAC,
     direction_deg: float = DEFAULT_DIRECTION_DEG,
-) -> tuple[TrackTable, dict[str, int]]:
-    """Apply the five stages in their fixed order, accounting for removals.
-
-    Returns the surviving tracks and a stage->removed-count dict that also
-    carries 'input' and 'surviving' totals. Each stage's input is released
-    once its output exists.
-    """
+) -> tuple[TrackTable, np.ndarray]:
+    """The five stages in their fixed order: the surviving tracks and an int8
+    fate code per input track, 0 for a survivor and k when CASCADE_STAGES[k - 1]
+    removed it. Each stage's input is released once its output exists."""
     stages = (
         lambda t: clip_to_aoi(t, aoi_polygon),
         filter_vehicle_type,
@@ -539,12 +536,11 @@ def run_filter_cascade(
         lambda t: filter_following(t, h, travel_direction, following_px, following_frac),
         lambda t: filter_direction(t, travel_direction, direction_deg),
     )
-    counts = {"input": len(tracks)}
-    for stage, apply in zip(CASCADE_STAGES, stages):
-        n = len(tracks)
+    fates = np.zeros(len(tracks), dtype=np.int8)
+    for code, (stage, apply) in enumerate(zip(CASCADE_STAGES, stages), start=1):
+        ids = tracks.track_ids
         tracks = apply(tracks)
-        counts[stage] = n - len(tracks)
-    counts["surviving"] = len(tracks)
-    for stage in CASCADE_STAGES:
-        log.info("filter %s removed %d tracks", stage, counts[stage])
-    return tracks, counts
+        # the tracks still at fate 0 are ids, in order; a recording's ids are unique
+        fates[fates == 0] = np.where(np.isin(ids, tracks.track_ids), 0, code)
+        log.info("filter %s removed %d tracks", stage, len(ids) - len(tracks))
+    return tracks, fates

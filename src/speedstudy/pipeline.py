@@ -19,10 +19,12 @@ from .analytics import PhaseSummary, build_phase_summary
 from .behavior import MANEUVERS, ManeuverTable, observe_maneuvers
 from .config import PhaseInput, SceneConfig
 from .geometry import Homography
-from .ingest import DetectionTable, assemble_tracks, parse_track_file, run_filter_cascade
+from .ingest import CASCADE_STAGES, DetectionTable, assemble_tracks, parse_track_file, run_filter_cascade
 from .kinematics import KinematicsTable, to_world_track, track_kinematics
 
 log = logging.getLogger(__name__)
+
+FATES = ("kept", *CASCADE_STAGES, "unprojectable", "no_kinematics")  # fate code -> name
 
 
 class RecordingResult(NamedTuple):
@@ -30,13 +32,12 @@ class RecordingResult(NamedTuple):
     raw_rows: int
     kinematics: KinematicsTable
     maneuvers: ManeuverTable | None
-    filter_counts: dict[str, int]
+    fates: np.ndarray  # (T,) int8 code into FATES per assembled track, read-only
 
 
 class PhaseResult(NamedTuple):
     summary: PhaseSummary
     recordings: list[RecordingResult]
-    filter_totals: dict[str, int]
 
 
 def process_detections(
@@ -55,7 +56,7 @@ def process_detections(
     held = [detections]
     del detections
     held.append(assemble_tracks(held.pop(), h))
-    survivors, counts = run_filter_cascade(
+    survivors, fates = run_filter_cascade(
         held.pop(),
         cfg.aoi_polygon,
         cfg.travel_direction,
@@ -67,16 +68,19 @@ def process_detections(
     )
 
     world = to_world_track(survivors)
-    counts["unprojectable"] = len(survivors) - len(world)
     kins = track_kinematics(world, cfg.fps, th.min_track_s)
-    counts["no_kinematics"] = len(world) - len(kins.track_ids)
+    # a survivor missing from world is unprojectable, else from kins no_kinematics
+    lost = [~np.isin(survivors.track_ids, t.track_ids) for t in (world, kins)]
+    codes = [FATES.index("unprojectable"), FATES.index("no_kinematics")]
+    fates[fates == 0] = np.select(lost, codes)
+    fates.setflags(write=False)
 
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = observe_maneuvers(
             kins, cfg.approach_zone, cfg.v_mean_reduction, th.stopgo_mph, th.slowdown_mph
         )
-    return RecordingResult(source, raw_rows, kins, maneuvers, counts)
+    return RecordingResult(source, raw_rows, kins, maneuvers, fates)
 
 
 def process_recording(path, cfg: SceneConfig, h: Homography) -> RecordingResult:
@@ -86,17 +90,7 @@ def process_recording(path, cfg: SceneConfig, h: Homography) -> RecordingResult:
 
 def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> PhaseResult:
     recordings = [process_recording(p, cfg, h) for p in phase_input.detection_paths]
-
-    totals: dict[str, int] = {}
-    for rec in recordings:
-        for key, value in rec.filter_counts.items():
-            totals[key] = totals.get(key, 0) + value
-    totals["raw_detections"] = sum(r.raw_rows for r in recordings)
-
-    if cfg.representative == "per_vehicle":
-        speeds = np.concatenate([rec.kinematics.representative_mph for rec in recordings])
-    else:
-        speeds = np.concatenate([rec.kinematics.speeds_mph for rec in recordings])
+    speeds = np.concatenate([rec.kinematics.representative_mph for rec in recordings])
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
         maneuvers = np.concatenate([rec.maneuvers.classes for rec in recordings])
@@ -115,10 +109,19 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
     log.info(
         "phase %s: %d raw rows, %d vehicles in summary",
         phase_input.phase.value,
-        totals["raw_detections"],
+        sum(rec.raw_rows for rec in recordings),
         summary.sample_count,
     )
-    return PhaseResult(summary, recordings, totals)
+    return PhaseResult(summary, recordings)
+
+
+def filter_counts(*fates: np.ndarray) -> dict[str, int]:
+    """The filter_counts.json object of one or more recordings' fate codes."""
+    codes = np.concatenate(fates)
+    counts = dict(zip(FATES, np.bincount(codes, minlength=len(FATES)).tolist()))
+    lost = {fate: counts.pop(fate) for fate in ("unprojectable", "no_kinematics")}
+    surviving = counts.pop("kept") + sum(lost.values())
+    return {"input": len(codes), **counts, "surviving": surviving, **lost}
 
 
 def kinematics_csv(kins: KinematicsTable) -> str:

@@ -7,7 +7,8 @@ recording-level tables replaced: one projection and one window_speeds call
 per track. The `*_reference` functions keep the whole-array expressions,
 the per-id label masks, the boolean-mask row selection and the
 row-at-a-time writers that in-place, column-wise, index or lookup code
-replaced, for tests that require bit-identical results.
+replaced, for tests that require bit-identical results, and the filter
+accounting by table lengths that the per-track fate codes replaced.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ from speedstudy import (
     WorldPoint,
     _kernels,
     assemble_tracks,
+    clip_to_aoi,
+    filter_direction,
+    filter_following,
+    filter_stationary,
+    filter_vehicle_type,
     parse_track_file,
     serialize_detections,
+    to_world_track,
+    track_kinematics,
 )
 from speedstudy.geometry import INFINITY_TOL, project_points
-from speedstudy.ingest import LABELS, ClassLabel, row_subset
+from speedstudy.ingest import CASCADE_STAGES, LABELS, ClassLabel, row_subset
 from speedstudy.kinematics import window_params
 from speedstudy.simulator import DEFAULT_CLASS_MAP
 
@@ -175,6 +183,34 @@ def maneuvers_csv_reference(maneuvers) -> str:
     lines = ["track_id,v_mean_mph,class"]
     lines += [f"{t},{v!r},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
+
+
+def filter_counts_reference(tracks, cfg, h) -> tuple[dict[str, int], dict[int, str]]:
+    """One recording's filter counts taken as the differences between the
+    table lengths before and after each cascade stage, the projection onto
+    the road plane and the speed windows; and each track id's fate, the
+    step whose output left it out ("kept" when none did)."""
+    th = cfg.thresholds
+    steps = (
+        lambda t: clip_to_aoi(t, cfg.aoi_polygon),
+        filter_vehicle_type,
+        lambda t: filter_stationary(t, th.stationary_m),
+        lambda t: filter_following(t, h, cfg.travel_direction, th.following_px, th.following_frac),
+        lambda t: filter_direction(t, cfg.travel_direction, th.direction_deg),
+        to_world_track,
+        lambda t: track_kinematics(t, cfg.fps, th.min_track_s),
+    )
+    names = (*CASCADE_STAGES, "unprojectable", "no_kinematics")
+    counts = {"input": len(tracks)}
+    fates = dict.fromkeys(tracks.track_ids.tolist(), "kept")
+    for name, step in zip(names, steps):
+        before = tracks.track_ids.tolist()
+        tracks = step(tracks)
+        counts[name] = len(before) - len(tracks.track_ids)
+        fates.update(dict.fromkeys(set(before) - set(tracks.track_ids.tolist()), name))
+        if name == CASCADE_STAGES[-1]:
+            counts["surviving"] = len(tracks)
+    return counts, fates
 
 
 def make_correspondences(matrix, world_pts) -> list[Correspondence]:

@@ -49,7 +49,7 @@ from speedstudy.cli import main
 from speedstudy.config import scene_config_from_dict
 from speedstudy.geometry import project_points
 from speedstudy.ingest import ClassLabel, run_filter_cascade
-from speedstudy.pipeline import process_detections
+from speedstudy.pipeline import filter_counts, process_detections
 
 # (pre, post_w1, printed_delta_w1, post_w2, printed_delta_w2) per location id
 MEAN_TABLE = {
@@ -204,13 +204,13 @@ def test_criterion_3_end_to_end_speed_recovery(demo_h):
 
     result, _ = analyze_fleet(vehicles, demo_h, sigma=0.0, seed=0)
     kins = result.kinematics
-    assert len(kins.track_ids) == 50, result.filter_counts
+    assert len(kins.track_ids) == 50, filter_counts(result.fates)
     for track_id, mph in zip(kins.track_ids.tolist(), kins.representative_mph.tolist()):
         assert abs(mph - truth_speed[track_id]) <= 0.1
 
     noisy, _ = analyze_fleet(vehicles, demo_h, sigma=1.0, seed=11)
     kins = noisy.kinematics
-    assert len(kins.track_ids) == 50, noisy.filter_counts
+    assert len(kins.track_ids) == 50, filter_counts(noisy.fates)
     errors = [
         abs(mph - truth_speed[track_id])
         for track_id, mph in zip(kins.track_ids.tolist(), kins.representative_mph.tolist())
@@ -280,7 +280,7 @@ def test_criterion_4_maneuver_classification_oracle(demo_h):
     assert got_truth_counts == want_counts  # the fleet realizes its design
 
     observed = observed_classes(result.maneuvers)
-    assert len(observed) == 40, result.filter_counts
+    assert len(observed) == 40, filter_counts(result.fates)
     got_counts = {cls: 0 for cls in ManeuverClass}
     for label in observed.values():
         got_counts[label] += 1

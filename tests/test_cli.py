@@ -447,16 +447,18 @@ class TestAnalyze:
         assert "maneuvers" not in summary
         assert not (out / "pre_rec00_maneuvers.csv").exists()
 
-    def test_per_sample_representative_option(self, tmp_path, demo_h, sim_homography):
+    def test_representative_key_exits_2_naming_the_field(self, tmp_path, demo_h, caplog):
+        # a phase's speeds are per vehicle only: the per-sample option is gone
         scene = tmp_path / "scene.json"
         write_json(scene, scene_config_dict(demo_h, representative="per_sample"))
-        dets = run_simulate(tmp_path, sim_homography)
+        dets = tmp_path / "dets.csv"
+        dets.write_text("")
         manifest = self.make_manifest(tmp_path, scene, dets)
         out = tmp_path / "report"
-        assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
-        summary = json.loads((out / "pre_summary.json").read_text())
-        # pooled samples, not vehicles: far more than the 3 tracks
-        assert summary["sample_count"] > 100
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "scene.json: unknown keys ['representative']" in caplog.text
+        assert not out.exists()
 
     def test_v_mean_mean_reduction_option(self, tmp_path, demo_h, sim_homography):
         scene = tmp_path / "scene.json"
@@ -1103,7 +1105,7 @@ CONFIG_FIELDS = (
     *(("scene", (key,)) for key in (
         "location_id", "name", "fps", "calibration", "aoi_polygon", "approach_zone",
         "travel_direction", "class_map", "thresholds", "percentile_method",
-        "representative", "v_mean_reduction", "intersection_type", "histogram_bin_mph",
+        "v_mean_reduction", "intersection_type", "histogram_bin_mph",
     )),
     ("scene", ("calibration", "correspondences")),
     ("scene", ("calibration", "correspondences", 0, "world")),
@@ -1161,6 +1163,23 @@ class TestConfigFields:
         ],
     )
     def test_wrongly_typed_field_exits_2(self, analyze_inputs, caplog, target, path, value, message):
+        with caplog.at_level("ERROR"):
+            assert analyze_with_field(analyze_inputs, target, path, value) == 2
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "target, path, value, message",
+        [
+            ("scene", ("percentile_methd",), "nearest_rank",
+             "scene.json: unknown keys ['percentile_methd']"),
+            ("scene", ("Thresholds",), {"stationary_m": 99},
+             "scene.json: unknown keys ['Thresholds']"),
+            ("manifest", ("scene",), "scene.json", "run.json: unknown keys ['scene']"),
+            ("manifest", ("phases", 0, "hour"), 2.5, "run.json.phases[0]: unknown keys ['hour']"),
+        ],
+        ids=["scene", "scene-thresholds-capitalised", "manifest", "manifest-phase"],
+    )
+    def test_unknown_key_exits_2_naming_it(self, analyze_inputs, caplog, target, path, value, message):
         with caplog.at_level("ERROR"):
             assert analyze_with_field(analyze_inputs, target, path, value) == 2
         assert message in caplog.text
@@ -1326,6 +1345,7 @@ class TestPackage:
 RECORD_AOI = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
 RECORD_DIRECTION = np.array([1.0, 0.0])
 RECORD_KINS = KinematicsTable(*(np.zeros(n) for n in (0, 1, 0, (0, 2), 0, 0, 0)))
+RECORD_FATES = np.zeros(3, dtype=np.int8)
 
 
 def plain_records():
@@ -1333,7 +1353,7 @@ def plain_records():
     afresh from equal values."""
     corr = geometry.Correspondence(geometry.WorldPoint(0.0, 1.0), geometry.ImagePoint(2.0, 3.0))
     phase = config.PhaseInput(Phase.PRE, (Path("pre.csv"),), 2.5)
-    recording = pipeline.RecordingResult("pre.csv", 3, RECORD_KINS, None, {"input": 3})
+    recording = pipeline.RecordingResult("pre.csv", 3, RECORD_KINS, None, RECORD_FATES)
     return [
         config.Thresholds(following_px=30.0),
         config.SceneConfig(1, "site", 10.0, (corr,), RECORD_AOI, RECORD_AOI, RECORD_DIRECTION,
@@ -1342,7 +1362,7 @@ def plain_records():
         config.RunManifest(Path("scene.json"), (phase,)),
         corr,
         recording,
-        pipeline.PhaseResult(build_phase_summary(1, Phase.PRE, [20.0], 2.5), [recording], {"input": 3}),
+        pipeline.PhaseResult(build_phase_summary(1, Phase.PRE, [20.0], 2.5), [recording]),
     ]
 
 
@@ -1414,7 +1434,6 @@ class TestDefaults:
         cfg = load_scene_config(scene_path)
         assert cfg.histogram_bin_mph == 1.0
         assert cfg.percentile_method == "interpolate"
-        assert cfg.representative == "per_vehicle"
         assert cfg.v_mean_reduction == "min"
         assert cfg.intersection_type == "unsignalized"
 

@@ -19,12 +19,14 @@ from helpers import (
     clip_to_aoi_oracle,
     det,
     direction_kept_oracle,
+    filter_counts_reference,
     is_column_major,
     label_codes_reference,
     only_track,
     parse_text,
     point_in_polygon_oracle,
     range_faults_reference,
+    scene_config_dict,
     straight_track_detections,
     subset_reference,
     synthesize_bulk_csv,
@@ -53,7 +55,9 @@ from speedstudy import (
 from speedstudy import ingest
 from speedstudy.geometry import project_points
 from speedstudy.errors import MalformedRow
-from speedstudy.ingest import LABELS, VEHICLE_LABELS, ClassLabel, row_subset
+from speedstudy.config import Thresholds, scene_config_from_dict
+from speedstudy.ingest import CASCADE_STAGES, LABELS, VEHICLE_LABELS, ClassLabel, row_subset
+from speedstudy.pipeline import FATES, filter_counts, process_detections
 
 CLASS_MAP = {1: ClassLabel.CAR, 2: ClassLabel.BUS, 3: ClassLabel.TRUCK,
              4: ClassLabel.MOTORCYCLE, 5: ClassLabel.BICYCLE, 6: ClassLabel.PEDESTRIAN}
@@ -898,10 +902,11 @@ class TestCascade:
 
     def test_subset_property_and_accounting(self, rng):
         tracks = self.random_tracks(rng, 30)
-        survivors, counts = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
+        survivors, fates = run_filter_cascade(tracks, SQUARE_100, self.DIRECTION, IDENTITY)
         assert set(ids(survivors)) <= set(ids(tracks))
-        stage_sum = sum(counts[s] for s in ("aoi", "vehicle_type", "stationary", "following", "direction"))
-        assert counts["input"] - stage_sum == counts["surviving"] == len(survivors)
+        assert (fates.dtype, len(fates)) == (np.int8, len(tracks))
+        assert 0 <= fates.min() and fates.max() <= len(CASCADE_STAGES)
+        assert tracks.track_ids[fates == 0].tolist() == ids(survivors)
 
     def test_coordinates_stay_column_major(self):
         # one designed fate per stage, so that every stage drops rows and
@@ -940,6 +945,109 @@ class TestCascade:
             twice, _ = run_filter_cascade(once, SQUARE_100, self.DIRECTION, IDENTITY)
             assert ids(twice) == ids(once)
             assert_tables_equal(once, twice)
+
+
+# -- what became of each input track -----------------------------------------
+
+# an image-space AoI around the designed tracks below, VANISHING_H's
+# horizon (u = 100) included
+FATES_AOI = [[-10.0, -200.0], [110.0, -200.0], [110.0, 300.0], [-10.0, 300.0]]
+
+
+def recording_table(rows) -> DetectionTable:
+    """A DetectionTable of (frame, track id, u, v, label code) rows, each box
+    of zero size so that its anchor is exactly (u, v)."""
+    frames, track_ids, us, vs, labels = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    bbox = np.zeros((len(frames), 4))
+    bbox[:, 0], bbox[:, 1] = us, vs
+    return DetectionTable(
+        frames.astype(np.int64), track_ids.astype(np.int64), bbox, np.ones(len(frames)),
+        labels.astype(np.int8),
+    )
+
+
+def fates_scene():
+    """The demo scene config with FATES_AOI (its calibration is not used)."""
+    return scene_config_from_dict(scene_config_dict(VANISHING_H, aoi_polygon=FATES_AOI))
+
+
+class TestFates:
+    CAR, PEDESTRIAN = LABELS.index(ClassLabel.CAR), LABELS.index(ClassLabel.PEDESTRIAN)
+
+    def straight(self, track_id, n, u0, v, du, label=CAR):
+        return [(k, track_id, u0 + k * du, v, label) for k in range(n)]
+
+    def test_each_designed_track_gets_its_fate(self):
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        unprojectable = self.straight(6, 20, 0.0, 50.0, 2.0)
+        for k in (5, 6, 7):  # 3 of 20 rows on the horizon: over the 10% a track may lose
+            unprojectable[k] = (k, 6, -r33 / r31, 50.0, self.CAR)
+        rows = [
+            *self.straight(1, 20, 0.0, -250.0, 2.0),  # never inside the AoI
+            *self.straight(2, 20, 0.0, -150.0, 2.0, self.PEDESTRIAN),
+            *self.straight(3, 20, 20.0, -100.0, 0.01),  # parked
+            *self.straight(4, 20, 0.0, 0.0, 2.0),  # 20 px behind track 8
+            *self.straight(5, 20, 40.0, -95.0, -2.0),  # against the travel direction
+            *unprojectable,
+            *self.straight(7, 3, 0.0, -50.0, 3.0),  # too short for a speed window
+            *self.straight(8, 20, 20.0, 0.0, 2.0),
+        ]
+        result = process_detections(recording_table(rows), fates_scene(), VANISHING_H)
+        designed = ("aoi", "vehicle_type", "stationary", "following", "direction",
+                    "unprojectable", "no_kinematics", "kept")
+        assert result.fates.tolist() == [FATES.index(fate) for fate in designed]
+        assert result.kinematics.track_ids.tolist() == [8]
+        assert filter_counts(result.fates) == {
+            "input": 8, "aoi": 1, "vehicle_type": 1, "stationary": 1, "following": 1,
+            "direction": 1, "surviving": 3, "unprojectable": 1, "no_kinematics": 1,
+        }
+        with pytest.raises(ValueError):
+            result.fates[0] = 0
+
+    def test_no_tracks(self):
+        result = process_detections(recording_table([]), fates_scene(), VANISHING_H)
+        assert result.fates.dtype == np.int8 and len(result.fates) == 0
+        assert filter_counts(result.fates) == dict.fromkeys(
+            ("input", *CASCADE_STAGES, "surviving", "unprojectable", "no_kinematics"), 0
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_tracks=st.integers(0, 25),
+        thresholds=st.fixed_dictionaries({
+            "stationary_m": st.floats(0.5, 8.0),
+            "following_px": st.floats(2.0, 60.0),
+            "following_frac": st.floats(0.1, 1.0),
+            "direction_deg": st.floats(10.0, 120.0),
+            "min_track_s": st.floats(0.1, 2.0),
+        }),
+    )
+    def test_counts_equal_the_table_length_accounting(self, seed, n_tracks, thresholds):
+        """On random recordings, anchors on the horizon among them: the
+        counts of the fate codes equal the differences of table lengths,
+        key for key and in order, and each track's code names the step
+        that left it out."""
+        rng = np.random.default_rng(seed)
+        r31, _, r33 = VANISHING_H.inverse().matrix[2]
+        rows = []
+        for tid in range(1, n_tracks + 1):
+            n, first = int(rng.integers(1, 30)), int(rng.integers(0, 20))
+            (u, v), (du, dv) = rng.uniform(-20.0, 120.0, 2), rng.uniform(-4.0, 4.0, 2)
+            label = int(rng.integers(0, len(LABELS)))
+            rows += [
+                (first + k, tid, -r33 / r31 if rng.random() < 0.05 else u + k * du, v + k * dv,
+                 label)
+                for k in range(n)
+            ]
+        table = recording_table(rows)
+        cfg = fates_scene()._replace(thresholds=Thresholds(**thresholds))
+        tracks = assemble_tracks(table, VANISHING_H)
+        counts, fates = filter_counts_reference(tracks, cfg, VANISHING_H)
+        result = process_detections(table, cfg, VANISHING_H)
+        assert list(filter_counts(result.fates).items()) == list(counts.items())
+        assert [FATES[code] for code in result.fates.tolist()] == list(fates.values())
+        assert list(fates) == tracks.track_ids.tolist()
 
 
 # -- the columnar parser against the line-by-line validator ------------------
