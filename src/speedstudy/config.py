@@ -202,12 +202,13 @@ _SCENE_KEYS = ("calibration", *(f for f in SceneConfig._fields if f != "correspo
 
 def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     _known(data, _SCENE_KEYS, path)
-    corr_raw = _get(data, "calibration", path)
+    corr_raw = _known(_get(data, "calibration", path), ("correspondences",), f"{path}.calibration")
     corr_path = f"{path}.calibration.correspondences"
     corr_list = _shaped(_get(corr_raw, "correspondences", f"{path}.calibration"), list, corr_path)
     corrs = []
     for i, c in enumerate(corr_list):
         cp = f"{corr_path}[{i}]"
+        _known(c, ("world", "image"), cp)
         wx, wy = _point(_get(c, "world", cp), f"{cp}.world")
         iu, iv = _point(_get(c, "image", cp), f"{cp}.image")
         corrs.append(Correspondence(WorldPoint(wx, wy), ImagePoint(iu, iv)))

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .behavior import MANEUVERS, ManeuverClass, classify_maneuvers
 from .config import (
-    _at_least_zero, _class_map, _get, _label, _number, _point, _polygon, _shaped, read_json
+    _at_least_zero, _class_map, _get, _known, _label, _number, _point, _polygon, _shaped, read_json
 )
 from .errors import AtInfinity, ConfigError, DegenerateConfiguration
 from .geometry import (
@@ -336,9 +336,26 @@ class SimConfig:
     vehicles: tuple[SyntheticVehicle, ...]
 
 
+# each profile kind's keys beside "kind"
+_PROFILE_KEYS = {
+    "constant": ("v_mph",),
+    "trapezoid_stop": ("v_free_mph", "decel_ms2", "dwell_s", "accel_ms2"),
+    "piecewise": ("knots",),
+}
+_VEHICLE_KEYS = (
+    "id", "entry_time_s", "start", "direction", "profile", "bbox_px", "class_label", "max_distance_m"
+)
+_SIM_KEYS = (
+    "homography_matrix", "fps", "duration_s", "noise_sigma_px", "approach_zone", "class_map", "vehicles"
+)
+
+
 def profile_from_dict(data, path: str) -> SpeedProfile:
     """A simulated vehicle's speed profile from its JSON form."""
     kind = _shaped(data, dict, path).get("kind")
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+        raise ConfigError(f"{path}.kind: expected {'|'.join(_PROFILE_KEYS)}, got {kind!r}")
+    _known(data, ("kind", *_PROFILE_KEYS[kind]), path)
 
     def number(key: str) -> float:
         return _number(_get(data, key, path), f"{path}.{key}", positive=False)
@@ -350,17 +367,16 @@ def profile_from_dict(data, path: str) -> SpeedProfile:
             return TrapezoidStop(
                 number("v_free_mph"), number("decel_ms2"), number("dwell_s"), number("accel_ms2")
             )
-        if kind == "piecewise":
-            knots = _shaped(_get(data, "knots", path), list, f"{path}.knots")
-            return PiecewiseLinear(
-                tuple(_point(knot, f"{path}.knots[{i}]") for i, knot in enumerate(knots))
-            )
+        knots = _shaped(_get(data, "knots", path), list, f"{path}.knots")  # piecewise
+        return PiecewiseLinear(
+            tuple(_point(knot, f"{path}.knots[{i}]") for i, knot in enumerate(knots))
+        )
     except ValueError as exc:  # the profile's own range checks
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: expected constant|trapezoid_stop|piecewise, got {kind!r}")
 
 
 def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
+    _known(data, _VEHICLE_KEYS, path)
     dx, dy = _point(_get(data, "direction", path), f"{path}.direction")
     norm = float(np.hypot(dx, dy))
     if norm == 0:
@@ -388,6 +404,7 @@ def _vehicle(data, path: str, fps: float) -> SyntheticVehicle:
 
 
 def sim_config_from_dict(data: dict, path: str) -> SimConfig:
+    _known(data, _SIM_KEYS, path)
     matrix_path = f"{path}.homography_matrix"
     rows = _shaped(_get(data, "homography_matrix", path), list, matrix_path)
     if len(rows) != 3 or any(len(_shaped(r, list, f"{matrix_path}[{i}]")) != 3

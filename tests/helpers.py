@@ -164,24 +164,26 @@ def label_codes_reference(class_ids, class_map) -> tuple[np.ndarray, list[int]]:
 
 
 def kinematics_csv_reference(kins) -> str:
-    """The kinematics report built one f-string per sample row."""
+    """The kinematics report built one f-string per sample row, speeds to
+    12 significant digits."""
     lines = ["track_id,frame,speed_mph,window_frames"]
     offsets = kins.offsets.tolist()
     for track_id, mean, a, b in zip(
         kins.track_ids.tolist(), kins.representative_mph.tolist(), offsets, offsets[1:]
     ):
         columns = (kins.frames[a:b], kins.speeds_mph[a:b], kins.window_frames[a:b])
-        lines += [f"{track_id},{f},{s!r},{w}" for f, s, w in zip(*(c.tolist() for c in columns))]
-        lines.append(f"{track_id},summary,{mean!r},{b - a}")
+        lines += [f"{track_id},{f},{s:.12g},{w}" for f, s, w in zip(*(c.tolist() for c in columns))]
+        lines.append(f"{track_id},summary,{mean:.12g},{b - a}")
     return "\n".join(lines) + "\n"
 
 
 def maneuvers_csv_reference(maneuvers) -> str:
-    """The maneuvers report built one f-string per row."""
+    """The maneuvers report built one f-string per row, speeds to 12
+    significant digits."""
     names = [cls.value for cls in MANEUVERS]
     columns = (maneuvers.track_ids, maneuvers.v_mean_mph, maneuvers.classes)
     lines = ["track_id,v_mean_mph,class"]
-    lines += [f"{t},{v!r},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
+    lines += [f"{t},{v:.12g},{names[code]}" for t, v, code in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import errno
+import hashlib
 import importlib
 import inspect
 import io
@@ -276,6 +277,27 @@ class TestSimulate:
         with caplog.at_level("ERROR"):
             assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("noise_sigma",), 2.0, "sim.json: unknown keys ['noise_sigma']"),
+            (("vehicles", 0, "speed_mph"), 25, "sim.json.vehicles[0]: unknown keys ['speed_mph']"),
+            # a key of another profile kind
+            (("vehicles", 2, "profile", "dwell_s"), 1.0,
+             "sim.json.vehicles[2].profile: unknown keys ['dwell_s']"),
+        ],
+        ids=["top-level", "vehicle", "profile"],
+    )
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, sim_homography, caplog, path, value,
+                                           message):
+        cfg = with_field(dict(sim_config(), homography_matrix=sim_homography), path, value)
+        p = tmp_path / "sim.json"
+        write_json(p, cfg)
+        with caplog.at_level("ERROR"):
+            assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in caplog.text
+        assert not (tmp_path / "o").exists()
 
     def test_integral_float_id_is_read(self, tmp_path, sim_homography):
         cfg = dict(sim_config(), homography_matrix=sim_homography)
@@ -572,6 +594,62 @@ class TestReportWriters:
             np.array([r[2] for r in rows], dtype=np.int8),
         )
         assert pipeline.maneuvers_csv(maneuvers) == maneuvers_csv_reference(maneuvers)
+
+
+class TestReportPrecision:
+    """The report CSVs print speeds to 12 significant digits: every figure
+    recomputed from the printed values matches the one the program computed
+    from its float64 speeds, far inside what a reader checking the reports
+    (or the benchmark's oracle, at 1e-9) allows."""
+
+    @pytest.mark.parametrize("method", ["interpolate", "nearest_rank"])
+    def test_printed_speeds_reproduce_the_figures(self, tmp_path, demo_h, sim_homography, method):
+        write_json(tmp_path / "sim.json",
+                   dict(sim_config(noise=1.0, n_vehicles=4), homography_matrix=sim_homography))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "3",
+                     "--out", str(tmp_path / "sim")]) == 0
+        write_json(tmp_path / "scene.json", scene_config_dict(demo_h, percentile_method=method))
+        write_json(tmp_path / "run.json", {"scene_config": "scene.json", "phases": [
+            {"phase": "pre", "detections": ["sim/detections.csv"], "hours": 1.0}]})
+        out = tmp_path / "report"
+        assert main(["analyze", "--manifest", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+
+        rows = [line.split(",") for line in
+                (out / "pre_rec00_kinematics.csv").read_text().splitlines()[1:]]
+        samples, means, track = [], [], []
+        for _, frame, speed, n in rows:
+            if frame == "summary":
+                assert len(track) == int(n)
+                assert float(speed) == pytest.approx(np.mean(track), rel=1e-10, abs=0)
+                means.append(float(speed))
+                track = []
+            else:
+                track.append(float(speed))
+                samples.append(float(speed))
+        summary = json.loads((out / "pre_summary.json").read_text())
+        assert summary["sample_count"] == len(means) == 4
+        assert summary["mean_mph"] == pytest.approx(np.mean(means), rel=1e-10, abs=0)
+        p85 = speedstudy.analytics.percentile_85(means, method)
+        assert summary["p85_mph"] == pytest.approx(p85, rel=1e-10, abs=0)
+
+        cfg = load_scene_config(tmp_path / "scene.json")
+        rec = pipeline.process_recording(
+            tmp_path / "sim" / "detections.csv", cfg, solve_homography(cfg.correspondences)
+        )
+        kins = rec.kinematics
+        assert len(samples) == len(kins.speeds_mph)
+        printed = {
+            "speed_mph": (samples, kins.speeds_mph),
+            "summary mean": (means, kins.representative_mph),
+            "v_mean_mph": ([float(line.split(",")[1]) for line in
+                            (out / "pre_rec00_maneuvers.csv").read_text().splitlines()[1:]],
+                           rec.maneuvers.v_mean_mph),
+        }
+        for column, (got, want) in printed.items():
+            err = np.abs(np.array(got) - want) / want
+            assert err.max() <= 5e-12, column
+            # 12 digits, not repr's 17: the format is not silently widened back
+            assert not np.array_equal(got, want), column
 
 
 # CPython 3.11 hands a call's arguments over to the callee; older versions
@@ -1174,10 +1252,15 @@ class TestConfigFields:
              "scene.json: unknown keys ['percentile_methd']"),
             ("scene", ("Thresholds",), {"stationary_m": 99},
              "scene.json: unknown keys ['Thresholds']"),
+            ("scene", ("calibration", "weights"), [1, 2],
+             "scene.json.calibration: unknown keys ['weights']"),
+            ("scene", ("calibration", "correspondences", 1, "weight"), 5,
+             "scene.json.calibration.correspondences[1]: unknown keys ['weight']"),
             ("manifest", ("scene",), "scene.json", "run.json: unknown keys ['scene']"),
             ("manifest", ("phases", 0, "hour"), 2.5, "run.json.phases[0]: unknown keys ['hour']"),
         ],
-        ids=["scene", "scene-thresholds-capitalised", "manifest", "manifest-phase"],
+        ids=["scene", "scene-thresholds-capitalised", "calibration", "correspondence", "manifest",
+             "manifest-phase"],
     )
     def test_unknown_key_exits_2_naming_it(self, analyze_inputs, caplog, target, path, value, message):
         with caplog.at_level("ERROR"):
@@ -1286,6 +1369,15 @@ class TestReadme:
         assert json.loads(sim.read_text())["homography_matrix"] == demo_h.matrix.tolist()
         assert main(["simulate", "--config", str(sim), "--seed", "42",
                      "--out", str(tmp_path / "sim")]) == 0
+        # the simulator writes the benchmark's inputs with `repr` floats, so a
+        # change to the report formats cannot change them too; a deliberate
+        # change to the simulator's output updates these digests
+        digests = {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
+                   for name in ("detections.csv", "ground_truth.csv")}
+        assert digests == {
+            "detections.csv": "1f09ba43902b11542b64db0466c685d098ff22527d93857f7a6158ad837f436d",
+            "ground_truth.csv": "eeb69362c13dbb0e9675ab514a7a461358cf42e1973a90b92ee0baea5a4c2cf5",
+        }
 
 
 class TestPackage:
