@@ -17,8 +17,8 @@ BOUNDARY_TOL = 1e-9
 # point-in-polygon (even-odd rule, boundary counts as inside)
 
 
-def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
-    """Boolean mask of points inside (or within tol of) a simple polygon.
+def points_in_polygon(points, polygon):
+    """Boolean mask of points inside (or within BOUNDARY_TOL of) a simple polygon.
 
     Loops over the polygon's edges and broadcasts over the points. Each
     edge's sums are taken in place in two row-length buffers, in the order
@@ -35,7 +35,7 @@ def points_in_polygon(points, polygon, tol=BOUNDARY_TOL):
     on_edge = np.zeros(len(pts), dtype=bool)
     a = np.empty(len(pts))
     b = np.empty(len(pts))
-    tol2 = tol * tol
+    tol2 = BOUNDARY_TOL * BOUNDARY_TOL
     m = len(poly)
     for i in range(m):
         xi, yi = poly[i]

@@ -1,9 +1,10 @@
 """Phase-level aggregation.
 
 A phase summary carries the per-vehicle speed distribution statistics (mean,
-85th percentile, 1-mph histogram) plus optional maneuver shares for one
-site-phase; `analyze` writes one per phase. The before/after comparison of
-three summaries is in `compare`, which only the `compare` command loads.
+85th percentile interpolated at rank 0.85*(n-1), histogram of 1-mph bins)
+plus optional maneuver shares for one site-phase; `analyze` writes one per
+phase. The before/after comparison of three summaries is in `compare`,
+which only the `compare` command loads.
 """
 
 from __future__ import annotations
@@ -69,52 +70,42 @@ def mean_speed(values) -> float:
     return float(arr.mean())
 
 
-def percentile_85(values, method: str = "interpolate") -> float:
-    """85th percentile of a speed sample.
-
-    'interpolate' places the rank at 0.85*(n-1) and interpolates linearly
-    between the flanking order statistics; 'nearest_rank' takes the smallest
-    value whose cumulative share reaches 85%.
-    """
+def percentile_85(values) -> float:
+    """85th percentile of a speed sample: the rank 0.85*(n-1), interpolated
+    linearly between the flanking order statistics."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
     n = arr.size
     if n == 0:
         raise EmptyInput("percentile of zero values")
-    if method == "interpolate":
-        rank = 0.85 * (n - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        v_lo = float(arr[lo])
-        v_hi = float(arr[hi])
-        if lo == hi:
-            return v_lo
-        # clamped so rounding can never push the result outside [v_lo, v_hi]
-        return min(max(v_lo + (rank - lo) * (v_hi - v_lo), v_lo), v_hi)
-    if method == "nearest_rank":
-        return float(arr[max(math.ceil(0.85 * n), 1) - 1])
-    raise ValueError(f"unknown percentile method {method!r}")
+    rank = 0.85 * (n - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    v_lo = float(arr[lo])
+    v_hi = float(arr[hi])
+    if lo == hi:
+        return v_lo
+    # clamped so rounding can never push the result outside [v_lo, v_hi]
+    return min(max(v_lo + (rank - lo) * (v_hi - v_lo), v_lo), v_hi)
 
 
-def histogram(values, bin_width: float = 1.0) -> tuple[tuple[float, int], ...]:
-    """Half-open [k*w, (k+1)*w) bins covering the data range contiguously.
+def histogram(values) -> tuple[tuple[float, int], ...]:
+    """Half-open 1-mph bins [k, k+1) covering the data range contiguously.
 
     ConfigError when that takes more than MAX_HISTOGRAM_BINS bins, or bins
     beyond the int64 range (values not finite included)."""
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return ()
-    idx = np.floor(arr / bin_width)
+    idx = np.floor(arr)
     lo, hi = idx.min(), idx.max()
     if not (-(2.0**62) < lo and hi < 2.0**62 and hi - lo < MAX_HISTOGRAM_BINS):
         raise ConfigError(
-            f"histogram_bin_mph: bins of {bin_width!r} mph over speeds {float(arr.min())!r} "
-            f"to {float(arr.max())!r} mph would exceed {MAX_HISTOGRAM_BINS} bins"
+            f"histogram: speeds {float(arr.min())!r} to {float(arr.max())!r} mph need "
+            f"more than {MAX_HISTOGRAM_BINS:,} one-mph bins"
         )
     lo, hi = int(lo), int(hi)
     counts = np.bincount(idx.astype(np.int64) - lo, minlength=hi - lo + 1)
-    return tuple((k * bin_width, int(c)) for k, c in zip(range(lo, hi + 1), counts))
+    return tuple((float(k), int(c)) for k, c in zip(range(lo, hi + 1), counts))
 
 
 def build_phase_summary(
@@ -123,8 +114,6 @@ def build_phase_summary(
     speeds_mph,
     hours: float,
     maneuvers=None,
-    bin_width_mph: float = 1.0,
-    percentile_method: str = "interpolate",
 ) -> PhaseSummary:
     """Assemble one site-phase record from per-vehicle speeds and maneuver
     codes (into MANEUVERS). A phase without speeds has no mean, p85 or
@@ -143,7 +132,7 @@ def build_phase_summary(
         sample_count=len(values),
         hours=hours,
         mean_mph=None if empty else mean_speed(values),
-        p85_mph=None if empty else percentile_85(values, percentile_method),
-        histogram=histogram(values, bin_width_mph),
+        p85_mph=None if empty else percentile_85(values),
+        histogram=histogram(values),
         maneuver_shares=shares,
     )

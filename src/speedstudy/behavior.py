@@ -1,7 +1,7 @@
 """Maneuver classification near the crossing.
 
-A vehicle's approach statistic is the minimum (configurable: mean) windowed
-speed observed while its road-plane position lies inside the approach zone.
+A vehicle's approach statistic is the minimum windowed speed observed while
+its road-plane position lies inside the approach zone.
 Thresholds: below 5 mph is stop-and-go, 5 to under 10 mph is a slow-down, and
 10 mph or more is a pass-through.
 """
@@ -33,10 +33,12 @@ MANEUVERS = tuple(ManeuverClass)
 @dataclass(frozen=True, eq=False)
 class ManeuverTable(ColumnTable):
     """One recording's classified tracks as read-only columns, one row per
-    track sampled inside the approach zone, in KinematicsTable order."""
+    track sampled inside the approach zone, in KinematicsTable order.
+    v_mean_mph holds each track's minimum speed inside the zone; it keeps
+    the name of the maneuvers report's column."""
 
     track_ids: np.ndarray  # (M,) int64
-    v_mean_mph: np.ndarray  # (M,) float64, the approach-zone statistic
+    v_mean_mph: np.ndarray  # (M,) float64, the approach-zone minimum
     classes: np.ndarray  # (M,) int8 code into MANEUVERS
 
 
@@ -57,38 +59,27 @@ def classify_maneuvers(
     ).astype(np.int8)
 
 
-def approach_speeds(kinematics, approach_zone, reduction: str = "min") -> np.ndarray:
+def approach_speeds(kinematics, approach_zone) -> np.ndarray:
     """Approach-zone speed statistic per track of a KinematicsTable, in its
-    order: the min or mean of the track's speeds sampled inside the zone,
-    NaN where none is. Every sample is tested in one points_in_polygon call."""
-    if reduction not in ("min", "mean"):
-        raise ValueError(f"reduction must be 'min' or 'mean', got {reduction!r}")
+    order: the minimum of the track's speeds sampled inside the zone, NaN
+    where none is. Every sample is tested in one points_in_polygon call."""
     out = np.full(len(kinematics.track_ids), np.nan)
     inside = _kernels.points_in_polygon(kinematics.points, approach_zone)
-    speeds = kinematics.speeds_mph
     starts = kinematics.offsets[:-1]  # strictly increasing: no track is empty
-    counts = np.add.reduceat(inside, starts, dtype=np.int64)
-    hit = counts > 0
-    if reduction == "min":
-        out[hit] = np.minimum.reduceat(np.where(inside, speeds, np.inf), starts)[hit]
-    else:
-        # one mean per track, so each is the value speeds_mph[inside].mean()
-        # gives; a segmented sum would add in another order
-        zone_speeds = np.split(speeds[inside], np.cumsum(counts)[:-1])
-        out[hit] = [z.mean() for z in zone_speeds if len(z)]
+    hit = np.add.reduceat(inside, starts, dtype=np.int64) > 0
+    out[hit] = np.minimum.reduceat(np.where(inside, kinematics.speeds_mph, np.inf), starts)[hit]
     return out
 
 
 def observe_maneuvers(
     kinematics,
     approach_zone,
-    reduction: str = "min",
     stopgo_mph: float = STOP_AND_GO_MPH,
     slowdown_mph: float = SLOW_DOWN_MPH,
 ) -> ManeuverTable:
     """Classify each track of a KinematicsTable by its approach-zone
     statistic; tracks never sampled inside the zone are skipped."""
-    speeds = approach_speeds(kinematics, approach_zone, reduction)
+    speeds = approach_speeds(kinematics, approach_zone)
     seen = ~np.isnan(speeds)
     return ManeuverTable(
         kinematics.track_ids[seen],

@@ -50,10 +50,7 @@ class SceneConfig(NamedTuple):
     travel_direction: np.ndarray
     class_map: dict[int, ClassLabel]
     thresholds: Thresholds = Thresholds()
-    percentile_method: str = "interpolate"
-    v_mean_reduction: str = "min"
     intersection_type: str = "unsignalized"
-    histogram_bin_mph: float = 1.0
 
 
 class PhaseInput(NamedTuple):
@@ -186,12 +183,18 @@ def _label(value, path: str) -> ClassLabel:
 
 
 def _class_map(data, path: str) -> dict[int, ClassLabel]:
-    class_map = {}
+    """Class id -> label; two keys naming one id (such as "1" and "01") are refused."""
+    class_map, keys = {}, {}
     for key, value in _shaped(data, dict, path).items():
         try:
             class_id = int(key)
         except ValueError:
             raise ConfigError(f"{path}.{key}: class id must be an integer") from None
+        if class_id in keys:
+            raise ConfigError(
+                f"{path}: keys {keys[class_id]!r} and {key!r} both name class id {class_id}"
+            )
+        keys[class_id] = key
         class_map[class_id] = _label(value, f"{path}.{key}")
     return class_map
 
@@ -250,10 +253,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         travel_direction=direction,
         class_map=class_map,
         thresholds=thresholds,
-        percentile_method=_choice("percentile_method", ("interpolate", "nearest_rank"), "interpolate"),
-        v_mean_reduction=_choice("v_mean_reduction", ("min", "mean"), "min"),
         intersection_type=_choice("intersection_type", ("unsignalized", "signalized"), "unsignalized"),
-        histogram_bin_mph=_number(data.get("histogram_bin_mph", 1.0), f"{path}.histogram_bin_mph"),
     )
 
 

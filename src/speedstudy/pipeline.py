@@ -82,9 +82,7 @@ def process_detections(
 
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
-        maneuvers = observe_maneuvers(
-            kins, cfg.approach_zone, cfg.v_mean_reduction, th.stopgo_mph, th.slowdown_mph
-        )
+        maneuvers = observe_maneuvers(kins, cfg.approach_zone, th.stopgo_mph, th.slowdown_mph)
     return RecordingResult(source, raw_rows, kins, maneuvers, fates)
 
 
@@ -106,8 +104,6 @@ def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> P
         speeds,
         phase_input.hours,
         maneuvers=maneuvers,
-        bin_width_mph=cfg.histogram_bin_mph,
-        percentile_method=cfg.percentile_method,
     )
     if not summary.sample_count:
         log.warning("phase %s: no vehicles survived; writing empty report", phase_input.phase.value)

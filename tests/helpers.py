@@ -317,16 +317,15 @@ def is_simple_polygon_oracle(poly) -> bool:
     return True
 
 
-def approach_speed_oracle(samples, polygon, reduction):
-    """One vehicle's min or mean in-zone speed over its ((x, y), speed)
-    samples, or None without an in-zone sample; the mean is numpy's, as the
-    pipeline reports it."""
+def approach_speed_oracle(samples, polygon):
+    """One vehicle's minimum in-zone speed over its ((x, y), speed)
+    samples, or None without an in-zone sample."""
     in_zone = np.array(
         [s for (x, y), s in samples if point_in_polygon_oracle(x, y, polygon)], dtype=np.float64
     )
     if not len(in_zone):
         return None
-    return float(in_zone.min() if reduction == "min" else in_zone.mean())
+    return float(in_zone.min())
 
 
 def classify_maneuver_oracle(v_mph, stopgo_mph=5.0, slowdown_mph=10.0) -> ManeuverClass:

@@ -136,19 +136,6 @@ class TestApproachSpeed:
         kin = track_kinematics(wt, 10.0)
         assert np.isnan(approach_speeds(kin, ZONE)).tolist() == [True]
 
-    def test_mean_reduction_option(self):
-        wt = self.steady_track(11.18)
-        kin = track_kinematics(wt, 10.0)
-        (mn,) = approach_speeds(kin, ZONE, reduction="min")
-        (avg,) = approach_speeds(kin, ZONE, reduction="mean")
-        assert avg >= mn
-
-    def test_unknown_reduction_rejected(self):
-        wt = self.steady_track(11.18)
-        kin = track_kinematics(wt, 10.0)
-        with pytest.raises(ValueError):
-            approach_speeds(kin, ZONE, reduction="median")
-
     # grid points, some on the zone's edges, so the kernel and the scalar
     # oracle decide every point exactly alike
     POINT = st.one_of(
@@ -176,16 +163,14 @@ class TestApproachSpeed:
             representative_mph=np.array([speeds[a:b].mean() for a, b in zip(offsets, offsets[1:])]),
         )
 
-    @given(st.lists(st.lists(SAMPLE, min_size=1, max_size=40), max_size=8),
-           st.sampled_from(["min", "mean"]))
-    @example([], "min")
-    @example([], "mean")
-    @example([[((27, 0), 3.0)], [((50, 0), 4.0)], [((20, 0), 5.0)]], "min")
-    @example([[((27, 0), 0.1)] * 9 + [((50, 0), 1.0)] + [((27, 1), 0.7)] * 10], "mean")
-    def test_matches_per_track_oracle(self, sample_lists, reduction):
+    @given(st.lists(st.lists(SAMPLE, min_size=1, max_size=40), max_size=8))
+    @example([])
+    @example([[((27, 0), 3.0)], [((50, 0), 4.0)], [((20, 0), 5.0)]])
+    @example([[((27, 0), 0.1)] * 9 + [((50, 0), 1.0)] + [((27, 1), 0.7)] * 10])
+    def test_matches_per_track_oracle(self, sample_lists):
         kins = self.kinematics_of(sample_lists)
-        got = approach_speeds(kins, ZONE, reduction)
-        want = [approach_speed_oracle(samples, ZONE, reduction) for samples in sample_lists]
+        got = approach_speeds(kins, ZONE)
+        want = [approach_speed_oracle(samples, ZONE) for samples in sample_lists]
         # NaN exactly where the oracle has no in-zone sample, bit for bit elsewhere
         assert np.isnan(got).tolist() == [w is None for w in want]
         assert got[~np.isnan(got)].tolist() == [w for w in want if w is not None]
@@ -261,10 +246,9 @@ class TestObserveManeuvers:
                                approach_zone=ZONE)
         return table_of(dets)
 
-    @pytest.mark.parametrize("reduction", ["min", "mean"])
-    def test_one_polygon_pass_per_recording(self, monkeypatch, demo_h, reduction):
+    def test_one_polygon_pass_per_recording(self, monkeypatch, demo_h):
         table = self.recording(demo_h)
-        cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
+        cfg = scene_config_from_dict(scene_config_dict(demo_h))
         polygon_calls = []
         calls_in = {}
 
@@ -293,10 +277,9 @@ class TestObserveManeuvers:
         assert calls_in == {"run_filter_cascade": 1, "observe_maneuvers": 1}
         assert polygon_calls == [len(table), len(result.kinematics.frames)]
 
-    @pytest.mark.parametrize("reduction", ["min", "mean"])
-    def test_one_projection_and_window_pass_per_recording(self, monkeypatch, demo_h, reduction):
+    def test_one_projection_and_window_pass_per_recording(self, monkeypatch, demo_h):
         table = self.recording(demo_h)
-        cfg = scene_config_from_dict(scene_config_dict(demo_h, v_mean_reduction=reduction))
+        cfg = scene_config_from_dict(scene_config_dict(demo_h))
         calls = {"window_speeds": 0}
         stages = ["process_detections"]  # the innermost running stage is last
         projections = []  # (stage, which matrix, point count) per call
@@ -355,6 +338,5 @@ class TestObserveManeuvers:
             rows = slice(kins.offsets[k], kins.offsets[k + 1])
             inside = [point_in_polygon_oracle(x, y, ZONE) for x, y in kins.points[rows]]
             zone_speeds = kins.speeds_mph[rows][inside]
-            want = zone_speeds.min() if reduction == "min" else zone_speeds.mean()
-            assert v_mean == float(want)
+            assert v_mean == float(zone_speeds.min())
             assert MANEUVERS[code] is classify_maneuver_oracle(v_mean)

@@ -268,6 +268,8 @@ class TestSimulate:
             (("vehicles", 1, "id"), 2.7, "vehicles[1].id: expected an integer, got 2.7"),
             (("vehicles", 0, "id"), 2**63,
              "sim.json.vehicles[0].id: 9223372036854775808 is outside the 64-bit integer range"),
+            (("class_map",), {"1": "car", "10": "bus", "1_0": "truck"},
+             "sim.json.class_map: keys '10' and '1_0' both name class id 10"),
         ],
     )
     def test_invalid_field_exits_2(self, tmp_path, sim_homography, caplog, path, value, message):
@@ -482,15 +484,33 @@ class TestAnalyze:
         assert "scene.json: unknown keys ['representative']" in caplog.text
         assert not out.exists()
 
-    def test_v_mean_mean_reduction_option(self, tmp_path, demo_h, sim_homography):
+    def test_speeds_beyond_the_histogram_exit_2_naming_them(self, tmp_path, demo_h, caplog):
+        # an AoI drawn up to the horizon: a car there, 10 to 105 km down the
+        # road, moves 5 km a frame, 111,847 mph beside another's 22.4 mph
+        from speedstudy.geometry import project_points
+
+        far = [(-5.0, -6.0), (1e6, -6.0), (1e6, 6.0), (-5.0, 6.0)]
         scene = tmp_path / "scene.json"
-        write_json(scene, scene_config_dict(demo_h, v_mean_reduction="mean"))
-        dets = run_simulate(tmp_path, sim_homography)
+        write_json(scene, scene_config_dict(
+            demo_h, aoi_polygon=project_points(demo_h.matrix, np.array(far))[0].tolist()
+        ))
+        frames = np.arange(20)
+        rows = []
+        for track_id, x in ((1, 10.0 + frames), (2, 1e4 + 5e3 * frames)):
+            anchors = project_points(demo_h.matrix, np.column_stack([x, np.zeros(20)]))[0]
+            rows += [(f, track_id, u, v) for f, (u, v) in zip(frames.tolist(), anchors.tolist())]
+        dets = tmp_path / "dets.csv"
+        dets.write_text("".join(
+            f"{f},{t},{u - 2.0!r},{v - 2.0!r},4.0,2.0,0.9,1\n" for f, t, u, v in sorted(rows)
+        ))
         manifest = self.make_manifest(tmp_path, scene, dets)
         out = tmp_path / "report"
-        assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
-        summary = json.loads((out / "pre_summary.json").read_text())
-        assert summary["maneuvers"]["pass_through"] == pytest.approx(100.0)
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "histogram: speeds 22.369" in caplog.text
+        assert "111846.8" in caplog.text
+        assert "mph need more than 100,000 one-mph bins" in caplog.text
+        assert not out.exists()
 
     def test_determinism_byte_identical_reports(self, tmp_path, scene_path, sim_homography):
         dets = run_simulate(tmp_path, sim_homography, noise=1.0)
@@ -602,13 +622,12 @@ class TestReportPrecision:
     from its float64 speeds, far inside what a reader checking the reports
     (or the benchmark's oracle, at 1e-9) allows."""
 
-    @pytest.mark.parametrize("method", ["interpolate", "nearest_rank"])
-    def test_printed_speeds_reproduce_the_figures(self, tmp_path, demo_h, sim_homography, method):
+    def test_printed_speeds_reproduce_the_figures(self, tmp_path, demo_h, sim_homography):
         write_json(tmp_path / "sim.json",
                    dict(sim_config(noise=1.0, n_vehicles=4), homography_matrix=sim_homography))
         assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "3",
                      "--out", str(tmp_path / "sim")]) == 0
-        write_json(tmp_path / "scene.json", scene_config_dict(demo_h, percentile_method=method))
+        write_json(tmp_path / "scene.json", scene_config_dict(demo_h))
         write_json(tmp_path / "run.json", {"scene_config": "scene.json", "phases": [
             {"phase": "pre", "detections": ["sim/detections.csv"], "hours": 1.0}]})
         out = tmp_path / "report"
@@ -629,7 +648,7 @@ class TestReportPrecision:
         summary = json.loads((out / "pre_summary.json").read_text())
         assert summary["sample_count"] == len(means) == 4
         assert summary["mean_mph"] == pytest.approx(np.mean(means), rel=1e-10, abs=0)
-        p85 = speedstudy.analytics.percentile_85(means, method)
+        p85 = speedstudy.analytics.percentile_85(means)
         assert summary["p85_mph"] == pytest.approx(p85, rel=1e-10, abs=0)
 
         cfg = load_scene_config(tmp_path / "scene.json")
@@ -1175,15 +1194,17 @@ def analyze_with_field(inputs, target, path, value) -> int:
         tmp = Path(tmp)
         write_json(tmp / "scene.json", scene)
         write_json(tmp / "run.json", manifest)
-        return main(["analyze", "--manifest", str(tmp / "run.json"), "--out", str(tmp / "report")])
+        code = main(["analyze", "--manifest", str(tmp / "run.json"), "--out", str(tmp / "report")])
+        # a run that fails writes no report directory
+        assert code == 0 or not (tmp / "report").exists()
+        return code
 
 
 THRESHOLD_FIELDS = Thresholds._fields
 CONFIG_FIELDS = (
     *(("scene", (key,)) for key in (
         "location_id", "name", "fps", "calibration", "aoi_polygon", "approach_zone",
-        "travel_direction", "class_map", "thresholds", "percentile_method",
-        "v_mean_reduction", "intersection_type", "histogram_bin_mph",
+        "travel_direction", "class_map", "thresholds", "intersection_type",
     )),
     ("scene", ("calibration", "correspondences")),
     ("scene", ("calibration", "correspondences", 0, "world")),
@@ -1220,7 +1241,8 @@ class TestConfigFields:
             ("scene", ("fps",), 0, "fps: must be positive"),
             ("scene", ("thresholds", "stationary_m"), 0.0, "stationary_m: must be positive"),
             ("manifest", ("phases", 0, "hours"), 0, "hours: must be positive"),
-            ("scene", ("histogram_bin_mph",), "nan", "histogram_bin_mph: 'nan' is not a finite"),
+            ("scene", ("class_map",), {"1": "car", "01": "bicycle"},
+             "scene.json.class_map: keys '01' and '1' both name class id 1"),
             *(
                 ("scene", ("thresholds", key), "nan", f"thresholds.{key}: 'nan' is not a finite")
                 for key in THRESHOLD_FIELDS
@@ -1250,6 +1272,12 @@ class TestConfigFields:
         [
             ("scene", ("percentile_methd",), "nearest_rank",
              "scene.json: unknown keys ['percentile_methd']"),
+            # the three analysis choices are fixed: setting one, even to its
+            # old default, names it
+            ("scene", ("percentile_method",), "interpolate",
+             "scene.json: unknown keys ['percentile_method']"),
+            ("scene", ("v_mean_reduction",), "mean", "scene.json: unknown keys ['v_mean_reduction']"),
+            ("scene", ("histogram_bin_mph",), 1.0, "scene.json: unknown keys ['histogram_bin_mph']"),
             ("scene", ("Thresholds",), {"stationary_m": 99},
              "scene.json: unknown keys ['Thresholds']"),
             ("scene", ("calibration", "weights"), [1, 2],
@@ -1259,7 +1287,8 @@ class TestConfigFields:
             ("manifest", ("scene",), "scene.json", "run.json: unknown keys ['scene']"),
             ("manifest", ("phases", 0, "hour"), 2.5, "run.json.phases[0]: unknown keys ['hour']"),
         ],
-        ids=["scene", "scene-thresholds-capitalised", "calibration", "correspondence", "manifest",
+        ids=["scene", "percentile_method", "v_mean_reduction", "histogram_bin_mph",
+             "scene-thresholds-capitalised", "calibration", "correspondence", "manifest",
              "manifest-phase"],
     )
     def test_unknown_key_exits_2_naming_it(self, analyze_inputs, caplog, target, path, value, message):
@@ -1292,8 +1321,6 @@ class TestConfigFields:
             pytest.param("scene", ("fps",), 2**63, id="fps-2**63"),
             pytest.param("scene", ("fps",), 10**300, id="fps-1e300"),
             pytest.param("scene", ("thresholds", "min_track_s"), 10**308, id="min_track_s-1e308"),
-            pytest.param("scene", ("histogram_bin_mph",), 1e-300, id="histogram_bin_mph-1e-300"),
-            pytest.param("scene", ("histogram_bin_mph",), 1e-6, id="histogram_bin_mph-1e-6"),
         ],
     )
     def test_extreme_number_exits_0_or_2(self, analyze_inputs, target, path, value):
@@ -1524,9 +1551,6 @@ class TestDefaults:
 
     def test_scene_defaults(self, scene_path):
         cfg = load_scene_config(scene_path)
-        assert cfg.histogram_bin_mph == 1.0
-        assert cfg.percentile_method == "interpolate"
-        assert cfg.v_mean_reduction == "min"
         assert cfg.intersection_type == "unsignalized"
 
 
