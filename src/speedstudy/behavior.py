@@ -1,9 +1,9 @@
 """Maneuver classification near the crossing.
 
 A vehicle's approach statistic is the minimum windowed speed observed while
-its road-plane position lies inside the approach zone.
-Thresholds: below 5 mph is stop-and-go, 5 to under 10 mph is a slow-down, and
-10 mph or more is a pass-through.
+its road-plane position lies inside the approach zone. The class bounds are
+fixed for every scene: below 5 mph is stop-and-go, 5 to under 10 mph is a
+slow-down, and 10 mph or more is a pass-through.
 """
 
 from __future__ import annotations
@@ -42,20 +42,17 @@ class ManeuverTable(ColumnTable):
     classes: np.ndarray  # (M,) int8 code into MANEUVERS
 
 
-def classify_maneuvers(
-    v_mph, stopgo_mph: float = STOP_AND_GO_MPH, slowdown_mph: float = SLOW_DOWN_MPH
-) -> np.ndarray:
-    """int8 codes into MANEUVERS: stop-and-go below stopgo_mph, else
-    slow-down below slowdown_mph, else pass-through. Stop-and-go is tested
-    first, so thresholds given in either order classify alike."""
+def classify_maneuvers(v_mph) -> np.ndarray:
+    """int8 codes into MANEUVERS: stop-and-go below STOP_AND_GO_MPH, else
+    slow-down below SLOW_DOWN_MPH, else pass-through."""
     v = np.asarray(v_mph, dtype=np.float64)
     if (v < 0).any():
         raise ValueError(f"speed must be non-negative, got {v[v < 0][0]}")
     code = MANEUVERS.index
     return np.where(
-        v < stopgo_mph,
+        v < STOP_AND_GO_MPH,
         code(ManeuverClass.STOP_AND_GO),
-        np.where(v < slowdown_mph, code(ManeuverClass.SLOW_DOWN), code(ManeuverClass.PASS_THROUGH)),
+        np.where(v < SLOW_DOWN_MPH, code(ManeuverClass.SLOW_DOWN), code(ManeuverClass.PASS_THROUGH)),
     ).astype(np.int8)
 
 
@@ -71,12 +68,7 @@ def approach_speeds(kinematics, approach_zone) -> np.ndarray:
     return out
 
 
-def observe_maneuvers(
-    kinematics,
-    approach_zone,
-    stopgo_mph: float = STOP_AND_GO_MPH,
-    slowdown_mph: float = SLOW_DOWN_MPH,
-) -> ManeuverTable:
+def observe_maneuvers(kinematics, approach_zone) -> ManeuverTable:
     """Classify each track of a KinematicsTable by its approach-zone
     statistic; tracks never sampled inside the zone are skipped."""
     speeds = approach_speeds(kinematics, approach_zone)
@@ -84,5 +76,5 @@ def observe_maneuvers(
     return ManeuverTable(
         kinematics.track_ids[seen],
         speeds[seen],
-        classify_maneuvers(speeds[seen], stopgo_mph, slowdown_mph),
+        classify_maneuvers(speeds[seen]),
     )

@@ -2,7 +2,7 @@
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
-meters), travel direction, tracker class ids, and all analysis thresholds. A
+meters), travel direction, tracker class ids, and the filter thresholds. A
 run manifest points a scene at one detection CSV set + recorded hours per
 phase. Every number in them is read by `_number`, and every fault is a
 ConfigError naming the file and the field. Two other inputs are read with
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import behavior, ingest, kinematics
+from . import ingest
 from .analytics import Phase
 from .errors import ConfigError
 from .geometry import Correspondence, ImagePoint, WorldPoint
@@ -29,15 +29,13 @@ from .ingest import ClassLabel
 
 
 class Thresholds(NamedTuple):
-    """The analysis thresholds; each default is the one its stage declares."""
+    """The filter cascade's thresholds, which adapt it to a camera and a
+    road; each default is the one its stage declares."""
 
     stationary_m: float = ingest.DEFAULT_STATIONARY_M
     following_px: float = ingest.DEFAULT_FOLLOWING_PX
     following_frac: float = ingest.DEFAULT_FOLLOWING_FRAC
     direction_deg: float = ingest.DEFAULT_DIRECTION_DEG
-    stopgo_mph: float = behavior.STOP_AND_GO_MPH
-    slowdown_mph: float = behavior.SLOW_DOWN_MPH
-    min_track_s: float = kinematics.DEFAULT_MIN_TRACK_S
 
 
 class SceneConfig(NamedTuple):
@@ -231,9 +229,6 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
 
     raw = _known(data.get("thresholds", {}), Thresholds._fields, f"{path}.thresholds")
     thresholds = Thresholds(**{k: _number(v, f"{path}.thresholds.{k}") for k, v in raw.items()})
-    # the warm-up length ceil(fps * min_track_s) must be an integer
-    if not math.isfinite(fps * thresholds.min_track_s):
-        raise ConfigError(f"{path}.thresholds.min_track_s: fps x min_track_s is not finite")
 
     def _choice(key: str, options: tuple[str, ...], default: str) -> str:
         value = data.get(key, default)
@@ -257,15 +252,15 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     )
 
 
-class _NonFinite(ValueError):
-    pass
+class _Refused(ValueError):
+    """A JSON hook's refusal; its text follows the file name in the message."""
 
 
 def _finite_float(text: str) -> float:
     """JSON number hook: NaN, Infinity and overflowing literals raise."""
     value = float(text)
     if not math.isfinite(value):
-        raise _NonFinite(text)
+        raise _Refused(f"{_short(text)} is not a finite number")
     return value
 
 
@@ -276,19 +271,30 @@ def _float_sized_int(text: str) -> int:
         value = int(text)
         float(value)
     except (OverflowError, ValueError):  # ValueError: more digits than int() reads
-        raise _NonFinite(text) from None
+        raise _Refused(f"{_short(text)} is not a finite number") from None
     return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a key given twice in one object raises (json.loads keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise _Refused(f"key {_short(repr(key))} is given twice in one object")
+        data[key] = value
+    return data
 
 
 def read_json(path, what: str):
     """Parse a JSON input file. A missing file, text that is not UTF-8,
-    invalid JSON, or a number that is not finite (NaN, Infinity, or a
-    literal that overflows a float) raises ConfigError; what names the file
-    in the not-found message."""
+    invalid JSON, a key given twice in one object, or a number that is not
+    finite (NaN, Infinity, or a literal that overflows a float) raises
+    ConfigError; what names the file in the not-found message."""
     path = Path(path)
     try:
         return json.loads(
             path.read_text(encoding="utf-8"),
+            object_pairs_hook=_unique_keys,
             parse_constant=_finite_float,
             parse_float=_finite_float,
             parse_int=_float_sized_int,
@@ -297,8 +303,8 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except _NonFinite as exc:
-        raise ConfigError(f"{path}: {_short(str(exc))} is not a finite number") from None
+    except _Refused as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
@@ -331,12 +337,15 @@ def load_manifest(path) -> RunManifest:
             raise ConfigError(f"{pp}.phase: {phase.value} is listed twice")
         hours = _number(_get(entry, "hours", pp), f"{pp}.hours")
         detections = _shaped(_get(entry, "detections", pp), list, f"{pp}.detections")
-        paths = []
+        paths, first = [], {}
         for j, name in enumerate(detections):
             csv = base / _shaped(name, str, f"{pp}.detections[{j}]")
-            # checked here, so a missing file stops analyze before any report is written
+            # checked here, so a missing or repeated file stops analyze before any report is written
             if not csv.is_file():
                 raise ConfigError(f"{pp}.detections[{j}]: {csv} is not an existing file")
+            k = first.setdefault(csv.resolve(), j)
+            if k != j:
+                raise ConfigError(f"{pp}.detections[{j}]: {csv} repeats detections[{k}]")
             paths.append(csv)
         if not paths:
             raise ConfigError(f"{pp}.detections: need at least one CSV path")

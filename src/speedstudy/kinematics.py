@@ -3,8 +3,8 @@
 Speed at a frame is the Euclidean displacement between the oldest and newest
 positions retained in a window of up to round(fps) frames, divided by the
 frame-index gap over fps. Reporting starts once the history holds at least
-ceil(fps * min_track_s) frames, so sub-half-second tracks yield nothing at
-the default minimum length.
+ceil(fps * MIN_TRACK_S) frames (and at least 2): a half-second warm-up that
+every scene shares, so sub-half-second tracks yield nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .ingest import ColumnTable, TrackTable, row_subset, take_rows
 log = logging.getLogger(__name__)
 
 MPS_TO_MPH = 2.2369362920544
-DEFAULT_MIN_TRACK_S = 0.5
+MIN_TRACK_S = 0.5
 _MAX_DROP_FRAC = 0.10
 
 
@@ -45,10 +45,10 @@ class KinematicsTable(ColumnTable):
     representative_mph: np.ndarray  # (T,) float64, mean of each track's speeds
 
 
-def window_params(fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S) -> tuple[int, int]:
+def window_params(fps: float) -> tuple[int, int]:
     """(max window frames, first reportable history length) for a frame rate."""
     wmax = max(int(math.floor(fps + 0.5)), 2)
-    first_hist = max(int(math.ceil(fps * min_track_s)), 2)
+    first_hist = max(int(math.ceil(fps * MIN_TRACK_S)), 2)
     return wmax, first_hist
 
 
@@ -69,15 +69,13 @@ def to_world_track(tracks: TrackTable) -> TrackTable:
     return tracks.subset(tracks.projectable & ~dropped[owner])
 
 
-def track_kinematics(
-    tracks: TrackTable, fps: float, min_track_s: float = DEFAULT_MIN_TRACK_S
-) -> KinematicsTable:
+def track_kinematics(tracks: TrackTable, fps: float) -> KinematicsTable:
     """Every track's speed samples, from one window pass over the road-plane
     positions of to_world_track's tracks, plus each track's mean; tracks too
     short for a sample are left out."""
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
-    wmax, first_hist = window_params(fps, min_track_s)
+    wmax, first_hist = window_params(fps)
     speeds_ms, wlens = _kernels.window_speeds(
         tracks.frames, tracks.world[:, 0], tracks.world[:, 1], wmax, first_hist, fps,
         tracks.per_row(tracks.offsets[:-1]),

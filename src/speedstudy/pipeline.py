@@ -73,7 +73,7 @@ def process_detections(
     )
 
     world = to_world_track(survivors)
-    kins = track_kinematics(world, cfg.fps, th.min_track_s)
+    kins = track_kinematics(world, cfg.fps)
     # a survivor missing from world is unprojectable, else from kins no_kinematics
     lost = [~np.isin(survivors.track_ids, t.track_ids) for t in (world, kins)]
     codes = [FATES.index("unprojectable"), FATES.index("no_kinematics")]
@@ -82,7 +82,7 @@ def process_detections(
 
     maneuvers = None
     if cfg.intersection_type == "unsignalized":
-        maneuvers = observe_maneuvers(kins, cfg.approach_zone, th.stopgo_mph, th.slowdown_mph)
+        maneuvers = observe_maneuvers(kins, cfg.approach_zone)
     return RecordingResult(source, raw_rows, kins, maneuvers, fates)
 
 

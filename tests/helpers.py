@@ -200,7 +200,7 @@ def filter_counts_reference(tracks, cfg, h) -> tuple[dict[str, int], dict[int, s
         lambda t: filter_following(t, h, cfg.travel_direction, th.following_px, th.following_frac),
         lambda t: filter_direction(t, cfg.travel_direction, th.direction_deg),
         to_world_track,
-        lambda t: track_kinematics(t, cfg.fps, th.min_track_s),
+        lambda t: track_kinematics(t, cfg.fps),
     )
     names = (*CASCADE_STAGES, "unprojectable", "no_kinematics")
     counts = {"input": len(tracks)}
@@ -328,26 +328,26 @@ def approach_speed_oracle(samples, polygon):
     return float(in_zone.min())
 
 
-def classify_maneuver_oracle(v_mph, stopgo_mph=5.0, slowdown_mph=10.0) -> ManeuverClass:
-    """The scalar maneuver rule: stop-and-go is tested before slow-down."""
+def classify_maneuver_oracle(v_mph) -> ManeuverClass:
+    """The scalar maneuver rule: stop-and-go below 5 mph, slow-down below 10."""
     if v_mph < 0:
         raise ValueError(f"speed must be non-negative, got {v_mph}")
-    if v_mph < stopgo_mph:
+    if v_mph < 5.0:
         return ManeuverClass.STOP_AND_GO
-    if v_mph < slowdown_mph:
+    if v_mph < 10.0:
         return ManeuverClass.SLOW_DOWN
     return ManeuverClass.PASS_THROUGH
 
 
-def brute_speed_series(frames, points, fps, min_track_s=0.5):
+def brute_speed_series(frames, points, fps):
     """Sliding-window speeds straight from the definition.
 
     Window reaches back min(history, round(fps)) positions; speed is endpoint
     displacement over endpoint frame gap; reporting starts at
-    ceil(fps * min_track_s) frames of history (at least 2).
+    ceil(fps * 0.5) frames of history (at least 2).
     """
     wmax = max(int(math.floor(fps + 0.5)), 2)
-    warm = max(math.ceil(fps * min_track_s), 2)
+    warm = max(math.ceil(fps * 0.5), 2)
     out = []
     for i in range(len(frames)):
         history = i + 1
@@ -382,11 +382,11 @@ def world_track_oracle(track_id, frames, anchors, h, warnings):
     return frames[valid], world[valid].copy()
 
 
-def track_kinematics_oracle(frames, points, fps, min_track_s=0.5):
+def track_kinematics_oracle(frames, points, fps):
     """One track's speed samples from one single-segment window_speeds call:
     (frames, speeds_mph, window_frames, points, mean mph), or None when the
     track is too short for a sample."""
-    wmax, first_hist = window_params(fps, min_track_s)
+    wmax, first_hist = window_params(fps)
     speeds_ms, wlens = _kernels.window_speeds(
         frames, points[:, 0], points[:, 1], wmax, first_hist, fps
     )

@@ -38,12 +38,10 @@ from speedstudy import (
     ManeuverTable,
     Phase,
     PhaseSummary,
-    behavior,
     build_phase_summary,
     config,
     geometry,
     ingest,
-    kinematics,
     pipeline,
     solve_homography,
 )
@@ -414,6 +412,21 @@ class TestAnalyze:
         with caplog.at_level("ERROR"):
             assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
         assert "phases[1].phase" in caplog.text
+        assert not out.exists()
+
+    def test_detection_file_listed_twice_in_a_phase_exits_2_before_any_report(
+        self, tmp_path, scene_path, sim_homography, caplog
+    ):
+        dets = str(run_simulate(tmp_path, sim_homography).relative_to(tmp_path))
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {
+            "scene_config": scene_path.name,
+            "phases": [{"phase": "pre", "detections": [dets, f"./{dets}"], "hours": 1.0}],
+        })
+        out = tmp_path / "report"
+        with caplog.at_level("ERROR"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"run.json.phases[0].detections[1]: {tmp_path / dets} repeats detections[0]" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["gone.csv", "sim_out"], ids=["no-file", "directory"])
@@ -1129,6 +1142,44 @@ class TestJson:
             assert main(["calibrate", "--config", str(scene_path)]) == 2
         assert "NaN is not a finite number" in caplog.text
 
+    @pytest.mark.parametrize(
+        "reader, key",
+        [("scene", "fps"), ("scene", "1"), ("manifest", "scene_config"), ("manifest", "hours"),
+         ("sim", "fps"), ("summary", "mean_mph")],
+        ids=["scene", "scene-class_map", "manifest", "manifest-phase", "sim", "summary"],
+    )
+    def test_key_given_twice_exits_2_naming_it(
+        self, tmp_path, scene_path, sim_homography, summary_docs, caplog, reader, key
+    ):
+        """A repeated key is refused even with the same value: json.loads
+        would keep the last of the two silently."""
+        if reader == "sim":
+            target = tmp_path / "sim.json"
+            write_json(target, dict(sim_config(), homography_matrix=sim_homography))
+            argv = ["simulate", "--config", str(target), "--seed", "1"]
+        elif reader == "summary":
+            paths = [tmp_path / f"{phase.value}.json" for phase in Phase]
+            for path, doc in zip(paths, summary_docs):
+                write_json(path, doc)
+            target, (pre, w1, w2) = paths[0], paths
+            argv = ["compare", "--pre", str(pre), "--w1", str(w1), "--w2", str(w2)]
+        else:
+            dets = str(run_simulate(tmp_path, sim_homography).relative_to(tmp_path))
+            manifest = tmp_path / "run.json"
+            write_json(manifest, {"scene_config": scene_path.name,
+                                  "phases": [{"phase": "pre", "detections": [dets], "hours": 1.0}]})
+            target = scene_path if reader == "scene" else manifest
+            argv = ["analyze", "--manifest", str(manifest)]
+        lines = target.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.lstrip().startswith(f'"{key}": '))
+        lines.insert(i, lines[i].rstrip(",") + ",")
+        target.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            assert main([*argv, "--out", str(out)]) == 2
+        assert f"{target}: key {key!r} is given twice in one object" in caplog.text
+        assert not out.exists()
+
     def test_scene_integer_beyond_float_exits_2(self, scene_path, caplog):
         big = "1" + "0" * 400
         scene_path.write_text(scene_path.read_text().replace('"fps": 10.0', f'"fps": {big}'))
@@ -1201,6 +1252,8 @@ def analyze_with_field(inputs, target, path, value) -> int:
 
 
 THRESHOLD_FIELDS = Thresholds._fields
+# no longer scene keys: the speed warm-up and the maneuver bounds are the method's constants
+DELETED_THRESHOLDS = ("stopgo_mph", "slowdown_mph", "min_track_s")
 CONFIG_FIELDS = (
     *(("scene", (key,)) for key in (
         "location_id", "name", "fps", "calibration", "aoi_polygon", "approach_zone",
@@ -1247,6 +1300,11 @@ class TestConfigFields:
                 ("scene", ("thresholds", key), "nan", f"thresholds.{key}: 'nan' is not a finite")
                 for key in THRESHOLD_FIELDS
             ),
+            # the deleted keys, in their old slots so that later case ids keep their index
+            *(
+                ("scene", ("thresholds", key), "nan", f"scene.json.thresholds: unknown keys ['{key}']")
+                for key in DELETED_THRESHOLDS
+            ),
             ("manifest", ("phases", 0, "hours"), "nan", "hours: 'nan' is not a finite number"),
             ("manifest", ("phases", 0, "hours"), [1], "hours: expected a number, got a list"),
             ("manifest", ("phases",), 5, "run.json.phases: expected a list, got a number"),
@@ -1278,6 +1336,10 @@ class TestConfigFields:
              "scene.json: unknown keys ['percentile_method']"),
             ("scene", ("v_mean_reduction",), "mean", "scene.json: unknown keys ['v_mean_reduction']"),
             ("scene", ("histogram_bin_mph",), 1.0, "scene.json: unknown keys ['histogram_bin_mph']"),
+            *(
+                ("scene", ("thresholds", key), value, f"scene.json.thresholds: unknown keys ['{key}']")
+                for key, value in zip(DELETED_THRESHOLDS, (5.0, 10.0, 0.5))
+            ),
             ("scene", ("Thresholds",), {"stationary_m": 99},
              "scene.json: unknown keys ['Thresholds']"),
             ("scene", ("calibration", "weights"), [1, 2],
@@ -1288,6 +1350,7 @@ class TestConfigFields:
             ("manifest", ("phases", 0, "hour"), 2.5, "run.json.phases[0]: unknown keys ['hour']"),
         ],
         ids=["scene", "percentile_method", "v_mean_reduction", "histogram_bin_mph",
+             *(f"thresholds.{key}" for key in DELETED_THRESHOLDS),
              "scene-thresholds-capitalised", "calibration", "correspondence", "manifest",
              "manifest-phase"],
     )
@@ -1320,7 +1383,6 @@ class TestConfigFields:
         [
             pytest.param("scene", ("fps",), 2**63, id="fps-2**63"),
             pytest.param("scene", ("fps",), 10**300, id="fps-1e300"),
-            pytest.param("scene", ("thresholds", "min_track_s"), 10**308, id="min_track_s-1e308"),
         ],
     )
     def test_extreme_number_exits_0_or_2(self, analyze_inputs, target, path, value):
@@ -1502,9 +1564,6 @@ class TestDefaults:
     def test_thresholds_match_published_constants(self):
         t = Thresholds()
         assert t.following_px == 40.0
-        assert t.min_track_s == 0.5
-        assert t.stopgo_mph == 5.0
-        assert t.slowdown_mph == 10.0
         assert t.stationary_m == 2.0
         assert t.following_frac == 0.5
         assert t.direction_deg == 45.0
@@ -1519,12 +1578,6 @@ class TestDefaults:
                            (ingest.run_filter_cascade, "following_frac")],
         "direction_deg": [(ingest.filter_direction, "max_deg"),
                           (ingest.run_filter_cascade, "direction_deg")],
-        "stopgo_mph": [(behavior.classify_maneuvers, "stopgo_mph"),
-                       (behavior.observe_maneuvers, "stopgo_mph")],
-        "slowdown_mph": [(behavior.classify_maneuvers, "slowdown_mph"),
-                         (behavior.observe_maneuvers, "slowdown_mph")],
-        "min_track_s": [(kinematics.window_params, "min_track_s"),
-                        (kinematics.track_kinematics, "min_track_s")],
     }
 
     def test_thresholds_are_the_stage_signature_defaults(self):

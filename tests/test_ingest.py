@@ -1020,7 +1020,6 @@ class TestFates:
             "following_px": st.floats(2.0, 60.0),
             "following_frac": st.floats(0.1, 1.0),
             "direction_deg": st.floats(10.0, 120.0),
-            "min_track_s": st.floats(0.1, 2.0),
         }),
     )
     def test_counts_equal_the_table_length_accounting(self, seed, n_tracks, thresholds):

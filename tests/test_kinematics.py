@@ -330,13 +330,12 @@ class TestRecordingTables:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(TRACK_SPEC, max_size=7), st.sampled_from([10.0, 12.5, 25.0, 7.0]),
-           st.sampled_from([0.5, 0.1, 1.5]))
-    @example([], 10.0, 0.5)
+    @given(st.lists(TRACK_SPEC, max_size=7), st.sampled_from([10.0, 12.5, 25.0, 7.0]))
+    @example([], 10.0)
     # unprojectable at exactly 10% (kept) and one more (dropped)
-    @example([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4), (30, 3, 5), (30, 4, 6)], 10.0, 0.5)
-    @example([(1, 0, 7), (3, 0, 8), (4, 0, 9), (5, 1, 10), (40, 0, 11)], 10.0, 0.5)
-    def test_matches_per_track_oracle(self, caplog, specs, fps, min_track_s):
+    @example([(10, 1, 1), (10, 2, 2), (20, 2, 3), (20, 3, 4), (30, 3, 5), (30, 4, 6)], 10.0)
+    @example([(1, 0, 7), (3, 0, 8), (4, 0, 9), (5, 1, 10), (40, 0, 11)], 10.0)
+    def test_matches_per_track_oracle(self, caplog, specs, fps):
         columns = recording_tracks(specs)
         inv = DEMO_H.inverse().matrix
         n_bad = [int((~project_points(inv, a)[1]).sum()) for _, a, _ in columns]
@@ -356,8 +355,8 @@ class TestRecordingTables:
         assert_same_bits(on_plane.frames, _cat([f for _, (f, _) in kept], np.zeros(0, np.int64)))
         assert_same_bits(on_plane.world, _cat([p for _, (_, p) in kept], np.zeros((0, 2))))
 
-        kin = track_kinematics(on_plane, fps, min_track_s)
-        sampled = [(tid, track_kinematics_oracle(f, p, fps, min_track_s)) for tid, (f, p) in kept]
+        kin = track_kinematics(on_plane, fps)
+        sampled = [(tid, track_kinematics_oracle(f, p, fps)) for tid, (f, p) in kept]
         sampled = [(tid, s) for tid, s in sampled if s is not None]
         assert kin.track_ids.tolist() == [tid for tid, _ in sampled]
         assert kin.offsets.tolist() == np.cumsum([0] + [len(s[0]) for _, s in sampled]).tolist()
