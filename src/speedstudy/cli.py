@@ -38,6 +38,8 @@ EXIT_INPUT = 2
 EXIT_GATE = 3
 EXIT_INVARIANT = 4
 
+MAX_RMSE_PX = 2.0  # the calibration gate's default, for calibrate and analyze alike
+
 
 @contextmanager
 def _writing(out: Path):
@@ -200,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="solve and gate the scene homography")
     p.add_argument("--config", required=True, help="scene config JSON")
-    p.add_argument("--max-rmse-px", type=_non_negative(float), default=2.0)
+    p.add_argument("--max-rmse-px", type=_non_negative(float), default=MAX_RMSE_PX)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze", help="run the full pipeline over a manifest")
     p.add_argument("--manifest", required=True, help="run manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-rmse-px", type=_non_negative(float), default=2.0)
+    p.add_argument("--max-rmse-px", type=_non_negative(float), default=MAX_RMSE_PX)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="before/after comparison of three summaries")

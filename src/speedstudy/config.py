@@ -2,14 +2,15 @@
 
 A scene config JSON pins everything site-specific: calibration
 correspondences, area-of-interest polygon (image px), approach zone (world
-meters), travel direction, tracker class ids, and the filter thresholds. A
-run manifest points a scene at one detection CSV set + recorded hours per
-phase. Every number in them is read by `_number`, and every fault is a
-ConfigError naming the file and the field. Two other inputs are read with
-these field readers where they are used: the phase summary that `analyze`
-writes and `compare` reads (`compare.load_summary`), and the simulation
-config (`simulator`). The records read here are NamedTuples: immutable,
-compared by value, and cheaper to define than dataclasses.
+meters), travel direction, tracker class ids, and the filter thresholds,
+read into the cascade's own record `ingest.Thresholds`, which holds their
+defaults. A run manifest points a scene at one detection CSV set + recorded
+hours per phase. Every number in the two is read by `_number`, and every
+fault is a ConfigError naming the file and the field. Two other inputs are
+read with these field readers where they are used: the phase summary that
+`analyze` writes and `compare` reads (`compare.load_summary`), and the
+simulation config (`simulator`). The records read here are NamedTuples:
+immutable, compared by value, and cheaper to define than dataclasses.
 """
 
 from __future__ import annotations
@@ -21,21 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ingest
 from .analytics import Phase
 from .errors import ConfigError
 from .geometry import Correspondence, ImagePoint, WorldPoint
-from .ingest import ClassLabel
+from .ingest import ClassLabel, Thresholds
 
-
-class Thresholds(NamedTuple):
-    """The filter cascade's thresholds, which adapt it to a camera and a
-    road; each default is the one its stage declares."""
-
-    stationary_m: float = ingest.DEFAULT_STATIONARY_M
-    following_px: float = ingest.DEFAULT_FOLLOWING_PX
-    following_frac: float = ingest.DEFAULT_FOLLOWING_FRAC
-    direction_deg: float = ingest.DEFAULT_DIRECTION_DEG
+# the scene's intersection_type values; the first is the default
+INTERSECTION_TYPES = ("unsignalized", "signalized")
 
 
 class SceneConfig(NamedTuple):
@@ -48,7 +41,7 @@ class SceneConfig(NamedTuple):
     travel_direction: np.ndarray
     class_map: dict[int, ClassLabel]
     thresholds: Thresholds = Thresholds()
-    intersection_type: str = "unsignalized"
+    intersection_type: str = INTERSECTION_TYPES[0]
 
 
 class PhaseInput(NamedTuple):
@@ -230,11 +223,9 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
     raw = _known(data.get("thresholds", {}), Thresholds._fields, f"{path}.thresholds")
     thresholds = Thresholds(**{k: _number(v, f"{path}.thresholds.{k}") for k, v in raw.items()})
 
-    def _choice(key: str, options: tuple[str, ...], default: str) -> str:
-        value = data.get(key, default)
-        if value not in options:
-            raise ConfigError(f"{path}.{key}: expected one of {options}, got {value!r}")
-        return value
+    kind = data.get("intersection_type", INTERSECTION_TYPES[0])
+    if kind not in INTERSECTION_TYPES:
+        raise ConfigError(f"{path}.intersection_type: expected one of {INTERSECTION_TYPES}, got {kind!r}")
 
     return SceneConfig(
         location_id=_number(
@@ -248,7 +239,7 @@ def scene_config_from_dict(data: dict, path: str = "scene") -> SceneConfig:
         travel_direction=direction,
         class_map=class_map,
         thresholds=thresholds,
-        intersection_type=_choice("intersection_type", ("unsignalized", "signalized"), "unsignalized"),
+        intersection_type=kind,
     )
 
 

@@ -14,10 +14,13 @@ writer and its per-row ``Detection`` belong to ``simulator``.
 The cascade runs in a fixed order -- area-of-interest clipping, vehicle-type
 majority vote, stationary removal, close-follower removal, direction gating --
 and every stage is one row mask over its input table (``TrackTable.subset``).
+Its four settings, and their defaults, are defined once, in ``Thresholds``;
+the stages that use them take the whole record.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
 import math
@@ -27,6 +30,7 @@ import urllib.parse
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +41,16 @@ from .geometry import Homography, project_points
 log = logging.getLogger(__name__)
 
 CASCADE_STAGES = ("aoi", "vehicle_type", "stationary", "following", "direction")
-# the cascade's default thresholds, which config.Thresholds reads too
-DEFAULT_STATIONARY_M = 2.0
-DEFAULT_FOLLOWING_PX = 40.0
-DEFAULT_FOLLOWING_FRAC = 0.5
-DEFAULT_DIRECTION_DEG = 45.0
+
+
+class Thresholds(NamedTuple):
+    """The filter cascade's settings, which adapt it to a camera and a road:
+    a scene config's ``thresholds``, each of which must be positive."""
+
+    stationary_m: float = 2.0  # least net road-plane displacement of a kept track
+    following_px: float = 40.0  # image distance under which a leader is close
+    following_frac: float = 0.5  # least share of shared frames spent close
+    direction_deg: float = 45.0  # widest angle between a track and the travel direction
 
 
 class ClassLabel(Enum):
@@ -288,10 +297,15 @@ def _diagnose(lines, name: str) -> np.ndarray:
     with errors="surrogateescape" and break at LF only.
 
     Lines are taken in chunks of _CHUNK_LINES, and a chunk's data lines are
-    parsed in one loadtxt call. A bad byte ends the walk once the data
-    lines before it are checked, so the earliest fault in the file wins.
+    parsed in one loadtxt call into an array sized to the line count, so
+    the rows are held once. A bad byte ends the walk once the data lines
+    before it are checked, so the earliest fault in the file wins.
     """
-    parts = []
+    if not lines.seekable():  # a pipe: its text is kept, to be read twice
+        lines = io.StringIO(lines.read())
+    rows = np.empty(sum(1 for _ in lines), dtype=_ROW_DTYPE)
+    lines.seek(0)
+    filled = 0
     first = 1  # line number of the chunk's first line
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
         text = "".join(chunk)
@@ -301,9 +315,11 @@ def _diagnose(lines, name: str) -> np.ndarray:
             _check_chunk(chunk[:at], first, name)
             byte = ord(bad_byte[0]) - 0xDC00
             raise MalformedRow(first + at, f"byte 0x{byte:02X} is not valid UTF-8", name)
-        parts.append(_check_chunk(chunk, first, name))
+        part = _check_chunk(chunk, first, name)
+        rows[filled:filled + len(part)] = part
+        filled += len(part)
         first += len(chunk)
-    return np.concatenate(parts) if parts else _loadtxt([])
+    return rows[:filled]
 
 
 def _check_chunk(chunk: list[str], first: int, name: str) -> np.ndarray:
@@ -450,10 +466,10 @@ def _endpoint_displacements(tracks: TrackTable) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def filter_stationary(tracks: TrackTable, min_net_m: float = DEFAULT_STATIONARY_M) -> TrackTable:
-    """Drop tracks whose net world displacement stays under min_net_m."""
+def filter_stationary(tracks: TrackTable, thresholds: Thresholds = Thresholds()) -> TrackTable:
+    """Drop tracks whose net world displacement stays under thresholds.stationary_m."""
     disp, valid = _endpoint_displacements(tracks)
-    still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < min_net_m)
+    still = valid & (np.hypot(disp[:, 0], disp[:, 1]) < thresholds.stationary_m)
     return tracks.subset(tracks.per_row(~still))
 
 
@@ -472,16 +488,15 @@ def _image_headings(tracks: TrackTable, h: Homography, travel_direction) -> np.n
 
 
 def filter_following(
-    tracks: TrackTable, h: Homography, travel_direction,
-    max_px: float = DEFAULT_FOLLOWING_PX, min_frac: float = DEFAULT_FOLLOWING_FRAC,
+    tracks: TrackTable, h: Homography, travel_direction, thresholds: Thresholds = Thresholds()
 ) -> TrackTable:
     """Drop tracks trailing another vehicle too closely for too long.
 
     A track goes when some other input track sits ahead of it (positive
     component along the travel direction projected into image space at the
-    follower's anchor) and within max_px, for at least min_frac of the frames
-    the two coexist. Both max_px and min_frac must be positive. Memory is
-    linear in the tracks' rows.
+    follower's anchor) and within thresholds.following_px, for at least
+    thresholds.following_frac of the frames the two coexist. Both fields
+    must be positive. Memory is linear in the tracks' rows.
     """
     if len(tracks) < 2:
         return tracks
@@ -489,18 +504,19 @@ def filter_following(
     dirs = _image_headings(tracks, h, travel_direction)
     follower, _, close, coexist = _kernels.close_pair_counts(
         tracks.frames, tracks.per_row(np.arange(len(tracks))), anchors[:, 0], anchors[:, 1],
-        dirs[:, 0], dirs[:, 1], max_px, len(tracks),
+        dirs[:, 0], dirs[:, 1], thresholds.following_px, len(tracks),
     )
     has_leader = np.zeros(len(tracks), dtype=bool)
-    has_leader[follower[close >= min_frac * coexist]] = True
+    has_leader[follower[close >= thresholds.following_frac * coexist]] = True
     return tracks.subset(tracks.per_row(~has_leader))
 
 
 def filter_direction(
-    tracks: TrackTable, travel_direction, max_deg: float = DEFAULT_DIRECTION_DEG
+    tracks: TrackTable, travel_direction, thresholds: Thresholds = Thresholds()
 ) -> TrackTable:
-    """Keep tracks whose net world displacement stays within max_deg of the
-    travel direction. Zero or unprojectable displacement is dropped.
+    """Keep tracks whose net world displacement stays within
+    thresholds.direction_deg of the travel direction. Zero or unprojectable
+    displacement is dropped.
 
     The angle is taken per track with np.dot and math.acos: numpy's
     vectorized dot and arccos round differently in the last place, which
@@ -515,16 +531,13 @@ def filter_direction(
             continue
         cos_angle = float(np.dot(disp, direction)) / norm
         angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-        keep[k] = angle <= max_deg + 1e-9
+        keep[k] = angle <= thresholds.direction_deg + 1e-9
     return tracks.subset(tracks.per_row(keep))
 
 
 def run_filter_cascade(
     tracks: TrackTable, aoi_polygon, travel_direction, h: Homography,
-    stationary_m: float = DEFAULT_STATIONARY_M,
-    following_px: float = DEFAULT_FOLLOWING_PX,
-    following_frac: float = DEFAULT_FOLLOWING_FRAC,
-    direction_deg: float = DEFAULT_DIRECTION_DEG,
+    thresholds: Thresholds = Thresholds(),
 ) -> tuple[TrackTable, np.ndarray]:
     """The five stages in their fixed order: the surviving tracks and an int8
     fate code per input track, 0 for a survivor and k when CASCADE_STAGES[k - 1]
@@ -532,9 +545,9 @@ def run_filter_cascade(
     stages = (
         lambda t: clip_to_aoi(t, aoi_polygon),
         filter_vehicle_type,
-        lambda t: filter_stationary(t, stationary_m),
-        lambda t: filter_following(t, h, travel_direction, following_px, following_frac),
-        lambda t: filter_direction(t, travel_direction, direction_deg),
+        lambda t: filter_stationary(t, thresholds),
+        lambda t: filter_following(t, h, travel_direction, thresholds),
+        lambda t: filter_direction(t, travel_direction, thresholds),
     )
     fates = np.zeros(len(tracks), dtype=np.int8)
     for code, (stage, apply) in enumerate(zip(CASCADE_STAGES, stages), start=1):

@@ -56,20 +56,12 @@ def process_detections(
     a call's arguments over to the callee; older versions keep them on the
     caller's stack until the call returns.)
     """
-    th = cfg.thresholds
     raw_rows = len(detections)
     held = [detections]
     del detections
     held.append(assemble_tracks(held.pop(), h))
     survivors, fates = run_filter_cascade(
-        held.pop(),
-        cfg.aoi_polygon,
-        cfg.travel_direction,
-        h,
-        stationary_m=th.stationary_m,
-        following_px=th.following_px,
-        following_frac=th.following_frac,
-        direction_deg=th.direction_deg,
+        held.pop(), cfg.aoi_polygon, cfg.travel_direction, h, cfg.thresholds
     )
 
     world = to_world_track(survivors)

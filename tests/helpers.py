@@ -192,13 +192,12 @@ def filter_counts_reference(tracks, cfg, h) -> tuple[dict[str, int], dict[int, s
     table lengths before and after each cascade stage, the projection onto
     the road plane and the speed windows; and each track id's fate, the
     step whose output left it out ("kept" when none did)."""
-    th = cfg.thresholds
     steps = (
         lambda t: clip_to_aoi(t, cfg.aoi_polygon),
         filter_vehicle_type,
-        lambda t: filter_stationary(t, th.stationary_m),
-        lambda t: filter_following(t, h, cfg.travel_direction, th.following_px, th.following_frac),
-        lambda t: filter_direction(t, cfg.travel_direction, th.direction_deg),
+        lambda t: filter_stationary(t, cfg.thresholds),
+        lambda t: filter_following(t, h, cfg.travel_direction, cfg.thresholds),
+        lambda t: filter_direction(t, cfg.travel_direction, cfg.thresholds),
         to_world_track,
         lambda t: track_kinematics(t, cfg.fps),
     )

@@ -4,7 +4,6 @@ import dataclasses
 import errno
 import hashlib
 import importlib
-import inspect
 import io
 import json
 import logging
@@ -535,9 +534,11 @@ class TestAnalyze:
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
 
-    def test_shuffled_rows_give_byte_identical_reports(self, tmp_path, scene_path, sim_homography):
-        # every cascade stage removes a vehicle of this scene: one parked,
-        # a bicycle, one driving against the travel direction, a close follower
+    @staticmethod
+    def simulate_every_stage(tmp_path, sim_homography):
+        """Detections in which every cascade stage removes a vehicle: one
+        parked, a bicycle, one driving against the travel direction, a close
+        follower."""
         cfg = dict(sim_config(noise=1.0, n_vehicles=4), homography_matrix=sim_homography)
         car = cfg["vehicles"][0]
         cfg["vehicles"] += [
@@ -550,19 +551,44 @@ class TestAnalyze:
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "5",
                      "--out", str(sim)]) == 0
-        manifest = self.make_manifest(tmp_path, scene_path, sim / "detections.csv")
-        blobs = []
-        for name in ("in_order", "shuffled"):
-            if name == "shuffled":
-                # the same path, since the filter counts name their source file
-                lines = (sim / "detections.csv").read_text().splitlines(keepends=True)
-                order = np.random.default_rng(11).permutation(len(lines))
-                (sim / "detections.csv").write_text("".join(lines[i] for i in order))
-            out = tmp_path / name
-            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
-            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        counts = json.loads(blobs[0]["pre_filter_counts.json"])["totals"]
+        return sim / "detections.csv"
+
+    def analyze_reports(self, tmp_path, manifest, name) -> dict[str, bytes]:
+        out = tmp_path / name
+        assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def assert_every_stage_removed_some(self, reports):
+        counts = json.loads(reports["pre_filter_counts.json"])["totals"]
         assert all(counts[stage] for stage in ("vehicle_type", "stationary", "following", "direction"))
+
+    def test_shuffled_rows_give_byte_identical_reports(self, tmp_path, scene_path, sim_homography):
+        dets = self.simulate_every_stage(tmp_path, sim_homography)
+        manifest = self.make_manifest(tmp_path, scene_path, dets)
+        blobs = [self.analyze_reports(tmp_path, manifest, "in_order")]
+        # the same path, since the filter counts name their source file
+        lines = dets.read_text().splitlines(keepends=True)
+        order = np.random.default_rng(11).permutation(len(lines))
+        dets.write_text("".join(lines[i] for i in order))
+        blobs.append(self.analyze_reports(tmp_path, manifest, "shuffled"))
+        self.assert_every_stage_removed_some(blobs[0])
+        assert blobs[0] == blobs[1]
+
+    def test_thresholds_left_out_read_as_the_published_defaults(
+        self, tmp_path, demo_h, sim_homography
+    ):
+        """A scene with no thresholds key gives the reports of one that
+        writes out the published defaults."""
+        dets = self.simulate_every_stage(tmp_path, sim_homography)
+        defaults = {"stationary_m": 2.0, "following_px": 40, "following_frac": 0.5,
+                    "direction_deg": 45}
+        blobs = []
+        for name, scene in (("left_out", {}), ("written", {"thresholds": defaults})):
+            scene_path = tmp_path / "scene.json"
+            write_json(scene_path, scene_config_dict(demo_h, **scene))
+            manifest = self.make_manifest(tmp_path, scene_path, dets)
+            blobs.append(self.analyze_reports(tmp_path, manifest, name))
+        self.assert_every_stage_removed_some(blobs[0])
         assert blobs[0] == blobs[1]
 
 
@@ -759,6 +785,21 @@ class TestWorkingSet:
         pipeline.process_recording(path, cfg, h)  # numpy's lazy set-up is not billed
         _, peak = self.traced_peak(pipeline.process_recording, path, cfg, h)
         assert peak <= 160 * n_rows, f"{peak / n_rows:.1f} B/row"
+
+    def test_line_walk_peak_within_the_read_by_name(self, bulk, tmp_path):
+        """A '#' line sends the file down the line walk, which holds the
+        rows about as the read by name does."""
+        path, n_rows, cfg, _ = bulk
+        commented = tmp_path / "commented.csv"
+        commented.write_text("# tracker export\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        peaks = []
+        for csv in (path, commented):
+            ingest.parse_track_file(csv, cfg.class_map)  # numpy's lazy set-up is not billed
+            table, peak = self.traced_peak(ingest.parse_track_file, csv, cfg.class_map)
+            assert len(table) == n_rows
+            peaks.append(peak)
+        by_name, walked = peaks
+        assert walked <= 1.1 * by_name, f"{walked / n_rows:.1f} vs {by_name / n_rows:.1f} B/row"
 
     def test_kinematics_csv_peak_within_its_output(self, bulk):
         path, _, cfg, h = bulk
@@ -1567,26 +1608,6 @@ class TestDefaults:
         assert t.stationary_m == 2.0
         assert t.following_frac == 0.5
         assert t.direction_deg == 45.0
-
-    # Each threshold and the stage parameters whose default it must equal.
-    STAGE_DEFAULTS = {
-        "stationary_m": [(ingest.filter_stationary, "min_net_m"),
-                         (ingest.run_filter_cascade, "stationary_m")],
-        "following_px": [(ingest.filter_following, "max_px"),
-                         (ingest.run_filter_cascade, "following_px")],
-        "following_frac": [(ingest.filter_following, "min_frac"),
-                           (ingest.run_filter_cascade, "following_frac")],
-        "direction_deg": [(ingest.filter_direction, "max_deg"),
-                          (ingest.run_filter_cascade, "direction_deg")],
-    }
-
-    def test_thresholds_are_the_stage_signature_defaults(self):
-        t = Thresholds()
-        assert set(self.STAGE_DEFAULTS) == set(THRESHOLD_FIELDS)
-        for name, params in self.STAGE_DEFAULTS.items():
-            for fn, param in params:
-                default = inspect.signature(fn).parameters[param].default
-                assert getattr(t, name) == default, (name, fn.__name__, param)
 
     def test_travel_direction_is_normalised(self, tmp_path, demo_h):
         path = tmp_path / "scene.json"

@@ -3,6 +3,8 @@ import gzip
 import io
 import lzma
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -334,6 +336,23 @@ class TestReadByName:
         with pytest.raises(FileNotFoundError) as exc_info:
             parse_track_file(tmp_path / "rec.csv", CLASS_MAP)
         assert exc_info.value.filename == str(tmp_path / "rec.csv")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        """A pipe, which cannot be rewound, reads as the file it carries."""
+        path = tmp_path / "dets.fifo"
+        os.mkfifo(path)
+        text = "# export\n{0}\n{1}\n".format(*self.ROWS)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            got = parse_outcome(path)
+        finally:
+            writer.join(10)
+        assert not writer.is_alive()
+        plain = tmp_path / "dets.csv"
+        plain.write_text(text)
+        assert got[0] == [1, 2] and got == parse_outcome(plain)
 
     def test_url_shaped_name_is_not_fetched(self, tmp_path, monkeypatch):
         """A local file whose name parses as a URL is read by the walk:
@@ -715,7 +734,7 @@ class TestStationary:
         # 1.5 m total displacement over 30 frames
         t = track_of(straight_track_detections(1, 30, (0, 0), (1.5 / 29, 0)))
         assert len(filter_stationary(t)) == 0
-        assert_tables_equal(filter_stationary(t, min_net_m=1.0), t)
+        assert_tables_equal(filter_stationary(t, Thresholds(stationary_m=1.0)), t)
 
 
 # the inverse map's vanishing line u = -r33 / r31 crosses the scene, so
@@ -740,7 +759,7 @@ class TestEndpointStages:
         tracks = with_anchors(tracks, anchors, h)
         stages = (
             filter_stationary,
-            lambda ts: filter_direction(ts, np.array([1.0, 0.0]), 60.0),
+            lambda ts: filter_direction(ts, np.array([1.0, 0.0]), Thresholds(direction_deg=60.0)),
         )
         for stage in stages:
             batch = ids(stage(tracks))
@@ -755,7 +774,7 @@ class TestEndpointStages:
             assert valid.tolist() == ([False, True] if tid % 2 else [True, False])
         assert set(unprojectable) <= set(ids(stages[0](tracks)))
         # any nonzero displacement is within 180 degrees: only these drop
-        kept = filter_direction(tracks, np.array([1.0, 0.0]), 180.0)
+        kept = filter_direction(tracks, np.array([1.0, 0.0]), Thresholds(direction_deg=180.0))
         assert set(ids(tracks)) - set(ids(kept)) == set(unprojectable)
 
 
@@ -883,7 +902,7 @@ class TestDirection:
         first, valid_a = project_points(inv, anchors[0::2])
         last, valid_b = project_points(inv, anchors[1::2])
         want = direction_kept_oracle(last - first, valid_a & valid_b, direction, max_deg)
-        got = filter_direction(tracks, direction, max_deg)
+        got = filter_direction(tracks, direction, Thresholds(direction_deg=max_deg))
         assert ids(got) == [k + 1 for k, keep in enumerate(want) if keep]
 
 
