@@ -583,9 +583,9 @@ class TestAnalyze:
         defaults = {"stationary_m": 2.0, "following_px": 40, "following_frac": 0.5,
                     "direction_deg": 45}
         blobs = []
-        for name, scene in (("left_out", {}), ("written", {"thresholds": defaults})):
+        for name, keys in (("left_out", {}), ("written", {"thresholds": defaults})):
             scene_path = tmp_path / "scene.json"
-            write_json(scene_path, scene_config_dict(demo_h, **scene))
+            write_json(scene_path, scene_config_dict(demo_h, **keys))
             manifest = self.make_manifest(tmp_path, scene_path, dets)
             blobs.append(self.analyze_reports(tmp_path, manifest, name))
         self.assert_every_stage_removed_some(blobs[0])
