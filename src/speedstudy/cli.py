@@ -113,31 +113,37 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_reports(manifest, cfg, h, lines: list[str]):
-    """Run each phase, yield its reports as they are built and add its line to lines."""
+    """Run each phase, yield its reports as they are built and add its line to lines.
+
+    A phase's results live only in _phase_reports's frame, which ends with
+    its last report, so they are freed before the next phase is parsed."""
     for phase_input in manifest.phases:
-        result = process_phase(phase_input, cfg, h)
-        tag = phase_input.phase.value
-        yield f"{tag}_summary.json", _json_text(result.summary.to_json_dict())
-        counts = {
-            "phase": tag,
-            "totals": {
-                **filter_counts(*(r.fates for r in result.recordings)),
-                "raw_detections": sum(r.raw_rows for r in result.recordings),
-            },
-            "recordings": [
-                {"source": r.source, "raw_rows": r.raw_rows, "counts": filter_counts(r.fates)}
-                for r in result.recordings
-            ],
-        }
-        yield f"{tag}_filter_counts.json", _json_text(counts)
-        for i, rec in enumerate(result.recordings):
-            yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
-            if rec.maneuvers is not None:
-                yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
-        lines.append(
-            f"phase {tag}: {result.summary.sample_count} vehicles, "
-            f"mean {result.summary.mean_mph}, p85 {result.summary.p85_mph}"
-        )
+        yield from _phase_reports(process_phase(phase_input, cfg, h), phase_input.phase.value, lines)
+
+
+def _phase_reports(result, tag: str, lines: list[str]):
+    """One phase's reports in order; its line goes to lines after the last."""
+    yield f"{tag}_summary.json", _json_text(result.summary.to_json_dict())
+    counts = {
+        "phase": tag,
+        "totals": {
+            **filter_counts(*(r.fates for r in result.recordings)),
+            "raw_detections": sum(r.raw_rows for r in result.recordings),
+        },
+        "recordings": [
+            {"source": r.source, "raw_rows": r.raw_rows, "counts": filter_counts(r.fates)}
+            for r in result.recordings
+        ],
+    }
+    yield f"{tag}_filter_counts.json", _json_text(counts)
+    for i, rec in enumerate(result.recordings):
+        yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
+        if rec.maneuvers is not None:
+            yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
+    lines.append(
+        f"phase {tag}: {result.summary.sample_count} vehicles, "
+        f"mean {result.summary.mean_mph}, p85 {result.summary.p85_mph}"
+    )
 
 
 def cmd_compare(args) -> int:

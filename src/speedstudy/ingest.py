@@ -74,19 +74,21 @@ _VEHICLE_CODES = np.array([label in VEHICLE_LABELS for label in LABELS])
 def anchor_points(bbox: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """(N, 2) bottom centers of (N, 4) boxes, or of the boxes at the indices
     rows: the vehicles' ground-contact points, column-major (see
-    TrackTable). Each bbox column is gathered on its own with a 1-D take,
-    so no (N, 4) copy is made."""
+    TrackTable). Each bbox column is gathered on its own by fancy indexing,
+    which reads only the rows asked for, and summed into the output in
+    place, so besides the output one gathered column is held at a time."""
     n = len(bbox) if rows is None else len(rows)
     out = np.empty((2, n), dtype=np.float64)
 
     def column(k: int) -> np.ndarray:
-        return bbox[:, k] if rows is None else bbox[:, k].take(rows)
+        return bbox[:, k] if rows is None else bbox[:, k][rows]
 
     # u = left + width / 2, v = top + height
     u, v = out
     np.divide(column(2), 2.0, out=u)
     u += column(0)
-    np.add(column(1), column(3), out=v)
+    v[...] = column(1)
+    v += column(3)
     return out.T
 
 
