@@ -113,36 +113,41 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_reports(manifest, cfg, h, lines: list[str]):
-    """Run each phase, yield its reports as they are built and add its line to lines.
-
-    A phase's results live only in _phase_reports's frame, which ends with
-    its last report, so they are freed before the next phase is parsed."""
+    """Run each phase, yield its reports as they are built and add its line to lines."""
     for phase_input in manifest.phases:
         yield from _phase_reports(process_phase(phase_input, cfg, h), phase_input.phase.value, lines)
 
 
-def _phase_reports(result, tag: str, lines: list[str]):
-    """One phase's reports in order; its line goes to lines after the last."""
-    yield f"{tag}_summary.json", _json_text(result.summary.to_json_dict())
-    counts = {
-        "phase": tag,
-        "totals": {
-            **filter_counts(*(r.fates for r in result.recordings)),
-            "raw_detections": sum(r.raw_rows for r in result.recordings),
-        },
-        "recordings": [
-            {"source": r.source, "raw_rows": r.raw_rows, "counts": filter_counts(r.fates)}
-            for r in result.recordings
-        ],
-    }
-    yield f"{tag}_filter_counts.json", _json_text(counts)
-    for i, rec in enumerate(result.recordings):
+def _phase_reports(phase, tag: str, lines: list[str]):
+    """One phase's reports: each recording's CSVs as soon as the phase (a
+    process_phase generator) yields it, then the summary and filter counts;
+    the phase's line goes to lines after the last.
+
+    A recording's tables are let go once its CSVs are built, before the next
+    recording is parsed; only its source, row count and filter counts stay."""
+    recordings = []
+    while True:
+        try:
+            rec = next(phase)
+        except StopIteration as done:
+            summary = done.value
+            break
+        i = len(recordings)
         yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
         if rec.maneuvers is not None:
             yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
+        recordings.append(
+            {"source": rec.source, "raw_rows": rec.raw_rows, "counts": filter_counts(rec.fates)}
+        )
+        del rec  # not held while the next recording is parsed
+    yield f"{tag}_summary.json", _json_text(summary.to_json_dict())
+    totals = {name: sum(r["counts"][name] for r in recordings) for name in recordings[0]["counts"]}
+    totals["raw_detections"] = sum(r["raw_rows"] for r in recordings)
+    counts = {"phase": tag, "totals": totals, "recordings": recordings}
+    yield f"{tag}_filter_counts.json", _json_text(counts)
     lines.append(
-        f"phase {tag}: {result.summary.sample_count} vehicles, "
-        f"mean {result.summary.mean_mph}, p85 {result.summary.p85_mph}"
+        f"phase {tag}: {summary.sample_count} vehicles, "
+        f"mean {summary.mean_mph}, p85 {summary.p85_mph}"
     )
 
 

@@ -1,15 +1,17 @@
 """End-to-end per-recording and per-phase processing.
 
 One recording (a single detection CSV) runs parse -> assemble -> filter
-cascade -> world-plane kinematics -> maneuver classification. A phase pools
-the per-vehicle results of its recordings into one PhaseSummary. Track ids
-are only unique within a recording, which is why recordings are processed
-independently and exported separately.
+cascade -> world-plane kinematics -> maneuver classification. A phase hands
+on each recording's result as soon as it exists and pools only the
+per-vehicle speeds and maneuver codes of its recordings into one
+PhaseSummary. Track ids are only unique within a recording, which is why
+recordings are processed independently and exported separately.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Generator
 from itertools import chain
 from typing import NamedTuple
 
@@ -38,11 +40,6 @@ class RecordingResult(NamedTuple):
     kinematics: KinematicsTable
     maneuvers: ManeuverTable | None
     fates: np.ndarray  # (T,) int8 code into FATES per assembled track, read-only
-
-
-class PhaseResult(NamedTuple):
-    summary: PhaseSummary
-    recordings: list[RecordingResult]
 
 
 def process_detections(
@@ -83,38 +80,49 @@ def process_recording(path, cfg: SceneConfig, h: Homography) -> RecordingResult:
     return process_detections(parse_track_file(path, cfg.class_map), cfg, h, source=str(path))
 
 
-def process_phase(phase_input: PhaseInput, cfg: SceneConfig, h: Homography) -> PhaseResult:
-    recordings = [process_recording(p, cfg, h) for p in phase_input.detection_paths]
-    speeds = np.concatenate([rec.kinematics.representative_mph for rec in recordings])
-    maneuvers = None
-    if cfg.intersection_type == "unsignalized":
-        maneuvers = np.concatenate([rec.maneuvers.classes for rec in recordings])
+def process_phase(
+    phase_input: PhaseInput, cfg: SceneConfig, h: Homography
+) -> Generator[RecordingResult, None, PhaseSummary]:
+    """Yield each of a phase's recordings' results as soon as it exists, then
+    return the phase's summary (the StopIteration value).
+
+    Between recordings the phase keeps only each one's representative speeds
+    and maneuver codes, so a caller that lets go of each result before
+    asking for the next holds one recording's tables at a time."""
+    speeds, maneuvers, raw_rows = [], [], 0
+    for path in phase_input.detection_paths:
+        rec = process_recording(path, cfg, h)
+        speeds.append(rec.kinematics.representative_mph)
+        if rec.maneuvers is not None:
+            maneuvers.append(rec.maneuvers.classes)
+        raw_rows += rec.raw_rows
+        yield rec
+        del rec  # not held while the next recording is parsed
 
     summary = build_phase_summary(
         cfg.location_id,
         phase_input.phase,
-        speeds,
+        np.concatenate(speeds),
         phase_input.hours,
-        maneuvers=maneuvers,
+        maneuvers=np.concatenate(maneuvers) if maneuvers else None,
     )
     if not summary.sample_count:
         log.warning("phase %s: no vehicles survived; writing empty report", phase_input.phase.value)
     log.info(
         "phase %s: %d raw rows, %d vehicles in summary",
         phase_input.phase.value,
-        sum(rec.raw_rows for rec in recordings),
+        raw_rows,
         summary.sample_count,
     )
-    return PhaseResult(summary, recordings)
+    return summary
 
 
-def filter_counts(*fates: np.ndarray) -> dict[str, int]:
-    """The filter_counts.json object of one or more recordings' fate codes."""
-    codes = np.concatenate(fates)
-    counts = dict(zip(FATES, np.bincount(codes, minlength=len(FATES)).tolist()))
+def filter_counts(fates: np.ndarray) -> dict[str, int]:
+    """The filter_counts.json object of one recording's fate codes."""
+    counts = dict(zip(FATES, np.bincount(fates, minlength=len(FATES)).tolist()))
     lost = {fate: counts.pop(fate) for fate in ("unprojectable", "no_kinematics")}
     surviving = counts.pop("kept") + sum(lost.values())
-    return {"input": len(codes), **counts, "surviving": surviving, **lost}
+    return {"input": len(fates), **counts, "surviving": surviving, **lost}
 
 
 def kinematics_csv(kins: KinematicsTable) -> str:
