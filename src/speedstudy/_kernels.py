@@ -120,16 +120,25 @@ def window_speeds(frames, xs, ys, wmax, first_hist, fps, seg_start=0):
 # ---------------------------------------------------------------------------
 # close-leader scan for the following filter
 #
-# Fixed-radius near neighbours on a uniform grid (Bentley, Stanat & Williams
-# 1977, "The complexity of finding fixed-radius near neighbors"). Every row is
-# bucketed into a square cell keyed by (frame, cell row, cell column), and
-# the rows are sorted by that key once. Two rows closer than max_px sit in
-# the same or in neighbouring cells of one frame. Each unordered pair of rows
-# is visited once, from the row that sorts first: the rest of its own cell
-# and the cell to its right follow it in key order, and the three cells of
-# the next cell row form one more key range. Work and memory are linear in
-# the rows plus the candidate pairs; nothing is sized by the track count
-# squared.
+# A pair of rows is a hit when the rows share a frame and lie closer than
+# max_px. The rows are sorted once and scanned in blocks, and each candidate
+# pair, one that can be a hit, is tested once, from the row that sorts
+# first. Which pairs are candidates depends on how crowded the frames are:
+# - same-frame mode, for frames of a few rows: every same-frame pair. The
+#   rows are sorted by frame, and a row's candidates are the rest of its
+#   frame.
+# - grid mode: fixed-radius near neighbours on a uniform grid (Bentley,
+#   Stanat & Williams 1977, "The complexity of finding fixed-radius near
+#   neighbors"). Every row is bucketed into a square cell keyed by (frame,
+#   cell row, cell column), and the rows are sorted by that key. Two rows
+#   closer than max_px sit in the same or in neighbouring cells of one
+#   frame. A row's candidates are the rest of its own cell and the cell to
+#   its right, which follow it in key order, and the three cells of the next
+#   cell row, one more key range.
+# Every hit is a candidate in both modes, and both test a candidate with the
+# same float expressions, so they find the same hits. Work and memory are
+# linear in the rows plus the candidate pairs; nothing is sized by the track
+# count squared.
 
 # Cells per axis are capped so that (frame, row, column) keys fit in int64.
 _MAX_CELLS_PER_AXIS = 1 << 20
@@ -139,10 +148,18 @@ _KEY_LIMIT = 1 << 62
 # distance test two cells apart.
 _CELL_MARGIN = 1.0 + 2.0**-20
 # Rows scanned, and candidate pairs expanded, at once: bounds the scan's
-# working memory beside its row-length arrays (frame key, cell key, sort
-# order) and the hits it finds.
+# working memory beside its row-length arrays (frame key, cell key or frame
+# end, sort order) and the hits it finds.
 _BLOCK_ROWS = 4096
 _BLOCK_CANDIDATES = 1 << 15
+# Same-frame mode is chosen while the same-frame pairs, the sum of k(k-1)/2
+# over frames of k rows, are at most this many per row. A grid row costs
+# three binary searches and a same-frame pair one distance test. Measured on
+# one x86-64 core (numpy 2.4), same-frame mode took 0.5-0.65x the grid's
+# time at 1-2 pairs per row and broke even at 2.5-3 pairs per row on
+# thinned queue_dense recordings (tight lanes), and at 5-6 on overlaid
+# study_free_flow recordings (spread traffic); the lower crossover is kept.
+_SAME_FRAME_PAIRS_PER_ROW = 2
 
 
 def _frame_keys(frames):
@@ -173,19 +190,72 @@ def _grid_keys(frame_key, n_keys, us, vs, max_px):
     return frame_key * frame_stride + cy * row_stride + cx, row_stride
 
 
+def _same_frame_scan(frame_key, per_frame):
+    """Sort order of the rows (by frame), and a function giving the
+    candidate ranges (first rows, row counts) of sorted rows: the rest of
+    each row's frame."""
+    # the rows come in runs of rising frames, one per track, which a stable
+    # sort merges
+    order = np.argsort(frame_key, kind="stable")
+    frame_end = np.cumsum(per_frame)[frame_key[order]]  # one past each sorted row's frame
+
+    def candidates(rows):
+        return (rows + 1,), (frame_end[rows] - rows - 1,)
+
+    return order, candidates
+
+
+def _grid_scan(frame_key, n_keys, us, vs, max_px):
+    """Sort order of the rows (by cell key), and a function giving the
+    candidate ranges (first rows, row counts) of sorted rows: the rest of
+    each row's cell and the cell to its right, then the three cells of the
+    next cell row."""
+    keys, row_stride = _grid_keys(frame_key, n_keys, us, vs, max_px)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def candidates(rows):
+        own = keys[rows]
+        next_lo = np.searchsorted(keys, own + (row_stride - 1), side="left")
+        counts = (
+            np.searchsorted(keys, own + 1, side="right") - rows - 1,
+            np.searchsorted(keys, own + (row_stride + 1), side="right") - next_lo,
+        )
+        return (rows + 1, next_lo), counts
+
+    return order, candidates
+
+
 def _expand(starts, counts):
     """Concatenation of arange(s, s + c) over (starts, counts)."""
     offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return offsets + np.arange(len(offsets))
 
 
+def _sparse_frame_counts(frame_key, n_keys):
+    """Rows per frame key when the same-frame pairs, the sum of k(k-1)/2 over
+    frames of k rows, are at most _SAME_FRAME_PAIRS_PER_ROW per row; else
+    None."""
+    n = len(frame_key)
+    limit = _SAME_FRAME_PAIRS_PER_ROW * n
+    # n rows in at most n_keys frames make at least n(n / n_keys - 1) / 2
+    # pairs, so a denser recording is known to be past the limit uncounted
+    if n * (n - n_keys) > 2 * limit * n_keys:
+        return None
+    per_frame = np.bincount(frame_key, minlength=n_keys)
+    return per_frame if int(per_frame @ (per_frame - 1)) <= 2 * limit else None
+
+
 def _close_codes(frame_key, n_keys, track_idx, us, vs, dus, dvs, max_px, n_tracks):
     """follower * n_tracks + leader, once per frame in which the leader is
     within max_px of the follower and ahead of it."""
-    keys, row_stride = _grid_keys(frame_key, n_keys, us, vs, max_px)
-    order = np.argsort(keys)
-    keys = keys[order]
-    n = len(keys)
+    per_frame = _sparse_frame_counts(frame_key, n_keys)
+    if per_frame is not None:
+        order, candidates = _same_frame_scan(frame_key, per_frame)
+    else:
+        order, candidates = _grid_scan(frame_key, n_keys, us, vs, max_px)
+    del per_frame
+    n = len(order)
     r2 = max_px * max_px
     # One growing buffer for the hits: small result arrays kept alive between
     # the block temporaries would fragment the heap and keep it resident.
@@ -193,20 +263,14 @@ def _close_codes(frame_key, n_keys, track_idx, us, vs, dus, dvs, max_px, n_track
     filled = 0
     start = 0
     while start < n:
-        # candidates of sorted row i: the same_count rows after it (rest of
-        # its own cell, the cell to its right), and next_count rows from
-        # next_lo (the three cells of the next cell row)
         rows = np.arange(start, min(start + _BLOCK_ROWS, n))
-        own = keys[rows]
-        same_count = np.searchsorted(keys, own + 1, side="right") - rows - 1
-        next_lo = np.searchsorted(keys, own + (row_stride - 1), side="left")
-        next_count = np.searchsorted(keys, own + (row_stride + 1), side="right") - next_lo
-        fits = np.count_nonzero(np.cumsum(same_count + next_count) <= _BLOCK_CANDIDATES)
+        firsts, counts = candidates(rows)
+        fits = np.count_nonzero(np.cumsum(sum(counts)) <= _BLOCK_CANDIDATES)
         take = slice(0, max(fits, 1))
         rows = rows[take]
-        counts = np.concatenate((same_count[take], next_count[take]))
-        a = order[np.concatenate((rows, rows)).repeat(counts)]
-        b = order[_expand(np.concatenate((rows + 1, next_lo[take])), counts)]
+        counts = np.concatenate([c[take] for c in counts])
+        a = order[np.concatenate([rows] * len(firsts)).repeat(counts)]
+        b = order[_expand(np.concatenate([f[take] for f in firsts]), counts)]
         dx = us[b] - us[a]
         dy = vs[b] - vs[a]
         near = dx * dx + dy * dy < r2

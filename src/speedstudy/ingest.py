@@ -102,14 +102,19 @@ def _range_faults(rows: np.ndarray):
     for column in (left, top, width, height):
         finite &= np.isfinite(column)
     yield ~finite, "a bbox or confidence value is not a finite number"
+    del finite
     yield frame < 0, "frame must be >= 0"
     yield track_id <= 0, "track id must be positive"
     yield ~((width > 0.0) & (height > 0.0)), "bbox width and height must be positive"
     yield ~((confidence >= 0.0) & (confidence <= 1.0)), "confidence must be in [0, 1]"
-    # the anchor_points sums: u = left + width / 2, v = top + height
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(left + width / 2.0)
-        finite &= np.isfinite(top + height)
+        anchors = anchor_points(rows["bbox"])
+        # a coordinate minus itself is 0 where it is finite and NaN where
+        # not, so u - u == v - v only where both are; taken in place, so
+        # one mask is made beside the anchors
+        anchors -= anchors
+        finite = anchors[:, 0] == anchors[:, 1]
+        del anchors
     yield ~finite, "bbox bottom-center point is not finite"
 
 
@@ -513,28 +518,63 @@ def filter_following(
     return tracks.subset(tracks.per_row(~has_leader))
 
 
+# The vectorized gate's angle is within _DIRECTION_BAND_DEG of the
+# per-track expression's (_direction_kept), for a unit travel direction and a
+# displacement of norm at least _DIRECTION_MIN_NORM. With u = 2**-53, each
+# expression's cosine is within 5u of the exact one: its dot product is within
+# 2u|disp| (two products and a sum, or a fused multiply-add), its norm within
+# 2u|disp| (np.hypot, under an ulp), and the division adds u. So the two differ
+# by at most 10u, and 16u is taken. acos turns a cosine error e into an angle
+# error of at most acos(1 - e), the steepest case being at 0 and 180 degrees;
+# 1e-12 covers the rounding of acos and of the conversion to degrees in either
+# expression.
+_DIRECTION_BAND_DEG = math.degrees(math.acos(1.0 - 16 * 2.0**-53)) + 1e-12
+# Below this norm the dot products may underflow, which the band does not cover.
+_DIRECTION_MIN_NORM = 2.0**-1000
+
+
+def _direction_kept(disp: np.ndarray, direction: np.ndarray, gate_deg: float) -> bool:
+    """The direction gate of one track, as a per-track loop computes it."""
+    cos_angle = float(np.dot(disp, direction)) / float(np.hypot(disp[0], disp[1]))
+    return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle)))) <= gate_deg
+
+
 def filter_direction(
     tracks: TrackTable, travel_direction, thresholds: Thresholds = Thresholds()
 ) -> TrackTable:
     """Keep tracks whose net world displacement stays within
-    thresholds.direction_deg of the travel direction. Zero or unprojectable
-    displacement is dropped.
+    thresholds.direction_deg of the travel direction, a unit vector. Zero or
+    unprojectable displacement is dropped.
 
-    The angle is taken per track with np.dot and math.acos: numpy's
-    vectorized dot and arccos round differently in the last place, which
-    can flip a track lying on the boundary."""
+    Every track is gated in one vectorized pass. Its products and arccos
+    round differently in the last place from np.dot and math.acos, which can
+    flip a track lying on the boundary, so the tracks whose angle lies
+    within _DIRECTION_BAND_DEG of the gate are decided again with the
+    per-track expression (_direction_kept)."""
     direction = np.asarray(travel_direction, dtype=np.float64)
+    gate = thresholds.direction_deg + 1e-9
     displacements, valid = _endpoint_displacements(tracks)
+    dx, dy = displacements[:, 0], displacements[:, 1]
+    norms = np.hypot(dx, dy)
+    gated = np.flatnonzero(valid & (norms > 0.0))
+    norms = norms[gated]
+    cos_angle = (dx[gated] * direction[0] + dy[gated] * direction[1]) / norms
+    angles = np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
     keep = np.zeros(len(tracks), dtype=bool)
-    for k in np.flatnonzero(valid).tolist():
-        disp = displacements[k]
-        norm = float(np.hypot(disp[0], disp[1]))
-        if norm == 0.0:
-            continue
-        cos_angle = float(np.dot(disp, direction)) / norm
-        angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-        keep[k] = angle <= thresholds.direction_deg + 1e-9
+    keep[gated] = angles <= gate
+    # NaN, from an overflow, is never more than the band away
+    unsure = ~(np.abs(angles - gate) > _DIRECTION_BAND_DEG) | (norms < _DIRECTION_MIN_NORM)
+    for k in gated[unsure].tolist():
+        keep[k] = _direction_kept(displacements[k], direction, gate)
     return tracks.subset(tracks.per_row(keep))
+
+
+def surviving(ids: np.ndarray, kept_ids: np.ndarray) -> np.ndarray:
+    """Mask over ids, ascending and unique as assemble_tracks makes them, of
+    the ids in kept_ids, a subset of them."""
+    kept = np.zeros(len(ids), dtype=bool)
+    kept[np.searchsorted(ids, kept_ids)] = True
+    return kept
 
 
 def run_filter_cascade(
@@ -555,7 +595,7 @@ def run_filter_cascade(
     for code, (stage, apply) in enumerate(zip(CASCADE_STAGES, stages), start=1):
         ids = tracks.track_ids
         tracks = apply(tracks)
-        # the tracks still at fate 0 are ids, in order; a recording's ids are unique
-        fates[fates == 0] = np.where(np.isin(ids, tracks.track_ids), 0, code)
+        # the tracks still at fate 0 are ids, in order
+        fates[fates == 0] = np.where(surviving(ids, tracks.track_ids), 0, code)
         log.info("filter %s removed %d tracks", stage, len(ids) - len(tracks))
     return tracks, fates

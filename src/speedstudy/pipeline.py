@@ -21,7 +21,9 @@ from .analytics import PhaseSummary, build_phase_summary
 from .behavior import MANEUVERS, ManeuverTable, observe_maneuvers
 from .config import PhaseInput, SceneConfig
 from .geometry import Homography
-from .ingest import CASCADE_STAGES, DetectionTable, assemble_tracks, parse_track_file, run_filter_cascade
+from .ingest import (
+    CASCADE_STAGES, DetectionTable, assemble_tracks, parse_track_file, run_filter_cascade, surviving,
+)
 from .kinematics import KinematicsTable, to_world_track, track_kinematics
 
 log = logging.getLogger(__name__)
@@ -64,7 +66,7 @@ def process_detections(
     world = to_world_track(survivors)
     kins = track_kinematics(world, cfg.fps)
     # a survivor missing from world is unprojectable, else from kins no_kinematics
-    lost = [~np.isin(survivors.track_ids, t.track_ids) for t in (world, kins)]
+    lost = [~surviving(survivors.track_ids, t.track_ids) for t in (world, kins)]
     codes = [FATES.index("unprojectable"), FATES.index("no_kinematics")]
     fates[fates == 0] = np.select(lost, codes)
     fates.setflags(write=False)

@@ -853,14 +853,22 @@ class TestFollowing:
 @st.composite
 def direction_scenes(draw):
     """A travel direction, a gate and world displacements: most at an angle
-    to the direction a few ulp of either coordinate off max_deg + 1e-9, the
-    rest arbitrary or degenerate; plus anchor rows to make unprojectable."""
+    to the direction a few ulp of either coordinate off max_deg + 1e-9, or
+    off parallel or antiparallel, the rest arbitrary or degenerate; plus
+    anchor rows to make unprojectable. Gates near 0 and 180 degrees, down to
+    tiny ones, are where acos is steepest and rounding moves an angle most."""
     heading = draw(st.floats(-math.pi, math.pi))
-    max_deg = draw(st.floats(0.5, 179.5))
+    max_deg = draw(st.one_of(
+        st.floats(0.5, 179.5),
+        st.floats(1e-12, 1e-5),
+        st.floats(180.0 - 1e-5, 180.0),
+        st.sampled_from([1e-9, 1.2e-6, 180.0 - 1.2e-6]),
+    ))
+    gate = math.radians(max_deg + 1e-9)
     disps = []
     for _ in range(draw(st.integers(1, 4))):
         radius = draw(st.floats(1.0, 1e3))
-        angle = heading + draw(st.sampled_from([-1.0, 1.0])) * math.radians(max_deg + 1e-9)
+        angle = heading + draw(st.sampled_from([-gate, gate, 0.0, math.pi]))
         disp = [radius * math.cos(angle), radius * math.sin(angle)]
         for axis in range(2):
             toward = draw(st.sampled_from([-math.inf, math.inf]))
@@ -901,6 +909,12 @@ class TestDirection:
     @settings(max_examples=300, deadline=None)
     @given(direction_scenes())
     @example(([1.0, 0.0], 45.0, [[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], {0, 3}))
+    # inside the fallback band: the per-track cosine is 1 (0 degrees, kept)
+    # and the vectorized one 2**-52 less (1.2e-6 degrees, past the gate)
+    @example((
+        [0.8281484988395901, 0.5605087544987442], 1e-9, [[0.8281484988200246, 0.560508754527652]],
+        set(),
+    ))
     def test_matches_per_track_loop(self, scene):
         """Kept sets equal the per-track scalar loop's, on angles within a
         few ulp of the gate, zero displacements and unprojectable endpoints."""

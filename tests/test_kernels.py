@@ -162,7 +162,9 @@ def close_pair_cases(draw):
     """Rows of a few tracks with frame gaps, at coordinates that include
     multiples of max_px (cell edges, pair distances of exactly max_px) and
     negative values, in shuffled order; frames dense, sparse, or spread
-    over most of the int64 range."""
+    over most of the int64 range. Frames hold 1 to 7 rows, so recordings
+    fall on both sides of the scan's density rule (0 to 3 same-frame pairs
+    per row)."""
     max_px = draw(st.sampled_from([1.0, 2.5, 40.0, 0.1]))
     n_tracks = draw(st.integers(1, 7))
     n_frames = draw(st.integers(1, 10))
@@ -231,8 +233,41 @@ class TestClosePairCounts:
         ],
         40.0, 3,
     ))
+    # frames of five rows: two same-frame pairs per row, exactly at the rule
+    @example((
+        [(f, t, 10.0 * t, 5.0 * f, *HEADINGS[(t + f) % 5]) for f in range(2) for t in range(5)],
+        40.0, 5,
+    ))
     def test_matches_dense_oracle(self, case):
         _assert_matches_oracle(*case)
+
+    @staticmethod
+    def _frames_of(rng, sizes):
+        """Rows in frames of the given sizes: track t in frame f is row t of
+        the frame, in a 60 px square with a random heading."""
+        rows = []
+        for f, size in enumerate(sizes):
+            us, vs = rng.uniform(0, 60, size=(2, size))
+            ang = rng.uniform(0, 2 * np.pi, size)
+            rows += zip([f] * size, range(size), us, vs, np.cos(ang), np.sin(ang))
+        return rows, max(sizes)
+
+    @pytest.mark.parametrize("sizes,scan", [
+        ((3, 4) * 20, "_same_frame_scan"),  # study_free_flow-like: 1.29 pairs per row
+        ((2 * _kernels._SAME_FRAME_PAIRS_PER_ROW + 1,) * 20, "_same_frame_scan"),  # at the rule
+        ((2 * _kernels._SAME_FRAME_PAIRS_PER_ROW + 2,) * 20, "_grid_scan"),  # just past it
+        ((82,) * 6, "_grid_scan"),  # queue_dense-like: 40.5 pairs per row
+    ])
+    def test_scan_mode_follows_the_density_rule(self, rng, monkeypatch, sizes, scan):
+        chosen = []
+        for name in ("_same_frame_scan", "_grid_scan"):
+            real = getattr(_kernels, name)
+            monkeypatch.setattr(
+                _kernels, name, lambda *args, name=name, real=real: chosen.append(name) or real(*args)
+            )
+        rows, n_tracks = self._frames_of(rng, sizes)
+        _assert_matches_oracle(rows, 40.0, n_tracks)
+        assert chosen == [scan]
 
     def test_crowded_cell_matches_dense_oracle(self, rng):
         # 300 tracks inside one cell: more candidate pairs than one block
@@ -300,6 +335,29 @@ class TestClosePairCounts:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+        assert all(len(column) == 0 for column in result)
+
+    def test_long_sparse_recording_in_small_memory(self, rng):
+        # 100k rows in frames of four: 150k same-frame pairs, expanded a block
+        # at a time (all at once they take about 15 MiB here); zero
+        # headings, so no pair is close. Beside eight row-length int64
+        # arrays, the scan holds under 64 bytes for each of the 2**15
+        # candidates of a block.
+        n_frames, per_frame = 25_000, 4
+        n = n_frames * per_frame
+        frames = np.repeat(np.arange(n_frames), per_frame).astype(np.int64)
+        track_idx = np.arange(n) % 200  # each track in every 50th frame
+        order = np.lexsort((frames, track_idx))  # track by track, as assembly orders rows
+        frames, track_idx = frames[order], track_idx[order]
+        us, vs = rng.uniform(0, 30, size=(2, n))
+        zeros = np.zeros(n)
+        tracemalloc.start()
+        try:
+            result = _kernels.close_pair_counts(frames, track_idx, us, vs, zeros, zeros, 40.0, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * n + 64 * 2**15
         assert all(len(column) == 0 for column in result)
 
 
