@@ -236,13 +236,8 @@ def _sparse_frame_counts(frame_key, n_keys):
     """Rows per frame key when the same-frame pairs, the sum of k(k-1)/2 over
     frames of k rows, are at most _SAME_FRAME_PAIRS_PER_ROW per row; else
     None."""
-    n = len(frame_key)
-    limit = _SAME_FRAME_PAIRS_PER_ROW * n
-    # n rows in at most n_keys frames make at least n(n / n_keys - 1) / 2
-    # pairs, so a denser recording is known to be past the limit uncounted
-    if n * (n - n_keys) > 2 * limit * n_keys:
-        return None
     per_frame = np.bincount(frame_key, minlength=n_keys)
+    limit = _SAME_FRAME_PAIRS_PER_ROW * len(frame_key)
     return per_frame if int(per_frame @ (per_frame - 1)) <= 2 * limit else None
 
 
@@ -298,7 +293,9 @@ def _coexist_counts(follower, leader, track_idx, frame_key, n_keys):
     stride = n_keys + 1  # one unused key between tracks ends every run
     tf = track_idx * stride
     tf += frame_key
-    tf.sort()
+    # stable int64 sorting is timsort, linear on the one ascending run that
+    # rows given track by track in rising frames make
+    tf.sort(kind="stable")
     breaks = np.flatnonzero(np.diff(tf) != 1) + 1
     run_lo = tf[np.concatenate(([0], breaks))]
     run_hi = tf[np.concatenate((breaks, [len(tf)])) - 1]

@@ -11,6 +11,9 @@ Exit codes: 0 success, 2 input error (a detection CSV, or a scene config,
 manifest, simulation config or phase summary JSON, named with the field;
 or an --out that exists or cannot be written), 3 calibration gate failure,
 4 internal invariant violation. Only a run that exits 0 leaves an --out.
+
+analyze builds its reports in one loop per phase: each recording's CSVs as
+soon as it is analysed, then the phase's summary and filter-count JSONs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .analytics import Phase
 from .config import load_manifest, load_scene_config, SceneConfig
 from .errors import InvariantViolation, SpeedStudyError
 from .geometry import Homography, reprojection_rmse, solve_homography
-from .pipeline import filter_counts, kinematics_csv, maneuvers_csv, process_phase
+from .pipeline import filter_counts, kinematics_csv, maneuvers_csv, process_phase, summarize_phase
 
 log = logging.getLogger("speedstudy")
 
@@ -113,42 +116,38 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze_reports(manifest, cfg, h, lines: list[str]):
-    """Run each phase, yield its reports as they are built and add its line to lines."""
-    for phase_input in manifest.phases:
-        yield from _phase_reports(process_phase(phase_input, cfg, h), phase_input.phase.value, lines)
-
-
-def _phase_reports(phase, tag: str, lines: list[str]):
-    """One phase's reports: each recording's CSVs as soon as the phase (a
-    process_phase generator) yields it, then the summary and filter counts;
-    the phase's line goes to lines after the last.
+    """Each phase's reports in one loop: each recording's CSVs as soon as
+    process_phase yields it, then the phase's summary and filter counts;
+    the phase's line goes to lines after its last report.
 
     A recording's tables are let go once its CSVs are built, before the next
-    recording is parsed; only its source, row count and filter counts stay."""
-    recordings = []
-    while True:
-        try:
-            rec = next(phase)
-        except StopIteration as done:
-            summary = done.value
-            break
-        i = len(recordings)
-        yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
-        if rec.maneuvers is not None:
-            yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
-        recordings.append(
-            {"source": rec.source, "raw_rows": rec.raw_rows, "counts": filter_counts(rec.fates)}
+    recording is parsed; only its source, row count, filter counts,
+    representative speeds and maneuver codes stay."""
+    for phase_input in manifest.phases:
+        tag = phase_input.phase.value
+        recordings, speeds, maneuvers = [], [], []
+        for rec in process_phase(phase_input, cfg, h):
+            i = len(recordings)
+            yield f"{tag}_rec{i:02d}_kinematics.csv", kinematics_csv(rec.kinematics)
+            if rec.maneuvers is not None:
+                yield f"{tag}_rec{i:02d}_maneuvers.csv", maneuvers_csv(rec.maneuvers)
+                maneuvers.append(rec.maneuvers.classes)
+            speeds.append(rec.kinematics.representative_mph)
+            recordings.append(
+                {"source": rec.source, "raw_rows": rec.raw_rows, "counts": filter_counts(rec.fates)}
+            )
+            del rec  # not held while the next recording is parsed
+        raw_rows = sum(r["raw_rows"] for r in recordings)
+        summary = summarize_phase(phase_input, cfg, speeds, maneuvers, raw_rows)
+        yield f"{tag}_summary.json", _json_text(summary.to_json_dict())
+        totals = {name: sum(r["counts"][name] for r in recordings) for name in recordings[0]["counts"]}
+        totals["raw_detections"] = raw_rows
+        counts = {"phase": tag, "totals": totals, "recordings": recordings}
+        yield f"{tag}_filter_counts.json", _json_text(counts)
+        lines.append(
+            f"phase {tag}: {summary.sample_count} vehicles, "
+            f"mean {summary.mean_mph}, p85 {summary.p85_mph}"
         )
-        del rec  # not held while the next recording is parsed
-    yield f"{tag}_summary.json", _json_text(summary.to_json_dict())
-    totals = {name: sum(r["counts"][name] for r in recordings) for name in recordings[0]["counts"]}
-    totals["raw_detections"] = sum(r["raw_rows"] for r in recordings)
-    counts = {"phase": tag, "totals": totals, "recordings": recordings}
-    yield f"{tag}_filter_counts.json", _json_text(counts)
-    lines.append(
-        f"phase {tag}: {summary.sample_count} vehicles, "
-        f"mean {summary.mean_mph}, p85 {summary.p85_mph}"
-    )
 
 
 def cmd_compare(args) -> int:

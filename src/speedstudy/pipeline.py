@@ -1,17 +1,18 @@
 """End-to-end per-recording and per-phase processing.
 
 One recording (a single detection CSV) runs parse -> assemble -> filter
-cascade -> world-plane kinematics -> maneuver classification. A phase hands
-on each recording's result as soon as it exists and pools only the
-per-vehicle speeds and maneuver codes of its recordings into one
-PhaseSummary. Track ids are only unique within a recording, which is why
-recordings are processed independently and exported separately.
+cascade -> world-plane kinematics -> maneuver classification. A phase is a
+plain stream of its recordings' results, one at a time (process_phase);
+summarize_phase pools the per-vehicle speeds and maneuver codes its caller
+kept from them into one PhaseSummary. Track ids are only unique within a
+recording, which is why recordings are processed independently and
+exported separately.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Generator
+from collections.abc import Iterator
 from itertools import chain
 from typing import NamedTuple
 
@@ -84,23 +85,20 @@ def process_recording(path, cfg: SceneConfig, h: Homography) -> RecordingResult:
 
 def process_phase(
     phase_input: PhaseInput, cfg: SceneConfig, h: Homography
-) -> Generator[RecordingResult, None, PhaseSummary]:
-    """Yield each of a phase's recordings' results as soon as it exists, then
-    return the phase's summary (the StopIteration value).
-
-    Between recordings the phase keeps only each one's representative speeds
-    and maneuver codes, so a caller that lets go of each result before
-    asking for the next holds one recording's tables at a time."""
-    speeds, maneuvers, raw_rows = [], [], 0
+) -> Iterator[RecordingResult]:
+    """Yield each of a phase's recordings' results as soon as it exists. A
+    caller that lets go of each result before asking for the next holds one
+    recording's tables at a time."""
     for path in phase_input.detection_paths:
-        rec = process_recording(path, cfg, h)
-        speeds.append(rec.kinematics.representative_mph)
-        if rec.maneuvers is not None:
-            maneuvers.append(rec.maneuvers.classes)
-        raw_rows += rec.raw_rows
-        yield rec
-        del rec  # not held while the next recording is parsed
+        yield process_recording(path, cfg, h)
 
+
+def summarize_phase(
+    phase_input: PhaseInput, cfg: SceneConfig, speeds, maneuvers, raw_rows: int
+) -> PhaseSummary:
+    """The phase's summary from its recordings' representative speeds and
+    maneuver codes (one array per recording; no maneuver arrays at a
+    signalized site) and its raw detection row count, which is logged."""
     summary = build_phase_summary(
         cfg.location_id,
         phase_input.phase,

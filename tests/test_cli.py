@@ -412,16 +412,43 @@ class TestAnalyze:
                 "fc97ccd33c966dad0d099d3f368cbc19ca75c8220275c4cbda5e344f9897277d",
         }
 
-    def test_empty_phase_reports_and_exit_zero(self, tmp_path, scene_path):
+    @staticmethod
+    def phase_log(caplog):
+        return [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "speedstudy.pipeline"]
+
+    def test_phase_log_line_counts_the_raw_rows(self, tmp_path, scene_path, sim_homography, caplog):
+        dets = [run_simulate(tmp_path, sim_homography, name=f"sim{seed}", seed=seed) for seed in (1, 2)]
+        manifest = tmp_path / "run.json"
+        write_json(manifest, {"scene_config": scene_path.name, "phases": [{
+            "phase": "post_w1", "hours": 1.0,
+            "detections": [str(p.relative_to(tmp_path)) for p in dets],
+        }]})
+        out = tmp_path / "report"
+        with caplog.at_level("INFO", logger="speedstudy.pipeline"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+        raw_rows = json.loads((out / "post_w1_filter_counts.json").read_text())["totals"]["raw_detections"]
+        assert raw_rows == sum(len(p.read_text().splitlines()) for p in dets)
+        assert json.loads((out / "post_w1_summary.json").read_text())["sample_count"] == 6
+        assert self.phase_log(caplog) == [
+            ("INFO", f"phase post_w1: {raw_rows} raw rows, 6 vehicles in summary"),
+        ]
+
+    def test_empty_phase_reports_and_exit_zero(self, tmp_path, scene_path, caplog):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         manifest = self.make_manifest(tmp_path, scene_path, empty)
         out = tmp_path / "report"
-        assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+        with caplog.at_level("INFO", logger="speedstudy.pipeline"):
+            assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
         summary = json.loads((out / "pre_summary.json").read_text())
         assert summary["sample_count"] == 0
         assert summary["mean_mph"] is None
         assert summary["histogram"] == []
+        raw_rows = json.loads((out / "pre_filter_counts.json").read_text())["totals"]["raw_detections"]
+        assert self.phase_log(caplog) == [
+            ("WARNING", "phase pre: no vehicles survived; writing empty report"),
+            ("INFO", f"phase pre: {raw_rows} raw rows, 0 vehicles in summary"),
+        ]
 
     def test_malformed_row_exit_code_and_message(self, tmp_path, scene_path, caplog):
         bad = tmp_path / "bad.csv"
@@ -1686,6 +1713,41 @@ class TestPackage:
         )
         assert out.returncode == 0, out.stderr
         assert "analyze" in out.stdout
+
+
+class TestTracedBoundaries:
+    def test_analyze_enters_every_traced_boundary(self, tmp_path, scene_path, sim_homography):
+        """The benchmark's tracer (perfbench/tracing.py) finds every layer
+        boundary and an analyze run enters each, so a refactor that calls
+        around a traced name fails here, on every Python."""
+        phases = [
+            {"phase": phase.value, "hours": 1.0, "detections": [str(
+                run_simulate(tmp_path, sim_homography, name=f"sim{k}", noise=1.0, seed=k)
+                .relative_to(tmp_path))]}
+            for k, phase in enumerate(Phase)
+        ]
+        write_json(tmp_path / "run.json", {"scene_config": scene_path.name, "phases": phases})
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "import speedstudy\n"
+            "from speedstudy import cli\n"
+            "from tracing import BOUNDARIES, Tracer\n"
+            "tracer = Tracer('test')\n"
+            "missing = tracer.install(speedstudy)\n"
+            "code = cli.main(['analyze', '--manifest', 'run.json', '--out', 'report'])\n"
+            "entered = {span[0] for span in tracer.spans}\n"
+            "print(json.dumps({'code': code, 'missing': missing,\n"
+            "                  'not_entered': sorted({b[2] for b in BOUNDARIES} - entered)}))\n"
+        )
+        # no bytecode is written beside the tracer, so the checkout stays clean
+        env = dict(os.environ, PYTHONPATH=str(Path(speedstudy.__file__).parents[1]),
+                   PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, cwd=tmp_path, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == {"code": 0, "missing": [], "not_entered": []}
 
 
 # array and table fields compare by identity, so the records share these
