@@ -10,13 +10,13 @@ which only the `compare` command loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .behavior import MANEUVERS
-from .errors import ConfigError, EmptyInput, InvariantViolation
+from .errors import ConfigError, EmptyInput
 
 # Histograms wider than this are refused: each bin is a report row.
 MAX_HISTOGRAM_BINS = 100_000
@@ -28,8 +28,7 @@ class Phase(Enum):
     POST_W2 = "post_w2"
 
 
-@dataclass(frozen=True)
-class PhaseSummary:
+class PhaseSummary(NamedTuple):
     location_id: int
     phase: Phase
     sample_count: int
@@ -38,14 +37,6 @@ class PhaseSummary:
     p85_mph: float | None
     histogram: tuple[tuple[float, int], ...] | None = None  # (bin lower edge, count)
     maneuver_shares: dict[str, float] | None = None
-
-    def __post_init__(self):
-        if self.histogram is not None:
-            total = sum(c for _, c in self.histogram)
-            if total != self.sample_count:
-                raise InvariantViolation(
-                    f"histogram total {total} != sample count {self.sample_count}"
-                )
 
     def to_json_dict(self) -> dict:
         out = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +167,7 @@ class SyntheticVehicle:
             raise ValueError("entry time must be >= 0")
 
 
-@dataclass(frozen=True)
-class VehicleTruth:
+class VehicleTruth(NamedTuple):
     vehicle_id: int
     frames: np.ndarray
     positions: np.ndarray  # (N, 2) world meters
@@ -175,8 +175,7 @@ class VehicleTruth:
     maneuver: ManeuverClass
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     vehicles: tuple[VehicleTruth, ...]
 
     def by_id(self) -> dict[int, VehicleTruth]:
@@ -322,8 +321,7 @@ def example_roadside_homography() -> Homography:
     )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """What `simulate` renders: the true camera, the time span, the anchor
     noise and the vehicles."""
 

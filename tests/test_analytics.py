@@ -25,7 +25,6 @@ from speedstudy.compare import load_summary, round1
 from speedstudy.errors import (
     ConfigError,
     EmptyInput,
-    InvariantViolation,
     LocationMismatch,
     NonPositiveBaseline,
 )
@@ -266,10 +265,6 @@ class TestPhaseSummary:
         assert s.maneuver_shares["pass_through"] == 50.0
         assert s.maneuver_shares["slow_down"] == 50.0
         assert s.maneuver_shares["stop_and_go"] == 0.0
-
-    def test_histogram_total_invariant_enforced(self):
-        with pytest.raises(InvariantViolation):
-            PhaseSummary(1, Phase.PRE, 5, 1.0, 20.0, 20.0, histogram=((20.0, 1),))
 
     def test_json_round_trip(self, tmp_path):
         s = build_phase_summary(

@@ -34,6 +34,7 @@ from helpers import (
 from speedstudy import (
     MANEUVERS,
     KinematicsTable,
+    ManeuverClass,
     ManeuverTable,
     Phase,
     PhaseSummary,
@@ -42,6 +43,7 @@ from speedstudy import (
     geometry,
     ingest,
     pipeline,
+    simulator,
     solve_homography,
 )
 from speedstudy.cli import _json_text, main
@@ -657,6 +659,65 @@ class TestAnalyze:
         blobs.append(self.analyze_reports(tmp_path, manifest, "shuffled"))
         self.assert_every_stage_removed_some(blobs[0])
         assert blobs[0] == blobs[1]
+
+    @staticmethod
+    def relabel(dets, new_id):
+        """Rewrite the detection CSV's track ids through new_id; returns the
+        ids it held."""
+        rows = [line.split(",", 2) for line in dets.read_text().splitlines(keepends=True)]
+        dets.write_text("".join(f"{frame},{new_id(int(tid))},{rest}" for frame, tid, rest in rows))
+        return sorted({int(tid) for _, tid, _ in rows})
+
+    @staticmethod
+    def ids_mapped(reports, old_id):
+        """The reports, each CSV row's track id (its first field) mapped
+        through old_id."""
+        out = dict(reports)
+        for name, blob in reports.items():
+            if name.endswith(".csv"):
+                header, *rows = blob.decode().splitlines(keepends=True)
+                rows = (row.split(",", 1) for row in rows)
+                out[name] = (header + "".join(f"{old_id(int(t))},{rest}" for t, rest in rows)).encode()
+        return out
+
+    def test_order_preserving_id_relabelling_gives_identical_reports(
+        self, tmp_path, scene_path, sim_homography
+    ):
+        """Ids moved to the top of the int64 range, in the same order, give
+        the same reports once mapped back."""
+        dets = self.simulate_every_stage(tmp_path, sim_homography)
+        manifest = self.make_manifest(tmp_path, scene_path, dets)
+        before = self.analyze_reports(tmp_path, manifest, "as_simulated")
+        step = 1_000_003
+        top = self.relabel(dets, lambda i: INT64_MAX - step * (8 - i))[-1]
+        assert top == 8  # so the largest id becomes INT64_MAX
+        after = self.analyze_reports(tmp_path, manifest, "relabelled")
+        assert after != before
+        self.assert_every_stage_removed_some(before)
+        assert self.ids_mapped(after, lambda i: 8 - (INT64_MAX - i) // step) == before
+
+    def test_reversed_ids_give_the_same_rows_and_counts(self, tmp_path, scene_path, sim_homography):
+        """Reversing the ids reorders the per-track rows and nothing else.
+        The phase mean sums the vehicles in track-id order, so it and p85
+        are compared within the reordering error of a float64 sum of
+        sample_count terms; everything else is compared exactly."""
+        dets = self.simulate_every_stage(tmp_path, sim_homography)
+        manifest = self.make_manifest(tmp_path, scene_path, dets)
+        before = self.analyze_reports(tmp_path, manifest, "as_simulated")
+        ids = self.relabel(dets, lambda i: 9 - i)
+        assert ids == list(range(1, 9))
+        after = self.ids_mapped(self.analyze_reports(tmp_path, manifest, "reversed"), lambda i: 9 - i)
+        self.assert_every_stage_removed_some(before)
+        assert after.keys() == before.keys()
+        for name in before:
+            if name.endswith(".csv"):
+                assert sorted(after[name].splitlines()) == sorted(before[name].splitlines()), name
+        assert after["pre_filter_counts.json"] == before["pre_filter_counts.json"]
+        summaries = [json.loads(reports["pre_summary.json"]) for reports in (before, after)]
+        rel = summaries[0]["sample_count"] * np.finfo(np.float64).eps
+        for key in ("mean_mph", "p85_mph"):
+            assert summaries[1].pop(key) == pytest.approx(summaries[0].pop(key), rel=rel, abs=0)
+        assert summaries[1] == summaries[0]
 
     def test_thresholds_left_out_read_as_the_published_defaults(
         self, tmp_path, demo_h, sim_homography
@@ -1755,6 +1816,10 @@ RECORD_AOI = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
 RECORD_DIRECTION = np.array([1.0, 0.0])
 RECORD_KINS = KinematicsTable(*(np.zeros(n) for n in (0, 1, 0, (0, 2), 0, 0, 0)))
 RECORD_FATES = np.zeros(3, dtype=np.int8)
+RECORD_H = geometry.Homography(np.eye(3))
+RECORD_VEHICLE = simulator.SyntheticVehicle(
+    1, 0.0, geometry.WorldPoint(0.0, 0.0), (1.0, 0.0), simulator.Constant(20.0), (40.0, 60.0)
+)
 
 
 def plain_records():
@@ -1762,6 +1827,8 @@ def plain_records():
     afresh from equal values."""
     corr = geometry.Correspondence(geometry.WorldPoint(0.0, 1.0), geometry.ImagePoint(2.0, 3.0))
     phase = config.PhaseInput(Phase.PRE, (Path("pre.csv"),), 2.5)
+    truth = simulator.VehicleTruth(1, RECORD_FATES, RECORD_AOI, RECORD_DIRECTION,
+                                   ManeuverClass.PASS_THROUGH)
     return [
         config.Thresholds(following_px=30.0),
         config.SceneConfig(1, "site", 10.0, (corr,), RECORD_AOI, RECORD_AOI, RECORD_DIRECTION,
@@ -1770,11 +1837,18 @@ def plain_records():
         config.RunManifest(Path("scene.json"), (phase,)),
         corr,
         pipeline.RecordingResult("pre.csv", 3, RECORD_KINS, None, RECORD_FATES),
+        PhaseSummary(1, Phase.PRE, 1, 2.5, 20.0, 20.0, ((20.0, 1),), {"pass_through": 100.0}),
+        simulator.SimConfig(RECORD_H, 10.0, 18.0, 0.0, RECORD_AOI, simulator.DEFAULT_CLASS_MAP,
+                            (RECORD_VEHICLE,)),
+        simulator.GroundTruth((truth,)),
+        truth,
     ]
 
 
 class TestRecords:
-    @pytest.mark.parametrize("index", range(6), ids=lambda i: type(plain_records()[i]).__name__)
+    @pytest.mark.parametrize(
+        "index", range(len(plain_records())), ids=lambda i: type(plain_records()[i]).__name__
+    )
     def test_immutable_compared_by_value_and_not_a_dataclass(self, index):
         record, twin = plain_records()[index], plain_records()[index]
         assert record == twin and record is not twin
@@ -1784,6 +1858,24 @@ class TestRecords:
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+    # dataclasses that check nothing on construction, and why each stays one
+    UNCHECKED_DATACLASSES = {
+        "DetectionTable": "its __len__ is the row count, where a tuple's would be its field count",
+        "Detection": "perfbench's clutter rows edit it with dataclasses.replace",
+    }
+
+    def test_a_dataclass_checks_its_fields_or_states_why_it_is_one(self):
+        """A record that checks nothing on construction is a NamedTuple."""
+        found = []
+        for module in pkgutil.iter_modules(speedstudy.__path__):
+            loaded = importlib.import_module(f"speedstudy.{module.name}")
+            found += [cls for cls in vars(loaded).values()
+                      if isinstance(cls, type) and cls.__module__ == loaded.__name__
+                      and dataclasses.is_dataclass(cls)]
+        assert {cls.__name__ for cls in found} >= {"SyntheticVehicle", "TrackTable"}
+        unchecked = {cls.__name__ for cls in found if not hasattr(cls, "__post_init__")}
+        assert unchecked == set(self.UNCHECKED_DATACLASSES)
 
 
 class TestDefaults:

@@ -6,6 +6,7 @@ import math
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -354,6 +355,29 @@ class TestReadByName:
         plain = tmp_path / "dets.csv"
         plain.write_text(text)
         assert got[0] == [1, 2] and got == parse_outcome(plain)
+
+    def test_str_path_and_bytes_names_read_alike(self, tmp_path, monkeypatch):
+        """A str, a Path and a bytes path give the same table through one
+        loadtxt call by name, and the same message for a malformed row."""
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("{0}\n{1}\n".format(*self.ROWS))
+        bad.write_text(f"{self.ROWS[0]}\nbad\n")
+        calls = []
+        loadtxt = ingest._loadtxt
+        monkeypatch.setattr(ingest, "_loadtxt", lambda source: calls.append(source) or loadtxt(source))
+        tables, messages = [], []
+        for kind in (str, Path, os.fsencode):
+            calls.clear()
+            tables.append(parse_track_file(kind(good), CLASS_MAP))
+            assert calls == [str(good)]
+            with pytest.raises(MalformedRow) as exc_info:
+                parse_track_file(kind(bad), CLASS_MAP)
+            messages.append(str(exc_info.value))
+        for table in tables[1:]:
+            for column in ("frame", "track_id", "bbox", "confidence", "label"):
+                assert np.array_equal(getattr(table, column), getattr(tables[0], column)), column
+        assert messages == messages[:1] * 3
+        assert messages[0].startswith(f"malformed row at {bad}:2: ")
 
     def test_url_shaped_name_is_not_fetched(self, tmp_path, monkeypatch):
         """A local file whose name parses as a URL is read by the walk:
