@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import re
-import urllib.parse
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -279,13 +278,14 @@ def _load_rows(name: str) -> np.ndarray | None:
     (UnicodeDecodeError is a ValueError), or name is not an existing
     regular file with a plain suffix.
 
-    numpy opens a name itself: it decompresses by suffix, reads a sibling
-    such as <name>.gz when the name does not exist, and fetches a URL, so
-    only a name it opens as the plain file is handed to it. loadtxt skips
-    empty lines and rejects every other line _is_data drops: a
-    whitespace-only line is one field where eight are needed, and no
-    integer parses from a field starting with '#'. So a read that succeeds
-    has kept exactly the lines _is_data keeps.
+    numpy opens a name itself: it decompresses by suffix and reads a
+    sibling such as <name>.gz when the name does not exist, so only an
+    existing file with a plain suffix is handed to it, as an absolute path:
+    numpy fetches a name with both a URL scheme and a host, which an
+    absolute path never has. loadtxt skips empty lines and rejects every
+    other line _is_data drops: a whitespace-only line is one field where
+    eight are needed, and no integer parses from a field starting with '#'.
+    So a read that succeeds has kept exactly the lines _is_data keeps.
 
     Keep handing over the name: loadtxt sends a str name through its
     chunked file reader, and iterates any other object, an open handle
@@ -294,12 +294,10 @@ def _load_rows(name: str) -> np.ndarray | None:
     by name took 5-9% less time than through a handle, and opening each
     file once for both this read and the line walk was 5-8% slower.
     """
-    scheme, netloc = urllib.parse.urlparse(name)[:2]
-    plain = not (scheme and netloc) and not name.lower().endswith(_COMPRESSED_SUFFIXES)
-    if not (plain and os.path.isfile(name)):
+    if name.lower().endswith(_COMPRESSED_SUFFIXES) or not os.path.isfile(name):
         return None
     try:
-        return _loadtxt(name)
+        return _loadtxt(os.path.abspath(name))
     except (ValueError, DeprecationWarning):
         return None
 
@@ -393,7 +391,8 @@ def _label_codes(class_ids: np.ndarray, class_map: dict[int, ClassLabel]) -> np.
 
 
 def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
-    """Group detections by id, sort by frame, and resolve duplicate frames.
+    """Group detections by id, sort by frame, and resolve duplicate frames,
+    all from one sort, whose ids also give each track's bounds.
 
     A duplicate (id, frame) pair keeps the higher-confidence detection (first
     seen wins ties). Tracks are ordered by id. Every kept anchor is mapped
@@ -409,23 +408,22 @@ def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
     frames = table.frame[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
+    del frames
+    # the kept rows' ids, ascending: a track starts where the id changes
+    ids = ids[first]
     keep = order[first]
-    del order, ids, frames, first
-    anchors = anchor_points(table.bbox, keep)
-    ids, frames, labels = table.track_id[keep], table.frame[keep], table.label[keep]
-    del table, keep
+    del order, first
     new_track = np.ones(len(ids), dtype=bool)
     new_track[1:] = ids[1:] != ids[:-1]
     starts = np.flatnonzero(new_track)
+    track_ids = ids[starts]
+    del ids, new_track
+    anchors = anchor_points(table.bbox, keep)
+    frames, labels = table.frame[keep], table.label[keep]
+    del table, keep
     world, projectable = project_points(h.inverse().matrix, anchors)
     return TrackTable(
-        ids[starts],
-        np.append(starts, len(ids)),
-        frames,
-        anchors,
-        labels,
-        world,
-        projectable,
+        track_ids, np.append(starts, len(frames)), frames, anchors, labels, world, projectable
     )
 
 

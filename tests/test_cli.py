@@ -236,6 +236,20 @@ class TestSimulate:
             )
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("scale", [2.0, 0.5, -4.0])
+    def test_scaled_homography_writes_identical_csvs(self, tmp_path, sim_homography, scale):
+        """A nonzero multiple of a homography is the same map, and Homography
+        keeps one canonical form of it, so the CSVs match byte for byte."""
+        outs = []
+        for name, factor in (("unscaled", 1.0), ("scaled", scale)):
+            matrix = [[factor * value for value in row] for row in sim_homography]
+            write_json(tmp_path / f"{name}.json", dict(sim_config(noise=1.0), homography_matrix=matrix))
+            assert main(["simulate", "--config", str(tmp_path / f"{name}.json"), "--seed", "3",
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append(snapshot(tmp_path / name))
+        assert outs[0].keys() == {"detections.csv", "ground_truth.csv"}
+        assert outs[1] == outs[0]
+
     def test_invalid_profile_field_path(self, tmp_path, sim_homography, caplog):
         cfg = dict(sim_config(), homography_matrix=sim_homography)
         cfg["vehicles"][1]["profile"] = {"kind": "trapezoid_stop", "v_free_mph": 20.0,
@@ -736,6 +750,85 @@ class TestAnalyze:
         self.assert_every_stage_removed_some(blobs[0])
         assert blobs[0] == blobs[1]
 
+    def test_rigid_motion_of_the_world_frame_keeps_speeds_and_classes(
+        self, tmp_path, demo_h, sim_homography
+    ):
+        """Rotating and shifting the world frame, the calibration's world
+        points, approach zone and travel direction together, moves every
+        road-plane position rigidly. Distances are kept, so every speed
+        agrees within 1e-9 relative, and no track lies near a gate or a
+        class bound, so fates and maneuver classes are equal."""
+        dets = self.simulate_every_stage(tmp_path, sim_homography)
+        angle, shift = 2.5, np.array([130.0, -45.0])
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+        def moved(points):
+            return (np.asarray(points, dtype=np.float64) @ rotation.T + shift).tolist()
+
+        scene = scene_config_dict(demo_h)
+        calibration = copy.deepcopy(scene["calibration"])
+        for pair in calibration["correspondences"]:
+            pair["world"] = moved(pair["world"])
+        moved_scene = dict(
+            scene, calibration=calibration, approach_zone=moved(scene["approach_zone"]),
+            travel_direction=(rotation @ scene["travel_direction"]).tolist(),
+        )
+        before, after = (
+            pipeline.process_recording(dets, cfg, solve_homography(cfg.correspondences))
+            for cfg in map(scene_config_from_dict, (scene, moved_scene))
+        )
+        assert set(before.fates.tolist()) == {0, 2, 3, 4, 5}  # kept, or removed past the AoI clip
+        assert np.array_equal(after.fates, before.fates)
+        k0, k1 = before.kinematics, after.kinematics
+        for column in ("track_ids", "offsets", "frames", "window_frames"):
+            assert np.array_equal(getattr(k1, column), getattr(k0, column)), column
+        assert not np.allclose(k1.points, k0.points)
+        np.testing.assert_allclose(k1.speeds_mph, k0.speeds_mph, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(k1.representative_mph, k0.representative_mph, rtol=1e-9, atol=0)
+        m0, m1 = before.maneuvers, after.maneuvers
+        assert len(m0.track_ids) and np.array_equal(m1.track_ids, m0.track_ids)
+        assert np.array_equal(m1.classes, m0.classes)
+        np.testing.assert_allclose(m1.v_mean_mph, m0.v_mean_mph, rtol=1e-9, atol=0)
+
+    def test_recording_split_where_no_track_spans_keeps_the_phase_figures(
+        self, tmp_path, scene_path, sim_homography
+    ):
+        """One recording cut into two CSVs at a frame that no track spans
+        gives the same filter totals and phase summary. The mean is compared
+        within the reordering error of a float64 sum of sample_count terms
+        (the phase mean sums in recording order)."""
+        cfg = dict(sim_config(noise=1.0, n_vehicles=6), duration_s=40.0,
+                   homography_matrix=sim_homography)
+        for i, vehicle in enumerate(cfg["vehicles"]):  # three vehicles, then three more
+            vehicle.update(entry_time_s=2.0 * i + (14.0 if i >= 3 else 0.0),
+                           start=[0.0, -3.0 + 2.0 * (i % 3)])
+        cfg["vehicles"][4]["class_label"] = "bicycle"
+        write_json(tmp_path / "sim.json", cfg)
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--seed", "9",
+                     "--out", str(tmp_path / "sim")]) == 0
+        lines = (tmp_path / "sim" / "detections.csv").read_text().splitlines(keepends=True)
+        keys = [tuple(map(int, line.split(",", 2)[:2])) for line in lines]  # (frame, track id)
+        cut = min(frame for frame, track_id in keys if track_id > 3)
+        assert max(frame for frame, track_id in keys if track_id <= 3) < cut
+        for name, part in (("first", lambda frame: frame < cut), ("second", lambda frame: frame >= cut)):
+            (tmp_path / f"{name}.csv").write_text(
+                "".join(line for line, (frame, _) in zip(lines, keys) if part(frame))
+            )
+        reports = []
+        for name, detections in (("whole", ["sim/detections.csv"]),
+                                 ("split", ["first.csv", "second.csv"])):
+            write_json(tmp_path / f"{name}.json", {"scene_config": scene_path.name, "phases": [
+                {"phase": "pre", "detections": detections, "hours": 2.0}]})
+            reports.append(self.analyze_reports(tmp_path, tmp_path / f"{name}.json", name))
+        totals = [json.loads(r["pre_filter_counts.json"])["totals"] for r in reports]
+        assert totals[1] == totals[0]
+        assert (totals[0]["vehicle_type"], totals[0]["surviving"]) == (1, 5)
+        summaries = [json.loads(r["pre_summary.json"]) for r in reports]
+        assert summaries[0]["sample_count"] == 5
+        rel = summaries[0]["sample_count"] * np.finfo(np.float64).eps
+        assert summaries[1].pop("mean_mph") == pytest.approx(summaries[0].pop("mean_mph"), rel=rel, abs=0)
+        assert summaries[1] == summaries[0]
+
 
 def run_compare(paths, out) -> int:
     pre, w1, w2 = paths
@@ -995,6 +1088,16 @@ class TestWorkingSet:
         pipeline.process_recording(path, cfg, h)  # numpy's lazy set-up is not billed
         _, peak = self.traced_peak(pipeline.process_recording, path, cfg, h)
         assert peak <= 135 * n_rows, f"{peak / n_rows:.1f} B/row"
+
+    @HANDS_OVER_ARGUMENTS
+    def test_assembly_peak_bytes_per_row(self, bulk):
+        """assemble_tracks, handed the parsed table as the pipeline hands it,
+        allocates its 42 B/row of tracks and the sort's temporaries."""
+        path, n_rows, cfg, h = bulk
+        ingest.assemble_tracks(ingest.parse_track_file(path, cfg.class_map), h)  # lazy set-up
+        held = [ingest.parse_track_file(path, cfg.class_map)]
+        _, peak = self.traced_peak(lambda: ingest.assemble_tracks(held.pop(), h))
+        assert peak <= 62 * n_rows, f"{peak / n_rows:.1f} B/row"
 
     def test_line_walk_peak_within_the_read_by_name(self, bulk, tmp_path):
         """A '#' line sends the file down the line walk, which holds the
@@ -1658,6 +1761,64 @@ class TestConfigFields:
             assert any("calibration gate failed" in message for message in errors)
         else:
             assert code in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def small_csv_inputs(tmp_path_factory, demo_h):
+    """A scene config and the first 40 rows of a simulated detection CSV:
+    its first 3 s, two cars that the cascade keeps."""
+    base = tmp_path_factory.mktemp("small_csv")
+    dets = run_simulate(base, [list(row) for row in demo_h.matrix.tolist()], noise=1.0)
+    rows = dets.read_bytes().splitlines(keepends=True)[:40]
+    return base, scene_config_dict(demo_h), b"".join(rows)
+
+
+class TestDetectionBytes:
+    @staticmethod
+    def analyze(inputs, csv: bytes) -> tuple[int, bool, str]:
+        """analyze's exit code on csv as a one-phase manifest's recording,
+        whether its --out exists, and what it printed to stderr."""
+        base, scene, _ = inputs
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory(dir=base) as tmp, contextlib.redirect_stderr(stderr):
+            tmp = Path(tmp)
+            write_json(tmp / "scene.json", scene)
+            write_json(tmp / "run.json", {"scene_config": "scene.json", "phases": [
+                {"phase": "pre", "detections": ["dets.csv"], "hours": 1.0}]})
+            (tmp / "dets.csv").write_bytes(csv)
+            code = main(["analyze", "--manifest", str(tmp / "run.json"), "--out", str(tmp / "report")])
+            return code, (tmp / "report").exists(), stderr.getvalue()
+
+    def test_unmutated_csv_keeps_its_cars(self, small_csv_inputs, tmp_path):
+        _, scene, csv = small_csv_inputs
+        (tmp_path / "dets.csv").write_bytes(csv)
+        cfg = scene_config_from_dict(scene)
+        rec = pipeline.process_recording(tmp_path / "dets.csv", cfg, solve_homography(cfg.correspondences))
+        assert rec.kinematics.track_ids.tolist() == [1, 2]
+        assert self.analyze(small_csv_inputs, csv)[:2] == (0, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_byte_mutations_exit_0_or_2(self, small_csv_inputs, data):
+        """Bytes flipped, inserted or deleted, or the file cut short: analyze
+        reports the recording or rejects it, with no traceback and no report
+        directory left behind."""
+        csv = bytearray(small_csv_inputs[2])
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(("flip", "insert", "delete", "truncate")))
+            at = data.draw(st.integers(0, len(csv)))
+            if kind == "flip" and at < len(csv):
+                csv[at] ^= 1 << data.draw(st.integers(0, 7))
+            elif kind == "insert":
+                csv[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+            elif kind == "delete":
+                del csv[at:at + data.draw(st.integers(1, 16))]
+            elif kind == "truncate":
+                del csv[at:]
+        code, written, stderr = self.analyze(small_csv_inputs, bytes(csv))
+        assert code in (0, 2)
+        assert "Traceback" not in stderr
+        assert written == (code == 0)
 
 
 SUMMARY_FIELDS = (

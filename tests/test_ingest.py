@@ -380,14 +380,17 @@ class TestReadByName:
         assert messages[0].startswith(f"malformed row at {bad}:2: ")
 
     def test_url_shaped_name_is_not_fetched(self, tmp_path, monkeypatch):
-        """A local file whose name parses as a URL is read by the walk:
-        numpy would fetch the URL."""
+        """A local file whose name parses as a URL is read by name, in one
+        loadtxt call: numpy gets its absolute path, which it never fetches."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "http:" / "localhost").mkdir(parents=True)
         (tmp_path / "http:" / "localhost" / "x.csv").write_text(f"{self.ROWS[0]}\n")
         monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: pytest.fail("fetched"))
-        assert ingest._load_rows("http://localhost/x.csv") is None
+        calls = []
+        loadtxt = ingest._loadtxt
+        monkeypatch.setattr(ingest, "_loadtxt", lambda source: calls.append(source) or loadtxt(source))
         assert parse_track_file("http://localhost/x.csv", CLASS_MAP).frame.tolist() == [1]
+        assert calls == [os.path.join(os.getcwd(), "http:", "localhost", "x.csv")]
 
 
 EXTREME_FLOATS = st.sampled_from(
