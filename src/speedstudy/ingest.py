@@ -280,12 +280,14 @@ def _load_rows(name: str) -> np.ndarray | None:
 
     numpy opens a name itself: it decompresses by suffix and reads a
     sibling such as <name>.gz when the name does not exist, so only an
-    existing file with a plain suffix is handed to it, as an absolute path:
-    numpy fetches a name with both a URL scheme and a host, which an
-    absolute path never has. loadtxt skips empty lines and rejects every
-    other line _is_data drops: a whitespace-only line is one field where
-    eight are needed, and no integer parses from a field starting with '#'.
-    So a read that succeeds has kept exactly the lines _is_data keeps.
+    existing file with a plain suffix is handed to it, joined to the working
+    directory: numpy fetches a name only with a URL scheme and a host, which
+    an absolute path lacks, and unlike os.path.abspath the join keeps each
+    '..' for the OS to resolve after any symlink, as os.path.isfile did.
+    loadtxt skips empty lines and rejects every other line _is_data drops:
+    a whitespace-only line is one field where eight are needed, and no
+    integer parses from a field starting with '#'. So a read that succeeds
+    has kept exactly the lines _is_data keeps.
 
     Keep handing over the name: loadtxt sends a str name through its
     chunked file reader, and iterates any other object, an open handle
@@ -297,7 +299,7 @@ def _load_rows(name: str) -> np.ndarray | None:
     if name.lower().endswith(_COMPRESSED_SUFFIXES) or not os.path.isfile(name):
         return None
     try:
-        return _loadtxt(os.path.abspath(name))
+        return _loadtxt(os.path.join(os.getcwd(), name))
     except (ValueError, DeprecationWarning):
         return None
 
@@ -406,18 +408,17 @@ def assemble_tracks(table: DetectionTable, h: Homography) -> TrackTable:
     order = np.lexsort((-table.confidence, table.frame, table.track_id))
     ids = table.track_id[order]
     frames = table.frame[order]
+    # a track starts where the sorted id changes, a kept row where it or the frame does
+    new_id = np.ones(len(order), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=new_id[1:])
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
+    np.not_equal(frames[1:], frames[:-1], out=first[1:])
     del frames
-    # the kept rows' ids, ascending: a track starts where the id changes
-    ids = ids[first]
+    first |= new_id
+    track_ids, starts = ids[new_id], np.flatnonzero(new_id[first])
+    del ids
     keep = order[first]
-    del order, first
-    new_track = np.ones(len(ids), dtype=bool)
-    new_track[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(new_track)
-    track_ids = ids[starts]
-    del ids, new_track
+    del order, first, new_id
     anchors = anchor_points(table.bbox, keep)
     frames, labels = table.frame[keep], table.label[keep]
     del table, keep

@@ -1,15 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from speedstudy import example_roadside_homography
-
-# HYPOTHESIS_PROFILE=ci gives the property tests that set no max_examples of
-# their own five times hypothesis's default 100 examples
-settings.register_profile("ci", max_examples=500)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -390,7 +390,27 @@ class TestReadByName:
         loadtxt = ingest._loadtxt
         monkeypatch.setattr(ingest, "_loadtxt", lambda source: calls.append(source) or loadtxt(source))
         assert parse_track_file("http://localhost/x.csv", CLASS_MAP).frame.tolist() == [1]
-        assert calls == [os.path.join(os.getcwd(), "http:", "localhost", "x.csv")]
+        assert calls == [os.path.join(os.getcwd(), "http://localhost/x.csv")]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_dotdot_after_a_symlinked_directory_reads_the_file_the_os_finds(
+        self, tmp_path, monkeypatch
+    ):
+        """'runs/../data/x.csv' with runs a symlink leads through the link's
+        target, as the OS resolves it; the decoy where a textual '..' would
+        lead is never read."""
+        (tmp_path / "store" / "runs").mkdir(parents=True)
+        (tmp_path / "store" / "data").mkdir()
+        (tmp_path / "store" / "data" / "x.csv").write_text(f"{self.ROWS[0]}\n")
+        (tmp_path / "work" / "data").mkdir(parents=True)
+        (tmp_path / "work" / "data" / "x.csv").write_text(f"{self.ROWS[1]}\n")
+        (tmp_path / "work" / "runs").symlink_to(tmp_path / "store" / "runs")
+        monkeypatch.chdir(tmp_path / "work")
+        calls = []
+        loadtxt = ingest._loadtxt
+        monkeypatch.setattr(ingest, "_loadtxt", lambda source: calls.append(source) or loadtxt(source))
+        assert parse_track_file("runs/../data/x.csv", CLASS_MAP).frame.tolist() == [1]
+        assert len(calls) == 1
 
 
 EXTREME_FLOATS = st.sampled_from(
