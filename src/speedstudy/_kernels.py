@@ -315,9 +315,9 @@ def close_pair_counts(frames, track_idx, us, vs, dus, dvs, max_px, n_tracks):
     that are ever close.
 
     Row k says track track_idx[k] is at (us[k], vs[k]) in frame frames[k],
-    heading along (dus[k], dvs[k]). Track l is close ahead of track t in a
-    frame when l's point lies within max_px of t's (strictly) and has a
-    positive component along t's heading. Returns int64 arrays
+    heading along (dus[k], dvs[k]), a vector of any length. Track l is close
+    ahead of track t in a frame when l's point lies within max_px of t's
+    (strictly) and has a positive component along t's heading. Returns int64 arrays
     (follower, leader, close, coexist), sorted by (follower, leader), over
     the pairs with close > 0: close counts the frames with l close ahead of
     t, coexist the frames in which both tracks appear.

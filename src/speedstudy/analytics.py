@@ -1,9 +1,10 @@
 """Phase-level aggregation.
 
-A phase summary carries the per-vehicle speed distribution statistics (mean,
-85th percentile interpolated at rank 0.85*(n-1), histogram of 1-mph bins)
-plus optional maneuver shares for one site-phase; `analyze` writes one per
-phase. The before/after comparison of three summaries is in `compare`,
+A phase summary carries the per-vehicle speed distribution statistics (mean
+from math.fsum's correctly rounded sum, so independent of the vehicles'
+order; 85th percentile interpolated at rank 0.85*(n-1); histogram of 1-mph
+bins) plus optional maneuver shares for one site-phase; `analyze` writes one
+per phase. The before/after comparison of three summaries is in `compare`,
 which only the `compare` command loads.
 """
 
@@ -55,10 +56,10 @@ class PhaseSummary(NamedTuple):
 
 
 def mean_speed(values) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    speeds = np.asarray(values, dtype=np.float64).tolist()
+    if not speeds:
         raise EmptyInput("mean of zero values")
-    return float(arr.mean())
+    return math.fsum(speeds) / len(speeds)
 
 
 def percentile_85(values) -> float:

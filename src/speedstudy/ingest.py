@@ -23,7 +23,6 @@ from __future__ import annotations
 import io
 import itertools
 import logging
-import math
 import os
 import re
 import warnings
@@ -487,16 +486,13 @@ def filter_stationary(tracks: TrackTable, thresholds: Thresholds = Thresholds())
 
 
 def _image_headings(tracks: TrackTable, h: Homography, travel_direction) -> np.ndarray:
-    """Unit image-space vector of a 1 m world step along travel_direction at
-    each anchor; zero where the anchor or the step does not project. (A
-    function of its own so its temporaries are freed before the pair scan.)"""
+    """Image of a 1 m world step along travel_direction at each anchor minus
+    the anchor, a heading of any length; zero where the anchor or the step does
+    not project. (Its own function so its temporaries are freed before the scan.)"""
     direction = np.asarray(travel_direction, dtype=np.float64)
     dirs, ahead_valid = project_points(h.matrix, tracks.world + direction)
     dirs -= tracks.anchors
-    norms = np.hypot(dirs[:, 0], dirs[:, 1])
-    ok = tracks.projectable & ahead_valid & (norms > 0)
-    np.divide(dirs, norms[:, np.newaxis], out=dirs, where=ok[:, np.newaxis])
-    dirs[np.flatnonzero(~ok)] = 0.0
+    dirs[np.flatnonzero(~(tracks.projectable & ahead_valid))] = 0.0
     return dirs
 
 
@@ -524,54 +520,21 @@ def filter_following(
     return tracks.subset(tracks.per_row(~has_leader))
 
 
-# The vectorized gate's angle is within _DIRECTION_BAND_DEG of the
-# per-track expression's (_direction_kept), for a unit travel direction and a
-# displacement of norm at least _DIRECTION_MIN_NORM. With u = 2**-53, each
-# expression's cosine is within 5u of the exact one: its dot product is within
-# 2u|disp| (two products and a sum, or a fused multiply-add), its norm within
-# 2u|disp| (np.hypot, under an ulp), and the division adds u. So the two differ
-# by at most 10u, and 16u is taken. acos turns a cosine error e into an angle
-# error of at most acos(1 - e), the steepest case being at 0 and 180 degrees;
-# 1e-12 covers the rounding of acos and of the conversion to degrees in either
-# expression.
-_DIRECTION_BAND_DEG = math.degrees(math.acos(1.0 - 16 * 2.0**-53)) + 1e-12
-# Below this norm the dot products may underflow, which the band does not cover.
-_DIRECTION_MIN_NORM = 2.0**-1000
-
-
-def _direction_kept(disp: np.ndarray, direction: np.ndarray, gate_deg: float) -> bool:
-    """The direction gate of one track, as a per-track loop computes it."""
-    cos_angle = float(np.dot(disp, direction)) / float(np.hypot(disp[0], disp[1]))
-    return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle)))) <= gate_deg
-
-
 def filter_direction(
     tracks: TrackTable, travel_direction, thresholds: Thresholds = Thresholds()
 ) -> TrackTable:
     """Keep tracks whose net world displacement stays within
-    thresholds.direction_deg of the travel direction, a unit vector. Zero or
-    unprojectable displacement is dropped.
-
-    Every track is gated in one vectorized pass. Its products and arccos
-    round differently in the last place from np.dot and math.acos, which can
-    flip a track lying on the boundary, so the tracks whose angle lies
-    within _DIRECTION_BAND_DEG of the gate are decided again with the
-    per-track expression (_direction_kept)."""
+    thresholds.direction_deg of the travel direction, a unit vector, in one
+    vectorized pass. Zero or unprojectable displacement is dropped. fmax and
+    fmin clamp the NaN cosine of an overflow to -1, which is 180 degrees."""
     direction = np.asarray(travel_direction, dtype=np.float64)
-    gate = thresholds.direction_deg + 1e-9
     displacements, valid = _endpoint_displacements(tracks)
     dx, dy = displacements[:, 0], displacements[:, 1]
     norms = np.hypot(dx, dy)
-    gated = np.flatnonzero(valid & (norms > 0.0))
-    norms = norms[gated]
-    cos_angle = (dx[gated] * direction[0] + dy[gated] * direction[1]) / norms
-    angles = np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
-    keep = np.zeros(len(tracks), dtype=bool)
-    keep[gated] = angles <= gate
-    # NaN, from an overflow, is never more than the band away
-    unsure = ~(np.abs(angles - gate) > _DIRECTION_BAND_DEG) | (norms < _DIRECTION_MIN_NORM)
-    for k in gated[unsure].tolist():
-        keep[k] = _direction_kept(displacements[k], direction, gate)
+    keep = valid & (norms > 0.0)
+    cos_angle = (dx[keep] * direction[0] + dy[keep] * direction[1]) / norms[keep]
+    angles = np.degrees(np.arccos(np.fmin(np.fmax(cos_angle, -1.0), 1.0)))
+    keep[keep] = angles <= thresholds.direction_deg + 1e-9
     return tracks.subset(tracks.per_row(keep))
 
 

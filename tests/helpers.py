@@ -273,23 +273,51 @@ def clip_to_aoi_oracle(anchors, polygon):
     return None if best[1] == best[0] else best
 
 
+def direction_angle_oracle(disp, travel_direction) -> float:
+    """Angle in degrees between a nonzero displacement and the travel
+    direction, as the per-track loop the table stage was ported from
+    computes it."""
+    cos_angle = float(np.dot(disp, travel_direction)) / float(np.hypot(disp[0], disp[1]))
+    return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
+
+
 def direction_kept_oracle(displacements, valid, travel_direction, max_deg=45.0):
     """Per track, whether the direction gate keeps its net world
     displacement: the per-track loop the table stage was ported from."""
     direction = np.asarray(travel_direction, dtype=np.float64)
-    kept = []
-    for disp, ok in zip(displacements, valid):
-        if not ok:
-            kept.append(False)
-            continue
-        norm = float(np.hypot(disp[0], disp[1]))
-        if norm == 0.0:
-            kept.append(False)
-            continue
-        cos_angle = float(np.dot(disp, direction)) / norm
-        angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-        kept.append(angle <= max_deg + 1e-9)
-    return kept
+    return [
+        bool(ok) and float(np.hypot(disp[0], disp[1])) != 0.0
+        and direction_angle_oracle(disp, direction) <= max_deg + 1e-9
+        for disp, ok in zip(displacements, valid)
+    ]
+
+
+# The vectorized gate's angle is within _DIRECTION_BAND_DEG of the per-track
+# expression's (direction_angle_oracle), for a unit travel direction and a
+# displacement of norm at least _DIRECTION_MIN_NORM. With u = 2**-53, each
+# expression's cosine is within 5u of the exact one: its dot product is within
+# 2u|disp| (two products and a sum, or a fused multiply-add), its norm within
+# 2u|disp| (np.hypot, under an ulp), and the division adds u. So the two differ
+# by at most 10u, and 16u is taken. acos turns a cosine error e into an angle
+# error of at most acos(1 - e), the steepest case being at 0 and 180 degrees;
+# 1e-12 covers the rounding of acos and of the conversion to degrees in either
+# expression.
+_DIRECTION_BAND_DEG = math.degrees(math.acos(1.0 - 16 * 2.0**-53)) + 1e-12
+# Below this norm the dot products may underflow, which the band does not cover.
+_DIRECTION_MIN_NORM = 2.0**-1000
+
+
+def near_direction_gate(disp, travel_direction, max_deg) -> bool:
+    """Whether the vectorized direction gate may decide a valid displacement
+    otherwise than the per-track loop: a nonzero norm under
+    _DIRECTION_MIN_NORM, or an angle within _DIRECTION_BAND_DEG of the gate."""
+    norm = float(np.hypot(disp[0], disp[1]))
+    if norm == 0.0:
+        return False
+    if norm < _DIRECTION_MIN_NORM:
+        return True
+    angle = direction_angle_oracle(disp, np.asarray(travel_direction, dtype=np.float64))
+    return abs(angle - (max_deg + 1e-9)) <= _DIRECTION_BAND_DEG
 
 
 def is_simple_polygon_oracle(poly) -> bool:

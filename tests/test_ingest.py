@@ -26,6 +26,7 @@ from helpers import (
     filter_counts_reference,
     is_column_major,
     label_codes_reference,
+    near_direction_gate,
     only_track,
     parse_text,
     point_in_polygon_oracle,
@@ -891,10 +892,9 @@ class TestFollowing:
         ok = tracks.projectable
         assert ok.tolist() == [k % 3 != 0 for k in range(12)]
         assert (dirs[~ok] == 0.0).all()
-        # elsewhere: the unit vector toward the image of a 1 m step ahead
+        # elsewhere: the image of a 1 m step ahead, minus the anchor
         ahead, _ = project_points(VANISHING_H.matrix, tracks.world[ok] + self.direction)
-        step = ahead - tracks.anchors[ok]
-        assert np.allclose(dirs[ok], step / np.hypot(step[:, 0], step[:, 1])[:, np.newaxis])
+        assert_same_bits(dirs[ok], ahead - tracks.anchors[ok])
 
 
 @st.composite
@@ -902,7 +902,7 @@ def direction_scenes(draw):
     """A travel direction, a gate and world displacements: most at an angle
     to the direction a few ulp of either coordinate off max_deg + 1e-9, or
     off parallel or antiparallel, the rest arbitrary or degenerate; plus
-    anchor rows to make unprojectable. Gates near 0 and 180 degrees, down to
+    endpoint rows to make unprojectable. Gates near 0 and 180 degrees, down to
     tiny ones, are where acos is steepest and rounding moves an angle most."""
     heading = draw(st.floats(-math.pi, math.pi))
     max_deg = draw(st.one_of(
@@ -954,35 +954,47 @@ class TestDirection:
         assert (len(filter_direction(t, self.direction)) == 1) == kept
 
     @settings(max_examples=300, deadline=None)
-    @given(direction_scenes())
-    @example(([1.0, 0.0], 45.0, [[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], {0, 3}))
-    # inside the fallback band: the per-track cosine is 1 (0 degrees, kept)
+    @given(scene=direction_scenes(), kept=st.none())
+    @example(scene=([1.0, 0.0], 45.0, [[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], {0, 3}), kept=None)
+    # inside the rounding band: the per-track cosine is 1 (0 degrees, kept)
     # and the vectorized one 2**-52 less (1.2e-6 degrees, past the gate)
-    @example((
-        [0.8281484988395901, 0.5605087544987442], 1e-9, [[0.8281484988200246, 0.560508754527652]],
+    @example(scene=(
+        [0.8281484988395901, 0.5605087544987442], 1e-9, [[0.8281484988200247, 0.5605087545276521]],
         set(),
-    ))
-    def test_matches_per_track_loop(self, scene):
-        """Kept sets equal the per-track scalar loop's, on angles within a
-        few ulp of the gate, zero displacements and unprojectable endpoints."""
+    ), kept=[])
+    # the dot product and the norm overflow: the NaN cosine is clamped to -1,
+    # 180 degrees, which only a 180-degree gate keeps (np.clip keeps the NaN)
+    @example(scene=([0.5**0.5, 0.5**0.5], 45.0, [[1.5e308, 1.5e308]], set()), kept=[])
+    @example(scene=([0.5**0.5, 0.5**0.5], 180.0, [[1.5e308, 1.5e308]], set()), kept=[1])
+    def test_matches_per_track_loop(self, scene, kept):
+        """Each track's fate is the per-track scalar loop's wherever the two
+        must agree: zero displacements, unprojectable endpoints and angles
+        outside the rounding band around the gate (near_direction_gate).
+        Angles a few ulp off the gate lie inside the band. An example that
+        gives kept pins the ids the gate keeps, inside the band or not."""
         direction, max_deg, disps, unprojectable = scene
-        # every track starts at the world origin; its two anchors are the
-        # image points of its endpoints, or a point on the horizon
-        ends = np.zeros((2 * len(disps), 2))
-        ends[1::2] = disps
-        anchors, _ = project_points(VANISHING_H.matrix, ends)
-        r31, _, r33 = VANISHING_H.inverse().matrix[2]
-        anchors[sorted(r for r in unprojectable if r < len(anchors)), 0] = -r33 / r31
-        tracks = track_table(
-            [(np.arange(2), anchors[2 * k:2 * k + 2], None) for k in range(len(disps))],
-            h=VANISHING_H,
+        # track k + 1 runs from the world origin to disps[k], in rows 2k and 2k + 1
+        n = len(disps)
+        world = np.zeros((2 * n, 2))
+        world[1::2] = disps
+        projectable = np.ones(2 * n, dtype=bool)
+        projectable[sorted(unprojectable)] = False
+        world[~projectable] = 0.0
+        tracks = TrackTable(
+            np.arange(1, n + 1), np.arange(0, 2 * n + 1, 2), np.tile(np.arange(2), n), world,
+            np.zeros(2 * n, dtype=np.int8), world, projectable,
         )
-        inv = VANISHING_H.inverse().matrix
-        first, valid_a = project_points(inv, anchors[0::2])
-        last, valid_b = project_points(inv, anchors[1::2])
-        want = direction_kept_oracle(last - first, valid_a & valid_b, direction, max_deg)
-        got = filter_direction(tracks, direction, Thresholds(direction_deg=max_deg))
-        assert ids(got) == [k + 1 for k, keep in enumerate(want) if keep]
+        displacements = world[1::2] - world[0::2]
+        valid = projectable[0::2] & projectable[1::2]
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow examples
+            got = ids(filter_direction(tracks, direction, Thresholds(direction_deg=max_deg)))
+            want = direction_kept_oracle(displacements, valid, direction, max_deg)
+            near = [near_direction_gate(disp, direction, max_deg) for disp in displacements]
+        for k in range(n):
+            if not (valid[k] and near[k]):
+                assert (k + 1 in got) == want[k], k
+        if kept is not None:
+            assert got == kept
 
 
 class TestCascade:

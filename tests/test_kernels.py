@@ -154,7 +154,11 @@ def _columns(rows):
     return (frames, track_idx, *floats.T)
 
 
-HEADINGS = ((1.0, 0.0), (0.0, -1.0), (0.0, 0.0), (0.6, 0.8), (-0.6, -0.8))
+# unit and zero headings, and others of any length, as the follower scan gets them
+HEADINGS = (
+    (1.0, 0.0), (0.0, -1.0), (0.0, 0.0), (0.6, 0.8), (-0.6, -0.8),
+    (3.0, 0.0), (-0.15, 0.2), (0.0, 1e-3),
+)
 
 
 @st.composite
