@@ -530,9 +530,12 @@ def filter_direction(
     direction = np.asarray(travel_direction, dtype=np.float64)
     displacements, valid = _endpoint_displacements(tracks)
     dx, dy = displacements[:, 0], displacements[:, 1]
-    norms = np.hypot(dx, dy)
-    keep = valid & (norms > 0.0)
-    cos_angle = (dx[keep] * direction[0] + dy[keep] * direction[1]) / norms[keep]
+    # a displacement near the float limit overflows the norm or the dot
+    # product; its cosine is clamped below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.hypot(dx, dy)
+        keep = valid & (norms > 0.0)
+        cos_angle = (dx[keep] * direction[0] + dy[keep] * direction[1]) / norms[keep]
     angles = np.degrees(np.arccos(np.fmin(np.fmax(cos_angle, -1.0), 1.0)))
     keep[keep] = angles <= thresholds.direction_deg + 1e-9
     return tracks.subset(tracks.per_row(keep))

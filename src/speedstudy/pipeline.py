@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -128,28 +127,163 @@ def filter_counts(fates: np.ndarray) -> dict[str, int]:
 def kinematics_csv(kins: KinematicsTable) -> str:
     """Sample rows plus one `track_id,summary,<mean mph>,<n samples>` row per
     track (the literal 'summary' sits in the frame column). Speeds are
-    written to 12 significant digits (SPEED_FORMAT)."""
+    written to 12 significant digits (SPEED_FORMAT). Whole tracks are
+    written up to _BLOCK_ROWS rows at a time (a longer track is a block of
+    its own), so the working set stays a fraction of the text."""
     chunks = ["track_id,frame,speed_mph,window_frames\n"]
     offsets = kins.offsets.tolist()
-    for track_id, mean, a, b in zip(
-        kins.track_ids.tolist(), kins.representative_mph.tolist(), offsets, offsets[1:]
-    ):
-        # one format per track: a str per sample row, or every sample of the
-        # recording as Python objects at once, would raise peak memory
-        columns = (kins.frames[a:b], kins.speeds_mph[a:b], kins.window_frames[a:b])
-        values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
-        chunks.append((f"{track_id},%d,{SPEED_FORMAT},%d\n" * (b - a)) % values)
-        chunks.append(f"{track_id},summary,{SPEED_FORMAT % mean},{b - a}\n")
+    lengths = np.diff(kins.offsets)
+    row_ends = kins.offsets[1:] + np.arange(1, len(lengths) + 1)  # one past each summary row
+    a = 0
+    while a < len(lengths):
+        b = max(a + 1, int(np.searchsorted(row_ends, offsets[a] + a + _BLOCK_ROWS, side="right")))
+        s, t = offsets[a], offsets[b]
+        ends = kins.offsets[a + 1:b + 1] - s  # each track's summary row goes after its samples
+        chunks.append(_lines(t - s + b - a, [
+            _int_field(np.repeat(kins.track_ids[a:b], lengths[a:b] + 1)),
+            _with_text(_int_field(np.insert(kins.frames[s:t], ends, 0)), ends + np.arange(b - a),
+                       ["summary"]),
+            _speed_field(np.insert(kins.speeds_mph[s:t], ends, kins.representative_mph[a:b])),
+            _int_field(np.insert(kins.window_frames[s:t], ends, lengths[a:b])),
+        ]))
+        a = b
     return "".join(chunks)
 
 
 def maneuvers_csv(maneuvers: ManeuverTable) -> str:
-    names = [cls.value for cls in MANEUVERS]
-    columns = (
-        maneuvers.track_ids.tolist(),
-        maneuvers.v_mean_mph.tolist(),
-        [names[code] for code in maneuvers.classes.tolist()],
-    )
-    values = tuple(chain.from_iterable(zip(*columns)))
-    row = f"%d,{SPEED_FORMAT},%s\n"
-    return "track_id,v_mean_mph,class\n" + (row * len(maneuvers.track_ids)) % values
+    chunks = ["track_id,v_mean_mph,class\n"]
+    for a in range(0, len(maneuvers.track_ids), _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        names = _CLASS_NAMES.take(maneuvers.classes[rows], axis=0)
+        chunks.append(_lines(len(names), [
+            _int_field(maneuvers.track_ids[rows]),
+            _speed_field(maneuvers.v_mean_mph[rows]),
+            (names.shape[1], lambda dst: np.copyto(dst, names)),
+        ]))
+    return "".join(chunks)
+
+
+# The report CSVs are built a block of rows at a time as one uint8 matrix,
+# each field a fixed-width column of ASCII padded with NUL bytes, which
+# _lines drops. A field is (width, write): write(dst) fills an (n, width)
+# view. Digits are written two at a time, through a uint16 view, from a
+# table of the 100 digit pairs followed by forms of them with the zeros
+# `%` would not print blank (NUL; a space in the tables' source).
+_BLOCK_ROWS = 1 << 14
+_PAIRS = [f"{r:02d}" for r in range(100)]
+
+
+def _pair_table(pairs) -> np.ndarray:
+    return np.frombuffer("".join(pairs).replace(" ", "\0").encode(), dtype=np.uint16)
+
+
+# + 100 where an integer's rest is below 10, its leading pair: " d" (a lone
+# 0 stays " 0"); _ABOVE, for the pairs left of the units, also blanks a 0
+_LEADING = _pair_table(_PAIRS + [f"{r:2d}" for r in range(100)])
+_ABOVE = _pair_table(_PAIRS + ["  "] + [f"{r:2d}" for r in range(1, 100)])
+# + 100 where no digit right of a fraction's pair is printed: its trailing
+# zeros blank
+_TRAILING = _pair_table(_PAIRS + [f"{p.rstrip('0'):2s}" for p in _PAIRS])
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_SCALE = _POW10[:16].astype(np.float64)  # exact
+_CLASS_NAMES = np.array([cls.value for cls in MANEUVERS], dtype=bytes)[:, None].view(np.uint8)
+
+
+def _lines(n, fields) -> str:
+    """n rows of the fields, comma-separated, one line each, with the NUL
+    padding dropped."""
+    line = sum(width + 1 for width, _ in fields)
+    text = bytearray(n * line)  # all NUL; numpy writes into it, so it is not copied to bytes
+    out = np.frombuffer(text, dtype=np.uint8).reshape(n, line)
+    start = 0
+    for width, write in fields:
+        write(out[:, start:start + width])
+        out[:, start + width] = ord(",")
+        start += width + 1
+    out[:, -1] = ord("\n")
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _with_text(field, rows, texts):
+    """field with the given rows replaced by texts (one, or one per row),
+    widened to the longest."""
+    if not len(rows):
+        return field
+    width, write = field
+    text = np.array(texts, dtype=bytes)
+
+    def write_text(dst):
+        write(dst[:, :width])
+        dst[rows] = text.astype(f"S{dst.shape[1]}")[:, None].view(np.uint8)
+    return max(width, text.itemsize), write_text
+
+
+def _even_width(digits: int) -> int:
+    return digits + digits % 2
+
+
+def _int_field(values):
+    """Each of values, int64 and all >= 0, in decimal; the width is the
+    digits of the largest, made even."""
+    return _even_width(len(str(int(values.max(initial=0))))), lambda dst: _write_int(dst, values)
+
+
+def _write_int(dst, values) -> None:
+    """values, int64 in [0, 100**k), into dst, (n, 2k) uint8, leading zeros
+    NUL."""
+    pairs = dst.view(np.uint16)
+    rest, table = values, _LEADING
+    for j in range(pairs.shape[1] - 1, -1, -1):
+        quotient = rest // 100
+        index = rest - 100 * quotient
+        index += 100 * (rest < 10)
+        pairs[:, j] = table.take(index)
+        rest, table = quotient, _ABOVE
+
+
+def _write_fraction(dst, fraction) -> None:
+    """fraction, int64 in [0, 10**width), as width digits after the point,
+    trailing zeros NUL."""
+    pairs = dst.view(np.uint16)
+    rest, zeros = fraction, True
+    for j in range(pairs.shape[1] - 1, -1, -1):
+        quotient = rest // 100
+        pair = rest - 100 * quotient
+        pairs[:, j] = _TRAILING.take(pair + 100 * zeros)
+        rest, zeros = quotient, zeros & (pair == 0)
+
+
+def _speed_field(v):
+    """SPEED_FORMAT % each of v.
+
+    A finite v in [1e-4, 1e11) with decimal exponent e has 12 significant
+    digits rint(y), y = v * 10**(11 - e) in [1e11, 1e12). The scale is
+    exact, so y carries one rounding, of at most 2**-14 as y < 2**40, and
+    rint(y) is the correctly rounded mantissa `%` prints unless y lies
+    within that rounding of a tie (Clinger's fast path). Values within
+    2**-13 of a tie, outside that domain, or whose log10 misjudged e are
+    formatted one at a time.
+    """
+    x = np.where((v >= 1e-4) & (v < 1e11), v, 0.0)
+    e = np.floor(np.log10(x, out=np.zeros_like(x), where=x > 0)).astype(np.int64)
+    y = x * _SCALE.take(np.clip(11 - e, 0, 15))
+    slow = ~((y >= 1e11) & (y < 1e12)) | (np.abs(y - np.floor(y) - 0.5) <= 2**-13)
+    mantissa = np.where(slow, 1e11, np.rint(y)).astype(np.int64)
+    carry = mantissa == 10**12  # 999999999999.5 and up round to 10**(e + 1)
+    mantissa[carry] = 10**11
+    # the digits `%` prints after the point before it drops trailing zeros
+    fraction_digits = 11 - np.where(slow, 0, e + carry)
+    unit = _POW10.take(fraction_digits)
+    whole = mantissa // unit
+    fraction = mantissa - whole * unit
+    whole_width, write_whole = _int_field(whole)
+    fraction_width = _even_width(int(fraction_digits.max(initial=0)))
+    fraction *= _POW10.take(fraction_width - fraction_digits)
+
+    def write(dst):
+        write_whole(dst[:, :whole_width])
+        dst[:, whole_width] = np.where(fraction > 0, ord("."), 0)
+        _write_fraction(dst[:, whole_width + 1:], fraction)
+    rows = np.flatnonzero(slow)
+    return _with_text((whole_width + 1 + fraction_width, write), rows,
+                      [SPEED_FORMAT % value for value in v[rows].tolist()])

@@ -862,6 +862,74 @@ def _kinematics_table(track_ids, lengths):
     )
 
 
+def _powers_of_ten_and_neighbours(exponents, steps=3):
+    values = []
+    for e in exponents:
+        power = float(f"1e{e}")
+        below = above = power
+        for _ in range(steps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [float(below), float(above)]
+        values.append(power)
+    return values
+
+
+# Speeds where a numpy %.12g is easy to get wrong: around each power of ten
+# (the exponent, and the domain edges 1e-4 and 1e11 of the vectorized
+# path), mantissas that carry to the next power, exact ties (rounded half
+# to even), and near-ties within y's one rounding of a tie, where rint of
+# the scaled value alone prints the last digit one off
+SPEED_EDGES = [
+    *_powers_of_ten_and_neighbours(range(-5, 13)),
+    9.9999999999995, 99999999999.99998,
+    12345678901.25, 12345678901.75,
+    985842846.9665, 471914180.0455, 900553929.1075,
+]
+SPEED_EDGES_PRINTED = {
+    9.9999999999995: "10", 99999999999.99998: "100000000000",
+    12345678901.25: "12345678901.2", 12345678901.75: "12345678901.8",
+    985842846.9665: "985842846.967", 471914180.0455: "471914180.045",
+    900553929.1075: "900553929.107",
+}
+
+
+def _maneuver_table(rows):
+    return ManeuverTable(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=np.float64),
+        np.array([r[2] for r in rows], dtype=np.int8),
+    )
+
+
+def printed_speeds(values) -> list[str]:
+    """The speeds a report writer prints for values, one per value."""
+    text = pipeline.maneuvers_csv(_maneuver_table([(1, v, 0) for v in values]))
+    return [line.split(",")[1] for line in text.splitlines()[1:]]
+
+
+def assert_same_lines(got: str, want: str):
+    """got == want, failing on the first line that differs (a diff of two
+    long texts would take minutes)."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"line {k}"
+    assert len(got_lines) == len(want_lines)
+
+
+class TestSpeedFormat:
+    """The report writers print each speed as SPEED_FORMAT does, value by
+    value, wherever it falls among the other speeds of its block."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=12))
+    @example(SPEED_EDGES)
+    @example([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310])
+    def test_matches_percent_format(self, values):
+        assert printed_speeds(values) == [pipeline.SPEED_FORMAT % v for v in values]
+
+    def test_carries_ties_and_near_ties(self):
+        assert printed_speeds(list(SPEED_EDGES_PRINTED)) == list(SPEED_EDGES_PRINTED.values())
+
+
 class TestReportWriters:
     """The report writers against the one-f-string-per-row writers, string
     for string."""
@@ -869,6 +937,9 @@ class TestReportWriters:
     @given(kinematics_tables())
     @example(_kinematics_table([], []))
     @example(_kinematics_table([1, INT64_MAX], [1, 1]))
+    @example(dataclasses.replace(_kinematics_table([3, 9], [len(SPEED_EDGES) - 4, 4]),
+                                 speeds_mph=np.array(SPEED_EDGES),
+                                 representative_mph=np.array(SPEED_EDGES[-2:])))
     def test_kinematics_csv(self, kins):
         assert pipeline.kinematics_csv(kins) == kinematics_csv_reference(kins)
 
@@ -876,13 +947,33 @@ class TestReportWriters:
                               st.integers(0, len(MANEUVERS) - 1)), max_size=8))
     @example([])
     @example([(INT64_MAX, 4.999999999999999, 2)])
+    @example([(k + 1, v, k % len(MANEUVERS)) for k, v in enumerate(SPEED_EDGES)])
     def test_maneuvers_csv(self, rows):
-        maneuvers = ManeuverTable(
-            np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=np.float64),
-            np.array([r[2] for r in rows], dtype=np.int8),
-        )
+        maneuvers = _maneuver_table(rows)
         assert pipeline.maneuvers_csv(maneuvers) == maneuvers_csv_reference(maneuvers)
+
+    BLOCK = pipeline._BLOCK_ROWS
+
+    # rows of a track are its samples and its summary row: a track of
+    # BLOCK - 1 samples fills a block exactly
+    @pytest.mark.parametrize("lengths", [
+        [BLOCK - 1, 1],  # ends at a block edge
+        [BLOCK // 2 - 1, BLOCK // 2 - 1, 2],  # two tracks end at the edge
+        [BLOCK - 2, 1],  # one row short of it; the next track does not fit
+        [BLOCK, 1],  # one row past it
+        [3, 2 * BLOCK + 5, 4],  # a track longer than a block
+    ], ids=["at", "two-at", "one-before", "one-after", "longer"])
+    def test_kinematics_csv_across_block_edges(self, lengths):
+        kins = _kinematics_table(np.arange(1, len(lengths) + 1) * 997, lengths)
+        # speeds of every exponent in each block, so its column widths vary
+        kins = dataclasses.replace(kins, speeds_mph=np.geomspace(1e-3, 1e4, len(kins.frames)))
+        assert_same_lines(pipeline.kinematics_csv(kins), kinematics_csv_reference(kins))
+
+    def test_maneuvers_csv_across_a_block_edge(self):
+        n = self.BLOCK + 1
+        rows = [(k + 1, 10.0 ** (k % 9 - 4), k % len(MANEUVERS)) for k in range(n)]
+        maneuvers = _maneuver_table(rows)
+        assert_same_lines(pipeline.maneuvers_csv(maneuvers), maneuvers_csv_reference(maneuvers))
 
 
 class TestReportPrecision:
